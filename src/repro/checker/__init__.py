@@ -10,6 +10,7 @@ from repro.checker.harness import (
     PredictionCheckOutcome,
     apply_annotation,
 )
+from repro.checker.incremental import CheckedModule
 from repro.checker.infer import ExpressionTyper, is_assignable, join_types
 
 __all__ = [
@@ -32,4 +33,5 @@ __all__ = [
     "PredictionCategory",
     "AnnotationRewriteError",
     "apply_annotation",
+    "CheckedModule",
 ]

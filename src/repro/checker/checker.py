@@ -16,8 +16,9 @@ it cannot reason about.  Two modes model the two tools:
 from __future__ import annotations
 
 import ast
+from collections import deque
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.checker.env import ClassInfo, FunctionSignature, ModuleContext, Scope
 from repro.checker.errors import CheckResult, ErrorCode, TypeCheckError
@@ -42,8 +43,6 @@ class OptionalTypeChecker:
         self.mode = mode
         self.lattice = lattice if lattice is not None else TypeLattice()
         self._errors: list[TypeCheckError] = []
-        self._statements = 0
-        self._functions = 0
 
     @property
     def strict(self) -> bool:
@@ -53,9 +52,6 @@ class OptionalTypeChecker:
 
     def check_source(self, source: str, filename: str = "<string>") -> CheckResult:
         """Type check a source string, returning every diagnostic found."""
-        self._errors = []
-        self._statements = 0
-        self._functions = 0
         try:
             tree = ast.parse(source)
         except SyntaxError as error:
@@ -64,10 +60,10 @@ class OptionalTypeChecker:
                     TypeCheckError(ErrorCode.ANNOTATION_UNPARSABLE, f"syntax error: {error.msg}", error.lineno or -1)
                 ]
             )
-        context = self._build_module_context(tree)
-        self._register_class_hierarchy(context)
-        self._check_module(tree, context)
-        return CheckResult(errors=list(self._errors), checked_functions=self._functions, checked_statements=self._statements)
+        context = self.module_context(tree)
+        errors = [error for _, _, node, class_name in iter_units(tree)
+                  for error in self.check_unit(node, context, class_name)]
+        return CheckResult(errors=errors)
 
     def check_file(self, path: str) -> CheckResult:
         with open(path, "r", encoding="utf-8") as handle:
@@ -85,14 +81,13 @@ class OptionalTypeChecker:
             tree = ast.parse(source)
         except SyntaxError:
             return {}
-        context = self._build_module_context(tree)
-        self._register_class_hierarchy(context)
+        context = self.module_context(tree)
         inferred: dict[tuple[str, str, str], str] = {}
         typer = ExpressionTyper(context, self.lattice, lambda _err: None, strict=False)
 
         def walk_function(node: ast.FunctionDef | ast.AsyncFunctionDef, scope_path: str, class_name: Optional[str]) -> None:
             function_scope = Scope(parent=context.globals, name=scope_path)
-            signature = self._signature_from_node(node, is_method=class_name is not None)
+            signature = self.signature_from_node(node, is_method=class_name is not None)
             for parameter_name, parameter_type in signature.parameters:
                 function_scope.bind(parameter_name, parameter_type)
             if class_name is not None and signature.parameters:
@@ -138,7 +133,7 @@ class OptionalTypeChecker:
             return ANY
         return canonicalise(parsed)
 
-    def _signature_from_node(self, node: ast.FunctionDef | ast.AsyncFunctionDef, is_method: bool) -> FunctionSignature:
+    def signature_from_node(self, node: ast.FunctionDef | ast.AsyncFunctionDef, is_method: bool) -> FunctionSignature:
         args = node.args
         parameters: list[tuple[str, TypeExpr]] = []
         all_args = list(args.posonlyargs) + list(args.args)
@@ -163,16 +158,35 @@ class OptionalTypeChecker:
         parsed = try_parse_type(ast.unparse(node))
         return canonicalise(parsed) if parsed is not None else ANY
 
+    def module_context(self, tree: ast.Module) -> ModuleContext:
+        """Build ``tree``'s module context and register its classes in the lattice."""
+        context = self._build_module_context(tree)
+        self._register_class_hierarchy(context)
+        return context
+
+    def context_entry(self, statement: ast.stmt) -> FunctionSignature | ClassInfo | TypeExpr:
+        """The value a top-level statement gives its :func:`context_key` entry."""
+        table, _ = context_key(statement)
+        if table == "function":
+            return self.signature_from_node(statement, is_method=False)
+        if table == "class":
+            return self._class_info_from_node(statement)
+        return self._annotation_or_any(statement.annotation)
+
     def _build_module_context(self, tree: ast.Module) -> ModuleContext:
         context = ModuleContext()
         for statement in tree.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                context.functions[statement.name] = self._signature_from_node(statement, is_method=False)
-            elif isinstance(statement, ast.ClassDef):
-                context.classes[statement.name] = self._class_info_from_node(statement)
-            elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
-                annotation = self._annotation_or_any(statement.annotation)
-                context.globals.bind(statement.target.id, annotation, declared=True)
+            key = context_key(statement)
+            if key is None:
+                continue
+            table, name = key
+            value = self.context_entry(statement)
+            if table == "function":
+                context.functions[name] = value
+            elif table == "class":
+                context.classes[name] = value
+            else:
+                context.globals.bind(name, value, declared=True)
         return context
 
     def _class_info_from_node(self, node: ast.ClassDef) -> ClassInfo:
@@ -180,14 +194,21 @@ class OptionalTypeChecker:
         info.bases = [base.id for base in node.bases if isinstance(base, ast.Name)]
         for member in node.body:
             if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.methods[member.name] = self._signature_from_node(member, is_method=True)
-            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                info.attributes[member.target.id] = self._annotation_or_any(member.annotation)
+                info.methods[member.name] = self.signature_from_node(member, is_method=True)
+        info.attributes = self.class_attributes(node)
+        return info
+
+    def class_attributes(self, node: ast.ClassDef) -> dict[str, TypeExpr]:
+        """A class's attribute types: annotated class members, then ``self.attr`` assignments."""
+        attributes: dict[str, TypeExpr] = {}
+        for member in node.body:
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                attributes[member.target.id] = self._annotation_or_any(member.annotation)
         # self.attr assignments inside methods contribute attributes too.
         for member in node.body:
             if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for statement in ast.walk(member):
+            for statement in _walk_statements(member):
                 target: Optional[ast.expr] = None
                 annotation: Optional[ast.expr] = None
                 if isinstance(statement, ast.AnnAssign):
@@ -199,10 +220,10 @@ class OptionalTypeChecker:
                     and isinstance(target, ast.Attribute)
                     and isinstance(target.value, ast.Name)
                     and target.value.id == "self"
-                    and target.attr not in info.attributes
+                    and target.attr not in attributes
                 ):
-                    info.attributes[target.attr] = self._annotation_or_any(annotation) if annotation is not None else ANY
-        return info
+                    attributes[target.attr] = self._annotation_or_any(annotation) if annotation is not None else ANY
+        return attributes
 
     def _register_class_hierarchy(self, context: ModuleContext) -> None:
         for class_info in context.classes.values():
@@ -214,10 +235,23 @@ class OptionalTypeChecker:
     def _report(self, code: ErrorCode, message: str, lineno: int, scope: str) -> None:
         self._errors.append(TypeCheckError(code, message, lineno, scope))
 
-    def _check_module(self, tree: ast.Module, context: ModuleContext) -> None:
-        typer = ExpressionTyper(context, self.lattice, self._errors.append, strict=self.strict)
-        module_scope = context.globals
-        self._check_block(tree.body, module_scope, typer, context, current_function=None)
+    def check_unit(
+        self, node: ast.stmt, context: ModuleContext, class_name: Optional[str] = None
+    ) -> list[TypeCheckError]:
+        """Check one unit of a module and return its diagnostics.
+
+        A unit is a top-level statement or, with ``class_name``, one member
+        of that top-level class (see :func:`iter_units`).  It runs in
+        ``context.globals`` as the module scope, which it may rebind, so
+        checking every unit in order checks the whole module.
+        """
+        self._errors = []
+        if class_name is None:
+            typer = ExpressionTyper(context, self.lattice, self._errors.append, strict=self.strict)
+            self._check_statement(node, context.globals, typer, context, current_function=None)
+        else:
+            self._check_class_member(node, context.globals, context, class_name)
+        return self._errors
 
     def _check_block(
         self,
@@ -228,7 +262,6 @@ class OptionalTypeChecker:
         current_function: Optional[FunctionSignature],
     ) -> None:
         for statement in statements:
-            self._statements += 1
             self._check_statement(statement, scope, typer, context, current_function)
 
     def _check_statement(
@@ -364,14 +397,13 @@ class OptionalTypeChecker:
         context: ModuleContext,
         class_name: Optional[str],
     ) -> None:
-        self._functions += 1
         signature = (
             context.classes[class_name].methods.get(node.name)
             if class_name is not None and class_name in context.classes
             else context.functions.get(node.name)
         )
         if signature is None:
-            signature = self._signature_from_node(node, is_method=class_name is not None)
+            signature = self.signature_from_node(node, is_method=class_name is not None)
         function_scope = scope.child(node.name)
         for index, (parameter_name, parameter_type) in enumerate(signature.parameters):
             bound_type = parameter_type
@@ -413,11 +445,15 @@ class OptionalTypeChecker:
 
     def _check_class(self, node: ast.ClassDef, scope: Scope, context: ModuleContext) -> None:
         for member in node.body:
-            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_function(member, scope, context, class_name=node.name)
-            elif isinstance(member, ast.AnnAssign):
-                typer = ExpressionTyper(context, self.lattice, self._errors.append, strict=self.strict)
-                self._check_ann_assign(member, scope, typer)
+            self._check_class_member(member, scope, context, node.name)
+
+    def _check_class_member(self, member: ast.stmt, scope: Scope, context: ModuleContext, class_name: str) -> None:
+        # Class bodies open no scope: annotated members bind in ``scope``.
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self._check_function(member, scope, context, class_name=class_name)
+        elif isinstance(member, ast.AnnAssign):
+            typer = ExpressionTyper(context, self.lattice, self._errors.append, strict=self.strict)
+            self._check_ann_assign(member, scope, typer)
 
     def _check_ann_assign(self, statement: ast.AnnAssign, scope: Scope, typer: ExpressionTyper) -> None:
         annotation = self._parse_annotation(statement.annotation, statement.lineno, scope.name)
@@ -522,6 +558,51 @@ class OptionalTypeChecker:
                 statement.lineno,
                 scope.name,
             )
+
+
+def _walk_statements(node: ast.stmt) -> Iterator[ast.AST]:
+    """The statements under ``node`` in :func:`ast.walk` (breadth-first) order.
+
+    Expressions hold no statements, so skipping them keeps the order.
+    """
+    todo = deque([node])
+    while todo:
+        node = todo.popleft()
+        yield node
+        for _, value in ast.iter_fields(node):
+            if isinstance(value, list):
+                todo.extend(item for item in value if isinstance(item, (ast.stmt, ast.excepthandler, ast.match_case)))
+
+
+def context_key(statement: ast.stmt) -> Optional[tuple[str, str]]:
+    """The module-context entry a top-level statement defines, as ``(table, name)``.
+
+    Tables are ``"function"``, ``"class"`` and ``"global"`` (a declared module
+    variable, bound before any statement runs).  When several statements
+    define one entry, the last one wins.  Other statements define none.
+    """
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return "function", statement.name
+    if isinstance(statement, ast.ClassDef):
+        return "class", statement.name
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return "global", statement.target.id
+    return None
+
+
+def iter_units(tree: ast.Module) -> Iterator[tuple[int, Optional[int], ast.stmt, Optional[str]]]:
+    """The check units of a module in checking order: ``(top, member, node, class_name)``.
+
+    A top-level class is checked member by member (``member`` indexes its
+    body, ``class_name`` names it); every other top-level statement is one
+    unit with ``member`` and ``class_name`` None.
+    """
+    for top, statement in enumerate(tree.body):
+        if isinstance(statement, ast.ClassDef):
+            for member, node in enumerate(statement.body):
+                yield top, member, node, statement.name
+        else:
+            yield top, None, statement, None
 
 
 def check_source(source: str, mode: CheckerMode = CheckerMode.STRICT) -> CheckResult:

@@ -50,8 +50,6 @@ class CheckResult:
     """The outcome of type checking one file."""
 
     errors: list[TypeCheckError]
-    checked_functions: int = 0
-    checked_statements: int = 0
 
     @property
     def ok(self) -> bool:

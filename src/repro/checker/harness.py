@@ -9,18 +9,23 @@ categories of Table 5:
 * ``ϵ → τ`` — the symbol was previously unannotated;
 * ``τ → τ'`` — the prediction differs from the original annotation;
 * ``τ → τ`` — the prediction equals the original annotation.
+
+Each file is parsed and checked once (:meth:`PredictionChecker.baseline`).
+A prediction is then set into that checked module in place, and only the
+parts of the file it can affect are re-checked (see
+:mod:`repro.checker.incremental`); the verdict equals re-checking the file
+that :func:`apply_annotation` writes.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from repro.checker.checker import CheckerMode, OptionalTypeChecker
-from repro.checker.errors import CheckResult
+from repro.checker.checker import CheckerMode
+from repro.checker.incremental import AnnotationRewriteError, CheckedModule, SlotIndex, parse_annotation
 from repro.graph.nodes import SymbolKind
 from repro.types.normalize import canonical_string
 
@@ -46,151 +51,18 @@ class PredictionCheckOutcome:
     introduced_errors: int
     ok: bool
     skipped: bool = False
+    #: Why the prediction was skipped or rejected, naming the introduced error codes.
     reason: str = ""
-    #: True when the skip is intrinsic to the predicted type (Any/unparsable)
-    #: and therefore holds for every symbol, not just this one.
-    type_level_skip: bool = False
-
-
-class AnnotationRewriteError(ValueError):
-    """Raised when the requested symbol cannot be located in the program."""
-
-
-class _AnnotationInserter(ast.NodeTransformer):
-    """Insert or replace the annotation of one symbol identified by scope path."""
-
-    def __init__(self, scope: str, name: str, kind: SymbolKind, annotation: ast.expr) -> None:
-        self.target_scope = scope
-        self.target_name = name
-        self.kind = kind
-        self.annotation = annotation
-        self.applied = False
-        self._scope: list[str] = ["module"]
-
-    @property
-    def scope_path(self) -> str:
-        return ".".join(self._scope)
-
-    def _visit_scope(self, node: ast.AST, name: str) -> ast.AST:
-        self._scope.append(name)
-        self.generic_visit(node)
-        self._scope.pop()
-        return node
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> ast.AST:
-        return self._visit_scope(node, node.name)
-
-    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> ast.AST:
-        function_scope = f"{self.scope_path}.{node.name}"
-        if function_scope == self.target_scope:
-            if self.kind == SymbolKind.FUNCTION_RETURN and self.target_name == "<return>":
-                node.returns = self.annotation
-                self.applied = True
-            elif self.kind == SymbolKind.PARAMETER:
-                args = node.args
-                for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-                    if arg.arg == self.target_name:
-                        arg.annotation = self.annotation
-                        self.applied = True
-                for vararg in (args.vararg, args.kwarg):
-                    if vararg is not None and vararg.arg == self.target_name:
-                        vararg.annotation = self.annotation
-                        self.applied = True
-        return self._visit_scope(node, node.name)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> ast.AST:
-        return self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> ast.AST:
-        return self._visit_function(node)
-
-    def visit_Assign(self, node: ast.Assign) -> ast.AST:
-        if self.kind != SymbolKind.VARIABLE or self.applied or self.scope_path != self.target_scope:
-            return self.generic_visit(node)
-        if len(node.targets) == 1 and self._matches_target(node.targets[0]):
-            self.applied = True
-            return ast.copy_location(
-                ast.AnnAssign(target=node.targets[0], annotation=self.annotation, value=node.value, simple=1
-                              if isinstance(node.targets[0], ast.Name) else 0),
-                node,
-            )
-        return self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> ast.AST:
-        if self.kind == SymbolKind.VARIABLE and not self.applied and self.scope_path == self.target_scope:
-            if self._matches_target(node.target):
-                node.annotation = self.annotation
-                self.applied = True
-                return node
-        return self.generic_visit(node)
-
-    def _matches_target(self, target: ast.expr) -> bool:
-        if isinstance(target, ast.Name):
-            return target.id == self.target_name
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            return f"self.{target.attr}" == self.target_name
-        return False
 
 
 def apply_annotation(source: str, scope: str, name: str, kind: SymbolKind, type_string: str) -> str:
     """Return ``source`` with the annotation of one symbol set to ``type_string``."""
-    try:
-        annotation_expr = ast.parse(type_string, mode="eval").body
-    except SyntaxError as error:
-        raise AnnotationRewriteError(f"prediction {type_string!r} is not a valid annotation") from error
+    annotation = parse_annotation(type_string)
     tree = ast.parse(source)
-    inserter = _AnnotationInserter(scope, name, kind, annotation_expr)
-    new_tree = inserter.visit(tree)
-    if not inserter.applied and kind == SymbolKind.VARIABLE and name.startswith("self."):
-        # `self.attr` symbols are recorded against the class scope, but their
-        # defining assignments live inside the class's methods.
-        retry = _SelfAttributeInserter(scope, name, annotation_expr)
-        new_tree = retry.visit(ast.parse(source))
-        if retry.applied:
-            ast.fix_missing_locations(new_tree)
-            return ast.unparse(new_tree)
-    if not inserter.applied:
-        raise AnnotationRewriteError(f"could not locate symbol {name!r} in scope {scope!r}")
-    ast.fix_missing_locations(new_tree)
-    return ast.unparse(new_tree)
-
-
-class _SelfAttributeInserter(ast.NodeTransformer):
-    """Annotate the first ``self.attr = ...`` assignment inside a class's methods."""
-
-    def __init__(self, class_scope: str, dotted_name: str, annotation: ast.expr) -> None:
-        self.class_scope = class_scope
-        self.attr = dotted_name.split(".", 1)[1]
-        self.annotation = annotation
-        self.applied = False
-        self._scope: list[str] = ["module"]
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> ast.AST:
-        self._scope.append(node.name)
-        if ".".join(self._scope) == self.class_scope:
-            self.generic_visit(node)
-        self._scope.pop()
-        return node
-
-    def visit_Assign(self, node: ast.Assign) -> ast.AST:
-        if self.applied or len(node.targets) != 1:
-            return node
-        target = node.targets[0]
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            and target.attr == self.attr
-        ):
-            self.applied = True
-            return ast.copy_location(
-                ast.AnnAssign(target=target, annotation=self.annotation, value=node.value, simple=0), node
-            )
-        return node
+    for slot in SlotIndex(tree).find(scope, name, kind):
+        slot.fill(annotation)
+    ast.fix_missing_locations(tree)
+    return ast.unparse(tree)
 
 
 class PredictionChecker:
@@ -198,14 +70,10 @@ class PredictionChecker:
 
     def __init__(self, mode: CheckerMode = CheckerMode.STRICT) -> None:
         self.mode = mode
-        self._checker = OptionalTypeChecker(mode=mode)
-        self._baseline_cache: dict[int, Counter] = {}
 
-    def _error_signature(self, result: CheckResult) -> Counter:
-        return Counter((error.code, error.scope) for error in result.errors)
-
-    def baseline(self, source: str) -> CheckResult:
-        return OptionalTypeChecker(mode=self.mode).check_source(source)
+    def baseline(self, source: str) -> CheckedModule:
+        """Parse and check ``source`` once; pass the result to :meth:`check_prediction`."""
+        return CheckedModule(source, mode=self.mode)
 
     def check_prediction(
         self,
@@ -215,42 +83,34 @@ class PredictionChecker:
         kind: SymbolKind,
         predicted_type: str,
         original_annotation: Optional[str] = None,
-        baseline_result: Optional[CheckResult] = None,
+        baseline_result: Optional[CheckedModule] = None,
     ) -> PredictionCheckOutcome:
         """Insert one prediction into ``source`` and report whether it type checks.
 
-        ``baseline_result`` lets batch callers compute the unmodified file's
-        diagnostics once and share them across every prediction for that file.
+        ``baseline_result`` (from :meth:`baseline`) lets callers parse and
+        check a file once and share it across every prediction for that file.
         """
         category = self._categorise(predicted_type, original_annotation)
-        canonical_prediction = canonical_string(predicted_type)
-        if canonical_prediction is None or canonical_prediction in ("Any",):
-            return PredictionCheckOutcome(
-                scope, name, kind, predicted_type, original_annotation, category,
-                introduced_errors=0, ok=False, skipped=True, reason="prediction skipped (Any or unparsable)",
-                type_level_skip=True,
-            )
-        if baseline_result is None:
+
+        def skipped(reason: str) -> PredictionCheckOutcome:
+            return PredictionCheckOutcome(scope, name, kind, predicted_type, original_annotation, category,
+                                          introduced_errors=0, ok=False, skipped=True, reason=reason)
+
+        if canonical_string(predicted_type) in (None, "Any"):
+            return skipped("prediction skipped (Any or unparsable)")
+        if baseline_result is None or baseline_result.source != source:
             baseline_result = self.baseline(source)
         try:
-            modified = apply_annotation(source, scope, name, kind, predicted_type)
+            introduced = baseline_result.introduced_errors(scope, name, kind, parse_annotation(predicted_type))
         except AnnotationRewriteError as error:
-            return PredictionCheckOutcome(
-                scope, name, kind, predicted_type, original_annotation, category,
-                introduced_errors=0, ok=False, skipped=True, reason=str(error),
-            )
-        modified_result = OptionalTypeChecker(mode=self.mode).check_source(modified)
-        introduced = modified_result and self._introduced_errors(baseline_result, modified_result)
+            return skipped(str(error))
+        count = sum(introduced.values())
+        codes = sorted({code.value for code, _ in introduced})
         return PredictionCheckOutcome(
             scope, name, kind, predicted_type, original_annotation, category,
-            introduced_errors=introduced, ok=introduced == 0,
+            introduced_errors=count, ok=count == 0,
+            reason=f"{count} type error(s): {', '.join(codes)}" if count else "",
         )
-
-    def _introduced_errors(self, baseline: CheckResult, modified: CheckResult) -> int:
-        before = self._error_signature(baseline)
-        after = self._error_signature(modified)
-        introduced = after - before
-        return sum(introduced.values())
 
     @staticmethod
     def _categorise(predicted_type: str, original_annotation: Optional[str]) -> PredictionCategory:

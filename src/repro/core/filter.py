@@ -4,15 +4,14 @@ The last stage of Typilus runs the candidate predictions through an optional
 type checker and discards the ones that introduce type errors.  The filter
 below walks a symbol's ranked candidates in order of decreasing probability
 and returns the first candidate the checker accepts, together with what was
-rejected on the way — which is exactly what the tool would surface to a
-developer.
+rejected on the way and why — which is exactly what the tool would surface
+to a developer.
 
-For project-scale runs :meth:`TypeCheckedFilter.filter_many` filters every
-symbol of one file in a single pass: the file's baseline diagnostics are
-computed once and shared, and checker verdicts are cached per unique
-``(candidate type, symbol kind)`` pair rather than re-derived per symbol —
-the dominant cost of annotating a file is re-checking the same handful of
-common types over and over, so one verdict per candidate covers the file.
+This is the paper's per-symbol protocol for every caller: each candidate is
+checked at its own symbol.  :meth:`TypeCheckedFilter.filter_many` filters
+every symbol of one file against one parsed and checked module
+(:meth:`~repro.checker.harness.PredictionChecker.baseline`), so each check
+re-checks only the parts of the file the candidate can affect.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.checker.checker import CheckerMode
-from repro.checker.errors import CheckResult
 from repro.checker.harness import PredictionChecker
+from repro.checker.incremental import CheckedModule
 from repro.core.predictor import TypePrediction
 from repro.graph.nodes import SymbolKind
 
@@ -54,15 +53,6 @@ class FilterRequest:
     original_annotation: Optional[str] = None
 
 
-@dataclass
-class _CandidateVerdict:
-    """A cached checker verdict for one (type, symbol kind) candidate."""
-
-    ok: bool
-    skipped: bool
-    reason: str
-
-
 class TypeCheckedFilter:
     """Filters kNN predictions through the optional type checker."""
 
@@ -92,17 +82,13 @@ class TypeCheckedFilter:
         return self.filter_many(source, [request])[0]
 
     def filter_many(self, source: str, requests: Sequence[FilterRequest]) -> list[FilteredSuggestion]:
-        """Filter every symbol of one file, sharing checker work across symbols.
+        """Filter every symbol of one file, each candidate checked at its own symbol.
 
-        The baseline check of ``source`` runs once for the whole batch, and
-        each unique ``(candidate type, symbol kind)`` is checked against the
-        file only the first time it appears; later symbols carrying the same
-        candidate reuse the cached verdict.  (The verdict of inserting a type
-        at one symbol of a kind thus stands in for its siblings of the same
-        kind in the file — the batch-throughput trade-off of the engine.)
+        The file is parsed and checked once for the whole batch, the first
+        time a candidate reaches the checker; every check then re-checks only
+        what its candidate can affect.
         """
-        baseline: Optional[CheckResult] = None
-        verdicts: dict[tuple[str, str], _CandidateVerdict] = {}
+        module: Optional[CheckedModule] = None
         filtered: list[FilteredSuggestion] = []
         for request in requests:
             suggestion = FilteredSuggestion(
@@ -116,35 +102,17 @@ class TypeCheckedFilter:
                 if candidate_type in ("Any", "None"):
                     suggestion.rejected.append((candidate_type, "uninformative type"))
                     continue
-                key = (candidate_type, request.kind.value)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    if baseline is None:
-                        baseline = self._checker.baseline(source)
-                    outcome = self._checker.check_prediction(
-                        source, request.scope, request.name, request.kind, candidate_type,
-                        original_annotation=request.original_annotation,
-                        baseline_result=baseline,
-                    )
-                    if outcome.skipped:
-                        verdict = _CandidateVerdict(ok=False, skipped=True, reason=outcome.reason or "skipped")
-                        # A type-level skip (unparsable/Any) holds for every
-                        # symbol; a skip because *this* symbol could not be
-                        # rewritten is symbol-specific, so don't cache it.
-                        if outcome.type_level_skip:
-                            verdicts[key] = verdict
-                    elif outcome.ok:
-                        verdict = _CandidateVerdict(ok=True, skipped=False, reason="")
-                        verdicts[key] = verdict
-                    else:
-                        verdict = _CandidateVerdict(
-                            ok=False, skipped=False, reason=f"{outcome.introduced_errors} type error(s)"
-                        )
-                        verdicts[key] = verdict
-                if verdict.ok:
+                if module is None:
+                    module = self._checker.baseline(source)
+                outcome = self._checker.check_prediction(
+                    source, request.scope, request.name, request.kind, candidate_type,
+                    original_annotation=request.original_annotation,
+                    baseline_result=module,
+                )
+                if outcome.ok:
                     suggestion.accepted_type = candidate_type
                     suggestion.accepted_confidence = probability
                     break
-                suggestion.rejected.append((candidate_type, verdict.reason))
+                suggestion.rejected.append((candidate_type, outcome.reason))
             filtered.append(suggestion)
         return filtered

@@ -250,8 +250,9 @@ class TypilusPipeline:
 
         All files' symbols are embedded together (batched across files by the
         :class:`SymbolEmbedder`) and scored with a single vectorized kNN
-        prediction; the checker filter then runs per file with its verdicts
-        cached per unique candidate.  Files that fail to parse raise
+        prediction; the checker filter then runs per file, checking each
+        candidate at its own symbol against one parsed and checked module.
+        Files that fail to parse raise
         :class:`~repro.graph.builder.GraphBuildError` unless
         ``skip_unparsable`` is set, in which case they are omitted from the
         result.

@@ -52,7 +52,8 @@ R = TypeVar("R")
 
 #: Version of the graph extractor.  Bump whenever :class:`GraphBuilder`
 #: output changes so stale cache entries stop matching.
-EXTRACTOR_VERSION = "1"
+#: v2: variable symbols in first-occurrence order, not string-hash order.
+EXTRACTOR_VERSION = "2"
 
 #: Cache entry layout version (independent of the extractor semantics).
 #: v2: binary ``.npz`` FlatGraph entries instead of JSON payloads.

@@ -5,8 +5,9 @@ into a project-level tool: :class:`ProjectAnnotator` takes a directory or an
 in-memory file set and produces type suggestions, annotation-disagreement
 reports and throughput metrics for the *whole project in one batched pass* —
 every file's symbols are embedded together, scored with a single vectorized
-kNN query and filtered through the optional type checker with per-candidate
-verdict caching.  Combined with pipeline persistence
+kNN query and filtered through the optional type checker, each candidate
+checked at its own symbol against one parsed and checked module per file.
+Combined with pipeline persistence
 (:meth:`~repro.core.pipeline.TypilusPipeline.save` /
 :meth:`~repro.core.pipeline.TypilusPipeline.load`), this is the serving path:
 train once, save, then annotate any number of projects without re-training.

@@ -4,8 +4,9 @@ This module implements the engine behind ``repro.cli annotate``.  Where
 :meth:`TypilusPipeline.suggest_for_source` answers for one file,
 :class:`ProjectAnnotator` answers for a whole project: it gathers every
 file's symbols, routes them through the pipeline's batched suggestion path
-(one embedding pass over all files, one vectorized kNN prediction, checker
-verdicts cached per unique candidate) and assembles a :class:`ProjectReport`
+(one embedding pass over all files, one vectorized kNN prediction, each
+file's candidates checked symbol by symbol against one parsed and checked
+module) and assembles a :class:`ProjectReport`
 with per-file suggestions, Sec.-7-style disagreement findings and
 throughput numbers.
 
@@ -34,8 +35,10 @@ from repro.corpus.ingest import IngestConfig, atomic_write_text
 from repro.graph.nodes import SymbolKind
 from repro.utils.timing import Stopwatch
 
-#: Layout version of annotation-cache entries.
-ANNOTATION_CACHE_VERSION = 1
+#: Version of annotation-cache entries: their layout and the protocol that
+#: produced them.  v2: exact per-symbol checker filter; rejections name the
+#: error codes they introduced.
+ANNOTATION_CACHE_VERSION = 2
 
 
 @dataclass

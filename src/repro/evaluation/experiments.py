@@ -33,7 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.checker.checker import CheckerMode
-from repro.checker.harness import PredictionCategory, PredictionChecker
+from repro.checker.harness import PredictionCategory, PredictionChecker, PredictionCheckOutcome
+from repro.checker.incremental import CheckedModule
 from repro.core.losses import ClassificationHead
 from repro.core.metrics import (
     EvaluatedPrediction,
@@ -287,6 +288,19 @@ def run_table4(settings: ExperimentSettings, dataset: Optional[TypeAnnotationDat
 # ---------------------------------------------------------------------------
 
 
+class _BaselineReuse:
+    """``PredictionChecker.check_prediction`` with one parsed and checked module per source file."""
+
+    def __init__(self, checker: PredictionChecker) -> None:
+        self.checker = checker
+        self._modules: dict[str, CheckedModule] = {}
+
+    def check_prediction(self, source: str, *args, **kwargs) -> PredictionCheckOutcome:
+        if source not in self._modules:
+            self._modules[source] = self.checker.baseline(source)
+        return self.checker.check_prediction(source, *args, baseline_result=self._modules[source], **kwargs)
+
+
 @dataclass
 class Table5Cell:
     category: PredictionCategory
@@ -349,7 +363,7 @@ def run_table5(
     overall: dict[str, float] = {}
     totals: dict[str, int] = {}
     for mode in modes:
-        checker = PredictionChecker(mode=mode)
+        checker = _BaselineReuse(PredictionChecker(mode=mode))
         outcomes: list = []
         for request_kind, sample, symbol_ref, embedding in requests[:max_predictions_per_mode]:
             prediction = predictor.predict(embedding)
@@ -517,7 +531,7 @@ def run_figure7(
 
     curves: dict[str, list[Figure7Point]] = {}
     for mode in modes:
-        checker = PredictionChecker(mode=mode)
+        checker = _BaselineReuse(PredictionChecker(mode=mode))
         records: list[tuple[float, bool]] = []  # (confidence, checker-correct)
         for sample, embedding in list(zip(variant.test_samples, variant.test_embeddings))[:max_predictions]:
             prediction = predictor.predict(embedding)

@@ -192,24 +192,26 @@ class _Scope:
         return None
 
 
-def _assigned_names(node: ast.AST) -> set[str]:
+def _assigned_names(node: ast.AST) -> list[str]:
     """Names bound by assignment-like statements directly in a scope body.
 
-    The traversal stops at nested function, class and lambda definitions so
-    that names local to an inner scope are not hoisted into the outer one.
+    The names come in first-occurrence order, so symbol and node order do not
+    depend on the string hash seed.  The traversal stops at nested function,
+    class and lambda definitions so that names local to an inner scope are
+    not hoisted into the outer one.
     """
-    names: set[str] = set()
+    names: dict[str, None] = {}
     _collect_assigned_names(node, names, is_root=True)
-    return names
+    return list(names)
 
 
-def _collect_assigned_names(node: ast.AST, names: set[str], is_root: bool = False) -> None:
+def _collect_assigned_names(node: ast.AST, names: dict[str, None], is_root: bool = False) -> None:
     if not is_root and isinstance(
         node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
     ):
         return
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-        names.add(node.id)
+        names[node.id] = None
     for child in ast.iter_child_nodes(node):
         _collect_assigned_names(child, names)
 

@@ -15,6 +15,7 @@ contents.  PEP 604 unions (``int | None``) are normalised to ``Union`` /
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Optional
 
@@ -90,8 +91,13 @@ def parse_type(text: str) -> TypeExpr:
     return expr
 
 
+@functools.lru_cache(maxsize=4096)
 def try_parse_type(text: str) -> Optional[TypeExpr]:
-    """Like :func:`parse_type` but returns ``None`` instead of raising."""
+    """Like :func:`parse_type` but returns ``None`` instead of raising.
+
+    Results are memoised: a :class:`TypeExpr` is immutable, and the type
+    checker parses the same few annotation strings over and over.
+    """
     try:
         return parse_type(text)
     except TypeParseError:

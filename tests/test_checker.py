@@ -1,6 +1,11 @@
 """Tests for the optional type checker (strict/mypy-like, lenient/pytype-like)."""
 
+import ast
+import functools
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.checker import (
     CheckerMode,
@@ -13,8 +18,11 @@ from repro.checker import (
     check_source,
     is_assignable,
 )
+from repro.corpus import CorpusSynthesizer, SynthesisConfig
+from repro.graph.builder import GraphBuilder
 from repro.graph.nodes import SymbolKind
 from repro.types import TypeLattice, parse_type
+from repro.types.normalize import canonical_string
 
 
 WELL_TYPED = '''
@@ -284,3 +292,291 @@ class TestPredictionHarness:
         checker = PredictionChecker(CheckerMode.STRICT)
         outcome = checker.check_prediction(source, "module.f", "value", SymbolKind.PARAMETER, "int")
         assert outcome.ok  # the unrelated baseline error is not attributed to the prediction
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the incremental re-check against the whole-file protocol
+# ---------------------------------------------------------------------------
+
+
+class _LegacyInserter(ast.NodeTransformer):
+    """The original rewrite: set one symbol's annotation, found by scope path."""
+
+    def __init__(self, scope, name, kind, annotation):
+        self.target_scope, self.target_name, self.kind, self.annotation = scope, name, kind, annotation
+        self.applied = False
+        self._scope = ["module"]
+
+    def _visit_scope(self, node, name):
+        self._scope.append(name)
+        self.generic_visit(node)
+        self._scope.pop()
+        return node
+
+    def visit_ClassDef(self, node):
+        return self._visit_scope(node, node.name)
+
+    def visit_FunctionDef(self, node):
+        if ".".join(self._scope + [node.name]) == self.target_scope:
+            if self.kind == SymbolKind.FUNCTION_RETURN and self.target_name == "<return>":
+                node.returns = self.annotation
+                self.applied = True
+            elif self.kind == SymbolKind.PARAMETER:
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                    if arg is not None and arg.arg == self.target_name:
+                        arg.annotation = self.annotation
+                        self.applied = True
+        return self._visit_scope(node, node.name)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _in_target_scope(self):
+        return self.kind == SymbolKind.VARIABLE and not self.applied and ".".join(self._scope) == self.target_scope
+
+    def visit_Assign(self, node):
+        if self._in_target_scope() and len(node.targets) == 1 and self._matches(node.targets[0]):
+            self.applied = True
+            target = node.targets[0]
+            return ast.copy_location(ast.AnnAssign(target=target, annotation=self.annotation, value=node.value,
+                                                   simple=int(isinstance(target, ast.Name))), node)
+        return self.generic_visit(node)
+
+    def visit_AnnAssign(self, node):
+        if self._in_target_scope() and self._matches(node.target):
+            node.annotation = self.annotation
+            self.applied = True
+            return node
+        return self.generic_visit(node)
+
+    def _matches(self, target):
+        if isinstance(target, ast.Name):
+            return target.id == self.target_name
+        return (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                and target.value.id == "self" and f"self.{target.attr}" == self.target_name)
+
+
+class _LegacySelfAttributeInserter(ast.NodeTransformer):
+    """The original fallback: annotate the first ``self.attr = ...`` not inside another class."""
+
+    def __init__(self, class_scope, dotted_name, annotation):
+        self.class_scope, self.attr, self.annotation = class_scope, dotted_name.split(".", 1)[1], annotation
+        self.applied = False
+        self._scope = ["module"]
+
+    def visit_ClassDef(self, node):
+        self._scope.append(node.name)
+        if ".".join(self._scope) == self.class_scope:
+            self.generic_visit(node)
+        self._scope.pop()
+        return node
+
+    def visit_Assign(self, node):
+        if self.applied or len(node.targets) != 1:
+            return node
+        target = node.targets[0]
+        if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                and target.value.id == "self" and target.attr == self.attr):
+            self.applied = True
+            return ast.copy_location(ast.AnnAssign(target=target, annotation=self.annotation, value=node.value,
+                                                   simple=0), node)
+        return node
+
+
+def _legacy_apply_annotation(source, scope, name, kind, type_string):
+    try:
+        annotation = ast.parse(type_string, mode="eval").body
+    except SyntaxError as error:
+        raise AnnotationRewriteError(type_string) from error
+    inserter = _LegacyInserter(scope, name, kind, annotation)
+    tree = inserter.visit(ast.parse(source))
+    if not inserter.applied and kind == SymbolKind.VARIABLE and name.startswith("self."):
+        inserter = _LegacySelfAttributeInserter(scope, name, annotation)
+        tree = inserter.visit(ast.parse(source))
+    if not inserter.applied:
+        raise AnnotationRewriteError(name)
+    return ast.unparse(ast.fix_missing_locations(tree))
+
+
+def _oracle(source, scope, name, kind, predicted_type, mode):
+    """The whole-file protocol: rewrite, re-check everything, diff ``(code, scope)`` counts."""
+    if canonical_string(predicted_type) in (None, "Any"):
+        return False, True, 0
+    try:
+        modified = _legacy_apply_annotation(source, scope, name, kind, predicted_type)
+    except AnnotationRewriteError:
+        return False, True, 0
+
+    def signature(text):
+        return Counter((error.code, error.scope) for error in check_source(text, mode).errors)
+
+    introduced = sum((signature(modified) - signature(source)).values())
+    return introduced == 0, False, introduced
+
+
+def _verdict(outcome):
+    return outcome.ok, outcome.skipped, outcome.introduced_errors
+
+
+def _symbols(source):
+    return [(symbol.scope, symbol.name, symbol.kind) for symbol in GraphBuilder().build(source).symbols]
+
+
+#: Programs where re-checking only part of a file is easy to get wrong.
+EDGE_CASES = {
+    "redefined_function": (
+        "def scale(value):\n    return value * 2\n\n"
+        "def use(amount):\n    return scale(amount) + 1\n\n"
+        "def scale(value):\n    return value.upper()\n"
+    ),
+    "nested_def_shares_top_level_name": (
+        "def helper(a):\n    return a * 2\n\n"
+        "def outer(b):\n    def helper(a):\n        return a + '!'\n    return b\n\n"
+        "total = helper(3)\n"
+    ),
+    "module_level_annotated_global": (
+        "def shout():\n    return NAME.upper() + str(LIMIT + 1)\n\n"
+        "LIMIT: int = 10\nNAME = 'x'\n\n"
+        "def over(n):\n    return n > LIMIT\n\n"
+        "flag = over(LIMIT)\nLIMIT = 'y'\n"
+    ),
+    "self_attribute_only_in_method": (
+        "class Box:\n"
+        "    def __init__(self, width):\n        self.width = width\n\n"
+        "    def area(self, height):\n        return self.width * height\n\n"
+        "    def grow(self):\n        self.width = self.width + 1\n\n"
+        "def make(w):\n    box = Box(w)\n    return box.area(2)\n"
+    ),
+    "class_annotation_shadows_self_attribute": (
+        "class Holder:\n    size: int = 0\n    label = 'h'\n\n"
+        "    def __init__(self, size):\n        self.size = size\n\n"
+        "    def double(self):\n        return self.size * 2 + self.label\n"
+    ),
+    "module_call_result_read_later": (
+        "def produce(n):\n    return n * 2\n\n"
+        "result = produce(3)\ndoubled = result + 1\nlabel = str(doubled)\ntext = label.upper()\n"
+    ),
+    "redefined_method_and_class": (
+        "class Tally:\n    def add(self, step):\n        return step + 1\n\n"
+        "    def label(self, text: int):\n        return text\n\n"
+        "def use(amount):\n    return Tally().add(amount) + 1\n\n"
+        "class Tally:\n    def add(self, step):\n        return step.upper()\n\n"
+        "    def add(self, count, extra):\n        return count * extra\n\n"
+        "def later(amount):\n    return Tally().add(amount, 2) + Tally().label('s')\n"
+    ),
+    "inherited_constructor": (
+        "class Base:\n    def __init__(self, value):\n        self.value = value\n\n"
+        "class Child(Base):\n    def get(self):\n        return self.value\n\n"
+        "item = Child(3)\nother = Base('s')\ntotal = item.get() + 1\n"
+    ),
+}
+
+EDGE_CANDIDATES = ["int", "str", "float", "bool", "List[str]", "Optional[int]", "Dict[str, int]", "Box", "Any",
+                   "List["]
+
+
+class TestIncrementalExactness:
+    @pytest.mark.parametrize("mode", list(CheckerMode))
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases_match_whole_file_oracle(self, case, mode):
+        source = EDGE_CASES[case]
+        checker = PredictionChecker(mode)
+        module = checker.baseline(source)
+        for scope, name, kind in _symbols(source):
+            for candidate in EDGE_CANDIDATES:
+                outcome = checker.check_prediction(source, scope, name, kind, candidate, baseline_result=module)
+                assert _verdict(outcome) == _oracle(source, scope, name, kind, candidate, mode), (
+                    scope, name, candidate)
+
+    def test_seeded_project_top3_candidates_match_oracle(self, trained_pipeline):
+        files = CorpusSynthesizer(SynthesisConfig(num_files=6, seed=21, num_user_classes=8)).generate()
+        sources = {file.filename: file.source for file in files}
+        suggestions = trained_pipeline.suggest_for_sources(sources, use_type_checker=False)
+        checker = PredictionChecker(CheckerMode.STRICT)
+        checks = 0
+        for filename, file_suggestions in suggestions.items():
+            source = sources[filename]
+            module = checker.baseline(source)
+            for suggestion in file_suggestions:
+                kind = SymbolKind(suggestion.kind)
+                for candidate, _ in suggestion.prediction.top(3):
+                    outcome = checker.check_prediction(source, suggestion.scope, suggestion.name, kind, candidate,
+                                                       suggestion.existing_annotation, baseline_result=module)
+                    expected = _oracle(source, suggestion.scope, suggestion.name, kind, candidate,
+                                       CheckerMode.STRICT)
+                    assert _verdict(outcome) == expected, (filename, suggestion.scope, suggestion.name, candidate)
+                    checks += 1
+        assert checks > 300
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_apply_annotation_matches_legacy_rewrite(self, case):
+        source = EDGE_CASES[case]
+        for scope, name, kind in _symbols(source):
+            try:
+                expected = _legacy_apply_annotation(source, scope, name, kind, "int")
+            except AnnotationRewriteError:
+                with pytest.raises(AnnotationRewriteError):
+                    apply_annotation(source, scope, name, kind, "int")
+                continue
+            assert apply_annotation(source, scope, name, kind, "int") == expected
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_baseline_equals_whole_file_check(self, case):
+        source = EDGE_CASES[case]
+        module = PredictionChecker(CheckerMode.STRICT).baseline(source)
+        assert module.result.errors == check_source(source, CheckerMode.STRICT).errors
+
+    def test_module_is_restored_after_each_check(self):
+        source = EDGE_CASES["module_call_result_read_later"]
+        checker = PredictionChecker(CheckerMode.STRICT)
+        module = checker.baseline(source)
+        first = checker.check_prediction(source, "module", "result", SymbolKind.VARIABLE, "str",
+                                         baseline_result=module)
+        checker.check_prediction(source, "module.produce", "<return>", SymbolKind.FUNCTION_RETURN, "str",
+                                 baseline_result=module)
+        again = checker.check_prediction(source, "module", "result", SymbolKind.VARIABLE, "str",
+                                         baseline_result=module)
+        assert _verdict(first) == _verdict(again)
+        assert ast.unparse(module.tree) == ast.unparse(ast.parse(source))
+
+    def test_rejection_names_introduced_error_codes(self):
+        source = "def f(x):\n    return x + 1\n"
+        outcome = PredictionChecker(CheckerMode.STRICT).check_prediction(
+            source, "module.f", "x", SymbolKind.PARAMETER, "str")
+        assert not outcome.ok
+        assert outcome.reason == "1 type error(s): operator"
+
+    def test_unparsable_source_skips_instead_of_raising(self):
+        outcome = PredictionChecker(CheckerMode.STRICT).check_prediction(
+            "def broken(:\n", "module.broken", "x", SymbolKind.PARAMETER, "int")
+        assert outcome.skipped and not outcome.ok
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_files(seed):
+    files = CorpusSynthesizer(SynthesisConfig(num_files=3, seed=seed, num_user_classes=6)).generate()
+    return [(file.source, _symbols(file.source)) for file in files]
+
+
+_ATOMS = st.sampled_from(["int", "str", "float", "bool", "bytes", "None", "object", "Callable", "Any"])
+_TYPES = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.builds("{}[{}]".format, st.sampled_from(["List", "Set", "Optional", "Iterator", "Type"]), inner),
+        st.builds("Dict[{}, {}]".format, inner, inner),
+        st.builds("Union[{}, {}]".format, inner, inner),
+    ),
+    max_leaves=4,
+)
+_CANDIDATES = st.one_of(_TYPES, st.just("Any"), st.text(max_size=12))
+
+
+class TestIncrementalProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 30), file_index=st.integers(0, 2), symbol_index=st.integers(0, 10_000),
+           candidate=_CANDIDATES, mode=st.sampled_from(list(CheckerMode)))
+    def test_random_candidates_never_raise_and_match_oracle(self, seed, file_index, symbol_index, candidate, mode):
+        source, symbols = _generated_files(seed)[file_index]
+        scope, name, kind = symbols[symbol_index % len(symbols)]
+        outcome = PredictionChecker(mode).check_prediction(source, scope, name, kind, candidate)
+        assert _verdict(outcome) == _oracle(source, scope, name, kind, candidate, mode)

@@ -4,6 +4,7 @@
 from repro.checker import CheckerMode
 from repro.core import (
     EncoderConfig,
+    FilterRequest,
     LossKind,
     Trainer,
     TrainingConfig,
@@ -143,6 +144,25 @@ class TestTypeCheckedFilter:
         filtered = TypeCheckedFilter().filter(source, "module.f", "x", SymbolKind.PARAMETER, prediction)
         assert not filtered.has_suggestion
         assert len(filtered.rejected) == 2
+
+    def test_filter_many_equals_filter_one_symbol_at_a_time(self):
+        # Each candidate is checked at its own symbol: `str` fails for
+        # `count`, so `count` gets `int` even though `str` passed for `word`.
+        source = "def shout(word):\n    return word.upper()\n\ndef bump(count):\n    return count * 2 + 1\n"
+        prediction = TypePrediction(candidates=[("str", 0.7), ("int", 0.3)])
+        requests = [
+            FilterRequest(scope="module.shout", name="word", kind=SymbolKind.PARAMETER, prediction=prediction),
+            FilterRequest(scope="module.bump", name="count", kind=SymbolKind.PARAMETER, prediction=prediction),
+        ]
+        checker_filter = TypeCheckedFilter(mode=CheckerMode.STRICT)
+        batched = checker_filter.filter_many(source, requests)
+        one_at_a_time = [
+            checker_filter.filter(source, request.scope, request.name, request.kind, request.prediction)
+            for request in requests
+        ]
+        assert batched == one_at_a_time
+        assert [suggestion.accepted_type for suggestion in batched] == ["str", "int"]
+        assert batched[1].rejected == [("str", "1 type error(s): operator")]
 
     def test_filter_respects_confidence_threshold(self):
         source = "def f(x):\n    return x\n"

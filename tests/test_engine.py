@@ -1,9 +1,16 @@
 """Project-scale annotation engine: batched reports, metrics and CLI surface."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.core import TypeCheckedFilter
+from repro.corpus import CorpusSynthesizer, SynthesisConfig
 from repro.engine import AnnotatorConfig, FileReport, ProjectAnnotator, ProjectReport
+from repro.engine.annotator import ANNOTATION_CACHE_VERSION
+from repro.graph.nodes import SymbolKind
 
 UNANNOTATED_A = (
     "def scale_amount(amount, factor):\n"
@@ -32,6 +39,23 @@ class TestProjectAnnotator:
             assert [(s.scope, s.name, s.suggested_type) for s in file_report.suggestions] == [
                 (s.scope, s.name, s.suggested_type) for s in single
             ]
+
+    def test_checker_filter_equals_per_symbol_protocol(self, trained_pipeline):
+        files = CorpusSynthesizer(SynthesisConfig(num_files=5, seed=31, num_user_classes=8)).generate()
+        sources = {file.filename: file.source for file in files}
+        report = ProjectAnnotator(trained_pipeline, AnnotatorConfig(use_type_checker=True)).annotate_sources(sources)
+        checker_filter = TypeCheckedFilter()
+        checked = 0
+        for file_report in report.files:
+            for suggestion in file_report.suggestions:
+                if suggestion.filtered is None:
+                    continue
+                alone = checker_filter.filter(sources[file_report.filename], suggestion.scope, suggestion.name,
+                                              SymbolKind(suggestion.kind), suggestion.prediction,
+                                              suggestion.existing_annotation)
+                assert suggestion.filtered == alone, (file_report.filename, suggestion.scope, suggestion.name)
+                checked += 1
+        assert checked > 100
 
     def test_unparsable_files_are_skipped_not_fatal(self, trained_pipeline):
         sources = {"ok.py": UNANNOTATED_A, "broken.py": "def broken(:\n"}
@@ -196,6 +220,25 @@ class TestIncrementalAnnotation:
             recovered = annotator.annotate_sources(sources)
             assert recovered.reused_files == 0
             assert self._suggestion_keys(recovered) == self._suggestion_keys(cold)
+
+    def test_entry_stored_under_version_1_is_a_miss(self, trained_pipeline, tmp_path):
+        # Version 1 entries came from the per-file verdict cache, an
+        # approximation of the checker protocol: they must not be served.
+        sources = {"a.py": UNANNOTATED_A}
+        annotator = ProjectAnnotator(trained_pipeline, AnnotatorConfig(use_type_checker=False, cache_dir=tmp_path))
+        annotator.annotate_sources(sources)
+        cache = annotator._cache()
+        current = cache.path_for(UNANNOTATED_A)
+        payload = json.loads(current.read_text(encoding="utf-8"))
+        current.unlink()
+        payload["format"] = 1  # what version 1 wrote, under version 1's key
+        old_key = hashlib.sha256(f"1:{cache.context_key}\x00{UNANNOTATED_A}".encode("utf-8")).hexdigest()
+        (current.parent / f"{old_key}.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert ANNOTATION_CACHE_VERSION == 2
+        assert cache.load(UNANNOTATED_A) is None
+        current.write_text(json.dumps(payload), encoding="utf-8")  # and under the current key
+        assert cache.load(UNANNOTATED_A) is None
+        assert annotator.annotate_sources(sources).reused_files == 0
 
     def test_pipeline_mutation_invalidates_cache(self, trained_pipeline, tmp_path):
         sources = {"a.py": UNANNOTATED_A}

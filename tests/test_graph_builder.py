@@ -150,6 +150,41 @@ class TestScoping:
         assert graph.find_symbol("a", scope="module.outer") is not None
 
 
+class TestHashSeedIndependence:
+    _CHILD = (
+        "import sys\n"
+        "from repro.graph import build_graph\n"
+        "graph = build_graph(sys.stdin.read())\n"
+        "print([(s.scope, s.name, s.kind.value) for s in graph.symbols])\n"
+        "print(graph.summary())\n"
+    )
+    SOURCE = (
+        "alpha = beta = 0\ngamma, delta = 1, 2\n"
+        "def f(x):\n    zeta = x\n    eta = zeta\n    for theta in range(eta):\n        iota = theta\n"
+        "    return [kappa for kappa in range(iota)]\n"
+        "class C:\n    lam = 1\n    mu = 2\n"
+    )
+
+    def test_symbol_order_is_first_occurrence_under_any_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(part for part in (src, env.get("PYTHONPATH", "")) if part)
+            outputs.append(subprocess.run([sys.executable, "-c", self._CHILD], input=self.SOURCE, env=env,
+                                          capture_output=True, text=True, check=True, timeout=60).stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
+        module_names = [s.name for s in build_graph(self.SOURCE).symbols if s.scope == "module"]
+        assert module_names[:4] == ["alpha", "beta", "gamma", "delta"]
+
+
 class TestEdgeAblation:
     def test_include_edges_filters_graph(self, sample_source):
         builder = GraphBuilder(include_edges=[EdgeKind.CHILD, EdgeKind.OCCURRENCE_OF])
