@@ -136,10 +136,9 @@ def _add_ingest_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_index_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--index", choices=list(INDEX_KINDS), default=None,
-                        help="TypeSpace index: exact (brute-force oracle, default), lsh "
-                             "(random-projection buckets) or ivf (k-means cells + shortlist "
-                             "re-rank, the sub-linear serving tier); with --load-model the "
-                             "loaded pipeline is re-indexed")
+                        help="TypeSpace index: exact (brute-force oracle, default) or ivf "
+                             "(k-means cells + shortlist re-rank, the sub-linear serving "
+                             "tier); with --load-model the loaded pipeline is re-indexed")
     parser.add_argument("--nlist", type=int, default=None,
                         help="ivf only: number of k-means cells (default 64)")
     parser.add_argument("--nprobe", type=int, default=None,
@@ -342,7 +341,7 @@ def _fit_pipeline(args: argparse.Namespace, dataset: TypeAnnotationDataset) -> T
             workers=getattr(args, "workers", 1) or 1,
             prefetch_batches=getattr(args, "prefetch_batches", None),
         ),
-        index_kind=index_kind,
+        index_kind=index_kind or "exact",
         index_params=index_params,
         verbose=True,
     )

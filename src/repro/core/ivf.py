@@ -1,9 +1,9 @@
 """IVF serving index: coarse k-means cells, shortlist probe, exact re-rank.
 
-This is the serving tier for million-marker type maps.  The exact and LSH
-indexes in :mod:`repro.core.knn` scan (a bucket neighbourhood of) the whole
-point set per query; at millions of markers even the bucketed scan is too
-slow.  :class:`IVFIndex` follows the FAISS inverted-file design instead:
+This is the serving tier for million-marker type maps.  The exact index in
+:mod:`repro.core.knn` scans the whole point set per query, which is too slow
+at millions of markers.  :class:`IVFIndex` follows the FAISS inverted-file
+design instead:
 
 * **training** — a deterministic, seeded, pure-numpy k-means (L1 assignment,
   per-cell component-wise median update, i.e. k-medians) partitions the
@@ -22,12 +22,12 @@ Queries therefore touch ``nlist + nprobe/nlist · N`` points instead of
 ``N`` — sub-linear growth that ``bench_fig6_knn_sweep`` measures against the
 exact index on a 10k → 200k marker scale axis.
 
-The index is **incrementally extendable** like its siblings:
+The index is **incrementally extendable** like the exact one:
 :meth:`IVFIndex.extend` assigns only the new rows to cells (the centroids,
-trained on the first non-empty point set, stay fixed), so PR 4's contract
-survives in the form that matters for an approximate index: a grown index
-keeps the same recall floor against the exact oracle as one built from
-scratch, at O(new points) cost.  Whenever a probed shortlist holds fewer
+trained on the first non-empty point set, stay fixed), so the extend
+contract survives in the form that matters for an approximate index: a
+grown index keeps the same recall floor against the exact oracle as one
+built from scratch, at O(new points) cost.  Whenever a probed shortlist holds fewer
 than ``k`` points the query falls back to the embedded exact index, so
 results are never short.
 """
@@ -219,9 +219,9 @@ class IVFIndex:
         self.rerank_floor = int(rerank_floor)
         self._exact = ExactL1Index(np.asarray(points), dtype=dtype)
         self.dtype = self._exact.dtype
-        # The coarse quantizer trains lazily on the first non-empty point set
-        # (like the LSH hyperplanes), so an index constructed empty and later
-        # extended probes cells exactly as one constructed full would.
+        # The coarse quantizer trains lazily on the first non-empty point set,
+        # so an index constructed empty and later extended probes cells
+        # exactly as one constructed full would.
         self._centroids: Optional[np.ndarray] = None
         self._cells: list[np.ndarray] = []
         self._quantized: Optional[QuantizedShortlist] = None

@@ -1,18 +1,14 @@
 """Nearest-neighbour indexes over the TypeSpace (L1 distance).
 
 The paper uses Annoy, an approximate nearest-neighbour library, to keep kNN
-queries fast.  Three indexes are provided here with the same interface:
+queries fast.  Two indexes are provided here with the same interface:
 
 * :class:`ExactL1Index` — brute-force search, exact, the default at our
-  corpus scale and the oracle every approximate index is verified against;
-* :class:`RandomProjectionIndex` — an Annoy-style approximate index that
-  hashes points into buckets with random hyperplanes and searches only the
-  query's bucket neighbourhood.  It trades a little recall for sub-linear
-  query time and is benchmarked against the exact index;
-* :class:`~repro.core.ivf.IVFIndex` — the serving-tier index: a seeded
-  k-means coarse quantizer partitions the points into cells, queries probe
-  the ``nprobe`` nearest cells for a shortlist and the shortlist is exactly
-  re-ranked (optionally after a reduced-precision scan).  Built by
+  corpus scale and the oracle the approximate index is verified against;
+* :class:`~repro.core.ivf.IVFIndex` — the sub-linear serving-tier index: a
+  seeded k-means coarse quantizer partitions the points into cells, queries
+  probe the ``nprobe`` nearest cells for a shortlist and the shortlist is
+  exactly re-ranked (optionally after a reduced-precision scan).  Built by
   :func:`build_index` with ``kind="ivf"``.
 
 Both indexes are batch-first: the primitive operation is
@@ -23,11 +19,9 @@ list-of-objects :meth:`query_batch` are thin views over that path.
 
 Both indexes are also **incrementally updatable**: :meth:`extend` appends
 new points without touching the existing ones — the exact index appends
-rows into amortised-growth storage, the approximate index buckets only the
-new points — so a long-lived TypeSpace can grow marker by marker at a cost
-proportional to the extension, not to the whole index.  An index extended
-point by point answers queries identically to one rebuilt from scratch
-over the same points.
+rows into amortised-growth storage, the IVF index assigns only the new
+points to its fixed cells — so a long-lived TypeSpace can grow marker by
+marker at a cost proportional to the extension, not to the whole index.
 
 Storage is dtype-aware: float32 point sets stay float32 end to end
 (queries are cast to the *index's* dtype, never silently up to float64),
@@ -37,12 +31,9 @@ while float64 and integer inputs keep the historical float64 behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Protocol
 
 import numpy as np
-
-from repro.utils.rng import SeededRNG
 
 try:  # scipy's C implementation is ~6× faster; fall back to pure numpy without it
     from scipy.spatial.distance import cdist as _cdist
@@ -175,7 +166,7 @@ def _top_k_rows(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class NearestNeighbourIndex(Protocol):
-    """Interface shared by the exact and the approximate index."""
+    """Interface shared by the exact and the IVF index."""
 
     def query(self, vector: np.ndarray, k: int) -> NeighbourResult:  # pragma: no cover - typing
         ...
@@ -261,228 +252,31 @@ class ExactL1Index:
         return BatchNeighbourResult(all_indices, all_distances, counts)
 
 
-class RandomProjectionIndex:
-    """Annoy-style approximate index: random hyperplane bucketing + local search.
-
-    Points are assigned a signature of ``num_bits`` sign bits from random
-    projections; a query searches its own bucket plus all buckets within a
-    Hamming distance of ``probe_radius``.  When the probed buckets hold fewer
-    than ``k`` points the search falls back to the exact index, so recall
-    degrades gracefully rather than returning short results.
-
-    Batched queries compute every signature in one matrix product and group
-    the query rows by signature, so the candidate set of each bucket
-    neighbourhood is gathered and scored once per bucket instead of once per
-    query.
-
-    :meth:`extend` re-buckets only the new points: their signatures are
-    computed with the same (seeded) hyperplanes and appended to the affected
-    buckets, so extending is O(new points), and an index grown by extension
-    answers queries identically to one built from scratch over the same
-    point set.
-    """
-
-    def __init__(
-        self,
-        points: np.ndarray,
-        num_bits: int = 8,
-        probe_radius: int = 1,
-        seed: int = 0,
-        dtype: Optional[np.dtype] = None,
-    ) -> None:
-        if not isinstance(num_bits, (int, np.integer)) or num_bits < 1 or num_bits > 62:
-            raise ValueError(f"num_bits must be an integer in [1, 62], got {num_bits!r}")
-        if not isinstance(probe_radius, (int, np.integer)) or probe_radius < 0:
-            raise ValueError(f"probe_radius must be a non-negative integer, got {probe_radius!r}")
-        if probe_radius > num_bits:
-            raise ValueError(
-                f"probe_radius {probe_radius} cannot exceed num_bits {num_bits} "
-                "(there are no buckets beyond Hamming distance num_bits)"
-            )
-        self.num_bits = int(num_bits)
-        self.probe_radius = int(probe_radius)
-        self.seed = int(seed)
-        self._exact = ExactL1Index(np.asarray(points), dtype=dtype)
-        self.dtype = self._exact.dtype
-        # The hyperplanes are created lazily on the first non-empty point set,
-        # so an index constructed empty and later extended hashes points
-        # exactly as one constructed full (the RNG stream depends only on the
-        # seed, the plane shape only on the point dimension).
-        self._planes: Optional[np.ndarray] = None
-        self._offsets: Optional[np.ndarray] = None
-        self._bit_weights = (1 << np.arange(self.num_bits - 1, -1, -1)).astype(np.int64)
-        self._buckets: dict[int, np.ndarray] = {}
-        self._candidate_cache: dict[int, np.ndarray] = {}
-        if len(self._exact):
-            self._bucket_points(0)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._exact.points
-
-    def __len__(self) -> int:
-        return len(self._exact)
-
-    def extend(self, points: np.ndarray) -> None:
-        """Append points, re-bucketing only the extension."""
-        old_size = len(self._exact)
-        self._exact.extend(points)
-        if len(self._exact) > old_size:
-            self._bucket_points(old_size)
-
-    def _ensure_planes(self, dim: int) -> None:
-        if self._planes is None:
-            rng = SeededRNG(self.seed)
-            self._planes = rng.np.normal(0.0, 1.0, size=(self.num_bits, dim))
-            self._offsets = np.zeros(self.num_bits)
-
-    def _bucket_points(self, start: int) -> None:
-        """Assign buckets for the stored points from ``start`` onward."""
-        points = self._exact.points
-        self._ensure_planes(points.shape[1])
-        signatures = self._signatures_for(points[start:])
-        order = np.argsort(signatures, kind="stable")
-        unique, starts = np.unique(signatures[order], return_index=True)
-        for position, signature in enumerate(unique):
-            stop = starts[position + 1] if position + 1 < len(starts) else len(order)
-            # New point indices are all larger than the existing bucket
-            # members, so appending the (sorted) extension keeps every bucket
-            # sorted — identical to a from-scratch build over all points.
-            members = np.sort(order[starts[position] : stop]) + start
-            existing = self._buckets.get(int(signature))
-            if existing is None:
-                self._buckets[int(signature)] = members
-            else:
-                self._buckets[int(signature)] = np.concatenate([existing, members])
-        # Memoised candidate neighbourhoods reference the old bucket contents.
-        self._candidate_cache.clear()
-
-    def _signatures_for(self, vectors: np.ndarray) -> np.ndarray:
-        """Sign-bit signatures for a whole matrix of vectors, as packed int64."""
-        assert self._planes is not None and self._offsets is not None
-        bits = (vectors @ self._planes.T + self._offsets) > 0
-        return bits.astype(np.int64) @ self._bit_weights
-
-    def _signature(self, vector: np.ndarray) -> int:
-        return int(self._signatures_for(np.asarray(vector, dtype=self.dtype).reshape(1, -1))[0])
-
-    def _probe_signatures(self, signature: int) -> list[int]:
-        """All signatures within Hamming distance ``probe_radius``, any radius."""
-        signatures = [signature]
-        for radius in range(1, self.probe_radius + 1):
-            for flipped_bits in combinations(range(self.num_bits), radius):
-                mask = 0
-                for bit in flipped_bits:
-                    mask |= 1 << bit
-                signatures.append(signature ^ mask)
-        return signatures
-
-    #: Cap on memoised candidate neighbourhoods: a long-lived serving index
-    #: sees unboundedly many distinct query signatures, and each entry can
-    #: approach len(points) int64s, so stop caching once the map is full.
-    _MAX_CANDIDATE_CACHE = 4096
-
-    def _candidates_for(self, signature: int) -> np.ndarray:
-        """Union of the point indices in the probed bucket neighbourhood."""
-        cached = self._candidate_cache.get(signature)
-        if cached is None:
-            buckets = []
-            total = 0
-            for probe in self._probe_signatures(signature):
-                bucket = self._buckets.get(probe)
-                if bucket is not None:
-                    buckets.append(bucket)
-                    total += len(bucket)
-            if total:
-                # Copy every probed bucket into one preallocated buffer and
-                # dedupe/sort with a single np.unique pass.  Buckets are
-                # disjoint and the probe signatures distinct, so unique only
-                # sorts — byte-identical to concatenate+sort, without the
-                # intermediate per-bucket concatenation arrays.
-                buffer = np.empty(total, dtype=np.int64)
-                offset = 0
-                for bucket in buckets:
-                    buffer[offset : offset + len(bucket)] = bucket
-                    offset += len(bucket)
-                cached = np.unique(buffer)
-            else:
-                cached = np.zeros(0, dtype=np.int64)
-            if len(self._candidate_cache) < self._MAX_CANDIDATE_CACHE:
-                self._candidate_cache[signature] = cached
-        return cached
-
-    def query(self, vector: np.ndarray, k: int) -> NeighbourResult:
-        return self.query_batch_arrays(vector, k).row(0)
-
-    def query_batch(self, vectors: np.ndarray, k: int) -> list[NeighbourResult]:
-        return self.query_batch_arrays(vectors, k).to_list()
-
-    def query_batch_arrays(self, vectors: np.ndarray, k: int) -> BatchNeighbourResult:
-        vectors = _as_query_matrix(vectors, self.dtype)
-        if len(self._exact) == 0:
-            return _empty_batch(len(vectors), self.dtype)
-        points = self.points
-        k = min(k, len(points))
-        all_indices = np.empty((len(vectors), k), dtype=np.int64)
-        all_distances = np.empty((len(vectors), k), dtype=self.dtype)
-        signatures = self._signatures_for(vectors)
-        # Group query rows by signature in one O(N log N) pass: stable argsort
-        # puts equal signatures adjacent, np.unique marks the group starts.
-        order = np.argsort(signatures, kind="stable")
-        unique_signatures, starts = np.unique(signatures[order], return_index=True)
-        fallback_groups: list[np.ndarray] = []
-        for position, signature in enumerate(unique_signatures):
-            stop = starts[position + 1] if position + 1 < len(starts) else len(order)
-            rows = order[starts[position] : stop]
-            candidates = self._candidates_for(int(signature))
-            if len(candidates) < k:
-                fallback_groups.append(rows)
-                continue
-            distances = l1_distance_matrix(vectors[rows], points[candidates])
-            positions, sorted_distances = _top_k_rows(distances, k)
-            all_indices[rows] = candidates[positions]
-            all_distances[rows] = sorted_distances
-        if fallback_groups:
-            rows = np.concatenate(fallback_groups)
-            exact = self._exact.query_batch_arrays(vectors[rows], k)
-            all_indices[rows] = exact.indices
-            all_distances[rows] = exact.distances
-        counts = np.full(len(vectors), k, dtype=np.int64)
-        return BatchNeighbourResult(all_indices, all_distances, counts)
-
-
 #: The index kinds :func:`build_index` can construct.
-INDEX_KINDS = ("exact", "lsh", "ivf")
+INDEX_KINDS = ("exact", "ivf")
 
 
 def build_index(
     points: np.ndarray,
-    approximate: bool = False,
     dtype: Optional[np.dtype] = None,
-    kind: Optional[str] = None,
+    kind: str = "exact",
     **kwargs,
 ) -> NearestNeighbourIndex:
     """Factory mirroring the paper's use of a spatial index over the TypeSpace.
 
-    ``kind`` selects the index: ``"exact"`` (brute-force L1 oracle), ``"lsh"``
-    (:class:`RandomProjectionIndex`) or ``"ivf"``
-    (:class:`~repro.core.ivf.IVFIndex`).  The legacy ``approximate`` boolean
-    maps to ``"lsh"``/``"exact"`` and is only consulted when ``kind`` is not
-    given.  Extra keyword arguments are passed to the index constructor, which
-    validates them; an unknown ``kind`` is rejected up front instead of
-    silently falling back to the exact scan.
+    ``kind`` selects the index: ``"exact"`` (brute-force L1 oracle, the
+    default) or ``"ivf"`` (:class:`~repro.core.ivf.IVFIndex`).  Extra keyword
+    arguments are passed to the index constructor, which validates them; an
+    unknown ``kind`` is rejected up front instead of silently falling back to
+    the exact scan.
     """
-    if kind is None:
-        kind = "lsh" if approximate else "exact"
     if kind == "exact":
         if kwargs:
             raise TypeError(
                 f"the exact index takes no parameters, got {sorted(kwargs)} "
-                "(did you mean kind='lsh' or kind='ivf'?)"
+                "(did you mean kind='ivf'?)"
             )
         return ExactL1Index(points, dtype=dtype)
-    if kind == "lsh":
-        return RandomProjectionIndex(points, dtype=dtype, **kwargs)
     if kind == "ivf":
         from repro.core.ivf import IVFIndex  # deferred: ivf imports this module
 
@@ -492,7 +286,7 @@ def build_index(
     )
 
 
-def validate_index_params(kind: Optional[str], dim: int, dtype: Optional[np.dtype] = None, **kwargs) -> None:
+def validate_index_params(kind: str, dim: int, dtype: Optional[np.dtype] = None, **kwargs) -> None:
     """Validate an index kind + parameter set without building a real index.
 
     Runs the same constructor-time checks the indexes apply (a dry build over

@@ -193,14 +193,14 @@ class TypilusPipeline:
         training_config: Optional[TrainingConfig] = None,
         knn_k: int = 10,
         knn_p: float = 1.0,
-        index_kind: Optional[str] = None,
+        index_kind: str = "exact",
         index_params: Optional[dict] = None,
         verbose: bool = False,
     ) -> "TypilusPipeline":
         """Train an encoder and build the TypeSpace in one call.
 
         ``index_kind``/``index_params`` select the TypeSpace's spatial index
-        (``"exact"``/``"lsh"``/``"ivf"``; validated up front) — e.g.
+        (``"exact"``, the default, or ``"ivf"``; validated up front) — e.g.
         ``index_kind="ivf", index_params={"nlist": 256, "nprobe": 8}`` for the
         sub-linear serving tier.
         """
@@ -407,10 +407,11 @@ class TypilusPipeline:
     def fingerprint(self) -> str:
         """Content hash of everything that determines this pipeline's answers.
 
-        Covers the encoder weights, the TypeSpace markers and the kNN
-        settings.  Two pipelines with equal fingerprints produce identical
-        suggestions for identical sources — the invariant behind the
-        engine's incremental re-annotation cache.
+        Covers the encoder weights, the TypeSpace markers, the kNN settings
+        and the index kind and params (an approximate index can answer
+        differently from the exact one).  Two pipelines with equal
+        fingerprints produce identical suggestions for identical sources —
+        the invariant behind the engine's incremental re-annotation cache.
         """
         digest = hashlib.sha256()
         for name, parameter in sorted(self.encoder.named_parameters()):
@@ -423,6 +424,8 @@ class TypilusPipeline:
         for type_name in self.type_space.marker_type_names():
             digest.update(type_name.encode("utf-8") + b"\x00")
         digest.update(f"{self.predictor.k}:{self.predictor.p}:{self.predictor.epsilon}".encode("utf-8"))
+        index = {"kind": self.type_space.index_kind, "params": self.type_space.index_params}
+        digest.update(json.dumps(index, sort_keys=True).encode("utf-8"))
         return digest.hexdigest()
 
     # -- persistence -----------------------------------------------------------------------
@@ -467,7 +470,6 @@ class TypilusPipeline:
             "format_version": PIPELINE_FORMAT_VERSION,
             "encoder": _describe_encoder(self.encoder),
             "knn": {"k": self.predictor.k, "p": self.predictor.p, "epsilon": self.predictor.epsilon},
-            "approximate_index": self.type_space.approximate_index,
             "index": {"kind": self.type_space.index_kind, "params": self.type_space.index_params},
             "typespace_layout": typespace_layout,
         }
@@ -515,7 +517,9 @@ class TypilusPipeline:
         pipeline saved with ``typespace_layout="raw"`` memory-maps its marker
         matrix by default (``mmap_typespace=None`` → mmap when the layout
         supports it); pass ``mmap_typespace=False`` to force an in-RAM copy.
-        The saved index kind/params are restored with the markers.
+        The saved index kind/params are restored with the markers.  Older
+        manifests that name the deleted LSH index load with the exact index
+        over the same markers.
         """
         path = Path(path)
         # peek_manifest enforces the commit-marker invariant: save() writes
@@ -527,8 +531,12 @@ class TypilusPipeline:
         serialization.load_modules(path / "encoder.npz", encoder=encoder)
         encoder.eval()
         index = manifest.get("index")
-        index_kind = index["kind"] if index else ("lsh" if manifest.get("approximate_index") else "exact")
-        index_params = dict(index["params"]) if index else {}
+        # Older manifests may name the deleted LSH index: an "lsh" kind, or
+        # no "index" entry at all (only an "approximate_index" flag).  They
+        # load with the exact index over the same markers.
+        if not index or index["kind"] == "lsh":
+            index = {"kind": "exact", "params": {}}
+        index_kind, index_params = index["kind"], dict(index["params"])
         layout = manifest.get("typespace_layout", "npz")
         if layout == "raw":
             space = TypeSpace.load(

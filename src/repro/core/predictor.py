@@ -16,8 +16,8 @@ Python prediction loop.  :meth:`predict` is the single-query view of the
 same path.
 
 The neighbour search itself is delegated to the TypeSpace's configured
-index (exact scan, LSH buckets or the IVF serving tier — see
-:mod:`repro.core.knn` and :mod:`repro.core.ivf`); the predictor's scoring is
+index (exact scan or the IVF serving tier — see :mod:`repro.core.knn`
+and :mod:`repro.core.ivf`); the predictor's scoring is
 index-agnostic, so swapping ``index_kind`` trades recall for speed without
 touching the probability model.
 """

@@ -91,25 +91,19 @@ class TypeSpace:
     def __init__(
         self,
         dim: int,
-        approximate_index: bool = False,
         dtype: Union[str, np.dtype] = np.float64,
-        index_kind: Optional[str] = None,
+        index_kind: str = "exact",
         index_params: Optional[dict] = None,
     ) -> None:
         self.dim = dim
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"TypeSpace dtype must be float32 or float64, got {self.dtype}")
-        # ``index_kind`` ("exact" | "lsh" | "ivf") supersedes the legacy
-        # ``approximate_index`` boolean, which maps to "lsh"; both kind and
-        # params are validated now, with the indexes' own constructor checks,
-        # not at the first query.
-        if index_kind is None:
-            index_kind = "lsh" if approximate_index else "exact"
+        # ``index_kind`` ("exact" | "ivf") and its params are validated now,
+        # with the indexes' own constructor checks, not at the first query.
         self.index_kind = index_kind
         self.index_params = dict(index_params or {})
         validate_index_params(self.index_kind, dim, dtype=self.dtype, **self.index_params)
-        self.approximate_index = self.index_kind != "exact"
         self._embeddings = np.empty((0, dim), dtype=self.dtype)  # growable row storage
         self._size = 0
         self._codes = np.empty(0, dtype=np.int64)  # growable, parallel to the rows
@@ -296,7 +290,6 @@ class TypeSpace:
         validate_index_params(index_kind, self.dim, dtype=self.dtype, **index_params)
         self.index_kind = index_kind
         self.index_params = dict(index_params)
-        self.approximate_index = index_kind != "exact"
         self._index = None
 
     def nearest(self, embedding: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -358,8 +351,7 @@ class TypeSpace:
     def load(
         cls,
         path: str,
-        approximate_index: bool = False,
-        index_kind: Optional[str] = None,
+        index_kind: str = "exact",
         index_params: Optional[dict] = None,
         mmap: bool = False,
     ) -> "TypeSpace":
@@ -377,7 +369,7 @@ class TypeSpace:
         """
         source = Path(path)
         if source.is_dir():
-            return cls._load_raw(source, approximate_index, index_kind, index_params, mmap)
+            return cls._load_raw(source, index_kind, index_params, mmap)
         if mmap:
             raise ValueError(
                 "mmap=True needs the raw directory layout (save(path, layout='raw')); "
@@ -387,13 +379,7 @@ class TypeSpace:
             dim = int(archive["dim"][0])
             embeddings = archive["embeddings"]
             dtype = np.float32 if embeddings.dtype == np.float32 else np.float64
-            space = cls(
-                dim,
-                approximate_index=approximate_index,
-                dtype=dtype,
-                index_kind=index_kind,
-                index_params=index_params,
-            )
+            space = cls(dim, dtype=dtype, index_kind=index_kind, index_params=index_params)
             type_names = [str(name) for name in archive["type_names"]]
             sources = [str(source) for source in archive["sources"]]
             space.add_markers(type_names, embeddings.reshape(len(type_names), dim), source=sources)
@@ -403,8 +389,7 @@ class TypeSpace:
     def _load_raw(
         cls,
         directory: Path,
-        approximate_index: bool,
-        index_kind: Optional[str],
+        index_kind: str,
         index_params: Optional[dict],
         mmap: bool,
     ) -> "TypeSpace":
@@ -423,13 +408,7 @@ class TypeSpace:
         if len(codes) and codes.max(initial=-1) >= len(vocabulary):
             raise ValueError(f"raw TypeSpace at {directory} has codes outside its vocabulary")
         dtype = np.float32 if embeddings.dtype == np.float32 else np.float64
-        space = cls(
-            dim,
-            approximate_index=approximate_index,
-            dtype=dtype,
-            index_kind=index_kind,
-            index_params=index_params,
-        )
+        space = cls(dim, dtype=dtype, index_kind=index_kind, index_params=index_params)
         for name in vocabulary:
             space._intern(name)
         # Adopt the arrays as-is: the (possibly memory-mapped, read-only)

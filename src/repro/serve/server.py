@@ -71,7 +71,7 @@ from repro.core.pipeline import TypilusPipeline
 from repro.engine.annotator import AnnotatorConfig, ProjectAnnotator, suggestion_to_payload
 from repro.serve.faults import FaultInjector, InjectedFault
 from repro.serve.protocol import MAX_FRAME_BYTES, ProtocolError, parse_address, recv_frame, send_frame
-from repro.serve.workers import WorkerCrashed, WorkerPool
+from repro.serve.workers import WorkerCrashed, WorkerPool, describe_pipeline
 
 #: Separates the request ordinal from the filename in a merged micro-batch;
 #: NUL cannot appear in a path, so the namespacing is collision-free.
@@ -441,14 +441,7 @@ class AnnotationServer:
         """Pipeline facts for ``ping``/``stats`` — local space or fleet cache."""
         if self._pool is not None:
             return self._pool.describe()
-        space = self.pipeline.type_space
-        return {
-            "markers": len(space),
-            "dim": space.dim,
-            "approximate_index": space.approximate_index,
-            "index_kind": space.index_kind,
-            "dtype": str(space.dtype),
-        }
+        return describe_pipeline(self.pipeline)
 
     def _dispatch(self, request: dict) -> dict:
         self._count(requests=1)

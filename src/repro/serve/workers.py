@@ -60,6 +60,10 @@ SPAWN_TIMEOUT_SECONDS = 120.0
 #: How long a quiesced broadcast waits to check out every idle worker.
 CHECKOUT_TIMEOUT_SECONDS = 60.0
 
+#: The :func:`describe_pipeline` facts that hold fleet-wide; the pool caches
+#: them for ``ping`` (``mmap`` and ``marker_bytes`` are per worker).
+FLEET_FACTS = ("markers", "dim", "index_kind", "dtype")
+
 
 class WorkerCrashed(RuntimeError):
     """A worker process died (or was killed) while handling a dispatch.
@@ -274,11 +278,7 @@ class WorkerPool:
         handle.info = {key: value for key, value in hello.items() if key != "op"}
         with self._lock:
             if not self._describe:
-                self._describe = {
-                    key: hello[key]
-                    for key in ("markers", "dim", "approximate_index", "index_kind", "dtype")
-                    if key in hello
-                }
+                self._describe = {key: hello[key] for key in FLEET_FACTS if key in hello}
         try:
             self._replay_adapt_log(handle)
         except Exception:
@@ -509,21 +509,25 @@ class WorkerPool:
         # the pool's model_dir moves forward first.
         self.model_dir = Path(model_dir)
         self._adapt_log.clear()
-        markers = previous_markers
+        committed: Optional[dict] = None  # the new model's facts, from any live worker
         for handle in handles:
             try:
                 reply = handle.request({"op": "reload", "stage": "commit"})
-                markers = int(reply.get("markers", markers))
-                handle.info["markers"] = markers
             except (OSError, ProtocolError):
                 # A crash after the commit point: the respawn loads the new
                 # model_dir, so the restarted worker is already consistent.
                 handle.destroy()
-                self._respawn(handle.worker_id)
+                replacement = self._respawn(handle.worker_id)
+                if replacement is not None:
+                    committed = replacement.info
                 continue
+            handle.info.update((key, value) for key, value in reply.items() if key != "ok")
+            committed = handle.info
             self.release(handle)
         with self._lock:
-            self._describe["markers"] = markers
+            if committed is not None:
+                self._describe.update((key, committed[key]) for key in FLEET_FACTS if key in committed)
+            markers = int(self._describe.get("markers", previous_markers))
         return markers, previous_markers
 
     # -- introspection -----------------------------------------------------------------
@@ -574,12 +578,17 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 
-def _describe_pipeline(pipeline) -> dict:
+def describe_pipeline(pipeline) -> dict:
+    """What ``ping`` reports about a loaded pipeline.
+
+    The one description behind the in-process daemon's ``ping``, a worker's
+    hello and its reload-commit reply, so a fleet that reloads a model with
+    another index, dimension or dtype reports what the daemon would.
+    """
     space = pipeline.type_space
     return {
         "markers": len(space),
         "dim": space.dim,
-        "approximate_index": space.approximate_index,
         "index_kind": space.index_kind,
         "dtype": str(space.dtype),
         "mmap": space.is_memory_mapped,
@@ -624,7 +633,7 @@ def _worker_serve(args) -> int:
             "op": "hello",
             "worker_id": args.worker_id,
             "pid": os.getpid(),
-            **_describe_pipeline(pipeline),
+            **describe_pipeline(pipeline),
         },
     )
 
@@ -683,7 +692,7 @@ def _worker_serve(args) -> int:
                     pipeline, _ = staged
                     annotator = ProjectAnnotator(pipeline, annotator_config)
                     staged = None
-                    reply = {"ok": True, "markers": len(pipeline.type_space)}
+                    reply = {"ok": True, **describe_pipeline(pipeline)}
             elif stage == "abort":
                 staged = None
                 reply = {"ok": True}
@@ -693,7 +702,7 @@ def _worker_serve(args) -> int:
             reply = {
                 "ok": True,
                 "pid": os.getpid(),
-                **_describe_pipeline(pipeline),
+                **describe_pipeline(pipeline),
                 "private_rss_bytes": private_rss_bytes(),
             }
         elif op == "stop":

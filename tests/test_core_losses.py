@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     ClassificationHead,
     ExactL1Index,
+    IVFIndex,
     KNNTypePredictor,
-    RandomProjectionIndex,
     TypeSpace,
     TypilusLoss,
     adapt_space_with_new_type,
@@ -179,23 +179,11 @@ class TestKNNIndexes:
         points = rng.normal(size=(n, 4))
         query = rng.normal(size=4)
         exact = ExactL1Index(points).query(query, k)
-        approximate = RandomProjectionIndex(points, num_bits=4, probe_radius=2, seed=seed).query(query, k)
+        approximate = IVFIndex(points, nlist=4, nprobe=1, seed=seed).query(query, k)
+        # Never short: a shortlist below k falls back to the exact scan.
         assert len(approximate.indices) == len(exact.indices)
-        # The approximate nearest distance can never beat the exact one.
-        assert approximate.distances[0] >= exact.distances[0] - 1e-9
-
-    def test_approximate_recall_is_reasonable(self):
-        rng = np.random.default_rng(0)
-        points = rng.normal(size=(200, 8))
-        queries = rng.normal(size=(30, 8))
-        exact = ExactL1Index(points)
-        approximate = RandomProjectionIndex(points, num_bits=6, probe_radius=2, seed=1)
-        hits = 0
-        for query in queries:
-            true_top = set(exact.query(query, 5).indices.tolist())
-            approx_top = set(approximate.query(query, 5).indices.tolist())
-            hits += len(true_top & approx_top)
-        assert hits / (30 * 5) > 0.6
+        # The i-th approximate neighbour can never be closer than the i-th exact one.
+        assert np.all(approximate.distances >= exact.distances - 1e-9)
 
 
 class TestTypeSpaceAndPredictor:

@@ -253,6 +253,25 @@ class TestIncrementalAnnotation:
             trained_pipeline.predictor.k = original_k
         assert report.reused_files == 0
 
+    def test_index_switch_invalidates_cache(self, trained_pipeline, tmp_path):
+        # An IVF index may answer differently from the exact one, so its
+        # fingerprint differs and answers cached under the exact index miss.
+        sources = {"a.py": UNANNOTATED_A, "b.py": UNANNOTATED_B}
+        config = AnnotatorConfig(use_type_checker=False, cache_dir=tmp_path)
+        annotator = ProjectAnnotator(trained_pipeline, config)
+        exact_fingerprint = trained_pipeline.fingerprint()
+        annotator.annotate_sources(sources)
+        try:
+            trained_pipeline.type_space.reindex("ivf", nlist=4, nprobe=1)
+            ivf_fingerprint = trained_pipeline.fingerprint()
+            warm = annotator.annotate_sources(sources)
+        finally:
+            trained_pipeline.type_space.reindex("exact")
+        assert ivf_fingerprint != exact_fingerprint
+        assert warm.reused_files == 0
+        assert trained_pipeline.fingerprint() == exact_fingerprint
+        assert annotator.annotate_sources(sources).reused_files == 2
+
     def test_parallel_jobs_produce_identical_report(self, trained_pipeline):
         sources = {"a.py": UNANNOTATED_A, "b.py": UNANNOTATED_B}
         serial = ProjectAnnotator(

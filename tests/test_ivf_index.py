@@ -191,7 +191,6 @@ class TestIVFTypeSpace:
         space.nearest_batch(np.zeros((1, 6)), 3)
         space.reindex("ivf", nlist=4, nprobe=4)
         assert space.index_kind == "ivf"
-        assert space.approximate_index
         assert isinstance(space.index(), IVFIndex)
         with pytest.raises(ValueError, match="unknown index kind"):
             space.reindex("annoy")

@@ -1,14 +1,14 @@
-"""Batched index queries, probe-radius handling and stale-index adaptation."""
+"""Batched index queries, incremental extension and stale-index adaptation."""
 
 import numpy as np
 import pytest
 
 import repro.core.knn as knn_module
 from repro.core import (
+    INDEX_KINDS,
     ExactL1Index,
     IVFIndex,
     KNNTypePredictor,
-    RandomProjectionIndex,
     TypeSpace,
     adapt_space_with_new_type,
     build_index,
@@ -53,79 +53,6 @@ class TestBatchQueries:
         assert batch.indices.shape == (3, 0)
         assert list(batch.counts) == [0, 0, 0]
 
-    def test_approximate_batch_matches_per_query(self):
-        points = self._points(n=120)
-        index = RandomProjectionIndex(points, num_bits=5, probe_radius=1, seed=2)
-        queries = np.random.default_rng(6).normal(size=(25, points.shape[1]))
-        batch = index.query_batch_arrays(queries, k=6)
-        for row, query in enumerate(queries):
-            single = index.query(query, k=6)
-            assert list(single.indices) == list(batch.indices[row])
-            assert np.allclose(single.distances, batch.distances[row])
-
-
-class TestProbeRadius:
-    def test_probe_signature_counts_follow_binomials(self):
-        # radius r probes sum_{i<=r} C(num_bits, i) buckets — any radius, not
-        # just the old hard-coded <= 2.
-        from math import comb
-
-        for num_bits, radius in [(6, 3), (8, 4), (5, 5)]:
-            index = RandomProjectionIndex(np.zeros((1, 3)), num_bits=num_bits, probe_radius=radius)
-            signatures = index._probe_signatures(0)
-            expected = sum(comb(num_bits, r) for r in range(radius + 1))
-            assert len(signatures) == expected
-            assert len(set(signatures)) == expected  # all distinct
-
-    def test_large_probe_radius_recovers_exact_results(self):
-        points = np.random.default_rng(11).normal(size=(40, 4))
-        exact = ExactL1Index(points)
-        # probing every bucket (radius == num_bits) must reproduce exact search
-        approximate = RandomProjectionIndex(points, num_bits=4, probe_radius=4, seed=7)
-        for query in np.random.default_rng(12).normal(size=(10, 4)):
-            assert list(approximate.query(query, 5).indices) == list(exact.query(query, 5).indices)
-
-    def test_invalid_parameters_rejected(self):
-        points = np.zeros((4, 3))
-        with pytest.raises(ValueError):
-            RandomProjectionIndex(points, num_bits=0)
-        with pytest.raises(ValueError):
-            RandomProjectionIndex(points, num_bits=70)
-        with pytest.raises(ValueError):
-            RandomProjectionIndex(points, num_bits=4, probe_radius=-1)
-        with pytest.raises(ValueError):
-            RandomProjectionIndex(points, num_bits=4, probe_radius=5)
-        with pytest.raises(ValueError):
-            RandomProjectionIndex(points, num_bits=4, probe_radius=1.5)
-
-
-class TestExactApproximateAgreement:
-    def test_recall_floor_on_random_data(self):
-        rng = np.random.default_rng(0)
-        points = rng.normal(size=(300, 8))
-        queries = rng.normal(size=(50, 8))
-        k = 10
-        exact = ExactL1Index(points).query_batch_arrays(queries, k)
-        approximate = RandomProjectionIndex(points, num_bits=8, probe_radius=2, seed=1).query_batch_arrays(
-            queries, k
-        )
-        hits = 0
-        for row in range(len(queries)):
-            hits += len(set(exact.indices[row].tolist()) & set(approximate.indices[row].tolist()))
-        recall = hits / (len(queries) * k)
-        assert recall >= 0.5
-
-    def test_approximate_never_beats_exact_top_distance(self):
-        rng = np.random.default_rng(21)
-        points = rng.normal(size=(80, 5))
-        queries = rng.normal(size=(12, 5))
-        exact = ExactL1Index(points).query_batch_arrays(queries, 3)
-        approximate = RandomProjectionIndex(points, num_bits=5, probe_radius=1, seed=3).query_batch_arrays(
-            queries, 3
-        )
-        assert np.all(approximate.distances[:, 0] >= exact.distances[:, 0] - 1e-9)
-
-
 class TestAdaptationWithBuiltIndex:
     def _space(self):
         space = TypeSpace(dim=3)
@@ -153,10 +80,10 @@ class TestAdaptationWithBuiltIndex:
         assert top_type == "torch.Tensor"
 
     def test_predictor_sees_adapted_space_with_approximate_index(self):
-        space = TypeSpace(dim=3, approximate_index=True)
+        space = TypeSpace(dim=3, index_kind="ivf", index_params={"nlist": 2, "nprobe": 1})
         space.add_markers(["int"] * 6, np.zeros((6, 3)), source="train")
         predictor = KNNTypePredictor(space, k=3, p=2.0)
-        space.index()  # build the (approximate) index, then extend it
+        assert isinstance(space.index(), IVFIndex)  # build the IVF index, then extend it
         adapt_space_with_new_type(space, "bytes", [np.full(3, 9.0)])
         assert predictor.predict(np.full(3, 9.0)).top_type == "bytes"
 
@@ -179,29 +106,6 @@ class TestIncrementalExtension:
         assert one.indices.tobytes() == other.indices.tobytes()
         assert one.distances.tobytes() == other.distances.tobytes()
 
-    def test_approximate_extend_matches_from_scratch(self):
-        points = self._points(n=150)
-        extended = RandomProjectionIndex(points[:60], num_bits=6, probe_radius=1, seed=4)
-        extended.extend(points[60:110])
-        extended.extend(points[110:])
-        rebuilt = RandomProjectionIndex(points, num_bits=6, probe_radius=1, seed=4)
-        queries = np.random.default_rng(19).normal(size=(25, points.shape[1]))
-        one = extended.query_batch_arrays(queries, k=6)
-        other = rebuilt.query_batch_arrays(queries, k=6)
-        assert one.indices.tobytes() == other.indices.tobytes()
-        assert one.distances.tobytes() == other.distances.tobytes()
-
-    def test_extend_from_empty_matches_direct_construction(self):
-        points = self._points(n=50, dim=4)
-        grown = RandomProjectionIndex(np.zeros((0, 4)), num_bits=5, probe_radius=1, seed=9)
-        grown.extend(points)
-        direct = RandomProjectionIndex(points, num_bits=5, probe_radius=1, seed=9)
-        queries = np.random.default_rng(20).normal(size=(10, 4))
-        assert (
-            grown.query_batch_arrays(queries, 5).indices.tobytes()
-            == direct.query_batch_arrays(queries, 5).indices.tobytes()
-        )
-
     def test_extend_validates_dimension(self):
         index = ExactL1Index(self._points(n=10, dim=5))
         with pytest.raises(ValueError):
@@ -211,7 +115,7 @@ class TestIncrementalExtension:
 
     def test_extend_after_queries_serves_new_points(self):
         points = self._points(n=40, dim=4)
-        index = RandomProjectionIndex(points, num_bits=4, probe_radius=4, seed=3)
+        index = IVFIndex(points, nlist=4, nprobe=1, seed=3)
         far = np.full((1, 4), 50.0)
         assert index.query(far[0], 1).distances[0] > 100  # nothing near yet
         index.extend(far)
@@ -277,17 +181,10 @@ class TestDtypeAwareStorage:
             TypeSpace(dim=3, dtype=np.int64)
 
 
-class TestRandomProjectionEdgeCases:
-    def test_empty_index_returns_empty_rows(self):
-        index = RandomProjectionIndex(np.zeros((0, 4)), num_bits=5)
-        assert len(index) == 0
-        batch = index.query_batch_arrays(np.ones((3, 4)), k=5)
-        assert batch.indices.shape == (3, 0)
-        assert list(batch.counts) == [0, 0, 0]
-
+class TestIVFEdgeCases:
     def test_k_larger_than_index_clamps_to_size(self):
         points = np.random.default_rng(40).normal(size=(7, 3))
-        index = RandomProjectionIndex(points, num_bits=4, probe_radius=1, seed=1)
+        index = IVFIndex(points, nlist=2, nprobe=1, seed=1)
         batch = index.query_batch_arrays(np.zeros((2, 3)), k=50)
         assert batch.indices.shape == (2, 7)
         assert list(batch.counts) == [7, 7]
@@ -296,27 +193,10 @@ class TestRandomProjectionEdgeCases:
 
     def test_duplicate_points_all_reachable(self):
         points = np.tile(np.array([[1.0, 2.0, 3.0]]), (6, 1))
-        index = RandomProjectionIndex(points, num_bits=4, probe_radius=0, seed=2)
+        index = IVFIndex(points, nlist=4, nprobe=1, seed=2)
         result = index.query(np.array([1.0, 2.0, 3.0]), k=6)
         assert sorted(result.indices.tolist()) == list(range(6))
         assert np.allclose(result.distances, 0.0)
-
-    def test_seeded_recall_floor_vs_exact(self):
-        """Property test: across seeds, probed recall stays above a floor."""
-        rng = np.random.default_rng(41)
-        points = rng.normal(size=(400, 8))
-        queries = rng.normal(size=(40, 8))
-        k = 10
-        exact = ExactL1Index(points).query_batch_arrays(queries, k)
-        for seed in range(5):
-            approximate = RandomProjectionIndex(
-                points, num_bits=7, probe_radius=2, seed=seed
-            ).query_batch_arrays(queries, k)
-            hits = sum(
-                len(set(exact.indices[row].tolist()) & set(approximate.indices[row].tolist()))
-                for row in range(len(queries))
-            )
-            assert hits / (len(queries) * k) >= 0.5, f"recall collapsed for seed {seed}"
 
 
 class TestBulkBuildRegression:
@@ -423,55 +303,12 @@ class TestDistanceMatrixChunking:
         np.testing.assert_array_equal(baseline.distances, capped.distances)
 
 
-class TestCandidateBuffer:
-    """The preallocated-buffer candidate dedupe must be byte-identical."""
-
-    def _reference_candidates(self, index, signature):
-        buckets = [
-            index._buckets[probe]
-            for probe in index._probe_signatures(signature)
-            if probe in index._buckets
-        ]
-        if not buckets:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(buckets))
-
-    def test_candidates_match_concatenate_unique(self):
-        rng = np.random.default_rng(21)
-        points = rng.normal(size=(300, 7))
-        index = RandomProjectionIndex(points, num_bits=6, probe_radius=2, seed=3)
-        signatures = {int(s) for s in index._signatures_for(points)}
-        assert signatures
-        for signature in signatures:
-            produced = index._candidates_for(signature)
-            expected = self._reference_candidates(index, signature)
-            assert produced.dtype == expected.dtype
-            np.testing.assert_array_equal(produced, expected)
-            assert produced.tobytes() == expected.tobytes()
-
-    def test_queries_byte_identical_to_reference_dedupe(self, monkeypatch):
-        rng = np.random.default_rng(22)
-        points = rng.normal(size=(250, 6))
-        queries = rng.normal(size=(60, 6))
-        index = RandomProjectionIndex(points, num_bits=5, probe_radius=1, seed=9)
-        fast = index.query_batch_arrays(queries, k=5)
-        reference = self._reference_candidates
-        monkeypatch.setattr(
-            RandomProjectionIndex,
-            "_candidates_for",
-            lambda self, signature: reference(self, signature),
-        )
-        slow_index = RandomProjectionIndex(points, num_bits=5, probe_radius=1, seed=9)
-        slow = slow_index.query_batch_arrays(queries, k=5)
-        assert fast.indices.tobytes() == slow.indices.tobytes()
-        assert fast.distances.tobytes() == slow.distances.tobytes()
-
-
 class TestBuildIndexKinds:
     def test_unknown_kind_rejected_with_valid_kinds_listed(self):
         points = np.zeros((4, 3))
-        with pytest.raises(ValueError, match=r"unknown index kind 'annoy'.*exact, lsh, ivf"):
-            build_index(points, kind="annoy")
+        for kind in ("annoy", "lsh"):  # the random-projection index is gone
+            with pytest.raises(ValueError, match=rf"unknown index kind '{kind}'.*valid kinds are exact, ivf$"):
+                build_index(points, kind=kind)
 
     def test_exact_kind_rejects_stray_parameters(self):
         with pytest.raises(TypeError, match="exact index takes no parameters"):
@@ -480,11 +317,9 @@ class TestBuildIndexKinds:
     def test_kind_dispatch(self):
         points = np.random.default_rng(1).normal(size=(30, 4))
         assert isinstance(build_index(points, kind="exact"), ExactL1Index)
-        assert isinstance(build_index(points, kind="lsh", num_bits=4), RandomProjectionIndex)
         assert isinstance(build_index(points, kind="ivf", nlist=4, nprobe=2), IVFIndex)
-        # the legacy boolean still maps onto the kinds
-        assert isinstance(build_index(points, approximate=True), RandomProjectionIndex)
         assert isinstance(build_index(points), ExactL1Index)
+        assert INDEX_KINDS == ("exact", "ivf")
 
     def test_validate_index_params_catches_bad_params_without_points(self):
         with pytest.raises(ValueError, match="nprobe .* cannot exceed nlist"):

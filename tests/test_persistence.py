@@ -70,6 +70,28 @@ class TestPipelineRoundTrip:
         with pytest.raises(ValueError):
             TypilusPipeline.load(bad)
 
+    @pytest.mark.parametrize(
+        "legacy_index",
+        [
+            {"approximate_index": True},
+            {"index": {"kind": "lsh", "params": {"num_bits": 8, "probe_radius": 1, "seed": 0}}},
+        ],
+        ids=["approximate-flag-without-index", "lsh-kind"],
+    )
+    def test_legacy_lsh_manifest_loads_with_exact_index(self, trained_pipeline, saved_dir, tmp_path, legacy_index):
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        for name in ("encoder.npz", "typespace.npz"):
+            (legacy / name).write_bytes((saved_dir / name).read_bytes())
+        manifest = json.loads((saved_dir / "pipeline.json").read_text(encoding="utf-8"))
+        del manifest["index"]
+        manifest.update(legacy_index)
+        (legacy / "pipeline.json").write_text(json.dumps(manifest), encoding="utf-8")
+        loaded = TypilusPipeline.load(legacy)
+        assert loaded.type_space.index_kind == "exact"
+        assert loaded.type_space.index_params == {}
+        assert loaded.fingerprint() == TypilusPipeline.load(saved_dir).fingerprint()
+
 
 class TestModuleArchives:
     def test_save_modules_namespaces_parameters(self, tmp_path):

@@ -29,6 +29,7 @@ from repro.serve import (
     recv_frame,
     send_frame,
 )
+from repro.serve.workers import FLEET_FACTS, describe_pipeline
 
 FILE_A = "def scale_amount(amount, factor):\n    return amount * factor\n"
 FILE_B = (
@@ -197,6 +198,19 @@ class TestFleetBroadcasts:
             stats = fleet.client.stats()
             assert {row["markers"] for row in stats["workers"]} == {response["markers"]}
             assert fleet.client.annotate_sources({"a.py": FILE_A}).num_files == 1
+
+    def test_ping_describes_the_reloaded_model(self, raw_model_dir, tmp_path_factory):
+        ivf_dir = tmp_path_factory.mktemp("fleet-ivf") / "model"
+        ivf = TypilusPipeline.load(raw_model_dir)
+        ivf.type_space.reindex("ivf", nlist=4, nprobe=1)
+        ivf.save(ivf_dir, typespace_layout="raw")
+        expected = describe_pipeline(TypilusPipeline.load(ivf_dir))
+        with _running_fleet(raw_model_dir, tcp=False) as fleet:
+            assert fleet.client.ping()["index_kind"] == "exact"
+            fleet.client.reload(ivf_dir)
+            info = fleet.client.ping()
+            assert info["index_kind"] == "ivf"
+            assert {key: info[key] for key in FLEET_FACTS} == {key: expected[key] for key in FLEET_FACTS}
 
     def test_failed_reload_keeps_old_pipeline_serving(self, raw_model_dir):
         with _running_fleet(raw_model_dir, tcp=False) as fleet:

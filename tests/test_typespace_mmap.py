@@ -229,7 +229,6 @@ class TestPipelineRawLayout:
             loaded = TypilusPipeline.load(path)
             assert loaded.type_space.index_kind == "ivf"
             assert loaded.type_space.index_params == {"nlist": 4, "nprobe": 2}
-            assert loaded.type_space.approximate_index
         finally:
             # trained_pipeline is session-scoped: restore the default index
             trained_pipeline.type_space.reindex("exact")
