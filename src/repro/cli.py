@@ -32,9 +32,9 @@ Seven subcommands cover the library's main workflows without writing Python:
     and micro-batch concurrent annotation requests through the batched
     engine, with bounded admission (``--max-queue``), optional default
     deadlines (``--request-timeout``) and a per-frame wire cap
-    (``--max-frame-bytes``).  With ``--workers N`` the daemon becomes a
-    fleet front-end: N annotation worker processes each memory-map the same
-    saved model (``--load-model`` required) and micro-batches run
+    (``--max-frame-bytes``).  The daemon annotates in one in-process worker;
+    with ``--workers N``, in N worker processes that each memory-map the same
+    saved model (``--load-model`` required), so micro-batches run
     concurrently across them.  ``serve --socket S --ping`` waits until a
     daemon answers and prints its lifecycle state; ``serve --socket S
     --reload DIR`` hot-swaps it onto a newly saved pipeline without
@@ -526,6 +526,10 @@ def command_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _workers_noun(count: int) -> str:
+    return f"{count} worker" + ("" if count == 1 else "s")
+
+
 def command_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         AnnotationClient,
@@ -551,10 +555,9 @@ def command_serve(args: argparse.Namespace) -> int:
         return 0
     if args.ping:
         info = AnnotationClient(control_address).wait_until_ready(timeout=args.ping_timeout)
-        workers = f", {info['workers']} workers" if "workers" in info else ""
         print(
             f"daemon ready on {format_address(control_address)} ({info['markers']} markers, "
-            f"dim {info['dim']}, state {info['state']}{workers})"
+            f"dim {info['dim']}, state {info['state']}, {_workers_noun(info['workers'])})"
         )
         return 0
     ingest = _ingest_config(args)
@@ -572,9 +575,10 @@ def command_serve(args: argparse.Namespace) -> int:
     )
     if args.max_frame_bytes is not None:
         serve_config_kwargs["max_frame_bytes"] = args.max_frame_bytes
+    pipeline, pool = None, None
     if args.workers > 0:
-        # Fleet mode: the front-end holds no pipeline; N worker processes
-        # each load (and memory-map) the same saved model directory.
+        # Fleet mode: N worker processes each load (and memory-map) the same
+        # saved model directory.
         if args.load_model is None:
             raise SystemExit("--workers needs --load-model: fleet workers load a saved pipeline")
         try:
@@ -592,26 +596,18 @@ def command_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
         pool = WorkerPool(args.load_model, args.workers, annotator_config=annotator_config)
-        server = AnnotationServer(
-            None,
-            args.socket,
-            serve_config=ServeConfig(**serve_config_kwargs),
-            tcp_address=args.tcp,
-            worker_pool=pool,
-        )
-        server.start()
-        banner = f"serving with {args.workers} workers ({pool.describe()['markers']} markers)"
     else:
         pipeline = _obtain_pipeline(args)
-        server = AnnotationServer(
-            pipeline,
-            args.socket,
-            annotator_config=annotator_config,
-            serve_config=ServeConfig(**serve_config_kwargs),
-            tcp_address=args.tcp,
-        )
-        server.start()
-        banner = f"serving ({len(pipeline.type_space)} markers)"
+    server = AnnotationServer(
+        pipeline,
+        args.socket,
+        annotator_config=annotator_config,
+        serve_config=ServeConfig(**serve_config_kwargs),
+        tcp_address=args.tcp,
+        worker_pool=pool,
+    ).start()
+    info = server.pool.describe()
+    banner = f"serving with {_workers_noun(info['workers'])} ({info['markers']} markers)"
     endpoints = []
     if args.socket is not None:
         endpoints.append(f"unix://{args.socket}")

@@ -18,6 +18,7 @@ symbol node indices.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -259,7 +260,7 @@ def _path_between(tree: _TreeIndex, start: int, end: int) -> Optional[list[int]]
 def build_path_batch(
     graphs: Sequence[CodeGraph],
     targets_per_graph: Sequence[Sequence[int]],
-    rng: SeededRNG,
+    rng: Optional[SeededRNG],
     max_paths_per_target: int = 8,
     max_path_length: int = 12,
 ) -> PathBatch:
@@ -269,7 +270,9 @@ def build_path_batch(
     tokens in the same file and extract the AST path between them (via CHILD
     parent pointers).  This mirrors code2seq's path extraction with the
     adaptation described in Sec. 6.1: paths are later pooled into a single
-    vector per symbol.
+    vector per symbol.  With ``rng=None`` each symbol samples from an RNG
+    seeded by its file's source text and its node index, so its paths depend
+    on nothing else (not even the filename).
     """
     paths_per_target: list[list[SyntaxPath]] = []
     for graph, targets in zip(graphs, targets_per_graph):
@@ -288,9 +291,10 @@ def build_path_batch(
             occurrences = occurrence_map.get(node_index, [])
             sampled: list[SyntaxPath] = []
             if occurrences and identifier_tokens:
+                sampler = rng or SeededRNG(zlib.crc32(graph.source.encode("utf-8")) + node_index)
                 for _ in range(max_paths_per_target):
-                    start = rng.choice(occurrences)
-                    end = rng.choice(identifier_tokens)
+                    start = sampler.choice(occurrences)
+                    end = sampler.choice(identifier_tokens)
                     if end == start:
                         continue
                     inner = _path_between(tree, start, end)

@@ -58,7 +58,7 @@ class PathEncoder(SymbolEncoder):
         return build_path_batch(
             graphs,
             targets_per_graph,
-            rng=self._sampling_rng,
+            rng=self._sampling_rng if self.training else None,
             max_paths_per_target=self.max_paths_per_target,
             max_path_length=self.max_path_length,
         )

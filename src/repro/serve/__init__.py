@@ -11,20 +11,20 @@ requests grow the open type vocabulary between batches without a rebuild.
 The failure modes are engineered, not accidental: bounded admission with
 ``overloaded`` sheds and ``retry_after_seconds`` hints, per-request
 deadlines propagated on the wire, poison-request isolation by batch
-bisection, a self-restarting batcher, and hot pipeline reload that swaps
-atomically between micro-batches.  :class:`AnnotationClient` is the
+bisection, a self-restarting batcher, and hot pipeline reload that commits
+between micro-batches.  :class:`AnnotationClient` is the
 matching client (same report objects as the in-process engine) with an
 optional :class:`RetryPolicy`; :class:`FaultInjector` provides the named
 failure points the chaos suite uses to prove every degradation path
 deterministically.
 
-For multi-core serving, :class:`WorkerPool` turns the daemon into a fleet
-front-end: N annotation worker processes each memory-map the same saved
-model (the marker matrix occupies physical memory once), micro-batches
-dispatch round-robin across them, and ``adapt``/``reload`` broadcast behind
-a quiesce barrier so no two workers ever answer from different type maps.
-The front-end listens on TCP and/or the Unix socket; the single-process
-Unix-socket daemon remains the default.
+The server always drives a :class:`WorkerPool`: by default one in-process
+worker over the given pipeline, or, for multi-core serving, N annotation
+worker processes that each memory-map the same saved model (the marker
+matrix occupies physical memory once).  Micro-batches dispatch across the
+workers, and ``adapt``/``reload`` broadcast behind a quiesce barrier so no
+two workers ever answer from different type maps.  The front-end listens on
+TCP and/or the Unix socket.
 """
 
 from repro.serve.client import AnnotationClient, RetryPolicy, ServeError

@@ -270,10 +270,10 @@ class AnnotationClient:
     def reload(self, model_dir: Union[str, Path]) -> dict:
         """Hot-swap the daemon onto a pipeline saved at ``model_dir``.
 
-        The daemon loads the new pipeline in the background and swaps it in
-        between micro-batches — in-flight requests finish on the old
-        pipeline, none fail.  Returns the acknowledgement with the old and
-        new marker counts.
+        The daemon lets in-flight requests finish on the old pipeline, has
+        every worker load the new one, and commits it between micro-batches
+        — none fail.  Returns the acknowledgement with the old and new
+        marker counts.
         """
         return self._request({"op": "reload", "model_dir": str(model_dir)})
 

@@ -1,12 +1,13 @@
 """Deterministic fault injection for the annotation daemon.
 
 Operational failures — an annotator that raises on one request, a batcher
-thread that dies, a reload that cannot read its model directory, a response
-frame torn mid-write — are rare in tests and constant in production.  The
-:class:`FaultInjector` turns each of them into a *named failure point* the
-server consults at the exact moment the real failure would occur, so the
-chaos suite (``tests/test_serve_faults.py``) can prove every degradation
-path without sleeps, monkeypatching or real crashes:
+thread that dies, a reload that cannot read its model directory, a worker
+process that dies, a response frame torn mid-write — are rare in tests and
+constant in production.  The :class:`FaultInjector` turns each of them into
+a *named failure point* the server consults at the exact moment the real
+failure would occur, so the chaos suite (``tests/test_serve_faults.py``)
+can prove every degradation path without sleeps, monkeypatching or real
+crashes:
 
 * ``arm(point, error=...)`` makes the next ``fire(point)`` raise
   :class:`InjectedFault` there — the server's own recovery code (poison
@@ -35,17 +36,19 @@ from typing import Callable, Optional
 #:
 #: ``batcher``     — top of the batcher loop, with a request in hand (the
 #:                   thread-death scenario the restart guard recovers from).
-#: ``slow_batch``  — start of a micro-batch, before any engine work (arm
-#:                   with a ``gate`` to pin the batcher deterministically).
+#: ``slow_batch``  — start of a micro-batch on its dispatcher thread, before
+#:                   any engine work (arm with a ``gate`` to hold a worker
+#:                   busy; with every worker busy, the batcher waits too).
 #: ``annotator``   — immediately before each ``annotate_sources`` engine
 #:                   call, including the bisected halves of a failing batch.
-#: ``reload``      — inside the background loader, before reading the new
-#:                   pipeline from disk.
-#: ``worker``      — in the fleet front-end, immediately before a merged
-#:                   micro-batch is sent to an annotation worker process; an
-#:                   error arm is treated as a worker crash (the pool kills
-#:                   and restarts the worker, the batch fails fast with
-#:                   ``error_kind="crashed"`` instead of being bisected).
+#: ``reload``      — on the batcher, with every worker slot held, before the
+#:                   reload is broadcast to the workers.
+#: ``worker``      — on a fleet pool's own injector, immediately before a
+#:                   merged micro-batch is sent to an annotation worker
+#:                   process; an error arm is treated as a worker crash (the
+#:                   pool kills and restarts the worker, the batch fails fast
+#:                   with ``error_kind="crashed"`` instead of being bisected).
+#:                   Worker processes only: no one arms the in-process pool's.
 #: ``torn_frame``  — before a response frame is written; the server then
 #:                   emulates a torn write (partial header + dropped
 #:                   connection) instead of raising.

@@ -1,18 +1,24 @@
 """A fault-tolerant annotation daemon with request micro-batching.
 
-:class:`AnnotationServer` loads a trained pipeline **once** and answers
-annotation requests over a local Unix stream socket, which is what turns the
-batch-first engine into a service: clients pay per request, never per model
-load.  Design points:
+:class:`AnnotationServer` answers annotation requests over a local Unix
+stream socket and/or TCP from a model loaded **once**, which is what turns
+the batch-first engine into a service: clients pay per request, never per
+model load.  Design points:
 
-* **Micro-batching.**  Every ``annotate`` request lands on one queue; a
-  single batcher thread drains whatever arrived within a small window (or up
-  to ``max_batch_requests``) and routes the *union* of their files — each
-  filename namespaced by its request — through one
-  :meth:`~repro.engine.annotator.ProjectAnnotator.annotate_sources` call.
-  Concurrent clients therefore share one embedding pass and one vectorized
-  kNN query, and because the merged batch runs the exact same code path as a
-  one-shot annotation, coalescing cannot change any answer.
+* **One path, one or N workers.**  The server always drives a
+  :class:`~repro.serve.workers.WorkerPool`: one in-process worker over the
+  given pipeline, or N worker processes that each memory-map the same saved
+  model (batches run concurrently across cores, the marker matrix occupies
+  physical memory once).  Every operation below runs the same code in both.
+* **Micro-batching.**  Every ``annotate`` request lands on one queue; once a
+  worker is free, a single batcher thread drains whatever arrived within a
+  small window (or up to ``max_batch_requests``) and a dispatcher thread
+  runs the *union* of their files — each filename namespaced by its request
+  — as one :meth:`~repro.engine.annotator.ProjectAnnotator.annotate_sources`
+  call on that worker.  Concurrent clients therefore share one embedding
+  pass and one vectorized kNN query, and because the merged batch runs the
+  exact same code path as a one-shot annotation, coalescing cannot change
+  any answer.
 * **Engineered failure modes.**  Admission is bounded: past
   ``max_queue_depth`` pending requests the daemon sheds load immediately
   with an ``overloaded`` error carrying a ``retry_after_seconds`` hint,
@@ -21,18 +27,23 @@ load.  Design points:
   already-expired requests *before* spending an embedding pass on them.
   When a merged micro-batch fails, the batcher bisects it and re-runs the
   halves, so one poison request fails alone instead of failing its
-  neighbors.  If the batcher thread itself dies, a restart guard fails every
-  pending request fast (``batcher crashed``) and starts a fresh batcher —
-  a crash costs one batch, never the daemon.
-* **Hot reload.**  A ``reload`` request loads a new pipeline from disk on a
-  background thread and atomically swaps it in *between* micro-batches:
-  in-flight batches finish on the old pipeline, the next batch sees the new
-  one, and no request ever fails because of a swap.  ``ping`` reports a
-  lifecycle state (``ready`` / ``reloading`` / ``draining`` /
-  ``overloaded``).
+  neighbors.  A worker process crash fails only its own batch
+  (``error_kind="crashed"``, never bisected) and the pool restarts it.  If
+  the batcher thread itself dies, a restart guard fails every pending
+  request fast (``batcher crashed``) and starts a fresh batcher — a crash
+  costs one batch, never the daemon.
 * **Serialized mutation.**  ``adapt`` requests (open-vocabulary type-map
-  extension, Sec. 4.2) and the reload swap flow through the same queue, so
-  the pipeline is only ever touched by the batcher thread.
+  extension, Sec. 4.2) and ``reload`` ride the same queue, and run with
+  every worker slot held, so no batch ever straddles a type-map change.
+  ``adapt`` broadcasts to every worker behind the pool's all-or-nothing
+  barrier, so no two workers ever answer from different type maps.
+* **Hot reload.**  A ``reload`` request quiesces, has every worker prepare
+  the new model (the in-process worker loads it in the daemon itself), and
+  commits it between micro-batches: batches pause for one model load, the
+  next batch sees the new model, and no request ever fails because of a
+  reload.  A prepare failure anywhere keeps the old model serving.
+  ``ping`` reports a lifecycle state (``ready`` / ``reloading`` /
+  ``draining`` / ``overloaded``).
 * **Deterministic chaos.**  Every degradation path above is guarded by a
   named :class:`~repro.serve.faults.FaultInjector` point the server
   consults at the exact moment the organic failure would occur, so the
@@ -42,17 +53,6 @@ load.  Design points:
   validated before any buffer is allocated; one response per request;
   ``shutdown`` is an ordinary request, acknowledged before the listener
   closes.
-* **Fleet mode.**  With a :class:`~repro.serve.workers.WorkerPool` the same
-  front-end holds **no pipeline at all**: micro-batches are dispatched to N
-  annotation worker processes that each memory-map the same saved model, so
-  batches run concurrently across cores while the marker matrix occupies
-  physical memory once.  ``adapt`` and ``reload`` quiesce in-flight
-  dispatches and broadcast to every worker behind a barrier, so no two
-  workers ever answer from different type maps; a worker crash fails only
-  its own batch (``error_kind="crashed"``, never bisected) and the pool
-  restarts it.  The server can listen on a Unix socket, a TCP address, or
-  both — the single-process Unix-socket daemon is unchanged and remains the
-  default.
 """
 
 from __future__ import annotations
@@ -63,15 +63,16 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.core.pipeline import TypilusPipeline
-from repro.engine.annotator import AnnotatorConfig, ProjectAnnotator, suggestion_to_payload
+from repro.engine.annotator import AnnotatorConfig
 from repro.serve.faults import FaultInjector, InjectedFault
 from repro.serve.protocol import MAX_FRAME_BYTES, ProtocolError, parse_address, recv_frame, send_frame
-from repro.serve.workers import WorkerCrashed, WorkerPool, describe_pipeline
+from repro.serve.workers import WorkerCrashed, WorkerPool
 
 #: Separates the request ordinal from the filename in a merged micro-batch;
 #: NUL cannot appear in a path, so the namespacing is collision-free.
@@ -181,32 +182,29 @@ class _PendingAdapt(_Pending):
 
 
 class _PendingReload(_Pending):
-    """A reload in flight: the loader fills ``pipeline``, the batcher swaps it."""
-
     def __init__(self, model_dir: str) -> None:
         super().__init__()
         self.model_dir = model_dir
-        self.pipeline: Optional[TypilusPipeline] = None
 
 
 @dataclass
 class _BatchPlanState:
     batch: list[_PendingAnnotate] = field(default_factory=list)
-    carry: Optional[_Pending] = None  # an adapt or reload swap that ended the drain
+    carry: Optional[_Pending] = None  # an adapt or reload that ended the drain
     stopping: bool = False
 
 
 class AnnotationServer:
     """Serves annotation requests over Unix and/or TCP sockets.
 
-    The pipeline either lives in-process (the single-process daemon: one
-    batcher thread runs every micro-batch through one
-    :class:`~repro.engine.annotator.ProjectAnnotator`) or in a
-    :class:`~repro.serve.workers.WorkerPool` of N annotation worker
-    processes (the fleet front-end: the batcher hands each collected
-    micro-batch to a dispatcher thread, so up to N batches run
-    concurrently).  Exactly one of ``pipeline`` / ``worker_pool`` must be
-    given, and at least one of ``socket_path`` / ``tcp_address``.
+    The server drives a :class:`~repro.serve.workers.WorkerPool`: either
+    :meth:`WorkerPool.in_process` over ``pipeline`` (the single-process
+    daemon, configured by ``annotator_config``) or the given
+    ``worker_pool`` of N worker processes (the fleet front-end, configured
+    by the pool's own annotator config).  The batcher hands each collected
+    micro-batch to a dispatcher thread, so up to one batch per worker runs
+    at a time.  Exactly one of ``pipeline`` / ``worker_pool`` must be given,
+    and at least one of ``socket_path`` / ``tcp_address``.
     """
 
     def __init__(
@@ -227,13 +225,8 @@ class AnnotationServer:
             )
         if socket_path is None and tcp_address is None:
             raise ValueError("the daemon needs a socket_path, a tcp_address, or both")
-        self.pipeline = pipeline
         self.socket_path = Path(socket_path) if socket_path is not None else None
-        self.annotator_config = annotator_config or AnnotatorConfig()
-        self.annotator = (
-            ProjectAnnotator(pipeline, self.annotator_config) if pipeline is not None else None
-        )
-        self._pool = worker_pool
+        self.pool = worker_pool or WorkerPool.in_process(pipeline, annotator_config)
         if tcp_address is not None:
             kind, target = parse_address(tcp_address)
             if kind != "tcp":
@@ -250,22 +243,23 @@ class AnnotationServer:
         self._stop = threading.Event()
         self._listeners: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._stats_lock = threading.Lock()
         # Admission control: requests admitted (queued or in flight) right now.
         self._admission_lock = threading.Lock()
         self._admitted = 0
         # EWMA of micro-batch wall time, feeding the retry_after_seconds hint.
         self._batch_seconds: Optional[float] = None
-        # Reload lifecycle: set from dispatch, cleared when the swap lands/fails.
+        # Reload lifecycle: set from dispatch, cleared when the reload lands/fails.
         self._reload_lock = threading.Lock()
         self._reloading = threading.Event()
         # What the batcher currently holds, so the restart guard can fail it.
         self._current: list[_Pending] = []
-        # Fleet mode: micro-batches handed to dispatcher threads and not yet
-        # finished; exclusives (adapt / reload) quiesce on this barrier.
-        self._inflight_cond = threading.Condition()
-        self._inflight = 0
+        # One slot per worker: the batcher takes one before each queue item
+        # and a dispatched micro-batch frees it; adapt and reload hold all.
+        self._slots = threading.Semaphore(self.pool.num_workers)
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.pool.num_workers, thread_name_prefix="serve-dispatch"
+        )
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -285,11 +279,7 @@ class AnnotationServer:
         """Bind the socket(s), start the workers and the acceptor/batcher threads."""
         if self._listeners:
             return self
-        if self._pool is not None:
-            self._pool.start()
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._pool.num_workers, thread_name_prefix="serve-dispatch"
-            )
+        self.pool.start()
         if self.socket_path is not None:
             self._reclaim_stale_socket()
             listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -343,16 +333,13 @@ class AnnotationServer:
                 pass
 
     def close(self) -> None:
-        """Shut down, join the threads and stop the worker fleet."""
+        """Shut down, join the threads and stop the workers."""
         self.shutdown()
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._pool is not None:
-            self._pool.close()
+        self._executor.shutdown(wait=True)
+        self.pool.close()
         # A wire-initiated shutdown runs on a connection-handler thread that
         # is not joined above; finish its cleanup so the socket file is
         # guaranteed gone once close() returns.
@@ -437,12 +424,6 @@ class AnnotationServer:
 
     # -- request dispatch --------------------------------------------------------------
 
-    def _describe_space(self) -> dict:
-        """Pipeline facts for ``ping``/``stats`` — local space or fleet cache."""
-        if self._pool is not None:
-            return self._pool.describe()
-        return describe_pipeline(self.pipeline)
-
     def _dispatch(self, request: dict) -> dict:
         self._count(requests=1)
         op = request.get("op")
@@ -452,19 +433,20 @@ class AnnotationServer:
             return {
                 "ok": True,
                 "state": self.state,
-                **self._describe_space(),
+                **self.pool.describe(),
                 "queue_depth": depth,
                 "queue_capacity": self.config.max_queue_depth,
             }
         if op == "stats":
             with self._stats_lock:
                 summary = self.stats.summary()
-            summary.update(ok=True, state=self.state, markers=self._describe_space()["markers"])
-            if self._pool is not None:
-                # Satellite fix: `stats` reflects the fleet, not just the
-                # front-end — per-worker batches/restarts plus the totals.
-                summary["workers"] = self._pool.worker_stats()
-                summary["worker_restarts"] = self._pool.restarts_total()
+            summary.update(
+                ok=True,
+                state=self.state,
+                markers=self.pool.describe()["markers"],
+                workers=self.pool.worker_stats(),
+                worker_restarts=self.pool.restarts_total(),
+            )
             return summary
         if op == "shutdown":
             return {"ok": True, "stopping": True}
@@ -579,62 +561,21 @@ class AnnotationServer:
                 return {"ok": False, "error": "a reload is already in progress", "error_kind": "reload"}
             self._reloading.set()
         pending = _PendingReload(model_dir)
-        if self._pool is not None:
-            # Fleet reload is a quiesced two-phase broadcast: it rides the
-            # queue directly and runs on the batcher once dispatches drain.
-            self._queue.put(pending)
-        else:
-            threading.Thread(
-                target=self._load_for_reload, args=(pending,), name="serve-reloader", daemon=True
-            ).start()
+        self._queue.put(pending)
         return self._await(pending)
 
-    def _load_for_reload(self, pending: _PendingReload) -> None:
-        """Load the new pipeline off the batcher thread, then queue the swap.
-
-        In-flight micro-batches keep running on the old pipeline while the
-        load happens here; only the *swap* rides the queue, so it lands
-        atomically between batches.
-        """
-        try:
-            self.faults.fire("reload", {"model_dir": pending.model_dir})
-            pending.pipeline = TypilusPipeline.load(pending.model_dir)
-        except Exception as error:  # noqa: BLE001 - a bad model dir must not kill the daemon
-            self._count(errors=1, failed_reloads=1)
-            self._reloading.clear()
-            pending.fail(f"reload failed: {error}", kind="reload")
-            return
-        self._queue.put(pending)
-
-    def _run_reload_swap(self, pending: _PendingReload) -> None:
-        """Atomically swap the pipeline between micro-batches (batcher thread)."""
-        assert pending.pipeline is not None
-        previous_markers = len(self.pipeline.type_space)
-        self.pipeline = pending.pipeline
-        self.annotator = ProjectAnnotator(pending.pipeline, self.annotator_config)
-        self._reloading.clear()
-        self._count(reloads=1)
-        pending.result = {
-            "ok": True,
-            "markers": len(pending.pipeline.type_space),
-            "previous_markers": previous_markers,
-            "state": self.state,
-        }
-        pending.done.set()
-
-    def _run_reload_fleet(self, pending: _PendingReload) -> None:
-        """Two-phase reload across the worker fleet (batcher thread, quiesced).
+    def _run_reload(self, pending: _PendingReload) -> None:
+        """Two-phase reload across the pool (batcher thread, every slot held).
 
         Every worker prepares the new pipeline before any worker commits it
         — the cross-process form of the ``pipeline.json``-last commit
         marker.  A prepare failure anywhere aborts everywhere: the old
         pipeline keeps serving and the request fails cleanly.
         """
-        assert self._pool is not None
-        self._quiesce()
         try:
-            self.faults.fire("reload", {"model_dir": pending.model_dir})
-            markers, previous_markers = self._pool.broadcast_reload(pending.model_dir)
+            with self._exclusive():
+                self.faults.fire("reload", {"model_dir": pending.model_dir})
+                markers, previous_markers = self.pool.broadcast_reload(pending.model_dir)
         except Exception as error:  # noqa: BLE001 - a bad model dir must not kill the daemon
             self._count(errors=1, failed_reloads=1)
             self._reloading.clear()
@@ -692,94 +633,82 @@ class AnnotationServer:
         if item.done.is_set():
             return
         if isinstance(item, _PendingReload):
-            # A reload whose swap never landed must release the lifecycle
-            # flag, or the daemon would report "reloading" forever.
+            # A reload that never ran must release the lifecycle flag, or
+            # the daemon would report "reloading" forever.
             self._reloading.clear()
         item.fail(message, kind=kind)
 
     def _batch_loop(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            self._current = [item]
-            self.faults.fire("batcher", {"op": type(item).__name__})
-            if isinstance(item, _PendingAnnotate):
-                state = self._collect_batch(item)
-                self._current = list(state.batch) + ([state.carry] if state.carry else [])
-                if self._pool is not None:
-                    # Fleet mode: hand the collected micro-batch to a
-                    # dispatcher thread and keep collecting — up to
-                    # num_workers batches run concurrently across workers.
-                    self._current = [state.carry] if state.carry else []
-                    self._submit_batch(state.batch)
-                else:
-                    self._run_annotate_batch(state.batch)
-                if state.carry is not None:
-                    self._run_exclusive(state.carry)
-                self._current = []
-                if state.stopping:
+            # A worker's slot comes before the next item, so a batch is
+            # collected only once a worker is free to start it.
+            self._slots.acquire()
+            state = _BatchPlanState()
+            try:
+                item = self._queue.get()
+                if item is None:
                     return
-            else:
-                self._run_exclusive(item)
-                self._current = []
+                self._current = [item]
+                self.faults.fire("batcher", {"op": type(item).__name__})
+                if isinstance(item, _PendingAnnotate):
+                    state = self._collect_batch(item)
+                    self._current = [state.carry] if state.carry else []
+                else:
+                    state.carry = item
+            finally:
+                if not state.batch:
+                    self._slots.release()
+            if state.batch:
+                self._submit_batch(state.batch)
+            if isinstance(state.carry, _PendingAdapt):
+                self._run_adapt(state.carry)
+            elif isinstance(state.carry, _PendingReload):
+                self._run_reload(state.carry)
+            self._current = []
+            if state.stopping:
+                return
 
-    # -- fleet dispatch ----------------------------------------------------------------
+    # -- dispatch ----------------------------------------------------------------------
 
     def _submit_batch(self, batch: list[_PendingAnnotate]) -> None:
-        """Hand one micro-batch to the dispatcher pool (fleet mode only)."""
-        assert self._executor is not None
-        with self._inflight_cond:
-            self._inflight += 1
+        """Hand a micro-batch, with the slot the batcher took for it, to a dispatcher."""
         try:
-            self._executor.submit(self._pool_batch_main, batch)
-        except BaseException:  # pragma: no cover - submit fails only at shutdown
-            self._finish_inflight()
+            self._executor.submit(self._dispatch_batch, batch)
+        except RuntimeError:  # the executor refuses work only once the daemon is closing
+            self._slots.release()
             for pending in batch:
                 self._fail_item(pending, "daemon is stopping", kind="stopping")
 
-    def _pool_batch_main(self, batch: list[_PendingAnnotate]) -> None:
-        """Dispatcher-thread body: run one micro-batch against a worker."""
+    def _dispatch_batch(self, batch: list[_PendingAnnotate]) -> None:
+        """Dispatcher-thread body: run one micro-batch, then free its worker slot."""
         try:
             self._run_annotate_batch(batch)
-        except BaseException as error:  # noqa: BLE001 - a dispatcher must never die silently
+        except Exception as error:  # noqa: BLE001 - a dispatcher must never die silently
             for pending in batch:
                 self._fail_item(pending, f"dispatch failed: {error}", kind="crashed")
         finally:
-            self._finish_inflight()
+            self._slots.release()
 
-    def _finish_inflight(self) -> None:
-        with self._inflight_cond:
-            self._inflight -= 1
-            self._inflight_cond.notify_all()
-
-    def _quiesce(self, timeout: float = 120.0) -> None:
-        """Wait until no micro-batch is in flight on any dispatcher thread.
-
-        Exclusives (adapt, reload) mutate state that every worker must agree
-        on; running them against a quiesced fleet is what keeps the barrier
-        semantics of the single-process daemon — no batch ever straddles a
-        type-map change.
-        """
-        with self._inflight_cond:
-            self._inflight_cond.wait_for(lambda: self._inflight == 0, timeout=timeout)
-
-    def _run_exclusive(self, item: _Pending) -> None:
-        """Run a queue item that must not share a batch (adapt / reload swap)."""
-        if isinstance(item, _PendingAdapt):
-            self._run_adapt(item)
-        elif isinstance(item, _PendingReload):
-            if self._pool is not None:
-                self._run_reload_fleet(item)
-            else:
-                self._run_reload_swap(item)
-        else:  # pragma: no cover - defensive: unknown items fail, never hang
-            self._fail_item(item, f"unhandled queue item {type(item).__name__}", kind="internal")
+    @contextmanager
+    def _exclusive(self, timeout: float = 120.0) -> Iterator[None]:
+        """Hold every worker slot: the barrier that keeps any micro-batch from
+        straddling an ``adapt`` or ``reload``, which every worker must agree on."""
+        deadline = time.monotonic() + timeout
+        held = 0
+        try:
+            while held < self.pool.num_workers:
+                if not self._slots.acquire(timeout=max(0.0, deadline - time.monotonic())):
+                    raise TimeoutError(f"in-flight micro-batches did not finish within {timeout:.0f}s")
+                held += 1
+            yield
+        finally:
+            if held:
+                self._slots.release(held)
 
     def _collect_batch(self, first: _PendingAnnotate) -> _BatchPlanState:
         """Drain compatible requests for one micro-batch.
 
-        An ``adapt`` or reload swap ends the drain (it must observe the
+        An ``adapt`` or ``reload`` ends the drain (it must observe the
         queue order: annotations enqueued before it run first, ones after it
         see the new state), as does the shutdown sentinel.
         """
@@ -835,38 +764,6 @@ class AnnotationServer:
                 elapsed if self._batch_seconds is None else 0.8 * self._batch_seconds + 0.2 * elapsed
             )
 
-    def _annotate_merged(self, merged: dict[str, str], filenames: list[str]) -> dict:
-        """Run one merged source map through the annotation backend.
-
-        Returns the backend-neutral shape ``{"files": [[namespaced_name,
-        [suggestion payloads]], ...], "skipped": [...], "reused_files": n}``
-        — exactly what a fleet worker sends over the wire and what the
-        in-process annotator's report converts to, so the two backends are
-        byte-identical from here on.  The ``annotator`` fault point fires in
-        both modes (an injected error there bisects, same as an organic
-        engine failure); a worker crash raises :class:`WorkerCrashed`.
-        """
-        self.faults.fire("annotator", {"filenames": filenames})
-        if self._pool is not None:
-            handle = self._pool.lease()
-            try:
-                reply = self._pool.annotate(handle, merged)
-            finally:
-                self._pool.release(handle)
-            return reply
-        report = self.annotator.annotate_sources(merged)
-        return {
-            "files": [
-                [
-                    file_report.filename,
-                    [suggestion_to_payload(suggestion) for suggestion in file_report.suggestions],
-                ]
-                for file_report in report.files
-            ],
-            "skipped": list(report.skipped_files),
-            "reused_files": report.reused_files,
-        }
-
     def _annotate_isolating(self, batch: list[_PendingAnnotate]) -> None:
         """Annotate a batch; on failure, bisect so poison fails alone.
 
@@ -879,16 +776,20 @@ class AnnotationServer:
         the exception: its batch fails fast as one unit (``crashed``), never
         bisected — re-running a batch that killed a process against more
         workers would amplify the damage, and the pool has already restarted
-        the victim.
+        the victim.  The ``annotator`` fault point fires before each merged
+        call, including the bisected halves.
         """
         merged: dict[str, str] = {}
         for ordinal, pending in enumerate(batch):
             for filename, source in pending.sources.items():
                 merged[f"{ordinal}{_NAMESPACE}{filename}"] = source
         try:
-            reply = self._annotate_merged(
-                merged, [name for pending in batch for name in pending.sources]
-            )
+            self.faults.fire("annotator", {"filenames": [name for pending in batch for name in pending.sources]})
+            handle = self.pool.lease()
+            try:
+                reply = self.pool.annotate(handle, merged)
+            finally:
+                self.pool.release(handle)
         except WorkerCrashed as error:
             self._count(errors=len(batch))
             for pending in batch:
@@ -922,6 +823,7 @@ class AnnotationServer:
             pending.done.set()
 
     def _run_adapt(self, pending: _PendingAdapt) -> None:
+        """Broadcast one adaptation to every worker (batcher thread, every slot held)."""
         if pending.expired(time.monotonic()):
             self._count(expired_requests=1)
             pending.fail(
@@ -930,17 +832,8 @@ class AnnotationServer:
             )
             return
         try:
-            if self._pool is not None:
-                # Fleet adapt: quiesce the dispatchers, then broadcast to
-                # every worker behind the pool's all-or-nothing barrier — no
-                # two workers ever answer from different type maps.
-                self._quiesce()
-                added, markers = self._pool.broadcast_adapt(pending.type_name, pending.sources)
-            else:
-                added = self.pipeline.adapt_with_sources(
-                    pending.type_name, pending.sources, provenance="serve:adapt"
-                )
-                markers = len(self.pipeline.type_space)
+            with self._exclusive():
+                added, markers = self.pool.broadcast_adapt(pending.type_name, pending.sources)
         except Exception as error:  # noqa: BLE001 - a bad request must not kill the daemon
             self._count(errors=1)
             pending.fail(f"adaptation failed: {error}", kind="adaptation")

@@ -1,16 +1,19 @@
-"""Annotation worker processes and the front-end pool that drives them.
+"""Annotation workers and the front-end pool that drives them.
 
-The fleet tier splits the daemon in two:
+The daemon is split in two:
 
 * the **front-end** (:class:`~repro.serve.server.AnnotationServer`) keeps
   everything request-shaped — admission control, deadlines, micro-batching,
   poison bisection — but no pipeline;
-* N **worker processes** each run :meth:`TypilusPipeline.load` on the *same*
-  saved model directory and answer merged micro-batches over a private Unix
-  control socket (the same length-prefixed JSON frames as the public wire).
+* a :class:`WorkerPool` of workers (:class:`AnnotationWorker`) answers
+  merged micro-batches.  In the fleet, N worker processes each run
+  :meth:`TypilusPipeline.load` on the *same* saved model directory and answer
+  over a private Unix control socket (the same length-prefixed JSON frames
+  as the public wire); the single-process daemon is a pool of one worker the
+  pool calls in-process, through the same lease and broadcast code.
 
-Workers load the model themselves rather than inheriting it by fork: with
-the raw typespace layout the marker matrix is adopted as a read-only
+Fleet workers load the model themselves rather than inheriting it by fork:
+with the raw typespace layout the marker matrix is adopted as a read-only
 ``np.memmap``, so every worker maps the same ``embeddings.npy`` pages and a
 million-marker map occupies physical memory **once**, however many workers
 serve it.  Per-worker *private* RSS stays flat as the map grows — the
@@ -19,18 +22,19 @@ benchmarks assert this rather than assume it.
 Consistency discipline (the two correctness hinges):
 
 * ``adapt`` broadcasts to every worker behind the batcher's quiesce barrier;
-  if any worker fails or diverges, **all** workers are restarted at the
-  pre-adapt state (fresh load + replay of the adapt log) — no two workers
-  ever answer from different type maps.  The log replays onto restarted
-  workers, so a crash never loses adaptations.
+  if workers may disagree (some succeeded, one crashed, or marker counts
+  differ), **all** workers are restarted at the pre-adapt state (fresh load
+  + replay of the adapt log) — no two workers ever answer from different
+  type maps.  The log replays onto restarted workers, so a crash never loses
+  adaptations.
 * ``reload`` is two-phase, reusing the ``pipeline.json``-last commit-marker
   discipline: every worker *prepares* (loads the new directory next to the
   live pipeline) and only when all have prepared does the pool *commit* the
   swap everywhere; any prepare failure aborts everywhere and the old
   pipeline keeps serving.
 
-Crash handling reuses the batcher-restart-guard pattern: a worker that dies
-mid-dispatch costs exactly its in-flight batch (failed fast with
+Crash handling reuses the batcher-restart-guard pattern: a worker process
+that dies mid-dispatch costs exactly its in-flight batch (failed fast with
 ``error_kind="crashed"``, never bisected — re-running halves on a dead
 process isolates nothing) and is respawned immediately, with per-worker
 restart counters surfacing in the ``stats`` op.
@@ -50,8 +54,12 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.checker import CheckerMode
+from repro.core.pipeline import TypilusPipeline
+from repro.engine.annotator import AnnotatorConfig, ProjectAnnotator, suggestion_to_payload
 from repro.serve.faults import FaultInjector, InjectedFault
 from repro.serve.protocol import ProtocolError, recv_frame, send_frame
+from repro.utils.memory import private_rss_bytes
 
 #: How long the pool waits for a freshly spawned worker to connect and greet;
 #: covers the model load, which happens before the greeting.
@@ -83,21 +91,33 @@ class WorkerError(RuntimeError):
 
 
 class _WorkerHandle:
-    """One live worker process: its Popen, control connection and counters."""
+    """One live worker: a process behind its control connection, or ``local``.
 
-    def __init__(self, worker_id: int, process: subprocess.Popen, connection: socket.socket) -> None:
+    A ``local`` handle calls an in-process :class:`AnnotationWorker` directly.
+    """
+
+    def __init__(
+        self,
+        worker_id: int,
+        process: Optional[subprocess.Popen] = None,
+        connection: Optional[socket.socket] = None,
+        local: Optional["AnnotationWorker"] = None,
+    ) -> None:
         self.worker_id = worker_id
         self.process = process
         self.connection = connection
+        self.local = local
         self.info: dict = {}
         self.alive = True
 
     @property
     def pid(self) -> int:
-        return self.process.pid
+        return self.process.pid if self.process is not None else os.getpid()
 
     def request(self, payload: dict) -> dict:
-        """One synchronous request/reply exchange on the control connection."""
+        """One synchronous request/reply exchange with the worker."""
+        if self.local is not None:
+            return self.local.handle(payload)
         send_frame(self.connection, payload)
         reply = recv_frame(self.connection)
         if reply is None:
@@ -107,6 +127,8 @@ class _WorkerHandle:
     def destroy(self) -> None:
         """Close the connection and make sure the process is gone."""
         self.alive = False
+        if self.process is None:
+            return
         try:
             self.connection.close()
         except OSError:  # pragma: no cover - close is best-effort
@@ -133,14 +155,16 @@ def _annotator_config_payload(config) -> dict:
 
 
 class WorkerPool:
-    """Spawns, health-checks and restarts N annotation worker processes.
+    """Spawns, health-checks and restarts N annotation workers.
 
     The pool owns a private Unix control listener; each spawned worker
-    connects back, greets with a ``hello`` frame describing its loaded
-    pipeline (marker count, dim, index kind, whether the matrix is
+    process connects back, greets with a ``hello`` frame describing its
+    loaded pipeline (marker count, dim, index kind, whether the matrix is
     memory-mapped), and then answers dispatches one frame at a time.  The
     server leases a worker per merged annotation call (:meth:`lease` /
     :meth:`release`) and runs ``adapt``/``reload`` as quiesced broadcasts.
+    :meth:`in_process` builds the single-process daemon's pool: one worker
+    in this process, driven by the same code.
     """
 
     def __init__(
@@ -157,11 +181,7 @@ class WorkerPool:
         self.num_workers = num_workers
         self.faults = fault_injector or FaultInjector()
         self._mmap_typespace = mmap_typespace
-        if annotator_config is None:
-            from repro.engine.annotator import AnnotatorConfig
-
-            annotator_config = AnnotatorConfig()
-        self.annotator_config = annotator_config
+        self.annotator_config = annotator_config or AnnotatorConfig()
         self._lock = threading.Lock()  # workers list, stats, describe cache
         self._spawn_lock = threading.Lock()  # serializes spawn+accept pairs
         self._idle: "queue.Queue[_WorkerHandle]" = queue.Queue()
@@ -171,25 +191,39 @@ class WorkerPool:
         self._adapt_log: list[tuple[str, dict[str, str]]] = []
         self._listener: Optional[socket.socket] = None
         self._control_dir: Optional[str] = None
+        self._local: Optional[AnnotationWorker] = None  # the in-process pool's worker
         self._closed = False
         self._started = False
+
+    @classmethod
+    def in_process(cls, pipeline: TypilusPipeline, annotator_config=None) -> "WorkerPool":
+        """The single-process daemon's pool: one worker over ``pipeline``, in this process.
+
+        Its handle calls an :class:`AnnotationWorker` directly, so an
+        ``adapt`` grows ``pipeline`` itself; there is no process to kill
+        (the ``worker`` fault point) or respawn.
+        """
+        pool = cls(Path(), 1, annotator_config)  # model_dir is only read to spawn a process
+        pool._local = AnnotationWorker(pipeline, pool.annotator_config)
+        return pool
 
     # -- lifecycle ---------------------------------------------------------------------
 
     def start(self) -> "WorkerPool":
         if self._started:
             return self
-        if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX platforms
-            raise RuntimeError("the worker pool requires AF_UNIX control sockets")
-        self._control_dir = tempfile.mkdtemp(prefix="repro-pool-")
-        control_path = os.path.join(self._control_dir, "control.sock")
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(control_path)
-        listener.listen(self.num_workers + 4)
-        listener.settimeout(0.5)
-        self._listener = listener
-        self._control_path = control_path
         self._started = True
+        if self._local is None:
+            if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX platforms
+                raise RuntimeError("the worker pool requires AF_UNIX control sockets")
+            self._control_dir = tempfile.mkdtemp(prefix="repro-pool-")
+            control_path = os.path.join(self._control_dir, "control.sock")
+            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            listener.bind(control_path)
+            listener.listen(self.num_workers + 4)
+            listener.settimeout(0.5)
+            self._listener = listener
+            self._control_path = control_path
         try:
             for worker_id in range(self.num_workers):
                 self._stats[worker_id] = {"batches": 0, "adapts": 0, "restarts": 0}
@@ -208,7 +242,7 @@ class WorkerPool:
         with self._lock:
             workers = list(self._workers)
         for handle in workers:
-            if handle.alive:
+            if handle.alive and handle.local is None:
                 try:
                     handle.connection.settimeout(5.0)
                     handle.request({"op": "stop"})
@@ -231,8 +265,18 @@ class WorkerPool:
 
     # -- spawning ----------------------------------------------------------------------
 
+    def _greeted(self, handle: _WorkerHandle, hello: dict) -> _WorkerHandle:
+        """Record what a worker's greeting says about its pipeline."""
+        handle.info = {key: value for key, value in hello.items() if key != "op"}
+        with self._lock:
+            if not self._describe:
+                self._describe = {key: hello[key] for key in FLEET_FACTS if key in hello}
+        return handle
+
     def _spawn(self, worker_id: int) -> _WorkerHandle:
         """Start one worker process and wait for its greeting."""
+        if self._local is not None:  # already loaded: it greets at once
+            return self._greeted(_WorkerHandle(worker_id, local=self._local), self._local.hello(worker_id))
         with self._spawn_lock:
             config_payload = _annotator_config_payload(self.annotator_config)
             if config_payload["cache_dir"] is not None:
@@ -274,11 +318,7 @@ class WorkerPool:
         if hello is None or hello.get("op") != "hello":
             process.kill()
             raise RuntimeError(f"worker {worker_id} never greeted the pool")
-        handle = _WorkerHandle(worker_id, process, connection)
-        handle.info = {key: value for key, value in hello.items() if key != "op"}
-        with self._lock:
-            if not self._describe:
-                self._describe = {key: hello[key] for key in FLEET_FACTS if key in hello}
+        handle = self._greeted(_WorkerHandle(worker_id, process, connection), hello)
         try:
             self._replay_adapt_log(handle)
         except Exception:
@@ -423,35 +463,43 @@ class WorkerPool:
     def broadcast_adapt(self, type_name: str, sources: dict[str, str]) -> tuple[int, int]:
         """Adapt every worker's type map behind the quiesce barrier.
 
-        All-or-nothing: on any failure or marker-count divergence, every
-        worker is restarted at the pre-adapt state (the adapt log does not
-        gain the failed entry), so the fleet never serves from mixed maps.
-        Returns ``(added_markers, markers)`` on success.
+        All-or-nothing.  When every worker refuses with an error reply, no
+        map changed (:meth:`TypilusPipeline.adapt_with_sources` builds and
+        embeds every example before it extends the map), so the workers are
+        kept and the request fails.  When workers may disagree — some
+        succeeded, one crashed, or marker counts differ — every worker is
+        restarted at the pre-adapt state (the adapt log does not gain the
+        failed entry), so the fleet never serves from mixed maps.  Returns
+        ``(added_markers, markers)`` on success.
         """
         handles = self._checkout_all()
         sources = dict(sources)
         results: list[dict] = []
         failures: list[str] = []
-        crashed: list[_WorkerHandle] = []
+        crashed = False
         for handle in handles:
             try:
                 reply = handle.request({"op": "adapt", "type_name": type_name, "sources": sources})
             except (OSError, ProtocolError) as error:
                 failures.append(f"worker {handle.worker_id} crashed ({error})")
-                crashed.append(handle)
+                crashed = True
                 continue
             if reply.get("ok"):
                 results.append(reply)
             else:
                 failures.append(f"worker {handle.worker_id}: {reply.get('error')}")
         marker_counts = {int(reply["markers"]) for reply in results}
-        if failures or len(marker_counts) != 1:
+        if (results or crashed) and (failures or len(marker_counts) != 1):
             if not failures:  # divergence without an error: restart everyone
                 failures.append(f"marker counts diverged across workers: {sorted(marker_counts)}")
             self._restart_all(handles)
             raise WorkerError(
                 "; ".join(failures) + " — all workers restarted at the pre-adapt state"
             )
+        for handle in handles:
+            self.release(handle)
+        if failures:  # every worker refused it, so every map is unchanged
+            raise WorkerError("; ".join(failures))
         self._adapt_log.append((type_name, sources))
         markers = marker_counts.pop()
         added = int(results[0].get("added_markers", 0))
@@ -460,8 +508,6 @@ class WorkerPool:
             for handle in handles:
                 handle.info["markers"] = markers
                 self._stats[handle.worker_id]["adapts"] += 1
-        for handle in handles:
-            self.release(handle)
         return added, markers
 
     def broadcast_reload(self, model_dir: Union[str, Path]) -> tuple[int, int]:
@@ -553,7 +599,7 @@ class WorkerPool:
                         "alive": bool(
                             worker is not None
                             and worker.alive
-                            and worker.process.poll() is None
+                            and (worker.local is not None or worker.process.poll() is None)
                         ),
                         "markers": worker.info.get("markers") if worker is not None else None,
                         "mmap": worker.info.get("mmap") if worker is not None else None,
@@ -574,16 +620,17 @@ class WorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# The worker process: python -m repro.serve._workermain --connect ... --model-dir ...
+# The worker: AnnotationWorker, and the process that runs one
+# (python -m repro.serve._workermain --connect ... --model-dir ...)
 # ---------------------------------------------------------------------------
 
 
 def describe_pipeline(pipeline) -> dict:
     """What ``ping`` reports about a loaded pipeline.
 
-    The one description behind the in-process daemon's ``ping``, a worker's
-    hello and its reload-commit reply, so a fleet that reloads a model with
-    another index, dimension or dtype reports what the daemon would.
+    The one description behind a worker's hello, its ``ping`` and its
+    reload-commit reply, so a pool that reloads a model with another index,
+    dimension or dtype reports what it now serves.
     """
     space = pipeline.type_space
     return {
@@ -596,10 +643,7 @@ def describe_pipeline(pipeline) -> dict:
     }
 
 
-def _annotator_config_from_payload(payload: dict):
-    from repro.checker import CheckerMode
-    from repro.engine.annotator import AnnotatorConfig
-
+def _annotator_config_from_payload(payload: dict) -> AnnotatorConfig:
     return AnnotatorConfig(
         use_type_checker=bool(payload.get("use_type_checker", True)),
         checker_mode=CheckerMode(payload.get("checker_mode", CheckerMode.STRICT.value)),
@@ -611,38 +655,62 @@ def _annotator_config_from_payload(payload: dict):
     )
 
 
-def _worker_serve(args) -> int:
-    """The worker main loop: load once, answer control frames until stopped."""
-    from repro.core.pipeline import TypilusPipeline
-    from repro.engine.annotator import ProjectAnnotator, suggestion_to_payload
-    from repro.utils.memory import private_rss_bytes
+class AnnotationWorker:
+    """Answers the pool's control frames from one loaded pipeline.
 
-    config_payload = json.loads(args.config) if args.config else {}
-    annotator_config = _annotator_config_from_payload(config_payload)
-    pipeline = TypilusPipeline.load(
-        args.model_dir, mmap_typespace=config_payload.get("mmap_typespace")
-    )
-    annotator = ProjectAnnotator(pipeline, annotator_config)
-    staged: Optional[tuple] = None  # (pipeline, model_dir) awaiting commit
+    The one request handler of both serving modes: a worker process answers
+    its control connection with it, and the single-process daemon's pool
+    calls it directly.  :meth:`handle` replies to every frame with a dict and
+    never raises on a bad request, so no request can kill a worker.
+    """
 
-    connection = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    connection.connect(args.connect)
-    send_frame(
-        connection,
-        {
-            "op": "hello",
-            "worker_id": args.worker_id,
-            "pid": os.getpid(),
-            **describe_pipeline(pipeline),
-        },
-    )
+    def __init__(
+        self,
+        pipeline: TypilusPipeline,
+        annotator_config: AnnotatorConfig,
+        mmap_typespace: Optional[bool] = None,
+    ) -> None:
+        self.pipeline = pipeline
+        self.annotator_config = annotator_config
+        self.mmap_typespace = mmap_typespace
+        self.annotator = ProjectAnnotator(pipeline, annotator_config)
+        self._staged: Optional[TypilusPipeline] = None  # prepared, awaiting the reload commit
 
-    def annotate_reply(request: dict) -> dict:
-        sources = request.get("sources")
+    def hello(self, worker_id: int) -> dict:
+        """The greeting that introduces this worker to its pool."""
+        return {"op": "hello", "worker_id": worker_id, "pid": os.getpid(), **describe_pipeline(self.pipeline)}
+
+    def handle(self, request: dict) -> dict:
+        op = request.get("op")
+        if op == "annotate":
+            return self._annotate(request.get("sources"))
+        if op == "adapt":
+            try:
+                added = self.pipeline.adapt_with_sources(
+                    str(request.get("type_name")), request.get("sources") or {}, provenance="serve:adapt"
+                )
+            except Exception as error:  # noqa: BLE001 - a bad example must not kill the worker
+                return {"ok": False, "error": str(error), "error_kind": "adaptation"}
+            return {"ok": True, "added_markers": added, "markers": len(self.pipeline.type_space)}
+        if op == "reload":
+            return self._reload(request.get("stage"), request.get("model_dir"))
+        if op == "ping":
+            return {
+                "ok": True,
+                "pid": os.getpid(),
+                **describe_pipeline(self.pipeline),
+                "private_rss_bytes": private_rss_bytes(),
+            }
+        if op == "stop":
+            return {"ok": True, "stopping": True}
+        return {"ok": False, "error": f"unknown worker op {op!r}", "error_kind": "bad_request"}
+
+    def _annotate(self, sources) -> dict:
+        """One merged micro-batch: the annotate reply both serving modes send."""
         if not isinstance(sources, dict):
             return {"ok": False, "error": "'sources' must be a map", "error_kind": "bad_request"}
         try:
-            report = annotator.annotate_sources(sources)
+            report = self.annotator.annotate_sources(sources)
         except Exception as error:  # noqa: BLE001 - poison must not kill the worker
             return {"ok": False, "error": str(error), "error_kind": "annotation"}
         return {
@@ -655,62 +723,45 @@ def _worker_serve(args) -> int:
             "reused_files": report.reused_files,
         }
 
+    def _reload(self, stage, model_dir) -> dict:
+        """One phase of the pool's two-phase reload: prepare, commit or abort."""
+        if stage == "prepare":
+            try:
+                self._staged = TypilusPipeline.load(str(model_dir), mmap_typespace=self.mmap_typespace)
+            except Exception as error:  # noqa: BLE001 - a bad model dir must not kill the worker
+                self._staged = None
+                return {"ok": False, "error": str(error), "error_kind": "reload"}
+            return {"ok": True, "markers": len(self._staged.type_space)}
+        if stage == "commit":
+            if self._staged is None:
+                return {"ok": False, "error": "no staged pipeline to commit", "error_kind": "reload"}
+            self.pipeline, self._staged = self._staged, None
+            self.annotator = ProjectAnnotator(self.pipeline, self.annotator_config)
+            return {"ok": True, **describe_pipeline(self.pipeline)}
+        if stage == "abort":
+            self._staged = None
+            return {"ok": True}
+        return {"ok": False, "error": f"unknown reload stage {stage!r}", "error_kind": "bad_request"}
+
+
+def _worker_serve(args) -> int:
+    """The worker process: load once, answer control frames until stopped."""
+    config_payload = json.loads(args.config) if args.config else {}
+    mmap_typespace = config_payload.get("mmap_typespace")
+    worker = AnnotationWorker(
+        TypilusPipeline.load(args.model_dir, mmap_typespace=mmap_typespace),
+        _annotator_config_from_payload(config_payload),
+        mmap_typespace,
+    )
+    connection = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    connection.connect(args.connect)
+    send_frame(connection, worker.hello(args.worker_id))
     while True:
         request = recv_frame(connection)
         if request is None:
             return 0
-        op = request.get("op")
-        if op == "annotate":
-            reply = annotate_reply(request)
-        elif op == "adapt":
-            try:
-                added = pipeline.adapt_with_sources(
-                    str(request.get("type_name")), request.get("sources") or {}, provenance="serve:adapt"
-                )
-                reply = {"ok": True, "added_markers": added, "markers": len(pipeline.type_space)}
-            except Exception as error:  # noqa: BLE001
-                reply = {"ok": False, "error": str(error), "error_kind": "adaptation"}
-        elif op == "reload":
-            stage = request.get("stage")
-            if stage == "prepare":
-                try:
-                    model_dir = str(request.get("model_dir"))
-                    staged = (
-                        TypilusPipeline.load(
-                            model_dir, mmap_typespace=config_payload.get("mmap_typespace")
-                        ),
-                        model_dir,
-                    )
-                    reply = {"ok": True, "markers": len(staged[0].type_space)}
-                except Exception as error:  # noqa: BLE001
-                    staged = None
-                    reply = {"ok": False, "error": str(error), "error_kind": "reload"}
-            elif stage == "commit":
-                if staged is None:
-                    reply = {"ok": False, "error": "no staged pipeline to commit", "error_kind": "reload"}
-                else:
-                    pipeline, _ = staged
-                    annotator = ProjectAnnotator(pipeline, annotator_config)
-                    staged = None
-                    reply = {"ok": True, **describe_pipeline(pipeline)}
-            elif stage == "abort":
-                staged = None
-                reply = {"ok": True}
-            else:
-                reply = {"ok": False, "error": f"unknown reload stage {stage!r}", "error_kind": "bad_request"}
-        elif op == "ping":
-            reply = {
-                "ok": True,
-                "pid": os.getpid(),
-                **describe_pipeline(pipeline),
-                "private_rss_bytes": private_rss_bytes(),
-            }
-        elif op == "stop":
-            reply = {"ok": True, "stopping": True}
-        else:
-            reply = {"ok": False, "error": f"unknown worker op {op!r}", "error_kind": "bad_request"}
-        send_frame(connection, reply)
-        if op == "stop":
+        send_frame(connection, worker.handle(request))
+        if request.get("op") == "stop":
             return 0
 
 

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import TypeCheckedFilter
+from repro.core import EncoderConfig, TrainingConfig, TypeCheckedFilter, TypilusPipeline
 from repro.corpus import CorpusSynthesizer, SynthesisConfig
-from repro.engine import AnnotatorConfig, FileReport, ProjectAnnotator, ProjectReport
+from repro.engine import AnnotatorConfig, FileReport, ProjectAnnotator, ProjectReport, suggestion_to_payload
 from repro.engine.annotator import ANNOTATION_CACHE_VERSION
 from repro.graph.nodes import SymbolKind
 
@@ -291,6 +291,34 @@ class TestIncrementalAnnotation:
         finally:
             trained_pipeline.predictor.k = original_k
         assert changed != trained_pipeline.fingerprint()
+
+    def test_path_family_answers_depend_only_on_fingerprint_and_source(self, tiny_dataset):
+        """The path encoder samples syntax paths; at inference the sample must
+        not depend on earlier calls or on the filename, or equal fingerprints
+        would not mean equal answers."""
+        pipeline = TypilusPipeline.fit(
+            tiny_dataset,
+            EncoderConfig(family="path", hidden_dim=16, seed=5),
+            training_config=TrainingConfig(epochs=1, graphs_per_batch=6, seed=5),
+        )
+        files = CorpusSynthesizer(SynthesisConfig(num_files=3, seed=41, num_user_classes=8)).generate()
+        sources = {file.filename: file.source for file in files}
+        annotator = ProjectAnnotator(pipeline, AnnotatorConfig(use_type_checker=False))
+        fingerprint = pipeline.fingerprint()
+        first = annotator.annotate_sources(sources)
+        second = annotator.annotate_sources(sources)
+        renamed = annotator.annotate_sources({f"0\x00{name}": source for name, source in sources.items()})
+        assert pipeline.fingerprint() == fingerprint
+        assert sum(file_report.num_symbols for file_report in first.files) > 20
+        assert self._payloads(second) == self._payloads(first)
+        assert list(self._payloads(renamed).values()) == list(self._payloads(first).values())
+
+    @staticmethod
+    def _payloads(report):
+        return {
+            file_report.filename: [suggestion_to_payload(s) for s in file_report.suggestions]
+            for file_report in report.files
+        }
 
 
 class TestReportDataclasses:

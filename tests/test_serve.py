@@ -204,6 +204,17 @@ class TestServingAdaptation:
         assert response["added_markers"] == 0
         assert served.client.ping()["markers"] == before
 
+    def test_rejected_adapt_fails_alone_and_keeps_the_worker(self, served):
+        before = served.client.stats()
+        with pytest.raises(ServeError, match="adaptation failed") as excinfo:
+            served.client.adapt("BadKind", {"bad.py": "def broken(:\n"})
+        assert excinfo.value.kind == "adaptation"
+        after = served.client.stats()
+        assert after["markers"] == before["markers"]
+        assert after["worker_restarts"] == 0
+        assert [row["pid"] for row in after["workers"]] == [os.getpid()]
+        assert served.client.annotate_sources({"a.py": FILE_A}).num_files == 1
+
 
 class TestLifecycleAndProtocol:
     def test_shutdown_request_stops_daemon_and_removes_socket(self, model_dir):

@@ -81,6 +81,26 @@ def _running_fleet(model_dir, num_workers=2, fault_injector=None, serve_config=N
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+@contextmanager
+def _running_daemon(model_dir):
+    """The single-process daemon over the same model, configured like the fleet."""
+    workdir = tempfile.mkdtemp(prefix="typilus-single-")
+    socket_path = os.path.join(workdir, "single.sock")
+    server = AnnotationServer(
+        TypilusPipeline.load(model_dir),
+        socket_path,
+        annotator_config=AnnotatorConfig(use_type_checker=False),
+        serve_config=ServeConfig(batch_window_seconds=0.01),
+    ).start()
+    client = AnnotationClient(socket_path)
+    client.wait_until_ready(timeout=30.0)
+    try:
+        yield client
+    finally:
+        server.close()
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 @pytest.fixture(scope="module")
 def fleet(raw_model_dir):
     """One shared 2-worker fleet for the non-destructive tests."""
@@ -170,6 +190,18 @@ class TestFleetBroadcasts:
         # And the fleet keeps answering from the grown space.
         assert fleet.client.annotate_sources({"a.py": FILE_A}).num_files == 1
 
+    def test_rejected_adapt_keeps_every_worker_running(self, fleet):
+        """An adapt every worker refuses changed no map: fail it, restart nothing."""
+        before = fleet.client.stats()
+        with pytest.raises(ServeError, match="adaptation failed") as excinfo:
+            fleet.client.adapt("BadKind", {"bad.py": "def broken(:\n"})
+        assert excinfo.value.kind == "adaptation"
+        after = fleet.client.stats()
+        assert after["markers"] == before["markers"]
+        assert after["worker_restarts"] == before["worker_restarts"] == 0
+        assert [row["pid"] for row in after["workers"]] == [row["pid"] for row in before["workers"]]
+        assert fleet.client.annotate_sources({"a.py": FILE_A}).num_files == 1
+
     def test_stats_aggregate_per_worker_counters(self, fleet):
         fleet.client.annotate_sources({"a.py": FILE_A})
         stats = fleet.client.stats()
@@ -223,6 +255,22 @@ class TestFleetBroadcasts:
             assert info["markers"] == before
             assert fleet.client.annotate_sources({"a.py": FILE_A}).num_files == 1
             assert fleet.client.stats()["failed_reloads"] == 1
+
+
+class TestOneContract:
+    def test_daemon_and_fleet_report_the_same_keys(self, raw_model_dir, fleet):
+        with _running_daemon(raw_model_dir) as single:
+            assert single.annotate_sources({"a.py": FILE_A}).num_files == 1
+            single_ping, fleet_ping = single.ping(), fleet.client.ping()
+            single_stats, fleet_stats = single.stats(), fleet.client.stats()
+        assert set(single_ping) == set(fleet_ping)
+        assert single_ping["workers"] == 1
+        assert set(single_stats) == set(fleet_stats)
+        assert [set(row) for row in single_stats["workers"]] == [set(fleet_stats["workers"][0])]
+        (row,) = single_stats["workers"]
+        assert row["alive"] is True
+        assert row["batches"] == single_stats["micro_batches"] == 1
+        assert single_stats["worker_restarts"] == 0
 
 
 class TestWorkerCrashes:
