@@ -80,7 +80,7 @@ def test_binary_shards_faster_than_json(benchmark, dataset, tmp_path, quick, ben
         TypeAnnotationDataset.load(binary_dir)
 
     def measure():
-        # Warm both paths once so lazily materialised views and import costs
+        # Warm both paths once so import costs and first-touch allocations
         # don't land on either side of the comparison.
         json_round_trip()
         binary_round_trip()

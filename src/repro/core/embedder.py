@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.corpus.dataset import AnnotatedSymbol, DatasetSplit
-from repro.graph.codegraph import CodeGraph
+from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
 
 
@@ -34,7 +34,7 @@ class SymbolEmbedder:
 
     def embed_symbols(
         self,
-        graphs: Sequence[CodeGraph],
+        graphs: Sequence[FlatGraph],
         node_indices_per_graph: Sequence[Sequence[int]],
         batch_graphs: int | None = None,
     ) -> np.ndarray:

@@ -38,8 +38,8 @@ from repro.core.typespace import TypeSpace
 from repro.corpus.dataset import AnnotatedSymbol, DatasetSplit, TypeAnnotationDataset
 from repro.corpus.ingest import IngestConfig, ingest_sources
 from repro.graph.builder import GraphBuildError, GraphBuilder
-from repro.graph.codegraph import CodeGraph
 from repro.graph.edges import EdgeKind
+from repro.graph.flatgraph import FlatGraph
 from repro.graph.nodes import SymbolInfo
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.models.base import SymbolEncoder
@@ -265,7 +265,7 @@ class TypilusPipeline:
         Returns a dict mapping each (parsed) filename to its suggestions.
         """
         filenames: list[str] = []
-        graphs: list[CodeGraph] = []
+        graphs: list[FlatGraph] = []
         symbols_per_file: list[list[SymbolInfo]] = []
         if ingest is not None:
             extracted_files, report = ingest_sources(dict(sources), ingest)
@@ -382,7 +382,7 @@ class TypilusPipeline:
 
         Returns the number of markers added.
         """
-        graphs: list[CodeGraph] = []
+        graphs: list[FlatGraph] = []
         targets: list[list[int]] = []
         for filename, source in sources.items():
             graph = self._graph_builder.build(source, filename=filename)

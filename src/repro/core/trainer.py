@@ -31,8 +31,8 @@ from repro.core.losses import (
 )
 from repro.core.typespace import TypeSpace
 from repro.corpus.dataset import AnnotatedSymbol, DatasetSplit, TypeAnnotationDataset
-from repro.graph.codegraph import CodeGraph
 from repro.graph.edges import EdgeKind
+from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
 from repro.models.batching import GraphBatch, SequenceBatch, token_view
 from repro.models.featurize import TextFeatures
@@ -241,43 +241,28 @@ class BatchPlan:
 
     def _compile_graph(
         self,
-        graph: CodeGraph,
+        graph: FlatGraph,
         samples: Sequence[AnnotatedSymbol],
         persisted: Optional[list[TextFeatures]],
         graph_index: int,
     ) -> _CompiledGraph:
-        flat = graph.flat
-        if flat is not None:
-            # Columnar fast path: texts resolve through the intern table,
-            # features are gathered from a once-featurized string table, and
-            # the (E, 2) edge blocks are zero-copy transposed views of the
-            # arena's (2, E) arrays — no node objects, no tuple lists.
-            node_texts = flat.node_texts()
-            if persisted is not None:
-                features = persisted[graph_index]
-            else:
-                features = self.encoder.initializer.extractor.features_for_graph(graph)
-            edges = {kind: pairs.T for kind, pairs in flat.edges.items()}
+        # Texts resolve through the intern table, features are gathered from
+        # a once-featurized string table, and the (E, 2) edge blocks are
+        # zero-copy transposed views of the arena's (2, E) arrays.
+        if persisted is not None:
+            features = persisted[graph_index]
         else:
-            node_texts = [node.text for node in graph.nodes]
-            if persisted is not None:
-                features = persisted[graph_index]
-            else:
-                features = self.encoder.initializer.featurize(node_texts)
-            edges = {
-                kind: np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-                for kind, pairs in graph.edges.items()
-            }
+            features = self.encoder.initializer.extractor.features_for_graph(graph)
         return _CompiledGraph(
             num_nodes=graph.num_nodes,
-            node_texts=node_texts,
+            node_texts=graph.node_texts(),
             features=features,
-            edges=edges,
+            edges={kind: pairs.T for kind, pairs in graph.edges.items()},
             target_nodes=np.asarray([sample.node_index for sample in samples], dtype=np.int64),
         )
 
     def _compile_sequence(
-        self, graph: CodeGraph, samples: Sequence[AnnotatedSymbol], max_tokens: int
+        self, graph: FlatGraph, samples: Sequence[AnnotatedSymbol], max_tokens: int
     ) -> _CompiledSequence:
         token_texts, position_of_node, occurrence_pairs = token_view(graph, max_tokens)
         occurrences: dict[int, list[int]] = {}

@@ -5,7 +5,9 @@ This mirrors the pipeline of Sec. 6 "Data":
 1. (optionally) augment files with annotations inferred by the lenient
    checker — the role pytype plays in the paper;
 2. remove near-duplicate files;
-3. build one program graph per file;
+3. build one program graph per file — a columnar
+   :class:`~repro.graph.flatgraph.FlatGraph`, the only graph type, which
+   the splits hold, the shards persist and the trainer batches;
 4. collect every annotated symbol whose annotation is informative (not
    ``Any``/``None``) into supervised samples;
 5. build the type registry (frequencies, common/rare split) and the subtoken
@@ -26,7 +28,7 @@ from repro.corpus import serialize
 from repro.corpus.dedup import DeduplicationReport, deduplicate_sources
 from repro.corpus.ingest import IngestConfig, IngestReport, ingest_sources, parallel_map
 from repro.corpus.synthesis import CorpusSynthesizer, SynthesisConfig
-from repro.graph.codegraph import CodeGraph
+from repro.graph.flatgraph import FlatGraph
 from repro.graph.nodes import SymbolKind
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.types.lattice import TypeLattice
@@ -61,13 +63,13 @@ class DatasetSplit:
 
     ``graphs`` is list-like rather than necessarily a list: a dataset loaded
     with ``mmap=True`` hands out a :class:`~repro.corpus.serialize.LazyView`
-    that materialises :class:`CodeGraph` objects on demand from the mapped
-    shard columns, so indexing, iteration and slicing all work but nothing
+    whose :class:`FlatGraph` items slice the mapped shard columns on
+    demand, so indexing, iteration and slicing all work but nothing
     corpus-sized is resident.
     """
 
     name: str
-    graphs: list[CodeGraph] = field(default_factory=list)
+    graphs: list[FlatGraph] = field(default_factory=list)
     samples: list[AnnotatedSymbol] = field(default_factory=list)
     #: Precomputed subtoken features per graph (parallel to ``graphs``),
     #: produced by :meth:`TypeAnnotationDataset.featurize_nodes` or restored
@@ -188,7 +190,7 @@ class TypeAnnotationDataset:
         # Unparsable files are skipped (report.failed_files), like the
         # paper's pipeline.
         extracted_files, ingest_report = ingest_sources(files, ingest)
-        graphs: list[CodeGraph] = [extracted.graph for extracted in extracted_files]
+        graphs: list[FlatGraph] = [extracted.graph for extracted in extracted_files]
 
         registry = TypeRegistry(rarity_threshold=config.rarity_threshold)
         subtokens = SubtokenVocabulary()
@@ -280,9 +282,9 @@ class TypeAnnotationDataset:
         graph's precomputed subtoken id arrays.  ``shard_format="binary"``
         (the default) writes fingerprint-validated ``graphs-NNNNN.npz``
         archives of the columnar :class:`~repro.graph.flatgraph.FlatGraph`
-        arrays — several times faster to write and load than JSON and never
-        materialising per-node objects; ``shard_format="json"`` writes the
-        legacy ``graphs-NNNNN.json`` payloads.  :meth:`load` reads either
+        arrays — several times faster to write and load than JSON;
+        ``shard_format="json"`` writes the legacy ``graphs-NNNNN.json``
+        payloads, which decode back into the same columns.  :meth:`load` reads either
         (per shard, by extension) and restores a dataset whose splits,
         sample order, registry ids and vocabulary are identical to the
         original — so a corpus is ingested (and featurized) once and
@@ -300,7 +302,7 @@ class TypeAnnotationDataset:
         shard_size = max(1, int(shard_size))
 
         splits_payload: dict[str, dict] = {}
-        all_graphs: list[CodeGraph] = []
+        all_graphs: list[FlatGraph] = []
         for split_name, split in self.splits.items():
             splits_payload[split_name] = {
                 "num_graphs": split.num_graphs,
@@ -373,15 +375,16 @@ class TypeAnnotationDataset:
         """Restore a dataset saved with :meth:`save`.
 
         Binary ``.npz`` shards load as columnar graphs (validated against
-        their stored fingerprint); legacy ``.json`` shards load through the
-        original payload decoder — directories written by older versions
-        keep working unchanged.  ``.raw`` shard directories load eagerly by
-        default (same fingerprint validation as ``.npz``).
+        their stored fingerprint); legacy ``.json`` shards decode into the
+        same columns (validated by :meth:`FlatGraph.validate`), so
+        directories written by older versions keep working unchanged.
+        ``.raw`` shard directories load eagerly by default (same
+        fingerprint validation as ``.npz``).
 
         ``mmap=True`` requires every shard to be ``.raw`` and memory-maps
-        the columns read-only instead of materialising graphs: splits hand
-        out on-demand :class:`CodeGraph` views, persisted features stay
-        mapped, and multiple processes share the page cache.  Content
+        the columns read-only instead of loading them: splits hand out
+        :class:`FlatGraph` objects whose arrays slice the maps, persisted
+        features stay mapped, and multiple processes share the page cache.  Content
         fingerprints are *not* verified in this mode (verification would
         page in the whole corpus); structural shape checks still run.
         """
@@ -403,7 +406,7 @@ class TypeAnnotationDataset:
             )
             all_graphs = serialize.LazyView(store.graph, 0, len(store))
         else:
-            all_graphs: list[CodeGraph] = []
+            all_graphs: list[FlatGraph] = []
             for shard_name in manifest["graph_shards"]:
                 if shard_name.endswith(".npz"):
                     all_graphs.extend(serialize.read_graph_shard(path / shard_name))
@@ -519,7 +522,7 @@ class TypeAnnotationDataset:
 
     @staticmethod
     def _split_by_file(
-        graphs: list[CodeGraph],
+        graphs: list[FlatGraph],
         samples: list[AnnotatedSymbol],
         fractions: tuple[float, float, float],
         rng: SeededRNG,

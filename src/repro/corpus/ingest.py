@@ -42,7 +42,7 @@ from repro.corpus.serialize import (
     flat_graphs_to_arrays,
 )
 from repro.graph.builder import GraphBuildError, GraphBuilder
-from repro.graph.codegraph import CodeGraph
+from repro.graph.flatgraph import FlatGraph
 from repro.graph.nodes import SymbolInfo
 from repro.types.normalize import is_informative
 from repro.utils.timing import Stopwatch
@@ -76,7 +76,7 @@ class ExtractedFile:
     """
 
     filename: str
-    graph: CodeGraph
+    graph: FlatGraph
     annotated_symbols: list[tuple[int, SymbolInfo]]
 
 
@@ -90,7 +90,7 @@ def extract_file(filename: str, source: str) -> ExtractedFile:
     return ExtractedFile(filename=filename, graph=graph, annotated_symbols=_annotated_symbols(graph))
 
 
-def _annotated_symbols(graph: CodeGraph) -> list[tuple[int, SymbolInfo]]:
+def _annotated_symbols(graph: FlatGraph) -> list[tuple[int, SymbolInfo]]:
     return [
         (position, symbol)
         for position, symbol in enumerate(graph.symbols)
@@ -206,10 +206,10 @@ class GraphCache:
                     return None
                 if str(archive["x:extractor_version"][0]) != self.extractor_version:
                     return None
-                flats = flat_graphs_from_arrays(archive)
-            if len(flats) != 1:
+                graphs = flat_graphs_from_arrays(archive)
+            if len(graphs) != 1:
                 return None
-            graph = CodeGraph.from_flat(flats[0], filename=filename)
+            graph = graphs[0].with_filename(filename)
         except (OSError, zipfile.BadZipFile, EOFError, PayloadError, KeyError, ValueError, TypeError):
             return None
         return ExtractedFile(filename=filename, graph=graph, annotated_symbols=_annotated_symbols(graph))
@@ -217,7 +217,7 @@ class GraphCache:
     def store(self, source: str, extracted: ExtractedFile) -> Path:
         """Persist an extraction atomically (write-temp + rename)."""
         path = self.path_for(source)
-        arrays = flat_graphs_to_arrays([extracted.graph.to_flat()])
+        arrays = flat_graphs_to_arrays([extracted.graph])
         arrays["x:extractor_version"] = np.asarray([self.extractor_version])
         atomic_write_npz(path, arrays)
         return path

@@ -3,7 +3,7 @@
 Two consumers share these helpers:
 
 * the content-addressed :class:`~repro.corpus.ingest.GraphCache`, which
-  persists one extracted :class:`~repro.graph.codegraph.CodeGraph` per
+  persists one extracted :class:`~repro.graph.flatgraph.FlatGraph` per
   source file so unchanged files are never re-parsed;
 * sharded dataset persistence (:meth:`TypeAnnotationDataset.save` /
   :meth:`~repro.corpus.dataset.TypeAnnotationDataset.load`), which writes a
@@ -19,14 +19,17 @@ the occurrence CSR pair.  Each shard carries a SHA-256 **fingerprint** over
 every array's bytes; :func:`flat_graphs_from_arrays` recomputes and
 compares it on load, so a truncated or bit-flipped shard raises
 :class:`PayloadError` (which the graph cache treats as a miss) instead of
-silently mis-indexing.  Loading never materialises per-node objects — the
+silently mis-indexing.  Every reader returns :class:`FlatGraph` objects — the
 arrays are handed straight to featurization and batch assembly.
 
 **Legacy JSON payloads.**  The original dict-of-lists layout remains fully
-readable *and* writable (``shard_format="json"``): corruption surfaces as a
-decode/validation error, and the format stays diffable and
-language-neutral.  Dataset directories written before the binary format
-load unchanged.
+readable *and* writable (``shard_format="json"``), diffable and
+language-neutral.  :func:`graph_from_payload` decodes a payload straight
+into the same ``int32`` columns and runs :meth:`FlatGraph.validate`, so a
+malformed payload — an index out of range, an unknown kind, a wrong type, a
+short row, a value past ``int32`` — raises :class:`PayloadError` and
+nothing else.  Dataset directories written before the binary format load
+unchanged.
 """
 
 from __future__ import annotations
@@ -40,10 +43,16 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro.corpus.dedup import DeduplicationReport, DuplicateCluster
-from repro.graph.codegraph import CodeGraph
 from repro.graph.edges import ALL_EDGE_KINDS, EdgeKind
-from repro.graph.flatgraph import FlatGraph
-from repro.graph.nodes import GraphNode, NodeKind, SymbolInfo, SymbolKind
+from repro.graph.flatgraph import (
+    NO_ANNOTATION,
+    NODE_KIND_CODES,
+    NODE_KIND_ORDER,
+    SYMBOL_KIND_CODES,
+    FlatGraph,
+    StringTable,
+)
+from repro.graph.nodes import NodeKind, SymbolKind
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.models.featurize import SUBTOKEN, TextFeatures
 from repro.types.lattice import TypeLattice
@@ -66,41 +75,28 @@ class PayloadError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# CodeGraph
+# JSON graph payloads
 # ---------------------------------------------------------------------------
 
 
-def graph_to_payload(graph: CodeGraph) -> dict[str, Any]:
-    """Encode a graph as a JSON-compatible dictionary.
-
-    Flat-backed graphs are encoded straight from their arrays — touching
-    ``graph.nodes``/``graph.edges`` would materialise the object views and
-    drop the columnar backing, degrading every later consumer of the same
-    in-memory graph.
-    """
-    flat = graph.flat
-    if flat is not None:
-        from repro.graph.flatgraph import NODE_KIND_ORDER
-
-        strings = flat.strings
-        kinds = flat.node_kind.tolist()
-        texts = flat.node_text.tolist()
-        lines = flat.node_line.tolist()
-        cols = flat.node_col.tolist()
-        nodes = [
-            [NODE_KIND_ORDER[kinds[i]].value, strings[texts[i]], lines[i], cols[i]]
-            for i in range(len(kinds))
-        ]
-        edges = {kind.value: pairs.T.tolist() for kind, pairs in flat.edges.items()}
-    else:
-        nodes = [[node.kind.value, node.text, node.lineno, node.col] for node in graph.nodes]
-        edges = {kind.value: [list(pair) for pair in pairs] for kind, pairs in graph.edges.items()}
+def graph_to_payload(graph: FlatGraph) -> dict[str, Any]:
+    """Encode a graph as a JSON-compatible dictionary."""
+    strings = graph.strings
+    nodes = [
+        [NODE_KIND_ORDER[kind].value, strings[text], line, col]
+        for kind, text, line, col in zip(
+            graph.node_kind.tolist(),
+            graph.node_text.tolist(),
+            graph.node_line.tolist(),
+            graph.node_col.tolist(),
+        )
+    ]
     return {
         "version": GRAPH_PAYLOAD_VERSION,
         "filename": graph.filename,
         "source": graph.source,
         "nodes": nodes,
-        "edges": edges,
+        "edges": {kind.value: pairs.T.tolist() for kind, pairs in graph.edges.items()},
         "symbols": [
             [
                 symbol.node_index,
@@ -116,43 +112,86 @@ def graph_to_payload(graph: CodeGraph) -> dict[str, Any]:
     }
 
 
-def graph_from_payload(payload: dict[str, Any], filename: Optional[str] = None) -> CodeGraph:
-    """Decode a graph payload; ``filename`` overrides the stored name.
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise PayloadError(f"expected a string in graph payload, got {type(value).__name__}")
+    return value
+
+
+def _rows(value: Any, width: int, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(row, list) and len(row) == width for row in value):
+        raise PayloadError(f"graph payload {what} must be a list of {width}-item lists")
+    return value
+
+
+def _int32(values: list, what: str) -> np.ndarray:
+    """``values`` as a 1-D ``int32`` array, rejecting anything it would not hold exactly.
+
+    NumPy silently truncates floats, parses numeric strings and stacks
+    nested lists; comparing the array back against the payload turns those
+    into errors.  Values past ``int32`` raise ``OverflowError``.
+    """
+    column = np.asarray(values, dtype=np.int32)
+    if column.ndim != 1 or column.tolist() != values:
+        raise PayloadError(f"graph payload {what} must be integers")
+    return column
+
+
+def graph_from_payload(payload: dict[str, Any], filename: Optional[str] = None) -> FlatGraph:
+    """Decode a graph payload into columns; ``filename`` overrides the stored name.
 
     The override is what makes graph caching content-addressed: a file moved
     or copied to a new path reuses the cached graph under its new name.
+    Strings are interned in the graph builder's order (node texts, then each
+    symbol's name, scope and annotation).
     """
     try:
         if payload["version"] != GRAPH_PAYLOAD_VERSION:
             raise PayloadError(f"unsupported graph payload version {payload['version']!r}")
-        graph = CodeGraph(
-            filename=filename if filename is not None else payload["filename"],
-            source=payload["source"],
+        nodes = _rows(payload["nodes"], 4, "nodes")
+        symbols = _rows(payload["symbols"], 7, "symbols")
+        table = StringTable()
+        intern = table.intern
+        node_kind = [NODE_KIND_CODES[NodeKind(row[0])] for row in nodes]
+        node_text = [intern(_text(row[1])) for row in nodes]
+        names, kinds, scopes, annotations, counts = [], [], [], [], []
+        for _, name, kind, scope, annotation, _, occurrences in symbols:
+            names.append(intern(_text(name)))
+            kinds.append(SYMBOL_KIND_CODES[SymbolKind(kind)])
+            scopes.append(intern(_text(scope)))
+            annotations.append(NO_ANNOTATION if annotation is None else intern(_text(annotation)))
+            if not isinstance(occurrences, list):
+                raise PayloadError("graph payload symbol occurrences must be a list")
+            counts.append(len(occurrences))
+        occurrence_splits = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=occurrence_splits[1:])
+        graph = FlatGraph(
+            filename=_text(payload["filename"] if filename is None else filename),
+            source=_text(payload["source"]),
+            strings=tuple(table.strings),
+            node_kind=np.asarray(node_kind, dtype=np.int32),
+            node_text=np.asarray(node_text, dtype=np.int32),
+            node_line=_int32([row[2] for row in nodes], "node lines"),
+            node_col=_int32([row[3] for row in nodes], "node columns"),
+            edges={
+                EdgeKind(kind): _int32([node for pair in _rows(pairs, 2, "edges") for node in pair], "edges")
+                .reshape(-1, 2)
+                .T.copy()
+                for kind, pairs in payload["edges"].items()
+            },
+            symbol_node=_int32([row[0] for row in symbols], "symbol nodes"),
+            symbol_name=np.asarray(names, dtype=np.int32),
+            symbol_kind=np.asarray(kinds, dtype=np.int32),
+            symbol_scope=np.asarray(scopes, dtype=np.int32),
+            symbol_annotation=np.asarray(annotations, dtype=np.int32),
+            symbol_line=_int32([row[5] for row in symbols], "symbol lines"),
+            occurrence_ids=_int32([index for row in symbols for index in row[6]], "occurrences"),
+            occurrence_splits=occurrence_splits,
         )
-        graph.nodes = [
-            GraphNode(index=index, kind=NodeKind(kind), text=text, lineno=lineno, col=col)
-            for index, (kind, text, lineno, col) in enumerate(payload["nodes"])
-        ]
-        graph.edges = {
-            EdgeKind(kind): [(int(source), int(target)) for source, target in pairs]
-            for kind, pairs in payload["edges"].items()
-        }
-        graph.symbols = [
-            SymbolInfo(
-                node_index=node_index,
-                name=name,
-                kind=SymbolKind(kind),
-                scope=scope,
-                annotation=annotation,
-                lineno=lineno,
-                occurrence_indices=list(occurrences),
-            )
-            for node_index, name, kind, scope, annotation, lineno, occurrences in payload["symbols"]
-        ]
         graph.validate()
     except PayloadError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as error:
         raise PayloadError(f"malformed graph payload: {error}") from error
     return graph
 
@@ -379,18 +418,17 @@ def _archive_keys(archive) -> Sequence[str]:
     return list(archive.keys())
 
 
-def write_graph_shard(path, graphs: Sequence[CodeGraph]) -> None:
+def write_graph_shard(path, graphs: Sequence[FlatGraph]) -> None:
     """Write graphs to a binary ``.npz`` shard at ``path``."""
-    arrays = flat_graphs_to_arrays([graph.to_flat() for graph in graphs])
+    arrays = flat_graphs_to_arrays(graphs)
     with open(path, "wb") as handle:
         np.savez(handle, **arrays)
 
 
-def read_graph_shard(path) -> list[CodeGraph]:
-    """Read a binary shard back as (lazily materialised) :class:`CodeGraph`\\ s."""
+def read_graph_shard(path) -> list[FlatGraph]:
+    """Read a binary shard back as :class:`FlatGraph` objects."""
     with np.load(path, allow_pickle=False) as archive:
-        flats = flat_graphs_from_arrays(archive)
-    return [CodeGraph.from_flat(flat) for flat in flats]
+        return flat_graphs_from_arrays(archive)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +466,7 @@ def _read_raw_meta(path: Path, expected_version: int, what: str) -> dict[str, An
     return meta
 
 
-def write_graph_shard_raw(path, graphs: Sequence[CodeGraph]) -> None:
+def write_graph_shard_raw(path, graphs: Sequence[FlatGraph]) -> None:
     """Write graphs as a raw shard *directory*: one ``.npy`` file per column.
 
     Same columnar arrays as the ``.npz`` shard (see
@@ -438,7 +476,7 @@ def write_graph_shard_raw(path, graphs: Sequence[CodeGraph]) -> None:
     ``meta.json`` (version, graph count, fingerprint, column index) is
     written last as the commit marker.
     """
-    arrays = flat_graphs_to_arrays([graph.to_flat() for graph in graphs])
+    arrays = flat_graphs_to_arrays(graphs)
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     names: dict[str, str] = {}
@@ -457,7 +495,7 @@ def write_graph_shard_raw(path, graphs: Sequence[CodeGraph]) -> None:
     (directory / RAW_META_NAME).write_text(json.dumps(meta, indent=1), encoding="utf-8")
 
 
-def read_graph_shard_raw(path) -> list[CodeGraph]:
+def read_graph_shard_raw(path) -> list[FlatGraph]:
     """Eagerly read a raw shard directory, validating its fingerprint.
 
     The resident counterpart of :class:`RawGraphShard`: all columns are
@@ -476,8 +514,7 @@ def read_graph_shard_raw(path) -> list[CodeGraph]:
     arrays["format"] = np.asarray([int(meta["format"])], dtype=np.int64)
     arrays["num_graphs"] = np.asarray([int(meta["num_graphs"])], dtype=np.int64)
     arrays["fingerprint"] = _string_array([str(meta["fingerprint"])])
-    flats = flat_graphs_from_arrays(arrays)
-    return [CodeGraph.from_flat(flat) for flat in flats]
+    return flat_graphs_from_arrays(arrays)
 
 
 class RawGraphShard:
@@ -485,7 +522,7 @@ class RawGraphShard:
 
     The big content columns (strings blob, node/symbol/edge blocks,
     occurrences) stay memory-mapped read-only; only the O(graphs) split
-    arrays are materialised up front.  :meth:`flat_graph` slices one graph's
+    arrays are materialised up front.  :meth:`graph` slices one graph's
     columns without touching any other graph's pages, and decodes only that
     graph's strings.
 
@@ -550,8 +587,8 @@ class RawGraphShard:
         blob = np.asarray(self._arrays["metabytes"][lo:hi])
         return _unpack_strings(blob, self._metasplits[2 * index : 2 * index + 3] - lo)
 
-    def flat_graph(self, index: int) -> FlatGraph:
-        """One graph's columnar view; array fields are slices of the maps."""
+    def graph(self, index: int) -> FlatGraph:
+        """One graph; its array fields are slices of the maps."""
         if not 0 <= index < self.num_graphs:
             raise IndexError(f"graph index {index} out of range for shard of {self.num_graphs}")
         arrays = self._arrays
@@ -587,12 +624,9 @@ class RawGraphShard:
             occurrence_splits=occurrence_splits,
         )
 
-    def graph(self, index: int) -> CodeGraph:
-        return CodeGraph.from_flat(self.flat_graph(index))
-
 
 class LazyGraphStore:
-    """Materialises :class:`CodeGraph` objects on demand across raw shards.
+    """Hands out :class:`FlatGraph` objects on demand across raw shards.
 
     An LRU bounded **by bytes**, not entry count, keeps recently used graphs
     (one training batch touches each graph once, so the working set is the
@@ -613,7 +647,7 @@ class LazyGraphStore:
             raise ValueError("cache_bytes must be non-negative")
         self._shards = list(shards)
         self._starts = _counts_splits([shard.num_graphs for shard in self._shards])
-        self._cache: OrderedDict[int, tuple[CodeGraph, int]] = OrderedDict()
+        self._cache: OrderedDict[int, tuple[FlatGraph, int]] = OrderedDict()
         self._cache_bytes = cache_bytes
         self._cached_bytes = 0
         self._evictions = 0
@@ -636,14 +670,7 @@ class LazyGraphStore:
         """How many cached graphs the byte bound has evicted."""
         return self._evictions
 
-    @staticmethod
-    def _cost(graph: CodeGraph) -> int:
-        flat = graph.flat
-        if flat is not None:
-            return flat.nbytes
-        return len(graph.source)  # object-backed fallback; never hit for raw shards
-
-    def graph(self, index: int) -> CodeGraph:
+    def graph(self, index: int) -> FlatGraph:
         cached = self._cache.get(index)
         if cached is not None:
             self._cache.move_to_end(index)
@@ -651,7 +678,7 @@ class LazyGraphStore:
         shard_index = int(np.searchsorted(self._starts, index, side="right")) - 1
         local = index - int(self._starts[shard_index])
         graph = self._shards[shard_index].graph(local)
-        cost = self._cost(graph)
+        cost = graph.nbytes
         if cost > self._cache_bytes:
             # Caching this graph would evict the entire working set for one
             # entry; hand it out uncached instead.

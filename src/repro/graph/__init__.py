@@ -7,7 +7,6 @@ from repro.graph.builder import (
     collect_annotations,
     erase_annotations,
 )
-from repro.graph.codegraph import CodeGraph
 from repro.graph.edges import (
     ALL_EDGE_KINDS,
     DATAFLOW_USE_EDGES,
@@ -15,7 +14,7 @@ from repro.graph.edges import (
     EdgeKind,
 )
 from repro.graph.flatgraph import FlatGraph, FlatGraphBuilder, StringTable
-from repro.graph.nodes import GraphNode, NodeKind, SymbolInfo, SymbolKind
+from repro.graph.nodes import NodeKind, SymbolInfo, SymbolKind
 from repro.graph.subtokens import (
     CharacterVocabulary,
     SubtokenVocabulary,
@@ -24,7 +23,6 @@ from repro.graph.subtokens import (
 from repro.graph.visualize import to_dot, write_dot
 
 __all__ = [
-    "CodeGraph",
     "FlatGraph",
     "FlatGraphBuilder",
     "StringTable",
@@ -37,7 +35,6 @@ __all__ = [
     "ALL_EDGE_KINDS",
     "SYNTACTIC_EDGES",
     "DATAFLOW_USE_EDGES",
-    "GraphNode",
     "NodeKind",
     "SymbolInfo",
     "SymbolKind",

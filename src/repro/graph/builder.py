@@ -19,6 +19,10 @@ The builder follows Sec. 5.1 of the paper.  For a single Python file it
    subtokens;
 8. attaches the collected annotations to the symbol records.
 
+Every step appends into one :class:`~repro.graph.flatgraph.FlatGraphBuilder`
+arena; :meth:`GraphBuilder.build` freezes it into the
+:class:`~repro.graph.flatgraph.FlatGraph` that every later stage reads.
+
 A bare annotated declaration (``x: int`` with no value) is rewritten to
 ``x = None`` during erasure so the variable still occurs in the erased
 program; this only affects the graph, never any executed code.
@@ -32,10 +36,9 @@ import tokenize as tokenize_module
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.graph.codegraph import CodeGraph
 from repro.graph.dataflow import NextMayUseAnalysis, UseEvent, compute_next_lexical_use
 from repro.graph.edges import EdgeKind
-from repro.graph.flatgraph import FlatGraphBuilder, is_identifier_text
+from repro.graph.flatgraph import FlatGraph, FlatGraphBuilder, is_identifier_text
 from repro.graph.nodes import NodeKind, SymbolInfo, SymbolKind
 from repro.graph.subtokens import split_identifier
 
@@ -222,7 +225,7 @@ def _collect_assigned_names(node: ast.AST, names: dict[str, None], is_root: bool
 
 
 class GraphBuilder:
-    """Builds :class:`~repro.graph.codegraph.CodeGraph` objects from source.
+    """Builds :class:`~repro.graph.flatgraph.FlatGraph` program graphs from source.
 
     Parameters
     ----------
@@ -236,7 +239,7 @@ class GraphBuilder:
 
     # -- public API --------------------------------------------------------------
 
-    def build(self, source: str, filename: str = "<string>") -> CodeGraph:
+    def build(self, source: str, filename: str = "<string>") -> FlatGraph:
         try:
             annotations = collect_annotations(source)
             erased = erase_annotations(source)
@@ -251,15 +254,14 @@ class GraphBuilder:
         state.run_dataflow()
         state.add_subtoken_edges()
         state.attach_annotations()
-        flat = arena.finish()
-        flat.validate()
+        graph = arena.finish()
+        graph.validate()
 
         if self.include_edges is not None:
-            excluded = set(EdgeKind) - self.include_edges
-            flat = flat.without_edges(excluded)
-        return CodeGraph.from_flat(flat)
+            graph = graph.without_edges(set(EdgeKind) - self.include_edges)
+        return graph
 
-    def build_file(self, path: str) -> CodeGraph:
+    def build_file(self, path: str) -> FlatGraph:
         with open(path, "r", encoding="utf-8") as handle:
             return self.build(handle.read(), filename=path)
 
@@ -612,6 +614,6 @@ class _BuildState:
                 symbol.annotation = self.annotations[key]
 
 
-def build_graph(source: str, filename: str = "<string>", include_edges: Optional[Iterable[EdgeKind]] = None) -> CodeGraph:
+def build_graph(source: str, filename: str = "<string>", include_edges: Optional[Iterable[EdgeKind]] = None) -> FlatGraph:
     """Convenience wrapper: build the graph of one source string."""
     return GraphBuilder(include_edges=include_edges).build(source, filename=filename)

@@ -1,13 +1,10 @@
-"""Arena/columnar program-graph storage: the :class:`FlatGraph` core.
+"""Columnar program-graph storage: :class:`FlatGraph`, the one graph type.
 
-Every layer downstream of graph extraction — featurization, batch assembly,
-dataset persistence, the annotation engine — used to traverse graphs made of
-one :class:`~repro.graph.nodes.GraphNode` dataclass per node, a dict of
-Python tuple lists per edge kind and one :class:`SymbolInfo` per symbol.
-At corpus scale that is millions of small heap objects and repeated string
-keys on every hot path.
-
-This module stores the same information as a handful of flat arrays:
+Sec. 5.1 of the paper defines one program graph per file: four node
+categories, the Table 1 edge labels and one record per symbol.  Every layer
+downstream of extraction — featurization, batch assembly, dataset
+persistence, the annotation engine — reads that graph as a handful of flat
+arrays rather than one heap object per node:
 
 * an **interned string table** — every node text, symbol name, scope and
   annotation appears exactly once; nodes refer to strings by ``int32`` id;
@@ -20,30 +17,28 @@ This module stores the same information as a handful of flat arrays:
   CSR pair (``occurrence_ids`` / ``occurrence_splits``) holding every
   symbol's occurrence node indices.
 
-:class:`FlatGraphBuilder` is the *arena* the graph builder appends into
-while walking a file; :meth:`FlatGraphBuilder.finish` freezes the arena
-into an immutable :class:`FlatGraph`.  :class:`~repro.graph.codegraph.CodeGraph`
-remains the public container type but is now a thin lazy view over these
-arrays — object nodes/edges/symbols are only materialised when legacy code
-asks for them.
+:class:`FlatGraphBuilder` is the *arena* the graph builder (and any code
+that builds a graph by hand) appends into; :meth:`FlatGraphBuilder.finish`
+freezes the arena into an immutable :class:`FlatGraph`.  Per-symbol
+:class:`~repro.graph.nodes.SymbolInfo` records are derived from the symbol
+columns on first use (:attr:`FlatGraph.symbols`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.graph.edges import ALL_EDGE_KINDS, EdgeKind
+from repro.graph.edges import EdgeKind
 from repro.graph.nodes import NodeKind, SymbolInfo, SymbolKind, is_identifier_text
 
 __all__ = [
     "FlatGraph",
     "FlatGraphBuilder",
     "StringTable",
-    "flatten_graph",
-    "rebuild_symbol_columns",
     "is_identifier_text",
 ]
 
@@ -92,8 +87,8 @@ class FlatGraph:
     take zero-copy views of the arrays and never write to them.  Equality
     is identity (``eq=False``): an auto-generated field-wise ``__eq__``
     would hit NumPy's ambiguous array truthiness; compare graphs through
-    their :class:`~repro.graph.codegraph.CodeGraph` views or serialized
-    payloads instead.
+    their serialized payloads (:func:`repro.corpus.serialize.graph_to_payload`)
+    instead.
     """
 
     filename: str
@@ -162,12 +157,6 @@ class FlatGraph:
         """Every node's text, resolved through the intern table."""
         return [self.strings[i] for i in self.node_text.tolist()]
 
-    def text_of(self, node_index: int) -> str:
-        return self.strings[int(self.node_text[node_index])]
-
-    def kind_of(self, node_index: int) -> NodeKind:
-        return NODE_KIND_ORDER[int(self.node_kind[node_index])]
-
     def node_indices_of_kind(self, kind: NodeKind) -> np.ndarray:
         return np.flatnonzero(self.node_kind == NODE_KIND_CODES[kind])
 
@@ -180,17 +169,14 @@ class FlatGraph:
 
     # -- symbol queries ----------------------------------------------------------
 
-    def occurrences_of(self, symbol_position: int) -> np.ndarray:
-        start = int(self.occurrence_splits[symbol_position])
-        stop = int(self.occurrence_splits[symbol_position + 1])
-        return self.occurrence_ids[start:stop]
+    @cached_property
+    def symbols(self) -> list[SymbolInfo]:
+        """One :class:`SymbolInfo` per symbol, in symbol-column order.
 
-    def annotation_of(self, symbol_position: int) -> Optional[str]:
-        annotation_id = int(self.symbol_annotation[symbol_position])
-        return None if annotation_id == NO_ANNOTATION else self.strings[annotation_id]
-
-    def materialise_symbols(self) -> list[SymbolInfo]:
-        """Rebuild per-symbol :class:`SymbolInfo` records (compat path)."""
+        Built from the columns on first read and cached: a frozen graph's
+        symbols never change, so the records are shared by every reader and
+        must be treated as read-only.
+        """
         strings = self.strings
         nodes = self.symbol_node.tolist()
         names = self.symbol_name.tolist()
@@ -212,6 +198,30 @@ class FlatGraph:
             )
             for i in range(len(nodes))
         ]
+
+    def annotated_symbols(self) -> list[SymbolInfo]:
+        return [symbol for symbol in self.symbols if symbol.is_annotated]
+
+    def find_symbol(
+        self, name: str, scope: Optional[str] = None, kind: Optional[SymbolKind] = None
+    ) -> Optional[SymbolInfo]:
+        """The first symbol called ``name`` (optionally in ``scope``/of ``kind``)."""
+        for symbol in self.symbols:
+            if symbol.name == name and scope in (None, symbol.scope) and kind in (None, symbol.kind):
+                return symbol
+        return None
+
+    def summary(self) -> dict[str, int]:
+        """Small statistics dictionary used by corpus reporting."""
+        return {
+            "nodes": self.num_nodes,
+            "edges": self.num_edges,
+            "tokens": self.count_of_kind(NodeKind.TOKEN),
+            "non_terminals": self.count_of_kind(NodeKind.NON_TERMINAL),
+            "vocabulary": self.count_of_kind(NodeKind.VOCABULARY),
+            "symbols": self.num_symbols,
+            "annotated_symbols": len(self.annotated_symbols()),
+        }
 
     # -- derived structures -------------------------------------------------------
 
@@ -269,9 +279,9 @@ class FlatGraph:
 class FlatGraphBuilder:
     """The mutable arena a single graph construction appends into.
 
-    Mirrors the old ``CodeGraph`` construction API (``add_node`` /
-    ``add_edge`` / ``add_symbol``) but stores columns of plain ints and an
-    intern table instead of per-node objects.  Symbols are accumulated as
+    The construction API is ``add_node`` / ``add_edge`` / ``add_symbol``;
+    it stores columns of plain ints and an intern table instead of per-node
+    objects.  Symbols are accumulated as
     :class:`SymbolInfo` records (they are few and the AST walk mutates them
     freely); :meth:`finish` freezes everything into a :class:`FlatGraph`.
     """
@@ -406,110 +416,3 @@ class FlatGraphBuilder:
             occurrence_ids=occurrence_ids,
             occurrence_splits=splits,
         )
-
-
-def _symbols_match_columns(flat: FlatGraph, symbols: Sequence[SymbolInfo]) -> bool:
-    """Whether the live symbol objects still equal the stored columns."""
-    if len(symbols) != flat.num_symbols:
-        return False
-    strings = flat.strings
-    nodes = flat.symbol_node.tolist()
-    names = flat.symbol_name.tolist()
-    kinds = flat.symbol_kind.tolist()
-    scopes = flat.symbol_scope.tolist()
-    annotations = flat.symbol_annotation.tolist()
-    lines = flat.symbol_line.tolist()
-    occurrences = flat.occurrence_ids.tolist()
-    splits = flat.occurrence_splits.tolist()
-    for i, symbol in enumerate(symbols):
-        stored_annotation = None if annotations[i] == NO_ANNOTATION else strings[annotations[i]]
-        if (
-            symbol.node_index != nodes[i]
-            or symbol.lineno != lines[i]
-            or SYMBOL_KIND_CODES[symbol.kind] != kinds[i]
-            or symbol.annotation != stored_annotation
-            or symbol.name != strings[names[i]]
-            or symbol.scope != strings[scopes[i]]
-            or symbol.occurrence_indices != occurrences[splits[i] : splits[i + 1]]
-        ):
-            return False
-    return True
-
-
-def rebuild_symbol_columns(flat: FlatGraph, symbols: Sequence[SymbolInfo]) -> FlatGraph:
-    """``flat`` with its symbol columns rebuilt from live symbol objects.
-
-    The :class:`~repro.graph.codegraph.CodeGraph` view keeps symbols
-    object-backed (callers hold and occasionally mutate them), so
-    persistence re-derives the symbol arrays — and any newly introduced
-    name/scope/annotation strings — from the objects while reusing the node
-    and edge arrays untouched.  When the objects still match the stored
-    columns (the common case: nobody edited them), the original arrays are
-    returned as-is.
-    """
-    if _symbols_match_columns(flat, symbols):
-        return flat
-    table = StringTable(flat.strings)
-    intern = table.intern
-    symbol_node: list[int] = []
-    symbol_name: list[int] = []
-    symbol_kind: list[int] = []
-    symbol_scope: list[int] = []
-    symbol_annotation: list[int] = []
-    symbol_line: list[int] = []
-    counts: list[int] = []
-    occurrences: list[int] = []
-    for symbol in symbols:
-        symbol_node.append(symbol.node_index)
-        symbol_name.append(intern(symbol.name))
-        symbol_kind.append(SYMBOL_KIND_CODES[symbol.kind])
-        symbol_scope.append(intern(symbol.scope))
-        symbol_annotation.append(
-            NO_ANNOTATION if symbol.annotation is None else intern(symbol.annotation)
-        )
-        symbol_line.append(symbol.lineno)
-        counts.append(len(symbol.occurrence_indices))
-        occurrences.extend(symbol.occurrence_indices)
-    splits = np.zeros(len(symbols) + 1, dtype=np.int32)
-    np.cumsum(counts, out=splits[1:])
-    return replace(
-        flat,
-        strings=tuple(table.strings),
-        symbol_node=np.asarray(symbol_node, dtype=np.int32),
-        symbol_name=np.asarray(symbol_name, dtype=np.int32),
-        symbol_kind=np.asarray(symbol_kind, dtype=np.int32),
-        symbol_scope=np.asarray(symbol_scope, dtype=np.int32),
-        symbol_annotation=np.asarray(symbol_annotation, dtype=np.int32),
-        symbol_line=np.asarray(symbol_line, dtype=np.int32),
-        occurrence_ids=np.asarray(occurrences, dtype=np.int32),
-        occurrence_splits=splits,
-        _subtoken_cache=flat._subtoken_cache,
-    )
-
-
-def flatten_graph(
-    filename: str,
-    source: str,
-    nodes: Sequence,
-    edges: dict[EdgeKind, Sequence[tuple[int, int]]],
-    symbols: Sequence[SymbolInfo],
-) -> FlatGraph:
-    """Flatten materialised node/edge/symbol objects into a :class:`FlatGraph`.
-
-    The inverse of :meth:`FlatGraph.materialise_symbols` + node/edge
-    reconstruction; used when an object-built graph (legacy JSON payloads,
-    hand-constructed test graphs) enters a flat-only path such as binary
-    shard persistence.
-    """
-    arena = FlatGraphBuilder(filename=filename, source=source)
-    for node in nodes:
-        arena._node_kind.append(NODE_KIND_CODES[node.kind])
-        arena._node_text.append(arena.strings.intern(node.text))
-        arena._node_line.append(node.lineno)
-        arena._node_col.append(node.col)
-    for kind in ALL_EDGE_KINDS:
-        pairs = edges.get(kind)
-        if pairs:
-            arena._edges[kind] = [(int(source), int(target)) for source, target in pairs]
-    arena.symbols = list(symbols)
-    return arena.finish()

@@ -44,38 +44,10 @@ def is_identifier_text(text: str) -> bool:
     """Whether a lexeme contributes subtokens (Eq. 7): starts like a name.
 
     The single source of truth for subtoken eligibility — used by the
-    arena builder's subtoken pass, :meth:`GraphNode.is_identifier_like`
-    and path extraction, so the three can never disagree.
+    arena builder's subtoken pass and path extraction, so the two can never
+    disagree.
     """
     return bool(text) and (text[0].isalpha() or text[0] == "_")
-
-
-@dataclass
-class GraphNode:
-    """A single node of the program graph.
-
-    Attributes
-    ----------
-    index:
-        Position of the node in the graph's node list.
-    kind:
-        One of the four :class:`NodeKind` categories.
-    text:
-        The identifier / lexeme / syntax-node label.  For vocabulary nodes
-        this is the subtoken itself; for symbol nodes the symbol's name.
-    lineno, col:
-        Source position for token nodes (``-1`` when not applicable).
-    """
-
-    index: int
-    kind: NodeKind
-    text: str
-    lineno: int = -1
-    col: int = -1
-
-    def is_identifier_like(self) -> bool:
-        """Whether the node's text should contribute subtokens (Eq. 7)."""
-        return is_identifier_text(self.text)
 
 
 @dataclass

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Union
-
-from repro.graph.codegraph import CodeGraph
 from repro.graph.edges import ALL_EDGE_KINDS
-from repro.graph.flatgraph import FlatGraph
+from repro.graph.flatgraph import NODE_KIND_ORDER, FlatGraph
 from repro.graph.nodes import NodeKind
 
 _NODE_STYLE = {
@@ -27,37 +24,28 @@ _EDGE_COLOURS = {
     "SUBTOKEN_OF": "#319795",
 }
 
-GraphLike = Union[CodeGraph, FlatGraph]
-
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _as_code_graph(graph: GraphLike) -> CodeGraph:
-    if isinstance(graph, FlatGraph):
-        return CodeGraph.from_flat(graph)
-    return graph
-
-
-def to_dot(graph: GraphLike, max_label_length: int = 24) -> str:
-    """Render a :class:`CodeGraph` or :class:`FlatGraph` as Graphviz DOT.
+def to_dot(graph: FlatGraph, max_label_length: int = 24) -> str:
+    """Render a program graph as Graphviz DOT.
 
     Figure 3 of the paper shows a small example graph; this export makes it
     easy to regenerate similar figures from any snippet.  The output is
-    deterministic for a given graph regardless of representation: nodes in
-    index order, edges grouped by :class:`EdgeKind` declaration order with
-    each kind's pairs in insertion order.
+    deterministic for a given graph: nodes in index order, edges grouped by
+    :class:`EdgeKind` declaration order with each kind's pairs in insertion
+    order.
     """
-    graph = _as_code_graph(graph)
     lines = ["digraph code_graph {", "  rankdir=LR;", "  node [fontsize=10];"]
-    for node in graph.nodes:
-        label = node.text if len(node.text) <= max_label_length else node.text[: max_label_length - 1] + "…"
-        style = _NODE_STYLE[node.kind]
-        lines.append(f'  n{node.index} [label="{_escape(label)}", {style}];')
+    for index, (text, kind_code) in enumerate(zip(graph.node_texts(), graph.node_kind.tolist())):
+        label = text if len(text) <= max_label_length else text[: max_label_length - 1] + "…"
+        style = _NODE_STYLE[NODE_KIND_ORDER[kind_code]]
+        lines.append(f'  n{index} [label="{_escape(label)}", {style}];')
     for kind in ALL_EDGE_KINDS:
         colour = _EDGE_COLOURS.get(kind.value, "#000000")
-        for source, target in graph.edges_of(kind):
+        for source, target in graph.edge_array(kind).T.tolist():
             lines.append(
                 f'  n{source} -> n{target} [label="{kind.value}", color="{colour}", fontsize=8];'
             )
@@ -65,7 +53,7 @@ def to_dot(graph: GraphLike, max_label_length: int = 24) -> str:
     return "\n".join(lines)
 
 
-def write_dot(graph: GraphLike, path: str) -> str:
+def write_dot(graph: FlatGraph, path: str) -> str:
     """Write :func:`to_dot` output to ``path`` and return the path."""
     dot = to_dot(graph)
     with open(path, "w", encoding="utf-8") as handle:

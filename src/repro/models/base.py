@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
-from repro.graph.codegraph import CodeGraph
+from repro.graph.flatgraph import FlatGraph
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 
@@ -25,7 +25,7 @@ class SymbolEncoder(Module):
     #: Model family name used in experiment tables ("graph", "sequence", "path").
     family: str = "unknown"
 
-    def prepare_batch(self, graphs: Sequence[CodeGraph], targets_per_graph: Sequence[Sequence[int]]):
+    def prepare_batch(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]):
         """Convert graphs + target node ids into the family-specific batch."""
         raise NotImplementedError
 
@@ -33,7 +33,7 @@ class SymbolEncoder(Module):
         """Return a ``(num_targets, output_dim)`` tensor of type embeddings."""
         raise NotImplementedError
 
-    def encode(self, graphs: Sequence[CodeGraph], targets_per_graph: Sequence[Sequence[int]]) -> Tensor:
+    def encode(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> Tensor:
         """Convenience: prepare a batch and run the forward pass."""
         return self(self.prepare_batch(graphs, targets_per_graph))
 

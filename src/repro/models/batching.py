@@ -12,8 +12,10 @@ Each model family consumes a different view of the program:
   symbol (:class:`PathBatch`), following code2seq.
 
 All three are built from the same inputs: a list of
-:class:`~repro.graph.codegraph.CodeGraph` and, per graph, the list of target
-symbol node indices.
+:class:`~repro.graph.flatgraph.FlatGraph` and, per graph, the list of target
+symbol node indices.  Every view reads the graph's columns (node texts
+through the intern table, kind codes, ``(2, E)`` edge arrays); no per-node
+objects are built.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.graph.codegraph import CodeGraph
 from repro.graph.edges import EdgeKind
+from repro.graph.flatgraph import NODE_KIND_CODES, FlatGraph, is_identifier_text
 from repro.graph.nodes import NodeKind
 from repro.models.featurize import TextFeatures
 from repro.utils.rng import SeededRNG
@@ -64,13 +66,11 @@ class GraphBatch:
         return len(self.target_nodes)
 
 
-def build_graph_batch(graphs: Sequence[CodeGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
+def build_graph_batch(graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
     """Merge graphs into one disjoint graph, remapping target node indices.
 
-    Columnar graphs contribute their edge arrays directly (offset-shifted
-    views of the ``(2, E)`` blocks, no tuple-list walking); object-built
-    graphs go through the legacy per-pair path.  Both produce identical
-    batches.
+    Each graph contributes its edge arrays directly (offset-shifted views of
+    the ``(2, E)`` blocks, no tuple-list walking).
     """
     if len(graphs) != len(targets_per_graph):
         raise ValueError("graphs and targets_per_graph must have the same length")
@@ -83,24 +83,12 @@ def build_graph_batch(graphs: Sequence[CodeGraph], targets_per_graph: Sequence[S
     target_chunks: list[np.ndarray] = []
     for graph_index, (graph, targets) in enumerate(zip(graphs, targets_per_graph)):
         offset = offsets[graph_index]
-        flat = graph.flat
-        if flat is not None:
-            node_texts.extend(flat.node_texts())
-            for kind, pairs in flat.edges.items():
-                edge_chunks.setdefault(kind, []).append(pairs.T.astype(np.int64) + offset)
-        else:
-            node_texts.extend(node.text for node in graph.nodes)
-            for kind, pairs in graph.edges.items():
-                if pairs:
-                    edge_chunks.setdefault(kind, []).append(np.asarray(pairs, dtype=np.int64) + offset)
-                else:
-                    edge_chunks.setdefault(kind, [])
+        node_texts.extend(graph.node_texts())
+        for kind, pairs in graph.edges.items():
+            edge_chunks.setdefault(kind, []).append(pairs.T.astype(np.int64) + offset)
         target_chunks.append(np.asarray(list(targets), dtype=np.int64) + offset)
 
-    edges = {
-        kind: np.concatenate(chunks, axis=0).T if chunks else np.zeros((2, 0), dtype=np.int64)
-        for kind, chunks in edge_chunks.items()
-    }
+    edges = {kind: np.concatenate(chunks, axis=0).T for kind, chunks in edge_chunks.items()}
     target_nodes = (
         np.concatenate(target_chunks) if target_chunks else np.zeros(0, dtype=np.int64)
     )
@@ -113,24 +101,14 @@ def build_graph_batch(graphs: Sequence[CodeGraph], targets_per_graph: Sequence[S
     )
 
 
-def token_view(graph: CodeGraph, max_tokens: int):
-    """``(texts, node-index → position, OCCURRENCE_OF pairs)`` for one graph.
-
-    Reads the columnar arrays when the graph is flat-backed (no node-object
-    materialisation); falls back to the object walk otherwise.
-    """
-    flat = graph.flat
-    if flat is not None:
-        token_indices = flat.node_indices_of_kind(NodeKind.TOKEN)[:max_tokens].tolist()
-        strings = flat.strings
-        texts = [strings[i] for i in flat.node_text[token_indices].tolist()]
-        position_of_node = {node: position for position, node in enumerate(token_indices)}
-        occurrence_pairs = flat.edge_array(EdgeKind.OCCURRENCE_OF).T.tolist()
-        return texts, position_of_node, occurrence_pairs
-    token_nodes = [node for node in graph.nodes if node.kind == NodeKind.TOKEN][:max_tokens]
-    position_of_node = {node.index: position for position, node in enumerate(token_nodes)}
-    texts = [node.text for node in token_nodes]
-    return texts, position_of_node, graph.edges_of(EdgeKind.OCCURRENCE_OF)
+def token_view(graph: FlatGraph, max_tokens: int):
+    """``(texts, node-index → position, OCCURRENCE_OF pairs)`` for one graph."""
+    token_indices = graph.node_indices_of_kind(NodeKind.TOKEN)[:max_tokens].tolist()
+    strings = graph.strings
+    texts = [strings[i] for i in graph.node_text[token_indices].tolist()]
+    position_of_node = {node: position for position, node in enumerate(token_indices)}
+    occurrence_pairs = graph.edge_array(EdgeKind.OCCURRENCE_OF).T.tolist()
+    return texts, position_of_node, occurrence_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +138,7 @@ class SequenceBatch:
 
 
 def build_sequence_batch(
-    graphs: Sequence[CodeGraph],
+    graphs: Sequence[FlatGraph],
     targets_per_graph: Sequence[Sequence[int]],
     max_tokens: int = 192,
 ) -> SequenceBatch:
@@ -225,9 +203,9 @@ class _TreeIndex:
     parent: dict[int, int] = field(default_factory=dict)
 
     @classmethod
-    def from_graph(cls, graph: CodeGraph) -> "_TreeIndex":
+    def from_graph(cls, graph: FlatGraph) -> "_TreeIndex":
         index = cls()
-        for source, target in graph.edges_of(EdgeKind.CHILD):
+        for source, target in graph.edge_array(EdgeKind.CHILD).T.tolist():
             # CHILD edges go parent -> child; keep the first parent seen.
             index.parent.setdefault(target, source)
         return index
@@ -258,7 +236,7 @@ def _path_between(tree: _TreeIndex, start: int, end: int) -> Optional[list[int]]
 
 
 def build_path_batch(
-    graphs: Sequence[CodeGraph],
+    graphs: Sequence[FlatGraph],
     targets_per_graph: Sequence[Sequence[int]],
     rng: Optional[SeededRNG],
     max_paths_per_target: int = 8,
@@ -274,20 +252,23 @@ def build_path_batch(
     seeded by its file's source text and its node index, so its paths depend
     on nothing else (not even the filename).
     """
+    token = NODE_KIND_CODES[NodeKind.TOKEN]
     paths_per_target: list[list[SyntaxPath]] = []
     for graph, targets in zip(graphs, targets_per_graph):
         tree = _TreeIndex.from_graph(graph)
+        texts = graph.node_texts()
+        kinds = graph.node_kind.tolist()
         occurrence_map: dict[int, list[int]] = {}
-        for source, target in graph.edges_of(EdgeKind.OCCURRENCE_OF):
-            if target in targets and graph.nodes[source].kind == NodeKind.TOKEN:
+        for source, target in graph.edge_array(EdgeKind.OCCURRENCE_OF).T.tolist():
+            if target in targets and kinds[source] == token:
                 occurrence_map.setdefault(target, []).append(source)
         identifier_tokens = [
-            node.index
-            for node in graph.nodes
-            if node.kind == NodeKind.TOKEN and node.is_identifier_like()
+            index
+            for index, (kind, text) in enumerate(zip(kinds, texts))
+            if kind == token and is_identifier_text(text)
         ]
         for node_index in targets:
-            symbol_text = graph.nodes[node_index].text
+            symbol_text = texts[node_index]
             occurrences = occurrence_map.get(node_index, [])
             sampled: list[SyntaxPath] = []
             if occurrences and identifier_tokens:
@@ -302,9 +283,9 @@ def build_path_batch(
                         continue
                     sampled.append(
                         SyntaxPath(
-                            start_text=graph.nodes[start].text,
-                            inner_labels=[graph.nodes[n].text for n in inner],
-                            end_text=graph.nodes[end].text,
+                            start_text=texts[start],
+                            inner_labels=[texts[n] for n in inner],
+                            end_text=texts[end],
                         )
                     )
             if not sampled:

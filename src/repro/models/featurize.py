@@ -233,20 +233,15 @@ class FeatureExtractor:
     # -- graph conversion ----------------------------------------------------------
 
     def features_for_graph(self, graph) -> TextFeatures:
-        """Featurize a graph's node texts, via its intern table when flat.
+        """Featurize a :class:`~repro.graph.flatgraph.FlatGraph`'s node texts.
 
-        Columnar graphs (:attr:`CodeGraph.flat`) carry every distinct lexeme
-        exactly once in their string table: the table is featurized once and
-        the per-node rows are gathered by text id, so a lexeme shared by a
-        thousand nodes is tokenized a single time.  The produced arrays are
-        byte-identical to featurizing ``[node.text for node in graph.nodes]``
-        directly, which remains the fallback for object-built graphs.
+        A graph's string table holds every distinct lexeme exactly once: the
+        table is featurized once and the per-node rows are gathered by text
+        id, so a lexeme shared by a thousand nodes is tokenized a single
+        time.  The produced arrays are byte-identical to featurizing
+        ``graph.node_texts()`` directly.
         """
-        flat = getattr(graph, "flat", None)
-        if flat is None:
-            return self.features_for_texts([node.text for node in graph.nodes])
-        table = self.features_for_texts(flat.strings)
-        return table.take(flat.node_text)
+        return self.features_for_texts(graph.strings).take(graph.node_text)
 
 
 def vocabulary_fingerprint(kind: str, tokens: Iterable[str]) -> str:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.graph.codegraph import CodeGraph
 from repro.graph.edges import ALL_EDGE_KINDS, EdgeKind
+from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
 from repro.models.batching import GraphBatch, build_graph_batch
 from repro.models.encoder_init import NodeInitializer
@@ -136,7 +136,7 @@ class GGNNEncoder(SymbolEncoder):
 
     # -- batching -------------------------------------------------------------------
 
-    def prepare_batch(self, graphs: Sequence[CodeGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
+    def prepare_batch(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
         return build_graph_batch(graphs, targets_per_graph)
 
     # -- forward --------------------------------------------------------------------
@@ -199,7 +199,7 @@ class NameOnlyEncoder(SymbolEncoder):
         self.output_dim = hidden_dim
         self.projection = Linear(initializer.dim, hidden_dim, rng) if initializer.dim != hidden_dim else None
 
-    def prepare_batch(self, graphs: Sequence[CodeGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
+    def prepare_batch(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
         return build_graph_batch(graphs, targets_per_graph)
 
     def forward(self, batch: GraphBatch) -> Tensor:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.codegraph import CodeGraph
+from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
 from repro.models.batching import PathBatch, build_path_batch
 from repro.models.encoder_init import NodeInitializer
@@ -54,7 +54,7 @@ class PathEncoder(SymbolEncoder):
 
     # -- batching -----------------------------------------------------------------------
 
-    def prepare_batch(self, graphs: Sequence[CodeGraph], targets_per_graph: Sequence[Sequence[int]]) -> PathBatch:
+    def prepare_batch(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> PathBatch:
         return build_path_batch(
             graphs,
             targets_per_graph,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.codegraph import CodeGraph
+from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
 from repro.models.batching import SequenceBatch, build_sequence_batch
 from repro.models.encoder_init import NodeInitializer
@@ -53,7 +53,7 @@ class SequenceEncoder(SymbolEncoder):
 
     # -- batching ----------------------------------------------------------------------
 
-    def prepare_batch(self, graphs: Sequence[CodeGraph], targets_per_graph: Sequence[Sequence[int]]) -> SequenceBatch:
+    def prepare_batch(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> SequenceBatch:
         return build_sequence_batch(graphs, targets_per_graph, max_tokens=self.max_tokens)
 
     # -- forward ------------------------------------------------------------------------

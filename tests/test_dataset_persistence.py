@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.corpus import DatasetConfig, TypeAnnotationDataset
 from repro.corpus.serialize import graph_to_payload
 from repro.corpus.synthesis import SynthesisConfig
+from repro.graph import FlatGraph
 from repro.graph.nodes import SymbolKind
 
 
@@ -126,7 +128,8 @@ class TestFormatCompatibility:
         loaded = TypeAnnotationDataset.load(saved_dir)
         for split in loaded.splits.values():
             for graph in split.graphs:
-                assert graph.flat is not None
+                assert isinstance(graph, FlatGraph)
+                assert graph.node_kind.dtype == np.int32
 
     def test_corrupted_binary_shard_rejected(self, dataset, tmp_path):
         import numpy as np

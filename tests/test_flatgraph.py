@@ -1,42 +1,45 @@
-"""The columnar FlatGraph core: arena building, the CodeGraph view, shards."""
+"""The columnar FlatGraph: arena building, symbol records, payloads, shards.
+
+Consumers (batching, featurization, path sampling) are checked against
+expectations built from :func:`graph_to_payload`'s plain node and edge
+lists, or against samples recorded in ``tests/fixtures``, so no test here
+compares the columns with themselves.
+"""
+
+import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.corpus.serialize import (
     PayloadError,
     flat_graphs_from_arrays,
     flat_graphs_to_arrays,
+    graph_from_payload,
     graph_to_payload,
     read_graph_shard,
     write_graph_shard,
 )
-from repro.graph import CodeGraph, EdgeKind, FlatGraph, NodeKind, SymbolKind, build_graph
+from repro.graph import EdgeKind, FlatGraph, NodeKind, SymbolKind, build_graph, split_identifier
 from repro.graph.flatgraph import (
     NO_ANNOTATION,
-    NODE_KIND_CODES,
     FlatGraphBuilder,
     StringTable,
     is_identifier_text,
 )
+from repro.models.batching import build_graph_batch, build_path_batch, build_sequence_batch
 from repro.models.featurize import SUBTOKEN, FeatureExtractor
-from repro.models.batching import build_graph_batch, build_sequence_batch
+from repro.utils.rng import SeededRNG
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture()
-def graph(sample_source) -> CodeGraph:
+def graph(sample_source) -> FlatGraph:
     return build_graph(sample_source, "sample.py")
-
-
-def materialised_copy(graph: CodeGraph) -> CodeGraph:
-    """The same graph as plain objects, with no flat backing."""
-    return CodeGraph(
-        filename=graph.filename,
-        source=graph.source,
-        nodes=list(graph.nodes),
-        edges={kind: list(pairs) for kind, pairs in graph.edges.items()},
-        symbols=list(graph.symbols),
-    )
 
 
 class TestStringTable:
@@ -55,45 +58,44 @@ class TestStringTable:
 
 class TestArena:
     def test_builder_produces_flat_backed_graphs(self, graph):
-        assert graph.flat is not None
-        flat = graph.flat
-        assert flat.num_nodes == graph.num_nodes
-        assert flat.num_edges == graph.num_edges
-        assert flat.node_kind.dtype == np.int32
-        for pairs in flat.edges.values():
+        payload = graph_to_payload(graph)
+        assert isinstance(graph, FlatGraph)
+        assert graph.num_nodes == len(payload["nodes"])
+        assert graph.num_edges == sum(len(pairs) for pairs in payload["edges"].values())
+        assert graph.node_kind.dtype == np.int32
+        for pairs in graph.edges.values():
             assert pairs.dtype == np.int32 and pairs.shape[0] == 2
 
     def test_string_table_interns_repeated_lexemes(self, graph):
-        flat = graph.flat
-        texts = flat.node_texts()
-        assert len(set(texts)) == len(flat.strings) or len(set(texts)) <= len(flat.strings)
-        # repeated lexemes share one table entry, so the table is strictly
-        # smaller than the node count for any real file
-        assert len(flat.strings) < flat.num_nodes
-        assert texts == [node.text for node in graph.nodes]
+        texts = graph.node_texts()
+        # repeated lexemes share one table entry: no string is stored twice,
+        # so the table is strictly smaller than the node count for any real file
+        assert len(set(graph.strings)) == len(graph.strings)
+        assert set(texts) <= set(graph.strings)
+        assert len(graph.strings) < graph.num_nodes
+        assert texts == [node[1] for node in graph_to_payload(graph)["nodes"]]
 
     def test_materialised_view_matches_arrays(self, graph):
-        flat = graph.flat
-        for node in graph.nodes:
-            assert NODE_KIND_CODES[node.kind] == int(flat.node_kind[node.index])
-            assert node.text == flat.text_of(node.index)
-            assert node.lineno == int(flat.node_line[node.index])
-            assert node.col == int(flat.node_col[node.index])
-        for kind, pairs in graph.edges.items():
-            assert pairs == [tuple(pair) for pair in flat.edges[kind].T.tolist()]
+        """The cached symbol records are read straight off the symbol columns."""
+        strings = graph.strings
+        assert len(graph.symbols) == graph.num_symbols
         for position, symbol in enumerate(graph.symbols):
-            assert symbol.node_index == int(flat.symbol_node[position])
-            assert symbol.annotation == flat.annotation_of(position)
-            assert symbol.occurrence_indices == flat.occurrences_of(position).tolist()
+            assert symbol.node_index == int(graph.symbol_node[position])
+            assert symbol.name == strings[int(graph.symbol_name[position])]
+            assert symbol.scope == strings[int(graph.symbol_scope[position])]
+            annotation_id = int(graph.symbol_annotation[position])
+            assert symbol.annotation == (None if annotation_id == NO_ANNOTATION else strings[annotation_id])
+            lo, hi = graph.occurrence_splits[position], graph.occurrence_splits[position + 1]
+            assert symbol.occurrence_indices == graph.occurrence_ids[lo:hi].tolist()
+        assert graph.symbols is graph.symbols  # built once, then cached
 
     def test_unannotated_symbols_use_sentinel(self, graph):
-        flat = graph.flat
         unannotated = [
             position for position, symbol in enumerate(graph.symbols) if symbol.annotation is None
         ]
         assert unannotated, "sample source should contain unannotated symbols"
         for position in unannotated:
-            assert int(flat.symbol_annotation[position]) == NO_ANNOTATION
+            assert int(graph.symbol_annotation[position]) == NO_ANNOTATION
 
     def test_arena_edge_validation_matches_codegraph(self):
         arena = FlatGraphBuilder("x.py", "")
@@ -107,9 +109,22 @@ class TestArena:
         assert flat.num_edges == 1
 
     def test_flat_round_trip_through_objects(self, graph):
-        rebuilt = CodeGraph.from_flat(materialised_copy(graph).to_flat())
-        assert graph_to_payload(rebuilt) == graph_to_payload(graph)
-        assert rebuilt == graph
+        """Graph → plain JSON lists → graph keeps every node, edge, symbol and string."""
+        payload = graph_to_payload(graph)
+        rebuilt = graph_from_payload(json.loads(json.dumps(payload)))
+        assert graph_to_payload(rebuilt) == payload
+        assert rebuilt.strings == graph.strings  # interned in the builder's order
+        assert list(rebuilt.edges) == list(graph.edges)
+
+    def test_missing_edge_kind_reads_empty_without_insertion(self):
+        arena = FlatGraphBuilder("tiny.py")
+        arena.add_node(NodeKind.TOKEN, "x")
+        tiny = arena.finish()
+        before = graph_to_payload(tiny)
+        assert tiny.edge_array(EdgeKind.NEXT_MAY_USE).shape == (2, 0)
+        assert EdgeKind.NEXT_MAY_USE not in tiny.edges
+        assert tiny.num_edges == 0
+        assert graph_to_payload(tiny) == before
 
     def test_is_identifier_text(self):
         assert is_identifier_text("snake_case") and is_identifier_text("_private")
@@ -117,122 +132,170 @@ class TestArena:
 
 
 class TestCodeGraphView:
-    def test_mutation_drops_flat_backing(self, graph):
-        assert graph.flat is not None
-        index = graph.add_node(NodeKind.TOKEN, "extra")
-        assert graph.flat is None
-        assert graph.nodes[index].text == "extra"
-        graph.validate()
-
-    def test_in_place_edge_mutation_is_never_silently_lost(self, graph):
-        """Appending to the materialised edges dict must be reflected by
-        num_edges and survive to_flat/persistence (the flat backing is
-        dropped as soon as the mutable containers are exposed)."""
-        before = graph.num_edges
-        graph.edges[EdgeKind.CHILD].append((0, 1))
-        assert graph.flat is None
-        assert graph.num_edges == before + 1
-        assert (0, 1) in CodeGraph.from_flat(graph.to_flat()).edges[EdgeKind.CHILD]
-
-    def test_in_place_node_list_mutation_is_never_silently_lost(self, graph):
-        from repro.graph.nodes import GraphNode
-
-        before = graph.num_nodes
-        graph.nodes.append(GraphNode(index=before, kind=NodeKind.TOKEN, text="extra"))
-        assert graph.flat is None
-        assert graph.num_nodes == before + 1
-        assert CodeGraph.from_flat(graph.to_flat()).num_nodes == before + 1
-
-    def test_symbol_mutation_survives_flat_round_trip(self, graph):
-        """Symbols stay object-backed on flat graphs; editing one (e.g. the
-        pipeline attaching an annotation) must be persisted by to_flat."""
-        assert graph.flat is not None
-        symbol = next(s for s in graph.symbols if s.annotation is None)
-        symbol.annotation = "SomeBrandNewType"
-        rebuilt = CodeGraph.from_flat(graph.to_flat())
-        assert graph.flat is not None  # reading symbols never drops the arrays
-        match = rebuilt.find_symbol(symbol.name, scope=symbol.scope, kind=symbol.kind)
-        assert match is not None and match.annotation == "SomeBrandNewType"
-
-    def test_unchanged_symbols_reuse_the_backing_arrays(self, graph):
-        flat = graph.flat
-        assert graph.to_flat() is flat  # fast path: nothing to rebuild
-
-    def test_edges_of_missing_kind_returns_empty_tuple_without_insertion(self):
-        graph = CodeGraph(filename="tiny.py")
-        graph.add_node(NodeKind.TOKEN, "x")
-        before = graph_to_payload(graph)
-        assert graph.edges_of(EdgeKind.NEXT_MAY_USE) == ()
-        _ = graph.num_edges
-        assert EdgeKind.NEXT_MAY_USE not in graph.edges
-        assert graph_to_payload(graph) == before
-
-    def test_edges_of_read_does_not_pollute_equality(self, graph, sample_source):
-        pristine = build_graph(sample_source, graph.filename)
-        missing = [kind for kind in EdgeKind if kind not in graph.edges]
-        probed = graph.without_edges([EdgeKind.SUBTOKEN_OF])
-        reference = graph.without_edges([EdgeKind.SUBTOKEN_OF])
-        for kind in EdgeKind:
-            probed.edges_of(kind)
-        _ = probed.num_edges
-        assert probed == reference
-        assert missing == []  # sample source exercises every kind
-        assert pristine == graph
-
-    def test_flat_backed_edges_of_matches_materialised(self, graph):
-        flat_backed = build_graph(graph.source, graph.filename)
-        materialised = materialised_copy(graph)
-        for kind in EdgeKind:
-            flat_pairs = flat_backed.edges_of(kind)
-            assert list(flat_pairs) == list(materialised.edges_of(kind))
+    """Whole-graph reads: ablation copies, summaries, subtoken splits, pickling."""
 
     def test_without_edges_stays_flat(self, graph):
         ablated = graph.without_edges([EdgeKind.SUBTOKEN_OF, EdgeKind.NEXT_TOKEN])
-        assert ablated.flat is not None
-        assert EdgeKind.SUBTOKEN_OF not in ablated.flat.edges
+        assert EdgeKind.SUBTOKEN_OF not in ablated.edges
         assert ablated.num_nodes == graph.num_nodes
-        assert ablated.edges_of(EdgeKind.SUBTOKEN_OF) == ()
-        assert ablated.edges_of(EdgeKind.CHILD) == graph.edges_of(EdgeKind.CHILD)
+        assert ablated.edge_array(EdgeKind.SUBTOKEN_OF).shape == (2, 0)
+        assert ablated.edge_array(EdgeKind.CHILD) is graph.edge_array(EdgeKind.CHILD)
+        assert EdgeKind.SUBTOKEN_OF in graph.edges  # the original is untouched
 
-    def test_summary_identical_with_and_without_materialisation(self, graph, sample_source):
-        fresh = build_graph(sample_source, graph.filename)
-        assert fresh.summary() == materialised_copy(graph).summary()
+    def test_summary_identical_with_and_without_materialisation(self, graph):
+        """``summary()`` over the columns equals counts over the plain payload lists."""
+        payload = graph_to_payload(graph)
+        kinds = [node[0] for node in payload["nodes"]]
+        assert graph.summary() == {
+            "nodes": len(kinds),
+            "edges": sum(len(pairs) for pairs in payload["edges"].values()),
+            "tokens": kinds.count("token"),
+            "non_terminals": kinds.count("non_terminal"),
+            "vocabulary": kinds.count("vocabulary"),
+            "symbols": len(payload["symbols"]),
+            "annotated_symbols": sum(1 for symbol in payload["symbols"] if symbol[4] is not None),
+        }
 
-    def test_node_subtokens_identical(self, graph, sample_source):
-        flat_backed = build_graph(sample_source, graph.filename)
-        assert list(flat_backed.node_subtokens()) == list(materialised_copy(graph).node_subtokens())
+    def test_node_subtokens_identical(self, graph):
+        texts = [node[1] for node in graph_to_payload(graph)["nodes"]]
+        expected = [(index, split_identifier(text)) for index, text in enumerate(texts)]
+        assert list(graph.node_subtokens()) == expected
+        assert list(graph.node_subtokens()) == expected  # memoised split, same answer
 
     def test_graphs_pickle_across_process_boundaries(self, graph):
         import pickle
 
         clone = pickle.loads(pickle.dumps(graph))
-        assert clone.flat is not None
+        assert isinstance(clone, FlatGraph)
         assert graph_to_payload(clone) == graph_to_payload(graph)
+
+
+class TestPayloadDecoder:
+    """JSON payloads decode into validated columns or raise ``PayloadError``."""
+
+    def test_symbol_node_index_past_node_list_raises_payload_error(self, graph):
+        payload = graph_to_payload(graph)
+        payload["symbols"][0][0] = len(payload["nodes"]) + 5
+        with pytest.raises(PayloadError):
+            graph_from_payload(payload)
+
+    def test_negative_symbol_node_index_raises_payload_error(self, graph):
+        payload = graph_to_payload(graph)
+        # a negative index that Python indexing would wrap onto a symbol node
+        last_symbol = max(symbol[0] for symbol in payload["symbols"])
+        payload["symbols"][0][0] = last_symbol - len(payload["nodes"])
+        assert payload["nodes"][payload["symbols"][0][0]][0] == "symbol"
+        with pytest.raises(PayloadError):
+            graph_from_payload(payload)
+
+    def test_filename_override_relabels_the_graph(self, graph):
+        rebuilt = graph_from_payload(graph_to_payload(graph), filename="moved.py")
+        assert rebuilt.filename == "moved.py" and rebuilt.source == graph.source
+
+
+_PROBE_SOURCE = (
+    "LIMIT: int = 3\n\n"
+    "def scale(value: int, factor) -> int:\n"
+    "    result = value * factor\n"
+    "    return result\n"
+)
+_BASE = graph_to_payload(build_graph(_PROBE_SOURCE, "probe.py"))
+_NUM_NODES = len(_BASE["nodes"])
+
+
+def _field_locations(payload) -> list[tuple]:
+    """Every value a single replacement can hit: fields, rows and whole lists."""
+    locations: list[tuple] = [("version",), ("filename",), ("source",), ("nodes",), ("symbols",)]
+    for index, node in enumerate(payload["nodes"]):
+        locations.append(("nodes", index))
+        locations.extend(("nodes", index, column) for column in range(len(node)))
+    for kind, pairs in payload["edges"].items():
+        locations.append(("edges", kind))
+        for index in range(len(pairs)):
+            locations.extend([("edges", kind, index), ("edges", kind, index, 0), ("edges", kind, index, 1)])
+    for index, symbol in enumerate(payload["symbols"]):
+        locations.append(("symbols", index))
+        locations.extend(("symbols", index, column) for column in range(len(symbol)))
+        locations.extend(("symbols", index, 6, k) for k in range(len(symbol[6])))
+    return locations
+
+
+_LOCATIONS = _field_locations(_BASE)
+#: Node, symbol and edge-pair rows: ("nodes", i), ("symbols", i), ("edges", kind, j).
+_ROWS = [location for location in _LOCATIONS if len(location) == (3 if location[0] == "edges" else 2)]
+
+_REPLACEMENTS = st.one_of(
+    st.integers(min_value=_NUM_NODES, max_value=_NUM_NODES + 50),  # past the end
+    st.integers(min_value=-_NUM_NODES - 50, max_value=-1),  # negative
+    st.integers(min_value=2**31, max_value=2**64),  # past int32
+    st.integers(min_value=0, max_value=_NUM_NODES - 1),  # in range
+    st.sampled_from(["token", "symbol", "parameter", "CHILD", "bogus_kind"]),  # known and unknown kinds
+    st.sampled_from([None, 1.5, "7", [], {}, True, [1, 2]]),  # wrong types
+)
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(_LOCATIONS), _REPLACEMENTS),
+    st.tuples(st.just("short_row"), st.sampled_from(_ROWS)),
+    st.tuples(
+        st.just("rename_edge_kind"), st.sampled_from(list(_BASE["edges"])), st.sampled_from(["bogus_kind", "child", ""])
+    ),
+)
+
+
+def _mutate(payload, mutation: tuple) -> None:
+    if mutation[0] == "rename_edge_kind":
+        _, old, new = mutation
+        payload["edges"] = {(new if kind == old else kind): pairs for kind, pairs in payload["edges"].items()}
+        return
+    container = payload
+    for key in mutation[1][:-1]:
+        container = container[key]
+    if mutation[0] == "replace":
+        container[mutation[1][-1]] = mutation[2]
+    else:
+        del container[mutation[1][-1]][-1]
+
+
+class TestPayloadDecoderProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(mutation=_MUTATIONS)
+    def test_mutated_payload_round_trips_or_raises_payload_error(self, mutation):
+        """One mutated field gives a valid graph that round-trips, or ``PayloadError``."""
+        mutated = copy.deepcopy(_BASE)
+        _mutate(mutated, mutation)
+        try:
+            decoded = graph_from_payload(mutated)
+        except PayloadError:
+            return
+        decoded.validate()
+        assert graph_to_payload(decoded) == mutated
 
 
 class TestBinaryShards:
     def test_arrays_round_trip(self, graph, sample_source):
         other = build_graph("def helper(value):\n    return value\n", "helper.py")
-        arrays = flat_graphs_to_arrays([graph.flat, other.flat])
+        arrays = flat_graphs_to_arrays([graph, other])
         restored = flat_graphs_from_arrays(arrays)
         assert len(restored) == 2
         for original, loaded in zip([graph, other], restored):
-            view = CodeGraph.from_flat(loaded)
-            assert graph_to_payload(view) == graph_to_payload(original)
-            assert view.source == original.source and view.filename == original.filename
+            assert graph_to_payload(loaded) == graph_to_payload(original)
+            assert loaded.source == original.source and loaded.filename == original.filename
 
     def test_shard_file_round_trip(self, graph, tmp_path):
         shard = tmp_path / "graphs-00000.npz"
         write_graph_shard(shard, [graph])
         (loaded,) = read_graph_shard(shard)
-        assert loaded.flat is not None
+        assert isinstance(loaded, FlatGraph)
         assert graph_to_payload(loaded) == graph_to_payload(graph)
 
     def test_object_built_graphs_flatten_for_shards(self, graph, tmp_path):
+        """A graph decoded from plain payload lists persists like a built one."""
+        decoded = graph_from_payload(graph_to_payload(graph))
         shard = tmp_path / "graphs-00000.npz"
-        write_graph_shard(shard, [materialised_copy(graph)])
+        write_graph_shard(shard, [decoded])
         (loaded,) = read_graph_shard(shard)
         assert graph_to_payload(loaded) == graph_to_payload(graph)
+        assert flat_graphs_to_arrays([decoded])["fingerprint"] == flat_graphs_to_arrays([graph])["fingerprint"]
 
     def test_fingerprint_mismatch_raises(self, graph, tmp_path):
         shard = tmp_path / "graphs-00000.npz"
@@ -246,17 +309,46 @@ class TestBinaryShards:
             read_graph_shard(shard)
 
     def test_unknown_version_raises(self, graph):
-        arrays = flat_graphs_to_arrays([graph.flat])
+        arrays = flat_graphs_to_arrays([graph])
         arrays["format"] = np.asarray([999], dtype=np.int64)
         with pytest.raises(PayloadError, match="version"):
             flat_graphs_from_arrays(arrays)
 
     def test_empty_graph_round_trips(self):
         empty = build_graph("", "empty.py")
-        arrays = flat_graphs_to_arrays([empty.to_flat()])
+        arrays = flat_graphs_to_arrays([empty])
         (restored,) = flat_graphs_from_arrays(arrays)
         assert restored.num_nodes == empty.num_nodes
-        assert graph_to_payload(CodeGraph.from_flat(restored)) == graph_to_payload(empty)
+        assert graph_to_payload(restored) == graph_to_payload(empty)
+
+
+def _expected_graph_batch(graphs, targets_per_graph):
+    """The disjoint union, assembled from each graph's plain payload lists."""
+    texts, edges, targets, graph_of_node = [], {}, [], []
+    offset = 0
+    for graph_index, (graph, graph_targets) in enumerate(zip(graphs, targets_per_graph)):
+        payload = graph_to_payload(graph)
+        texts.extend(node[1] for node in payload["nodes"])
+        for kind, pairs in payload["edges"].items():
+            edges.setdefault(EdgeKind(kind), []).extend([source + offset, target + offset] for source, target in pairs)
+        targets.extend(target + offset for target in graph_targets)
+        graph_of_node.extend([graph_index] * len(payload["nodes"]))
+        offset += len(payload["nodes"])
+    return texts, edges, targets, graph_of_node
+
+
+def _expected_sequence(graph, targets, max_tokens):
+    """Token texts and per-target occurrence positions from the payload lists."""
+    payload = graph_to_payload(graph)
+    token_nodes = [index for index, node in enumerate(payload["nodes"]) if node[0] == "token"][:max_tokens]
+    position = {node: rank for rank, node in enumerate(token_nodes)}
+    occurrence_pairs = payload["edges"].get("OCCURRENCE_OF", [])
+    occurrences = [
+        sorted(position[source] for source, target in occurrence_pairs if target == symbol and source in position)
+        or [0]
+        for symbol in targets
+    ]
+    return [payload["nodes"][index][1] for index in token_nodes], occurrences
 
 
 class TestFlatConsumers:
@@ -269,37 +361,48 @@ class TestFlatConsumers:
         vocabulary.finalise()
         extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=vocabulary)
         via_table = extractor.features_for_graph(graph)
-        direct = extractor.features_for_texts([node.text for node in graph.nodes])
+        direct = extractor.features_for_texts([node[1] for node in graph_to_payload(graph)["nodes"]])
         assert np.array_equal(via_table.ids, direct.ids)
         assert np.array_equal(via_table.row_splits, direct.row_splits)
-        # object-built graphs take the fallback path, with equal output
-        fallback = extractor.features_for_graph(materialised_copy(graph))
-        assert np.array_equal(fallback.ids, direct.ids)
 
     def test_graph_batches_identical_flat_vs_objects(self, graph):
         other = build_graph("def helper(value):\n    return value + 1\n", "helper.py")
         targets = [[symbol.node_index for symbol in g.symbols] for g in (graph, other)]
-        flat_batch = build_graph_batch([graph, other], targets)
-        object_batch = build_graph_batch(
-            [materialised_copy(graph), materialised_copy(other)], targets
-        )
-        assert flat_batch.node_texts == object_batch.node_texts
-        assert set(flat_batch.edges) == set(object_batch.edges)
-        for kind in flat_batch.edges:
-            assert np.array_equal(flat_batch.edges[kind], object_batch.edges[kind])
-            assert flat_batch.edges[kind].dtype == np.int64
-        assert np.array_equal(flat_batch.target_nodes, object_batch.target_nodes)
-        assert np.array_equal(flat_batch.graph_of_node, object_batch.graph_of_node)
+        batch = build_graph_batch([graph, other], targets)
+        texts, edges, target_nodes, graph_of_node = _expected_graph_batch([graph, other], targets)
+        assert batch.node_texts == texts
+        assert set(batch.edges) == set(edges)
+        for kind, pairs in edges.items():
+            assert batch.edges[kind].dtype == np.int64
+            assert batch.edges[kind].T.tolist() == pairs
+        assert batch.target_nodes.tolist() == target_nodes
+        assert batch.graph_of_node.tolist() == graph_of_node
 
     def test_sequence_batches_identical_flat_vs_objects(self, graph):
-        targets = [[symbol.node_index for symbol in graph.symbols]]
-        flat_batch = build_sequence_batch([graph], targets, max_tokens=64)
-        object_batch = build_sequence_batch([materialised_copy(graph)], targets, max_tokens=64)
-        assert flat_batch.token_texts == object_batch.token_texts
-        assert flat_batch.sequence_length == object_batch.sequence_length
-        assert flat_batch.target_occurrences == object_batch.target_occurrences
+        targets = [symbol.node_index for symbol in graph.symbols]
+        batch = build_sequence_batch([graph], [targets], max_tokens=64)
+        texts, occurrences = _expected_sequence(graph, targets, max_tokens=64)
+        assert batch.token_texts == [texts]
+        assert batch.sequence_length == len(texts)
+        assert batch.target_occurrences == [(0, positions) for positions in occurrences]
 
     def test_symbol_lookup_on_flat_view(self, graph):
         symbol = graph.find_symbol("widget", kind=SymbolKind.PARAMETER)
         assert symbol is not None and symbol.occurrence_indices
-        assert graph.symbol_by_node(symbol.node_index) is symbol
+        assert graph.find_symbol("widget", scope="module.process") is symbol
+        assert graph.find_symbol("widget", scope="module.elsewhere") is None
+        assert graph.find_symbol("widget", kind=SymbolKind.VARIABLE) is None
+
+    @pytest.mark.parametrize("sampling", ["unseeded", "seeded"])
+    def test_path_samples_match_recorded_fixture(self, sampling):
+        """Path sampling draws exactly the recorded paths (per-symbol and shared RNG)."""
+        recorded = json.loads((FIXTURES / "path_samples.json").read_text(encoding="utf-8"))
+        graphs = [build_graph(source, filename) for filename, source in recorded["sources"].items()]
+        targets = [[symbol.node_index for symbol in graph.symbols] for graph in graphs]
+        rng = SeededRNG(recorded["rng_seed"]) if sampling == "seeded" else None
+        batch = build_path_batch(graphs, targets, rng=rng, max_paths_per_target=recorded["max_paths_per_target"])
+        drawn = [
+            [[path.start_text, path.inner_labels, path.end_text] for path in paths]
+            for paths in batch.paths_per_target
+        ]
+        assert drawn == recorded[sampling]

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.graph import (
-    CodeGraph,
     EdgeKind,
+    FlatGraph,
+    FlatGraphBuilder,
     GraphBuildError,
     GraphBuilder,
     NodeKind,
@@ -15,11 +16,20 @@ from repro.graph import (
     to_dot,
 )
 from repro.graph.builder import RETURN_SYMBOL_NAME, SymbolKey
+from repro.graph.flatgraph import NODE_KIND_ORDER
 
 
 @pytest.fixture()
-def graph(sample_source) -> CodeGraph:
+def graph(sample_source) -> FlatGraph:
     return build_graph(sample_source, "sample.py")
+
+
+def _pairs(graph: FlatGraph, kind: EdgeKind) -> list[list[int]]:
+    return graph.edge_array(kind).T.tolist()
+
+
+def _kind(graph: FlatGraph, node_index: int) -> NodeKind:
+    return NODE_KIND_ORDER[int(graph.node_kind[node_index])]
 
 
 class TestAnnotationCollection:
@@ -67,22 +77,22 @@ class TestAnnotationErasure:
     def test_graph_nodes_never_contain_annotation_text(self):
         source = "def f(parameter: SomeVeryUniqueTypeName) -> AnotherUniqueType:\n    return parameter\n"
         graph = build_graph(source)
-        texts = {node.text for node in graph.nodes}
+        texts = set(graph.node_texts())
         assert "SomeVeryUniqueTypeName" not in texts
         assert "AnotherUniqueType" not in texts
 
 
 class TestGraphStructure:
     def test_all_node_kinds_present(self, graph):
-        kinds = {node.kind for node in graph.nodes}
+        kinds = {NODE_KIND_ORDER[code] for code in graph.node_kind.tolist()}
         assert kinds == {NodeKind.TOKEN, NodeKind.NON_TERMINAL, NodeKind.VOCABULARY, NodeKind.SYMBOL}
 
     def test_all_edge_kinds_present(self, graph):
         assert set(graph.edges) == set(EdgeKind)
 
     def test_next_token_edges_form_a_chain(self, graph):
-        token_count = len(graph.nodes_of_kind(NodeKind.TOKEN))
-        assert len(graph.edges_of(EdgeKind.NEXT_TOKEN)) == token_count - 1
+        token_count = graph.count_of_kind(NodeKind.TOKEN)
+        assert len(_pairs(graph, EdgeKind.NEXT_TOKEN)) == token_count - 1
 
     def test_symbols_have_occurrences(self, graph):
         symbol = graph.find_symbol("widget", kind=SymbolKind.PARAMETER)
@@ -105,20 +115,21 @@ class TestGraphStructure:
         assert graph.find_symbol("value", scope="module.process").annotation is None
 
     def test_returns_to_edges_point_at_function_definitions(self, graph):
-        for source, target in graph.edges_of(EdgeKind.RETURNS_TO):
-            assert graph.nodes[source].text in ("Return", "Yield", "YieldFrom")
-            assert graph.nodes[target].text in ("FunctionDef", "AsyncFunctionDef")
+        texts = graph.node_texts()
+        for source, target in _pairs(graph, EdgeKind.RETURNS_TO):
+            assert texts[source] in ("Return", "Yield", "YieldFrom")
+            assert texts[target] in ("FunctionDef", "AsyncFunctionDef")
 
     def test_assigned_from_edges_exist(self, graph):
-        assert len(graph.edges_of(EdgeKind.ASSIGNED_FROM)) >= 3
+        assert len(_pairs(graph, EdgeKind.ASSIGNED_FROM)) >= 3
 
     def test_subtoken_edges_connect_to_vocabulary_nodes(self, graph):
-        for _, target in graph.edges_of(EdgeKind.SUBTOKEN_OF):
-            assert graph.nodes[target].kind == NodeKind.VOCABULARY
+        for _, target in _pairs(graph, EdgeKind.SUBTOKEN_OF):
+            assert _kind(graph, target) == NodeKind.VOCABULARY
 
     def test_occurrence_edges_target_symbol_nodes(self, graph):
-        for _, target in graph.edges_of(EdgeKind.OCCURRENCE_OF):
-            assert graph.nodes[target].kind == NodeKind.SYMBOL
+        for _, target in _pairs(graph, EdgeKind.OCCURRENCE_OF):
+            assert _kind(graph, target) == NodeKind.SYMBOL
 
     def test_validate_passes(self, graph):
         graph.validate()
@@ -190,7 +201,7 @@ class TestEdgeAblation:
         builder = GraphBuilder(include_edges=[EdgeKind.CHILD, EdgeKind.OCCURRENCE_OF])
         graph = builder.build(sample_source)
         assert set(graph.edges) <= {EdgeKind.CHILD, EdgeKind.OCCURRENCE_OF}
-        assert graph.edges_of(EdgeKind.CHILD)
+        assert _pairs(graph, EdgeKind.CHILD)
 
     def test_without_edges_returns_filtered_copy(self, graph):
         filtered = graph.without_edges([EdgeKind.NEXT_TOKEN])
@@ -217,13 +228,13 @@ class TestErrorsAndExport:
         assert dot.count("->") == graph.num_edges
 
     def test_add_edge_rejects_dangling_indices(self):
-        graph = CodeGraph()
-        graph.add_node(NodeKind.TOKEN, "x")
+        arena = FlatGraphBuilder()
+        arena.add_node(NodeKind.TOKEN, "x")
         with pytest.raises(IndexError):
-            graph.add_edge(EdgeKind.CHILD, 0, 5)
+            arena.add_edge(EdgeKind.CHILD, 0, 5)
 
     def test_self_loops_are_dropped(self):
-        graph = CodeGraph()
-        index = graph.add_node(NodeKind.TOKEN, "x")
-        graph.add_edge(EdgeKind.CHILD, index, index)
-        assert graph.num_edges == 0
+        arena = FlatGraphBuilder()
+        index = arena.add_node(NodeKind.TOKEN, "x")
+        arena.add_edge(EdgeKind.CHILD, index, index)
+        assert arena.finish().num_edges == 0

@@ -16,20 +16,26 @@ from repro.graph.subtokens import (
 def _use_pairs(source: str, kind: EdgeKind) -> set[tuple[str, str]]:
     """Map edge endpoints to (token text, token text) pairs for readability."""
     graph = build_graph(source)
-    pairs = set()
-    for source_index, target_index in graph.edges_of(kind):
-        pairs.add((graph.nodes[source_index].text, graph.nodes[target_index].text))
-    return pairs
+    texts = graph.node_texts()
+    return {(texts[a], texts[b]) for a, b in _edge_set(graph, kind)}
+
+
+def _edge_set(graph, kind: EdgeKind) -> set[tuple[int, int]]:
+    return {(a, b) for a, b in graph.edge_array(kind).T.tolist()}
+
+
+def _token_indices(graph, text: str) -> list[int]:
+    """Indices of the token nodes spelling ``text``, in source order."""
+    texts = graph.node_texts()
+    return [index for index in graph.node_indices_of_kind(NodeKind.TOKEN).tolist() if texts[index] == text]
 
 
 class TestNextLexicalUse:
     def test_sequential_uses_are_chained(self):
         source = "def f(value):\n    a = value + 1\n    b = value + 2\n    return value\n"
         graph = build_graph(source)
-        value_tokens = [
-            node.index for node in graph.nodes if node.kind == NodeKind.TOKEN and node.text == "value"
-        ]
-        lexical = set(graph.edges_of(EdgeKind.NEXT_LEXICAL_USE))
+        value_tokens = _token_indices(graph, "value")
+        lexical = _edge_set(graph, EdgeKind.NEXT_LEXICAL_USE)
         chained = [(a, b) for a, b in zip(value_tokens, value_tokens[1:])]
         assert set(chained) <= lexical
 
@@ -51,8 +57,8 @@ class TestNextMayUse:
             "    return value\n"
         )
         graph = build_graph(source)
-        value_tokens = [n.index for n in graph.nodes if n.kind == NodeKind.TOKEN and n.text == "value"]
-        may_use = set(graph.edges_of(EdgeKind.NEXT_MAY_USE))
+        value_tokens = _token_indices(graph, "value")
+        may_use = _edge_set(graph, EdgeKind.NEXT_MAY_USE)
         first_use = value_tokens[1]  # the RHS of `start = value` (index 0 is the parameter)
         then_use = value_tokens[2]
         else_use = value_tokens[3]
@@ -69,14 +75,14 @@ class TestNextMayUse:
             "    return value\n"
         )
         graph = build_graph(source)
-        value_tokens = [n.index for n in graph.nodes if n.kind == NodeKind.TOKEN and n.text == "value"]
-        may_use = set(graph.edges_of(EdgeKind.NEXT_MAY_USE))
+        value_tokens = _token_indices(graph, "value")
+        may_use = _edge_set(graph, EdgeKind.NEXT_MAY_USE)
         then_use, else_use, final_use = value_tokens[1], value_tokens[2], value_tokens[3]
         assert (then_use, final_use) in may_use
         assert (else_use, final_use) in may_use
         # Lexical-use is a chain, so the else-branch -> final edge distinguishes
         # the two relations.
-        lexical = set(graph.edges_of(EdgeKind.NEXT_LEXICAL_USE))
+        lexical = _edge_set(graph, EdgeKind.NEXT_LEXICAL_USE)
         assert (then_use, else_use) in lexical
 
     def test_loop_back_edge_connects_last_use_to_first_use(self):
@@ -88,8 +94,8 @@ class TestNextMayUse:
             "    return total\n"
         )
         graph = build_graph(source)
-        total_tokens = [n.index for n in graph.nodes if n.kind == NodeKind.TOKEN and n.text == "total"]
-        may_use = set(graph.edges_of(EdgeKind.NEXT_MAY_USE))
+        total_tokens = _token_indices(graph, "total")
+        may_use = _edge_set(graph, EdgeKind.NEXT_MAY_USE)
         # The assignment target inside the loop may flow back to the RHS use
         # of the next iteration.
         in_loop_target, in_loop_use = total_tokens[1], total_tokens[2]
@@ -110,7 +116,7 @@ class TestNextMayUse:
         assert outer_symbol is not None and inner_symbol is not None
         outer_occurrences = set(outer_symbol.occurrence_indices)
         inner_occurrences = set(inner_symbol.occurrence_indices)
-        for a, b in graph.edges_of(EdgeKind.NEXT_MAY_USE):
+        for a, b in _edge_set(graph, EdgeKind.NEXT_MAY_USE):
             assert not (a in outer_occurrences and b in inner_occurrences)
             assert not (a in inner_occurrences and b in outer_occurrences)
 

@@ -182,13 +182,13 @@ class TestDecodeCacheByteBound:
 
     def test_flatgraph_nbytes_counts_decoded_payload(self, raw_dir):
         store = self._store(raw_dir)
-        flat = store.graph(0).flat
-        assert flat is not None
+        flat = store.graph(0)
         assert flat.nbytes > len(flat.source) > 0
+        assert store.cached_bytes == flat.nbytes
 
     def test_cached_bytes_never_exceed_budget_and_evictions_occur(self, raw_dir):
         unbounded = self._store(raw_dir)
-        costs = [unbounded._cost(unbounded.graph(i)) for i in range(len(unbounded))]
+        costs = [unbounded.graph(i).nbytes for i in range(len(unbounded))]
         # A budget that holds roughly two graphs forces evictions on a full sweep.
         budget = max(costs) * 2
         store = self._store(raw_dir, cache_bytes=budget)
@@ -200,7 +200,7 @@ class TestDecodeCacheByteBound:
 
     def test_lru_keeps_recently_touched_graphs(self, raw_dir):
         unbounded = self._store(raw_dir)
-        costs = [unbounded._cost(unbounded.graph(i)) for i in range(len(unbounded))]
+        costs = [unbounded.graph(i).nbytes for i in range(len(unbounded))]
         store = self._store(raw_dir, cache_bytes=costs[0] + costs[1] + costs[2])
         store.graph(0)
         store.graph(1)
@@ -220,7 +220,7 @@ class TestDecodeCacheByteBound:
     def test_over_budget_graph_returned_uncached(self, raw_dir):
         store = self._store(raw_dir, cache_bytes=1)
         graph = store.graph(0)
-        assert graph.flat is not None
+        assert graph.nbytes > 1
         assert store.cached_bytes == 0
         assert len(store._cache) == 0
         assert store.evictions == 0  # bypass is not an eviction

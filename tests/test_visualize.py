@@ -1,26 +1,34 @@
-"""DOT export: node/edge rendering, stable ordering, FlatGraph input."""
+"""DOT export: node/edge rendering, stable ordering, decoded and shard-loaded graphs."""
 
 import pytest
 
-from repro.graph import CodeGraph, EdgeKind, NodeKind, build_graph, to_dot, write_dot
+from repro.corpus.serialize import flat_graphs_from_arrays, flat_graphs_to_arrays, graph_from_payload, graph_to_payload
+from repro.graph import EdgeKind, FlatGraph, FlatGraphBuilder, NodeKind, build_graph, to_dot, write_dot
 from repro.graph.edges import ALL_EDGE_KINDS
+from repro.graph.flatgraph import NODE_KIND_ORDER
 
 SNIPPET = "def scale(value: int) -> int:\n    result = value * 2\n    return result\n"
 
 
 @pytest.fixture()
-def graph() -> CodeGraph:
+def graph() -> FlatGraph:
     return build_graph(SNIPPET, "snippet.py")
+
+
+def _shard_loaded(graph: FlatGraph) -> FlatGraph:
+    """The graph as a binary shard hands it back: columns sliced from shard arrays."""
+    (loaded,) = flat_graphs_from_arrays(flat_graphs_to_arrays([graph]))
+    return loaded
 
 
 class TestToDot:
     def test_every_node_rendered_with_kind_style(self, graph):
         dot = to_dot(graph)
         assert dot.startswith("digraph code_graph {") and dot.endswith("}")
-        for node in graph.nodes:
-            assert f"n{node.index} [label=" in dot
+        for index in range(graph.num_nodes):
+            assert f"n{index} [label=" in dot
         # each node category maps to its distinctive shape
-        kinds_present = {node.kind for node in graph.nodes}
+        kinds_present = {NODE_KIND_ORDER[code] for code in graph.node_kind.tolist()}
         shapes = {
             NodeKind.TOKEN: "shape=box",
             NodeKind.NON_TERMINAL: "shape=ellipse",
@@ -33,7 +41,7 @@ class TestToDot:
     def test_every_edge_rendered_with_kind_label(self, graph):
         dot = to_dot(graph)
         for kind in graph.edges:
-            pairs = graph.edges_of(kind)
+            pairs = graph.edge_array(kind).T.tolist()
             assert f'label="{kind.value}"' in dot
             source, target = pairs[0]
             assert f"n{source} -> n{target} [label=\"{kind.value}\"" in dot
@@ -55,33 +63,24 @@ class TestToDot:
         assert first == second
 
     def test_flat_graph_input_renders_identically(self, graph):
-        assert graph.flat is not None
-        assert to_dot(graph.flat) == to_dot(graph)
+        """Columns sliced out of a binary shard render exactly like freshly built ones."""
+        assert to_dot(_shard_loaded(graph)) == to_dot(graph)
 
     def test_materialised_graph_renders_identically(self, graph):
-        materialised = CodeGraph(
-            filename=graph.filename,
-            source=graph.source,
-            nodes=list(graph.nodes),
-            edges={kind: list(pairs) for kind, pairs in graph.edges.items()},
-            symbols=list(graph.symbols),
-        )
-        assert materialised.flat is None
-        assert to_dot(materialised) == to_dot(graph)
+        """A graph rebuilt from its plain payload lists renders identically."""
+        assert to_dot(graph_from_payload(graph_to_payload(graph))) == to_dot(graph)
 
     def test_long_labels_truncated_and_quotes_escaped(self):
-        graph = CodeGraph(filename="weird.py")
-        graph.add_node(NodeKind.TOKEN, '"' + "x" * 50)
-        graph.add_node(NodeKind.TOKEN, "ok")
-        graph.add_edge(EdgeKind.NEXT_TOKEN, 0, 1)
-        dot = to_dot(graph, max_label_length=10)
+        arena = FlatGraphBuilder(filename="weird.py")
+        arena.add_node(NodeKind.TOKEN, '"' + "x" * 50)
+        arena.add_node(NodeKind.TOKEN, "ok")
+        arena.add_edge(EdgeKind.NEXT_TOKEN, 0, 1)
+        dot = to_dot(arena.finish(), max_label_length=10)
         assert '\\"' in dot  # escaped quote
         assert "…" in dot  # truncation marker
         assert "x" * 50 not in dot
 
     def test_rendering_never_mutates_the_graph(self, graph):
-        from repro.corpus.serialize import graph_to_payload
-
         before = graph_to_payload(graph)
         to_dot(graph)
         assert graph_to_payload(graph) == before
@@ -96,5 +95,5 @@ class TestWriteDot:
 
     def test_write_dot_accepts_flat_graphs(self, graph, tmp_path):
         path = tmp_path / "flat.dot"
-        write_dot(graph.flat, str(path))
+        write_dot(_shard_loaded(graph), str(path))
         assert path.read_text(encoding="utf-8") == to_dot(graph)
