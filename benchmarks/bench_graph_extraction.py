@@ -8,8 +8,8 @@ consumption are array operations, not object traversals:
   the legacy JSON payload path on the synthesized corpus (asserted outside
   ``--quick``; recorded always);
 * **reload fidelity** — a dataset saved via FlatGraph shards must reload
-  with *byte-identical* compiled :class:`~repro.core.trainer.BatchPlan`
-  features and an *identical* trained-pipeline fingerprint, and legacy JSON
+  with *byte-identical* :class:`~repro.core.trainer.BatchPlan` training
+  pieces and an *identical* trained-pipeline fingerprint, and legacy JSON
   shards must keep loading to the same state (asserted unconditionally, on
   any hardware).
 """
@@ -122,7 +122,7 @@ def test_binary_shards_faster_than_json(benchmark, dataset, tmp_path, quick, ben
 
 
 def test_flatgraph_reload_preserves_features_and_fingerprint(dataset, tmp_path, bench_record):
-    """Binary reload replays byte-identical BatchPlan features and pipeline
+    """Binary reload replays byte-identical BatchPlan pieces and pipeline
     fingerprints; legacy JSON shards still load to the same state."""
     binary_dir = tmp_path / "dataset-binary"
     json_dir = tmp_path / "dataset-json"
@@ -131,28 +131,33 @@ def test_flatgraph_reload_preserves_features_and_fingerprint(dataset, tmp_path, 
     from_binary = TypeAnnotationDataset.load(binary_dir)
     from_json = TypeAnnotationDataset.load(json_dir)
 
-    def train_plan(candidate: TypeAnnotationDataset) -> BatchPlan:
-        return BatchPlan(build_encoder(candidate, ENCODER), candidate.train)
+    def train_pieces(candidate: TypeAnnotationDataset) -> dict:
+        """Every training graph's single-graph batch, keyed by graph index."""
+        split = candidate.train
+        samples_by_graph = split.samples_by_graph()
+        graph_indices = sorted(samples_by_graph)
+        plan = BatchPlan(build_encoder(candidate, ENCODER), split)
+        pieces = plan.training_batch(0, graph_indices, [samples_by_graph[index] for index in graph_indices])
+        return {graph_index: batch for _, graph_index, _, batch in pieces}
 
-    reference_plan = train_plan(dataset)
+    reference = train_pieces(dataset)
     features_identical = True
     for candidate in (from_binary, from_json):
-        plan = train_plan(candidate)
-        features_identical = features_identical and set(plan._graph_entries) == set(
-            reference_plan._graph_entries
-        )
-        for graph_index, entry in reference_plan._graph_entries.items():
-            loaded = plan._graph_entries[graph_index]
+        pieces = train_pieces(candidate)
+        features_identical = features_identical and set(pieces) == set(reference)
+        for graph_index, entry in reference.items():
+            loaded = pieces[graph_index]
             features_identical = (
                 features_identical
                 and entry.features.ids.tobytes() == loaded.features.ids.tobytes()
                 and entry.features.row_splits.tobytes() == loaded.features.row_splits.tobytes()
-                and entry.node_texts == loaded.node_texts
+                and dataset.train.graphs[graph_index].node_texts()
+                == candidate.train.graphs[graph_index].node_texts()
                 and set(entry.edges) == set(loaded.edges)
                 and all(np.array_equal(entry.edges[kind], loaded.edges[kind]) for kind in entry.edges)
                 and np.array_equal(entry.target_nodes, loaded.target_nodes)
             )
-    assert features_identical, "reloaded BatchPlan arrays diverged from the reference"
+    assert features_identical, "reloaded BatchPlan pieces diverged from the reference"
 
     def fingerprint_of(candidate: TypeAnnotationDataset) -> str:
         pipeline = TypilusPipeline.fit(

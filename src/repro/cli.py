@@ -99,11 +99,8 @@ def _add_training_arguments(parser: argparse.ArgumentParser, include_workers: bo
     parser.add_argument("--learning-rate", type=float, default=5e-3)
     parser.add_argument("--dtype", choices=["float32", "float64"], default="float32",
                         help="training dtype: float32 (fast, default) or float64 (the "
-                             "historical double precision; compiled and eager float64 runs "
-                             "produce bit-identical loss trajectories)")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="disable the compile-once batch plan and rebuild every batch "
-                             "from node texts each epoch (the eager baseline path)")
+                             "historical double precision; resident, streamed and "
+                             "data-parallel float64 runs produce bit-identical loss trajectories)")
     parser.add_argument("--corpus-dir", type=Path, default=None,
                         help="train on .py files from this directory instead of a synthetic corpus")
     parser.add_argument("--dataset", type=Path, default=None,
@@ -122,7 +119,7 @@ def _add_training_arguments(parser: argparse.ArgumentParser, include_workers: bo
                                  "bit-for-bit (graph family only; falls back to serial where "
                                  "fork is unavailable)")
     parser.add_argument("--prefetch-batches", type=int, default=None,
-                        help="stream compiled batches through a bounded prefetch window of "
+                        help="stream assembled batches through a bounded prefetch window of "
                              "this many batches instead of keeping the whole plan resident; "
                              "peak memory becomes O(window) with an identical loss trajectory")
 
@@ -337,7 +334,6 @@ def _fit_pipeline(args: argparse.Namespace, dataset: TypeAnnotationDataset) -> T
             epochs=args.epochs,
             learning_rate=args.learning_rate,
             dtype=getattr(args, "dtype", "float32"),
-            compile_batches=not getattr(args, "no_compile", False),
             workers=getattr(args, "workers", 1) or 1,
             prefetch_batches=getattr(args, "prefetch_batches", None),
         ),

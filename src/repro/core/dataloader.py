@@ -1,18 +1,20 @@
 """Bounded-prefetch batch streaming for the training loop.
 
-The resident :class:`~repro.core.trainer.BatchPlan` keeps every compiled
-graph and every assembled batch alive for the whole run, so peak RSS grows
-linearly with the corpus.  Streaming mode keeps batch *memberships* exactly
-as fixed (they are decided before epoch 0 from the same RNG stream), but
-materializes the assembled arrays on a producer thread into a bounded queue
-and drops each batch as soon as the consumer has stepped on it.  Assembly is
-pure array work — it draws no randomness and mutates no trainer state — so
-the values flowing through the model are bit-identical at any window size,
-including a window of one.
+The resident :class:`~repro.core.trainer.BatchPlan` keeps every assembled
+batch alive for the whole run, so peak RSS grows linearly with the corpus.
+Streaming mode keeps batch *memberships* exactly as fixed (they are decided
+before epoch 0 from the same RNG stream), but materializes the assembled
+arrays on a producer thread into a bounded queue and drops each batch as
+soon as the consumer has stepped on it.  Graph and sequence assembly is
+pure array work — it draws no randomness and mutates no trainer state; the
+path family's syntax-path sampling draws from the encoder's own RNG, in
+batch order, on the producer thread alone.  Either way the values flowing
+through the model are bit-identical at any window size, including a window
+of one.
 
-The producer is the only thread that touches the plan's compile/assembly
-machinery during an epoch; the consumer only sees finished payloads, which
-keeps the two sides free of shared mutable state.
+The producer is the only thread that touches the plan's assembly machinery
+during an epoch; the consumer only sees finished payloads, which keeps the
+two sides free of shared mutable state.
 """
 
 from __future__ import annotations

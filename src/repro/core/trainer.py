@@ -10,7 +10,9 @@ same code path:
 
 Mini-batches are formed over *graphs* (files); all supervised symbols of the
 selected graphs are encoded together, which is also how the similarity loss
-obtains its in-batch positive/negative sets.
+obtains its in-batch positive/negative sets.  Batches come from the same
+per-graph pieces and assembly functions (:mod:`repro.models.batching`) that
+inference uses; :class:`BatchPlan` only decides what is kept between epochs.
 """
 
 from __future__ import annotations
@@ -31,12 +33,9 @@ from repro.core.losses import (
 )
 from repro.core.typespace import TypeSpace
 from repro.corpus.dataset import AnnotatedSymbol, DatasetSplit, TypeAnnotationDataset
-from repro.graph.edges import EdgeKind
-from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
-from repro.models.batching import GraphBatch, SequenceBatch, token_view
+from repro.models.batching import GraphBatch
 from repro.models.featurize import TextFeatures
-from repro.models.ggnn import GGNNEncoder, build_message_plan
 from repro.core.parallel import WorkerTeam
 from repro.nn.dtype import resolve_dtype
 from repro.nn.optim import Adam, accumulate_gradients, capture_gradients, restore_gradients
@@ -69,28 +68,23 @@ class TrainingConfig:
     seed: int = 17
     #: Floating dtype of parameters, activations and optimiser state.
     #: ``float32`` (the default) roughly doubles CPU throughput; ``float64``
-    #: restores the historical double precision, in which the compiled and
-    #: eager paths produce bit-identical loss trajectories.
+    #: restores the historical double precision, in which every execution
+    #: mode (resident, streamed, data-parallel) gives bit-identical losses.
     dtype: str = "float32"
-    #: Precompile per-graph features and batch arrays before epoch 0 and
-    #: assemble each epoch's batches from them (see :class:`BatchPlan`).
-    #: ``False`` rebuilds every batch from node texts each epoch — the
-    #: eager baseline path the throughput benchmark compares against.
-    compile_batches: bool = True
-    #: Out-of-core streaming: when set, compiled batches are assembled by a
-    #: prefetch thread into a window of at most this many in-flight batches
-    #: and dropped after use, so peak RSS is O(window) instead of O(corpus).
-    #: ``None`` (the default) keeps the historical resident plan.  Assembly
-    #: is pure, so any window size replays the resident float64 trajectory
-    #: bit-for-bit.
+    #: Out-of-core streaming: when set, batches are assembled by a prefetch
+    #: thread into a window of at most this many in-flight batches and
+    #: dropped after use, so peak RSS is O(window) instead of O(corpus).
+    #: ``None`` (the default) keeps every assembled batch resident across
+    #: epochs.  Assembly is pure, so any window size replays the resident
+    #: float64 trajectory bit-for-bit, for every encoder family.
     prefetch_batches: Optional[int] = None
     #: Data-parallel epochs: fork this many worker processes, each encoding
     #: and backpropagating a disjoint slice of every batch's graphs, with the
     #: per-graph gradient contributions reduced by the parent in graph order
     #: — the same association the serial path uses, so ``workers=N`` replays
-    #: ``workers=1`` bit-for-bit.  Only the compiled graph family
-    #: parallelises; other configurations silently run serially, as do hosts
-    #: where ``fork`` is unavailable.
+    #: ``workers=1`` bit-for-bit.  Only the graph family parallelises; other
+    #: families silently run serially, as do hosts where ``fork`` is
+    #: unavailable.
     workers: int = 1
 
 
@@ -124,180 +118,51 @@ class TrainingResult:
         return self.history[-1].mean_loss if self.history else float("nan")
 
 
-@dataclass
-class _CompiledGraph:
-    """Per-graph arrays a :class:`BatchPlan` precomputes for GraphBatch families."""
-
-    num_nodes: int
-    node_texts: list[str]
-    features: TextFeatures
-    edges: dict[EdgeKind, np.ndarray]  # (num_edges, 2) graph-local pairs
-    target_nodes: np.ndarray  # graph-local node index per sample, in sample order
-
-
-@dataclass
-class _CompiledSequence:
-    """Per-graph arrays for the sequence (DeepTyper-style) family."""
-
-    token_texts: list[str]
-    features: TextFeatures
-    occurrences: dict[int, list[int]]  # symbol node index -> sorted token positions
-    target_nodes: list[int]  # node index per sample, in sample order
-
-
 class BatchPlan:
-    """Compile-once featurization and batch assembly for one dataset split.
+    """What the trainer feeds the encoder for each batch of one dataset split.
 
-    The eager trainer redoes three kinds of work on every batch of every
-    epoch: re-tokenizing node texts into subtoken/token/char ids, re-merging
-    node and edge lists into a disjoint union in pure Python, and re-deriving
-    occurrence structures.  None of that depends on the epoch — only the
-    *grouping* of graphs into batches changes (the per-epoch shuffle).
+    Every batch is assembled from per-graph pieces (``encoder.piece`` then
+    ``encoder.assemble``, the functions inference uses too), gathering node
+    features from those persisted alongside the dataset shards when their
+    vocabulary fingerprint matches.  Batch memberships are fixed for the
+    whole run (the trainer only re-shuffles batch order per epoch), so a
+    resident plan assembles each batch once — arrays, segment indexes and
+    message plans — and reuses it verbatim every later epoch.
 
-    A plan therefore featurizes and indexes every graph exactly once, before
-    epoch 0 (reusing features persisted alongside the dataset shards when
-    their vocabulary fingerprint matches), and assembles each epoch's batches
-    by pure array concatenation.  Assembly follows the same graph order and
-    sample prefixes as the eager path, so a float64 compiled run replays the
-    eager float64 loss trajectory bit-for-bit.
+    ``lazy=True`` is the out-of-core mode: nothing is retained, and every
+    batch is assembled on demand and owned by the caller (the streaming
+    prefetcher or a worker-side LRU), so plan memory no longer scales with
+    the corpus.  Assembly is pure, so lazy and resident plans produce
+    identical arrays.
 
-    The path family resamples syntax paths per batch, so its batches cannot
-    be precompiled; compiling a plan for it instead turns on the encoder's
-    per-text feature memo (``supports_assembly`` stays ``False`` and the
-    trainer keeps using the eager path, minus the repeated tokenization).
-
-    ``lazy=True`` is the out-of-core mode: nothing is precompiled and
-    nothing is retained — entries and assembled batches are built on demand
-    and owned by the caller (the streaming prefetcher or a worker-side LRU),
-    so plan memory no longer scales with the corpus.  Compilation itself is
-    pure, so lazy and resident plans produce identical arrays.
+    The path family resamples syntax paths every batch, so its batches are
+    never kept: each is a fresh ``prepare_batch``, and the plan turns on the
+    encoder's per-text feature memo instead.
     """
 
     def __init__(self, encoder: SymbolEncoder, split: DatasetSplit, lazy: bool = False) -> None:
         self.encoder = encoder
         self.split = split
         self.lazy = lazy
-        self._graph_entries: dict[int, _CompiledGraph] = {}
-        self._sequence_entries: dict[int, _CompiledSequence] = {}
-        self._assembled: dict[int, object] = {}
         self._training: dict[int, object] = {}
-        self._pad_features: Optional[TextFeatures] = None
-        self._persisted: Optional[list[TextFeatures]] = None
-        self._max_tokens = getattr(encoder, "max_tokens", 192)
-        initializer = getattr(encoder, "initializer", None)
-        self.supports_assembly = initializer is not None and encoder.family in ("graph", "sequence")
-        if not self.supports_assembly:
-            encoder.enable_feature_memo()
-            return
-        self._persisted = self._persisted_features(initializer)
-        self._samples_by_graph = split.samples_by_graph()
-        if encoder.family == "sequence":
-            self._pad_features = initializer.featurize([""])
-        if lazy:
-            return
-        for graph_index in self._samples_by_graph:
-            if encoder.family == "graph":
-                self.graph_entry(graph_index)
-            else:
-                self.sequence_entry(graph_index)
+        self._persisted = self._persisted_features(encoder)
+        if encoder.family == "path":
+            encoder.initializer.extractor.enable_memo()
 
-    # -- compilation -----------------------------------------------------------------
-
-    def graph_entry(self, graph_index: int) -> _CompiledGraph:
-        """The compiled arrays for one graph (cached unless the plan is lazy)."""
-        entry = self._graph_entries.get(graph_index)
-        if entry is None:
-            entry = self._compile_graph(
-                self.split.graphs[graph_index],
-                self._samples_by_graph[graph_index],
-                self._persisted,
-                graph_index,
-            )
-            if not self.lazy:
-                self._graph_entries[graph_index] = entry
-        return entry
-
-    def sequence_entry(self, graph_index: int) -> _CompiledSequence:
-        entry = self._sequence_entries.get(graph_index)
-        if entry is None:
-            entry = self._compile_sequence(
-                self.split.graphs[graph_index],
-                self._samples_by_graph[graph_index],
-                self._max_tokens,
-            )
-            if not self.lazy:
-                self._sequence_entries[graph_index] = entry
-        return entry
-
-    def _persisted_features(self, initializer) -> Optional[list[TextFeatures]]:
+    def _persisted_features(self, encoder: SymbolEncoder) -> Optional[list[TextFeatures]]:
         """Features saved next to the dataset shards, if they match the vocabulary."""
         features = getattr(self.split, "node_features", None)
         if features is None or len(features) != len(self.split.graphs):
             return None
         fingerprint = getattr(self.split, "features_fingerprint", None)
-        if fingerprint != initializer.extractor.fingerprint():
+        if fingerprint != encoder.initializer.extractor.fingerprint():
             return None
         return features
 
-    def _compile_graph(
-        self,
-        graph: FlatGraph,
-        samples: Sequence[AnnotatedSymbol],
-        persisted: Optional[list[TextFeatures]],
-        graph_index: int,
-    ) -> _CompiledGraph:
-        # Texts resolve through the intern table, features are gathered from
-        # a once-featurized string table, and the (E, 2) edge blocks are
-        # zero-copy transposed views of the arena's (2, E) arrays.
-        if persisted is not None:
-            features = persisted[graph_index]
-        else:
-            features = self.encoder.initializer.extractor.features_for_graph(graph)
-        return _CompiledGraph(
-            num_nodes=graph.num_nodes,
-            node_texts=graph.node_texts(),
-            features=features,
-            edges={kind: pairs.T for kind, pairs in graph.edges.items()},
-            target_nodes=np.asarray([sample.node_index for sample in samples], dtype=np.int64),
-        )
-
-    def _compile_sequence(
-        self, graph: FlatGraph, samples: Sequence[AnnotatedSymbol], max_tokens: int
-    ) -> _CompiledSequence:
-        token_texts, position_of_node, occurrence_pairs = token_view(graph, max_tokens)
-        occurrences: dict[int, list[int]] = {}
-        for source, target in occurrence_pairs:
-            if source in position_of_node:
-                occurrences.setdefault(target, []).append(position_of_node[source])
-        return _CompiledSequence(
-            token_texts=token_texts,
-            features=self.encoder.initializer.featurize(token_texts),
-            occurrences={node: sorted(positions) for node, positions in occurrences.items()},
-            target_nodes=[sample.node_index for sample in samples],
-        )
-
-    # -- assembly --------------------------------------------------------------------
-
-    def batch(
-        self,
-        batch_id: int,
-        graph_indices: Sequence[int],
-        samples_per_graph: Sequence[Sequence[AnnotatedSymbol]],
-    ):
-        """The assembled batch for a stable batch id (assembled once, cached).
-
-        Batch memberships are fixed for the whole run (the trainer only
-        re-shuffles batch order per epoch), so the disjoint-union arrays,
-        features, segment indexes and message plans are built on first use —
-        before any epoch-0 gradient step touches them — and reused verbatim
-        by every later epoch.
-        """
-        cached = self._assembled.get(batch_id)
-        if cached is None:
-            cached = self.assemble(graph_indices, samples_per_graph)
-            if not self.lazy:
-                self._assembled[batch_id] = cached
-        return cached
+    def _piece(self, graph_index: int, group: Sequence[AnnotatedSymbol]):
+        persisted = self._persisted[graph_index] if self._persisted is not None else None
+        targets = [sample.node_index for sample in group]
+        return self.encoder.piece(self.split.graphs[graph_index], targets, persisted)
 
     def graph_pieces(
         self,
@@ -309,16 +174,15 @@ class BatchPlan:
         Returns ``(position, graph_index, sample_count, batch)`` tuples —
         the unit the decomposed training step forwards and backpropagates in
         isolation, and the unit the streaming window and the worker caches
-        evict.  A single-graph assembly is the ordinary union assembly with
-        one member, so each piece is element-for-element what the group
-        contributes to the full union batch.
+        evict.  A single-graph batch is the ordinary union assembly with one
+        member, so each is element-for-element what the group contributes
+        to the full union batch.
         """
-        pieces: list[tuple[int, int, int, GraphBatch]] = []
-        for position, (graph_index, group) in enumerate(zip(graph_indices, samples_per_graph)):
-            if not group:
-                continue
-            pieces.append((position, graph_index, len(group), self._assemble_graph([graph_index], [group])))
-        return pieces
+        return [
+            (position, graph_index, len(group), self.encoder.assemble([self._piece(graph_index, group)]))
+            for position, (graph_index, group) in enumerate(zip(graph_indices, samples_per_graph))
+            if group
+        ]
 
     def training_batch(
         self,
@@ -326,98 +190,28 @@ class BatchPlan:
         graph_indices: Sequence[int],
         samples_per_graph: Sequence[Sequence[AnnotatedSymbol]],
     ):
-        """What the trainer consumes for one batch, cached when resident.
+        """What the trainer consumes for one batch, kept when resident.
 
-        Graph family: the list of per-graph pieces (see :meth:`graph_pieces`).
-        Sequence family: the padded union batch (padding couples the graphs,
-        so the sequence family cannot decompose per graph).
+        Graph family: the list of single-graph batches (see
+        :meth:`graph_pieces`).  Sequence family: the padded union batch
+        (padding couples the graphs, so it cannot decompose per graph).
+        Path family: a freshly sampled batch, never kept.
         """
+        if self.encoder.family == "path":
+            graphs = [self.split.graphs[index] for index in graph_indices]
+            targets = [[sample.node_index for sample in group] for group in samples_per_graph]
+            return self.encoder.prepare_batch(graphs, targets)
         cached = self._training.get(batch_id)
         if cached is None:
             if self.encoder.family == "graph":
                 cached = self.graph_pieces(graph_indices, samples_per_graph)
             else:
-                cached = self._assemble_sequence(graph_indices, samples_per_graph)
+                cached = self.encoder.assemble(
+                    [self._piece(index, group) for index, group in zip(graph_indices, samples_per_graph)]
+                )
             if not self.lazy:
                 self._training[batch_id] = cached
         return cached
-
-    def assemble(self, graph_indices: Sequence[int], samples_per_graph: Sequence[Sequence[AnnotatedSymbol]]):
-        """Build the batch for one (graphs, sample-groups) pairing.
-
-        The produced batch carries precomputed features (and, for the GGNN, a
-        fused message-passing plan), and is element-for-element identical to
-        what the eager ``prepare_batch`` path would have built.
-        """
-        if self.encoder.family == "graph":
-            return self._assemble_graph(graph_indices, samples_per_graph)
-        return self._assemble_sequence(graph_indices, samples_per_graph)
-
-    def _assemble_graph(
-        self, graph_indices: Sequence[int], samples_per_graph: Sequence[Sequence[AnnotatedSymbol]]
-    ) -> GraphBatch:
-        entries = [self.graph_entry(index) for index in graph_indices]
-        counts = [len(group) for group in samples_per_graph]
-        num_nodes = np.asarray([entry.num_nodes for entry in entries], dtype=np.int64)
-        offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-        np.cumsum(num_nodes, out=offsets[1:])
-
-        edge_chunks: dict[EdgeKind, list[np.ndarray]] = {}
-        node_texts: list[str] = []
-        for position, entry in enumerate(entries):
-            node_texts.extend(entry.node_texts)
-            for kind, pairs in entry.edges.items():
-                bucket = edge_chunks.setdefault(kind, [])
-                if pairs.size:
-                    bucket.append(pairs + offsets[position])
-        edges = {
-            kind: np.concatenate(chunks, axis=0).T if chunks else np.zeros((2, 0), dtype=np.int64)
-            for kind, chunks in edge_chunks.items()
-        }
-        target_nodes = np.concatenate(
-            [entry.target_nodes[:count] + offsets[position]
-             for position, (entry, count) in enumerate(zip(entries, counts))]
-        ) if entries else np.zeros(0, dtype=np.int64)
-
-        batch = GraphBatch(
-            node_texts=node_texts,
-            edges=edges,
-            target_nodes=target_nodes,
-            graph_of_node=np.repeat(np.arange(len(entries), dtype=np.int64), num_nodes),
-            num_graphs=len(entries),
-            features=TextFeatures.concatenate([entry.features for entry in entries]),
-        )
-        if isinstance(self.encoder, GGNNEncoder):
-            plan = build_message_plan(
-                edges, batch.num_nodes, self.encoder.edge_kinds, self.encoder.use_reverse_edges
-            )
-            batch.message_plan = (self.encoder.message_plan_key(), plan)
-        return batch
-
-    def _assemble_sequence(
-        self, graph_indices: Sequence[int], samples_per_graph: Sequence[Sequence[AnnotatedSymbol]]
-    ) -> SequenceBatch:
-        entries = [self.sequence_entry(index) for index in graph_indices]
-        longest = max([1] + [len(entry.token_texts) for entry in entries])
-
-        padded_texts: list[list[str]] = []
-        feature_pieces: list[TextFeatures] = []
-        target_occurrences: list[tuple[int, list[int]]] = []
-        for sequence_index, (entry, group) in enumerate(zip(entries, samples_per_graph)):
-            padding = longest - len(entry.token_texts)
-            padded_texts.append(entry.token_texts + [""] * padding)
-            feature_pieces.append(entry.features)
-            if padding:
-                feature_pieces.append(self._pad_features.repeated(padding))
-            for sample in group:
-                positions = entry.occurrences.get(sample.node_index) or [0]
-                target_occurrences.append((sequence_index, positions))
-        return SequenceBatch(
-            token_texts=padded_texts,
-            sequence_length=longest,
-            target_occurrences=target_occurrences,
-            features=TextFeatures.concatenate(feature_pieces),
-        )
 
 
 class Trainer:
@@ -511,11 +305,10 @@ class Trainer:
         """One epoch's batches: fixed memberships in a freshly shuffled order.
 
         Yields ``(batch_id, graph_indices, samples_per_graph)`` where
-        ``batch_id`` is stable across epochs — the compiled plan uses it to
-        reuse the batch's precomputed arrays.  Both the eager and the
-        compiled path draw from the same RNG stream (one shuffle for the
-        memberships, one per epoch for the order), so their batch sequences —
-        and therefore float64 loss trajectories — are identical.
+        ``batch_id`` is stable across epochs — a resident plan uses it to
+        reuse the batch's assembled arrays.  The RNG stream is one shuffle
+        for the memberships and one per epoch for the order, whatever the
+        execution mode, so every mode sees the same batch sequence.
         """
         if self._batch_groups is None or self._batch_groups[0] is not split:
             self._batch_groups = (split, self._fixed_batches(split))
@@ -523,39 +316,18 @@ class Trainer:
         order = self.rng.shuffle(list(range(len(batches))))
         return [(batch_id, batches[batch_id][0], batches[batch_id][1]) for batch_id in order]
 
-    def _encode_samples(
-        self, split: DatasetSplit, graph_indices: list[int], samples_per_graph: list[list[AnnotatedSymbol]]
-    ) -> Tensor:
-        graphs = [split.graphs[index] for index in graph_indices]
-        targets_per_graph = [[sample.node_index for sample in group] for group in samples_per_graph]
-        return self.encoder.encode(graphs, targets_per_graph)
+    def _training_plan(self, split: DatasetSplit) -> BatchPlan:
+        """The plan for the training split (built once, before epoch 0).
 
-    def _training_plan(self, split: DatasetSplit) -> Optional[BatchPlan]:
-        """The compiled plan for the training split (built once, before epoch 0).
-
-        Streaming and data-parallel runs get a *lazy* plan: compiled arrays
-        are produced on demand (by the prefetch thread or inside the
-        workers) instead of being precompiled and retained, so nothing
-        corpus-sized accumulates in the parent.
+        Streaming and data-parallel runs get a *lazy* plan: batches are
+        assembled on demand (by the prefetch thread or inside the workers)
+        instead of being retained, so nothing corpus-sized accumulates in
+        the parent.
         """
-        if not self.config.compile_batches:
-            return None
         lazy = self.config.prefetch_batches is not None or self.config.workers > 1
         if self._plan is None or self._plan.split is not split or self._plan.lazy != lazy:
             self._plan = BatchPlan(self.encoder, split, lazy=lazy)
         return self._plan
-
-    def _encode_batch(
-        self,
-        split: DatasetSplit,
-        plan: Optional[BatchPlan],
-        batch_id: int,
-        graph_indices: list[int],
-        samples_per_graph: list[list[AnnotatedSymbol]],
-    ) -> Tensor:
-        if plan is not None and plan.supports_assembly:
-            return self.encoder(plan.batch(batch_id, graph_indices, samples_per_graph))
-        return self._encode_samples(split, graph_indices, samples_per_graph)
 
     @staticmethod
     def _ordered_types(samples_per_graph: list[list[AnnotatedSymbol]]) -> list[str]:
@@ -614,41 +386,12 @@ class Trainer:
         self.optimizer.step()
         return float(loss.data)
 
-    def _graph_outputs_eager(
-        self, split: DatasetSplit, graph_indices: list[int], samples_per_graph: list[list[AnnotatedSymbol]]
-    ) -> list[Tensor]:
-        outputs: list[Tensor] = []
-        for graph_index, group in zip(graph_indices, samples_per_graph):
-            if not group:
-                continue
-            targets = [sample.node_index for sample in group]
-            outputs.append(self.encoder.encode([split.graphs[graph_index]], [targets]))
-        return outputs
-
     def _step_with_payload(self, payload, samples_per_graph: list[list[AnnotatedSymbol]]) -> float:
         """Step on an assembled payload from :meth:`BatchPlan.training_batch`."""
         if self.encoder.family == "graph":
             outputs = [self.encoder(piece) for _, _, _, piece in payload]
             return self._graph_step(outputs, samples_per_graph)
         return self._union_step(self.encoder(payload), samples_per_graph)
-
-    def _train_step(
-        self,
-        split: DatasetSplit,
-        plan: Optional[BatchPlan],
-        batch_id: int,
-        graph_indices: list[int],
-        samples_per_graph: list[list[AnnotatedSymbol]],
-    ) -> float:
-        if plan is not None and plan.supports_assembly:
-            payload = plan.training_batch(batch_id, graph_indices, samples_per_graph)
-            return self._step_with_payload(payload, samples_per_graph)
-        if self.encoder.family == "graph":
-            outputs = self._graph_outputs_eager(split, graph_indices, samples_per_graph)
-            return self._graph_step(outputs, samples_per_graph)
-        return self._union_step(
-            self._encode_samples(split, graph_indices, samples_per_graph), samples_per_graph
-        )
 
     def train(self, verbose: bool = False) -> TrainingResult:
         """Run the configured number of epochs over the training split."""
@@ -661,26 +404,20 @@ class Trainer:
         self.encoder.train()
         split = self.dataset.train
         plan = self._training_plan(split)
+        window = self.config.prefetch_batches
         team = None
-        if (
-            self.config.workers > 1
-            and self.encoder.family == "graph"
-            and plan is not None
-            and plan.supports_assembly
-        ):
+        if self.config.workers > 1 and self.encoder.family == "graph":
             team = WorkerTeam.start(self, plan, split)
             if team is None and verbose:
                 print(f"workers={self.config.workers} unavailable on this host; training serially")
-        if team is None and plan is not None and plan.lazy and self.config.prefetch_batches is None:
+        if team is None and plan.lazy and window is None:
             # The lazy plan existed for the worker path; without a team (and
-            # without a streaming window) resident compilation is faster.
+            # without a streaming window) keeping batches resident is faster.
             plan = self._plan = BatchPlan(self.encoder, split, lazy=False)
-        streaming = (
-            team is None
-            and self.config.prefetch_batches is not None
-            and plan is not None
-            and plan.supports_assembly
-        )
+
+        def assemble(batch):
+            return plan.training_batch(*batch)
+
         try:
             for epoch in range(self.config.epochs):
                 losses: list[float] = []
@@ -688,21 +425,16 @@ class Trainer:
                 with result.stopwatch.measure("train_epoch"):
                     epoch_batches = self._batches(split)
                     if team is not None:
-                        for batch_id, graph_indices, samples_per_graph in epoch_batches:
+                        for _, graph_indices, samples_per_graph in epoch_batches:
                             losses.append(team.run_batch(self, graph_indices, samples_per_graph))
-                    elif streaming:
-                        payloads = stream_batches(
-                            epoch_batches,
-                            lambda batch: plan.training_batch(batch[0], batch[1], batch[2]),
-                            self.config.prefetch_batches,
+                    else:
+                        payloads = (
+                            map(assemble, epoch_batches)
+                            if window is None
+                            else stream_batches(epoch_batches, assemble, window)
                         )
                         for batch, payload in zip(epoch_batches, payloads):
                             losses.append(self._step_with_payload(payload, batch[2]))
-                    else:
-                        for batch_id, graph_indices, samples_per_graph in epoch_batches:
-                            losses.append(
-                                self._train_step(split, plan, batch_id, graph_indices, samples_per_graph)
-                            )
                 stats = EpochStats(
                     epoch=epoch,
                     mean_loss=float(np.mean(losses)) if losses else float("nan"),

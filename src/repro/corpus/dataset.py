@@ -73,7 +73,7 @@ class DatasetSplit:
     samples: list[AnnotatedSymbol] = field(default_factory=list)
     #: Precomputed subtoken features per graph (parallel to ``graphs``),
     #: produced by :meth:`TypeAnnotationDataset.featurize_nodes` or restored
-    #: from the dataset directory; compiled training plans consume them so
+    #: from the dataset directory; training batches gather from them so
     #: node texts are tokenized exactly once per corpus.
     node_features: Optional[list] = field(default=None, repr=False, compare=False)
     #: Fingerprint of the vocabulary the features were computed against.
@@ -248,7 +248,7 @@ class TypeAnnotationDataset:
         """Compute every split's per-graph subtoken features exactly once.
 
         Returns the vocabulary fingerprint the features are tied to.  The
-        compiled training plan (:class:`repro.core.trainer.BatchPlan`) reuses
+        training plan (:class:`repro.core.trainer.BatchPlan`) gathers from
         these arrays instead of re-tokenizing node texts, and :meth:`save`
         persists them alongside the graph shards so a reloaded dataset never
         tokenizes at all.

@@ -528,7 +528,8 @@ class RawGraphShard:
 
     Content fingerprints are *not* verified on open — doing so would page in
     the entire shard, defeating the layout.  Structural shape checks still
-    reject mismatched columns; callers wanting full verification use
+    reject mismatched columns, and every graph handed out has passed
+    :meth:`FlatGraph.validate`; callers wanting full verification use
     :func:`read_graph_shard_raw`.
     """
 
@@ -588,7 +589,11 @@ class RawGraphShard:
         return _unpack_strings(blob, self._metasplits[2 * index : 2 * index + 3] - lo)
 
     def graph(self, index: int) -> FlatGraph:
-        """One graph; its array fields are slices of the maps."""
+        """One validated graph; its array fields are slices of the maps.
+
+        Raises :class:`PayloadError` when a column holds an out-of-range
+        code or id (see :meth:`FlatGraph.validate`).
+        """
         if not 0 <= index < self.num_graphs:
             raise IndexError(f"graph index {index} out of range for shard of {self.num_graphs}")
         arrays = self._arrays
@@ -605,7 +610,7 @@ class RawGraphShard:
         np.cumsum(counts, out=occurrence_splits[1:])
         nodes = arrays["nodes"]
         symbols = arrays["symbols"]
-        return FlatGraph(
+        graph = FlatGraph(
             filename=filename,
             source=source,
             strings=self._strings(index),
@@ -623,6 +628,11 @@ class RawGraphShard:
             occurrence_ids=arrays["occ"][int(self._occ_prefix[sym_lo]) : int(self._occ_prefix[sym_hi])],
             occurrence_splits=occurrence_splits,
         )
+        try:
+            graph.validate()
+        except ValueError as error:
+            raise PayloadError(f"malformed graph {index} in raw shard at {self.path}: {error}") from error
+        return graph
 
 
 class LazyGraphStore:
@@ -727,7 +737,7 @@ class LazyView:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed node features (the compile-once featurization layer)
+# Precomputed node features (see repro.models.featurize)
 # ---------------------------------------------------------------------------
 
 

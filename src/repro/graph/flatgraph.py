@@ -256,24 +256,40 @@ class FlatGraph:
     # -- consistency --------------------------------------------------------------
 
     def validate(self) -> None:
-        """Vectorised consistency check; raises ``ValueError`` on violation."""
+        """Vectorised consistency check; raises ``ValueError`` on violation.
+
+        Every code and id is range-checked, so nothing that gathers through
+        a column (features through ``node_text``, records through the
+        symbol columns) can read a wrong row: a text id of ``-1`` would
+        otherwise silently resolve to the table's last string.
+        """
         num_nodes = self.num_nodes
+        num_strings = len(self.strings)
         for kind, pairs in self.edges.items():
-            if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
+            if not _within(pairs, 0, num_nodes):
                 raise ValueError(f"dangling edge {kind.value} in {self.filename}")
-        if self.node_text.size and int(self.node_text.max()) >= len(self.strings):
-            raise ValueError("node text id out of string-table range")
-        symbol_code = NODE_KIND_CODES[NodeKind.SYMBOL]
-        for position in range(self.num_symbols):
-            node_index = int(self.symbol_node[position])
-            if not 0 <= node_index < num_nodes or int(self.node_kind[node_index]) != symbol_code:
-                raise ValueError(
-                    f"symbol {self.strings[int(self.symbol_name[position])]} does not point at a symbol node"
-                )
-        if self.occurrence_ids.size and (
-            self.occurrence_ids.min() < 0 or self.occurrence_ids.max() >= num_nodes
+        for what, column, low, high in (
+            ("node kind code", self.node_kind, 0, len(NODE_KIND_ORDER)),
+            ("node text id", self.node_text, 0, num_strings),
+            ("symbol kind code", self.symbol_kind, 0, len(SYMBOL_KIND_ORDER)),
+            ("symbol name id", self.symbol_name, 0, num_strings),
+            ("symbol scope id", self.symbol_scope, 0, num_strings),
+            ("symbol annotation id", self.symbol_annotation, NO_ANNOTATION, num_strings),
+            ("symbol occurrence node", self.occurrence_ids, 0, num_nodes),
         ):
-            raise ValueError("symbol occurrence references a missing node")
+            if not _within(column, low, high):
+                raise ValueError(f"{what} out of range in {self.filename}")
+        if not _within(self.symbol_node, 0, num_nodes):
+            raise ValueError(f"symbol node index out of range in {self.filename}")
+        stray = np.flatnonzero(self.node_kind[self.symbol_node] != NODE_KIND_CODES[NodeKind.SYMBOL])
+        if stray.size:
+            name = self.strings[int(self.symbol_name[stray[0]])]
+            raise ValueError(f"symbol {name} does not point at a symbol node")
+
+
+def _within(values: np.ndarray, low: int, high: int) -> bool:
+    """Whether every value lies in ``[low, high)`` (vacuously true when empty)."""
+    return values.size == 0 or (int(values.min()) >= low and int(values.max()) < high)
 
 
 class FlatGraphBuilder:

@@ -6,9 +6,7 @@ from repro.models.batching import (
     PathBatch,
     SequenceBatch,
     SyntaxPath,
-    build_graph_batch,
     build_path_batch,
-    build_sequence_batch,
 )
 from repro.models.encoder_init import (
     CharCNNNodeInitializer,
@@ -29,8 +27,6 @@ __all__ = [
     "SequenceBatch",
     "PathBatch",
     "SyntaxPath",
-    "build_graph_batch",
-    "build_sequence_batch",
     "build_path_batch",
     "NodeInitializer",
     "SubtokenNodeInitializer",

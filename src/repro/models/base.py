@@ -10,9 +10,10 @@ variants under identical losses (Table 2).
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 from repro.graph.flatgraph import FlatGraph
+from repro.models.featurize import TextFeatures
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 
@@ -25,9 +26,24 @@ class SymbolEncoder(Module):
     #: Model family name used in experiment tables ("graph", "sequence", "path").
     family: str = "unknown"
 
+    def piece(self, graph: FlatGraph, targets: Sequence[int], node_features: Optional[TextFeatures] = None):
+        """One graph's share of a batch (see :mod:`repro.models.batching`).
+
+        ``node_features`` — the graph's features, one row per node, e.g.
+        persisted with the dataset — are gathered from instead of featurizing
+        the graph's texts.
+        """
+        raise NotImplementedError
+
+    def assemble(self, pieces: Sequence):
+        """Concatenate pieces into the family-specific batch :meth:`forward` takes."""
+        raise NotImplementedError
+
     def prepare_batch(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]):
         """Convert graphs + target node ids into the family-specific batch."""
-        raise NotImplementedError
+        if len(graphs) != len(targets_per_graph):
+            raise ValueError("graphs and targets_per_graph must have the same length")
+        return self.assemble([self.piece(graph, targets) for graph, targets in zip(graphs, targets_per_graph)])
 
     def forward(self, batch) -> Tensor:
         """Return a ``(num_targets, output_dim)`` tensor of type embeddings."""
@@ -36,17 +52,6 @@ class SymbolEncoder(Module):
     def encode(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> Tensor:
         """Convenience: prepare a batch and run the forward pass."""
         return self(self.prepare_batch(graphs, targets_per_graph))
-
-    def enable_feature_memo(self) -> None:
-        """Cache per-text feature arrays across batches.
-
-        Families whose batches cannot be fully precompiled (the path encoder
-        resamples syntax paths every batch) still stop re-tokenizing the same
-        lexemes once this is on.  No-op for encoders without an initialiser.
-        """
-        initializer = getattr(self, "initializer", None)
-        if initializer is not None:
-            initializer.extractor.enable_memo()
 
 
 class EncoderFactory(Protocol):

@@ -1,21 +1,26 @@
-"""Batch construction for the three model families.
+"""Batch construction for the three model families: the one batch builder.
 
 Each model family consumes a different view of the program:
 
 * the GNN consumes a *disjoint union* of several program graphs
-  (:class:`GraphBatch`): node texts, per-edge-kind index arrays, and the node
-  indices of the target symbols;
+  (:class:`GraphBatch`): per-edge-kind index arrays, the node indices of the
+  target symbols and the numeric features of every node;
 * the sequence model consumes padded token sequences plus, for every target
   symbol, the positions of the tokens bound to it (:class:`SequenceBatch`) —
   this is the "consistency module" input of DeepTyper;
 * the path model consumes samples of leaf-to-leaf syntax paths per target
   symbol (:class:`PathBatch`), following code2seq.
 
-All three are built from the same inputs: a list of
-:class:`~repro.graph.flatgraph.FlatGraph` and, per graph, the list of target
-symbol node indices.  Every view reads the graph's columns (node texts
-through the intern table, kind codes, ``(2, E)`` edge arrays); no per-node
-objects are built.
+The graph and sequence batches are built in two steps.  A **piece** is one
+graph's share of a batch (:func:`graph_piece`, :func:`sequence_piece`): its
+edges, its targets and the features of the node rows the encoder reads,
+gathered through the graph's intern table
+(:meth:`~repro.models.featurize.FeatureExtractor.features_for_graph`) or
+taken from features persisted with the dataset.  **Assembly**
+(:func:`assemble_graph_batch`, :func:`assemble_sequence_batch`) is pure
+array concatenation of pieces.  Inference (``SymbolEncoder.prepare_batch``)
+and training (:class:`repro.core.trainer.BatchPlan`) both go through these
+functions, so the two sides feed the encoder identical arrays.
 """
 
 from __future__ import annotations
@@ -29,8 +34,24 @@ import numpy as np
 from repro.graph.edges import EdgeKind
 from repro.graph.flatgraph import NODE_KIND_CODES, FlatGraph, is_identifier_text
 from repro.graph.nodes import NodeKind
-from repro.models.featurize import TextFeatures
+from repro.models.featurize import FeatureExtractor, TextFeatures
 from repro.utils.rng import SeededRNG
+
+
+def _node_rows(
+    graph: FlatGraph,
+    extractor: FeatureExtractor,
+    nodes: Optional[np.ndarray],
+    node_features: Optional[TextFeatures],
+) -> TextFeatures:
+    """Features of the given node rows (all nodes when ``nodes`` is ``None``).
+
+    ``node_features`` — one row per node, e.g. persisted with the dataset —
+    are gathered from when given; otherwise the graph's texts are featurized.
+    """
+    if node_features is None:
+        return extractor.features_for_graph(graph, nodes)
+    return node_features if nodes is None else node_features.take(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -39,76 +60,77 @@ from repro.utils.rng import SeededRNG
 
 
 @dataclass
+class GraphPiece:
+    """One graph's share of a :class:`GraphBatch`."""
+
+    num_nodes: int
+    edges: dict[EdgeKind, np.ndarray]  # (2, num_edges) graph-local pairs, rows = (source, target)
+    target_nodes: np.ndarray  # graph-local node index per target
+    features: TextFeatures  # every node's row, or only the targets' rows (see graph_piece)
+
+
+def graph_piece(
+    graph: FlatGraph,
+    targets: Sequence[int],
+    extractor: FeatureExtractor,
+    node_features: Optional[TextFeatures] = None,
+    targets_only: bool = False,
+) -> GraphPiece:
+    """The piece of ``graph`` for the given target nodes.
+
+    ``targets_only`` keeps only the targets' feature rows (in target order),
+    which is all an encoder that never propagates over the graph reads.
+    """
+    target_nodes = np.asarray(targets, dtype=np.int64)
+    rows = target_nodes if targets_only else None
+    return GraphPiece(
+        num_nodes=graph.num_nodes,
+        edges=graph.edges,
+        target_nodes=target_nodes,
+        features=_node_rows(graph, extractor, rows, node_features),
+    )
+
+
+@dataclass
 class GraphBatch:
     """A disjoint union of program graphs ready for the GGNN."""
 
-    node_texts: list[str]
     edges: dict[EdgeKind, np.ndarray]  # (2, num_edges) int arrays, rows = (source, target)
     target_nodes: np.ndarray  # indices (into the union) of the target symbol nodes
-    graph_of_node: np.ndarray  # graph index per node (for diagnostics)
-    num_graphs: int
-    #: Precomputed numeric features of ``node_texts`` for the encoder's node
-    #: initialiser (set by compiled batch plans; ``None`` → featurize eagerly).
-    features: Optional[TextFeatures] = None
-    #: Cached message-passing plan: ``(config_key, plan)``.  Built lazily by
-    #: the GGNN on first forward, or ahead of time by a compiled batch plan.
+    graph_of_node: np.ndarray  # graph index per node (its length is the node count)
+    #: The pieces' features in union order: one row per node, or one per
+    #: target for pieces built with ``targets_only``.
+    features: TextFeatures
+    #: Cached message-passing plan: ``(config_key, plan)``, built by the GGNN.
     message_plan: Optional[tuple] = field(default=None, repr=False, compare=False)
-    #: Cached ``features.take(target_nodes)`` for target-only encoders, so a
-    #: batch reused across epochs selects (and sorts) target features once.
-    target_features: Optional[TextFeatures] = field(default=None, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
-        return len(self.node_texts)
+        return int(self.graph_of_node.shape[0])
 
     @property
     def num_targets(self) -> int:
         return len(self.target_nodes)
 
 
-def build_graph_batch(graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
-    """Merge graphs into one disjoint graph, remapping target node indices.
-
-    Each graph contributes its edge arrays directly (offset-shifted views of
-    the ``(2, E)`` blocks, no tuple-list walking).
-    """
-    if len(graphs) != len(targets_per_graph):
-        raise ValueError("graphs and targets_per_graph must have the same length")
-    node_texts: list[str] = []
-    num_nodes_per_graph = np.asarray([graph.num_nodes for graph in graphs], dtype=np.int64)
-    offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
-    np.cumsum(num_nodes_per_graph, out=offsets[1:])
-
+def assemble_graph_batch(pieces: Sequence[GraphPiece]) -> GraphBatch:
+    """Merge pieces into one disjoint graph, offsetting node indices."""
+    num_nodes = np.asarray([piece.num_nodes for piece in pieces], dtype=np.int64)
+    offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum(num_nodes, out=offsets[1:])
     edge_chunks: dict[EdgeKind, list[np.ndarray]] = {}
-    target_chunks: list[np.ndarray] = []
-    for graph_index, (graph, targets) in enumerate(zip(graphs, targets_per_graph)):
-        offset = offsets[graph_index]
-        node_texts.extend(graph.node_texts())
-        for kind, pairs in graph.edges.items():
-            edge_chunks.setdefault(kind, []).append(pairs.T.astype(np.int64) + offset)
-        target_chunks.append(np.asarray(list(targets), dtype=np.int64) + offset)
-
-    edges = {kind: np.concatenate(chunks, axis=0).T for kind, chunks in edge_chunks.items()}
-    target_nodes = (
-        np.concatenate(target_chunks) if target_chunks else np.zeros(0, dtype=np.int64)
-    )
+    for offset, piece in zip(offsets.tolist(), pieces):
+        for kind, pairs in piece.edges.items():
+            edge_chunks.setdefault(kind, []).append(pairs.astype(np.int64) + offset)
     return GraphBatch(
-        node_texts=node_texts,
-        edges=edges,
-        target_nodes=target_nodes,
-        graph_of_node=np.repeat(np.arange(len(graphs), dtype=np.int64), num_nodes_per_graph),
-        num_graphs=len(graphs),
+        edges={kind: np.concatenate(chunks, axis=1) for kind, chunks in edge_chunks.items()},
+        target_nodes=np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [piece.target_nodes + offset for offset, piece in zip(offsets.tolist(), pieces)]
+        ),
+        graph_of_node=np.repeat(np.arange(len(pieces), dtype=np.int64), num_nodes),
+        features=TextFeatures.concatenate([piece.features for piece in pieces]),
     )
-
-
-def token_view(graph: FlatGraph, max_tokens: int):
-    """``(texts, node-index → position, OCCURRENCE_OF pairs)`` for one graph."""
-    token_indices = graph.node_indices_of_kind(NodeKind.TOKEN)[:max_tokens].tolist()
-    strings = graph.strings
-    texts = [strings[i] for i in graph.node_text[token_indices].tolist()]
-    position_of_node = {node: position for position, node in enumerate(token_indices)}
-    occurrence_pairs = graph.edge_array(EdgeKind.OCCURRENCE_OF).T.tolist()
-    return texts, position_of_node, occurrence_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -117,32 +139,25 @@ def token_view(graph: FlatGraph, max_tokens: int):
 
 
 @dataclass
-class SequenceBatch:
-    """Padded token sequences plus symbol-occurrence positions."""
+class SequencePiece:
+    """One file's token sequence and where each target occurs in it."""
 
-    token_texts: list[list[str]]  # per sequence, padded with ""
-    sequence_length: int
-    #: For each target symbol: (sequence index, occurrence positions in that sequence).
-    target_occurrences: list[tuple[int, list[int]]]
-    #: Precomputed features of the flattened padded token texts (row-major:
-    #: sequence by sequence), set by compiled batch plans.
-    features: Optional[TextFeatures] = None
+    features: TextFeatures  # one row per token (at most max_tokens), in file order
+    target_occurrences: list[list[int]]  # sorted token positions per target
 
     @property
-    def num_sequences(self) -> int:
-        return len(self.token_texts)
-
-    @property
-    def num_targets(self) -> int:
-        return len(self.target_occurrences)
+    def length(self) -> int:
+        return self.features.num_texts
 
 
-def build_sequence_batch(
-    graphs: Sequence[FlatGraph],
-    targets_per_graph: Sequence[Sequence[int]],
+def sequence_piece(
+    graph: FlatGraph,
+    targets: Sequence[int],
+    extractor: FeatureExtractor,
     max_tokens: int = 192,
-) -> SequenceBatch:
-    """Extract the token sequence of each file and locate symbol occurrences.
+    node_features: Optional[TextFeatures] = None,
+) -> SequencePiece:
+    """The token sequence of ``graph`` and the occurrence positions of each target.
 
     Occurrence positions come from the graph's ``OCCURRENCE_OF`` edges between
     token nodes and the target symbol node; occurrences past ``max_tokens``
@@ -150,25 +165,51 @@ def build_sequence_batch(
     no surviving occurrence fall back to position 0 so every target receives
     an embedding.
     """
-    token_texts: list[list[str]] = []
+    token_nodes = graph.node_indices_of_kind(NodeKind.TOKEN)[:max_tokens]
+    position_of_node = {node: position for position, node in enumerate(token_nodes.tolist())}
+    wanted = set(targets)
+    occurrences: dict[int, list[int]] = {}
+    for source, target in graph.edge_array(EdgeKind.OCCURRENCE_OF).T.tolist():
+        if target in wanted and source in position_of_node:
+            occurrences.setdefault(target, []).append(position_of_node[source])
+    return SequencePiece(
+        features=_node_rows(graph, extractor, token_nodes, node_features),
+        target_occurrences=[sorted(occurrences.get(node, [])) or [0] for node in targets],
+    )
+
+
+@dataclass
+class SequenceBatch:
+    """Padded token sequences plus symbol-occurrence positions."""
+
+    num_sequences: int
+    sequence_length: int
+    #: For each target symbol: (sequence index, occurrence positions in that sequence).
+    target_occurrences: list[tuple[int, list[int]]]
+    #: Features of the padded tokens, row-major (sequence by sequence).
+    features: TextFeatures
+
+    @property
+    def num_targets(self) -> int:
+        return len(self.target_occurrences)
+
+
+def assemble_sequence_batch(pieces: Sequence[SequencePiece], padding: TextFeatures) -> SequenceBatch:
+    """Pad every piece to the longest sequence with the one-row ``padding`` features."""
+    longest = max([1] + [piece.length for piece in pieces])
+    blocks: list[TextFeatures] = []
     target_occurrences: list[tuple[int, list[int]]] = []
-    longest = 1
-
-    for sequence_index, (graph, targets) in enumerate(zip(graphs, targets_per_graph)):
-        texts, position_of_node, occurrence_pairs = token_view(graph, max_tokens)
-        longest = max(longest, len(texts))
-        token_texts.append(texts)
-
-        occurrences_by_symbol: dict[int, list[int]] = {}
-        for source, target in occurrence_pairs:
-            if target in targets and source in position_of_node:
-                occurrences_by_symbol.setdefault(target, []).append(position_of_node[source])
-        for node_index in targets:
-            positions = sorted(occurrences_by_symbol.get(node_index, [])) or [0]
-            target_occurrences.append((sequence_index, positions))
-
-    padded = [texts + [""] * (longest - len(texts)) for texts in token_texts]
-    return SequenceBatch(token_texts=padded, sequence_length=longest, target_occurrences=target_occurrences)
+    for sequence_index, piece in enumerate(pieces):
+        blocks.append(piece.features)
+        if piece.length < longest:
+            blocks.append(padding.repeated(longest - piece.length))
+        target_occurrences.extend((sequence_index, positions) for positions in piece.target_occurrences)
+    return SequenceBatch(
+        num_sequences=len(pieces),
+        sequence_length=longest,
+        target_occurrences=target_occurrences,
+        features=TextFeatures.concatenate(blocks),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ The paper compares three ways of computing the initial GNN node state
 * **token** — one embedding per whole lexeme, as in DeepTyper;
 * **character** — a 1-D character CNN over the node's text.
 
-All three share the same interface: given the list of node texts of a graph
-batch they return a ``(num_nodes, dim)`` tensor.
+All three share the same interface: given the numeric features of a batch's
+node texts (:mod:`repro.models.featurize`, gathered per graph by
+:mod:`repro.models.batching`) they return a ``(num_nodes, dim)`` tensor.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ class NodeInitializer(Module):
     """Common interface of the three node-state initialisers.
 
     Each initialiser owns a :class:`~repro.models.featurize.FeatureExtractor`
-    that converts texts to numeric id arrays.  ``encode_texts`` is now a thin
-    composition of :meth:`featurize` and :meth:`encode_features`, so callers
-    holding precomputed features (compiled batch plans, persisted datasets)
-    skip the string work entirely while producing identical tensors.
+    that converts texts to numeric id arrays.  Batches carry those arrays and
+    reach :meth:`encode_features` directly; ``encode_texts`` composes
+    :meth:`featurize` and :meth:`encode_features` for callers holding plain
+    texts (the path encoder's sampled paths).
     """
 
     dim: int

@@ -1,26 +1,27 @@
-"""Compile-once text featurization for the node initialisers.
+"""Text featurization for the node initialisers.
 
-Every encoder family starts from the same place: a list of node (or token)
-texts that an initialiser turns into numeric id arrays before any tensor
-work happens — subtoken ids plus segment ids for the Eq. 7 average, one
-whole-lexeme id per text for the DeepTyper-style initialiser, or a padded
-character grid for the char-CNN.  The eager training path recomputed those
-ids from strings on *every batch of every epoch*; this module computes them
-**once** and hands the arrays around instead:
+Every encoder family starts from the same place: node (or token) texts that
+an initialiser turns into numeric id arrays before any tensor work happens —
+subtoken ids plus segment ids for the Eq. 7 average, one whole-lexeme id per
+text for the DeepTyper-style initialiser, or a padded character grid for the
+char-CNN.  This module computes those ids once per distinct string and hands
+the arrays around instead of the strings:
 
 * :class:`TextFeatures` — the numeric form of a text list for one
   initialiser kind, with cheap CSR-style concatenation (building a batch
   disjoint union is pure array stacking), row selection and padding;
-* :class:`FeatureExtractor` — string → ids conversion with an optional
-  per-text memo for workloads that keep re-encoding the same lexemes
-  (path sampling, repeated inference);
+* :class:`FeatureExtractor` — string → ids conversion, per graph through its
+  intern table (:meth:`FeatureExtractor.features_for_graph`), with an
+  optional per-text memo for workloads that keep re-encoding the same
+  lexemes (syntax-path sampling);
 * :func:`vocabulary_fingerprint` — content hash tying persisted feature
   arrays to the vocabulary that produced them, so stale features are
   recomputed instead of silently mis-indexing a new embedding table.
 
-The arrays produced here are byte-identical to what the eager per-string
-path produced, so float64 training on precomputed features replays the
-eager loss trajectory exactly.
+Featurizing a list of texts, the distinct strings of a graph, or gathering
+rows from features persisted with the dataset all produce the same ids per
+row, so every batch of :mod:`repro.models.batching` is byte-identical
+whichever source its features came from.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class TextFeatures:
         """Cached :class:`~repro.nn.segments.SegmentIndex` over :attr:`segments`.
 
         Subtoken pooling runs once per epoch over the same feature block when
-        batches are compiled; caching the sorted index (and with it the CSR
+        batches are kept resident; caching the sorted index (and with it the CSR
         aggregation matrix) makes the per-epoch cost a single sparse matmul.
         """
         if self._segment_index is None:
@@ -117,14 +118,14 @@ class TextFeatures:
         if self.kind == SUBTOKEN:
             starts = self.row_splits[indices]
             lengths = self.row_splits[indices + 1] - starts
-            ids = (
-                np.concatenate([self.ids[s : s + n] for s, n in zip(starts, lengths)])
-                if indices.size
-                else np.zeros(0, dtype=np.int64)
-            )
             row_splits = np.zeros(indices.size + 1, dtype=np.int64)
             np.cumsum(lengths, out=row_splits[1:])
-            return TextFeatures(kind=self.kind, num_texts=indices.size, ids=ids, row_splits=row_splits)
+            # Position of every output id in ``ids``: its row's start plus
+            # its offset within the row.
+            positions = np.arange(row_splits[-1], dtype=np.int64) + np.repeat(starts - row_splits[:-1], lengths)
+            return TextFeatures(
+                kind=self.kind, num_texts=indices.size, ids=self.ids[positions], row_splits=row_splits
+            )
         return TextFeatures(kind=self.kind, num_texts=indices.size, ids=self.ids[indices])
 
     def repeated(self, count: int) -> "TextFeatures":
@@ -147,14 +148,7 @@ class TextFeatures:
 
 
 class FeatureExtractor:
-    """Converts text lists into :class:`TextFeatures` for one initialiser kind.
-
-    ``memoize=True`` keeps a per-text cache of id arrays — worthwhile when the
-    same lexemes are encoded over and over (syntax-path sampling, repeated
-    suggestion requests).  The eager training path deliberately runs without
-    the memo so it keeps the historical per-batch cost that the compiled plan
-    is benchmarked against.
-    """
+    """Converts text lists into :class:`TextFeatures` for one initialiser kind."""
 
     def __init__(
         self,
@@ -163,7 +157,6 @@ class FeatureExtractor:
         token_vocabulary=None,
         character_vocabulary=None,
         max_chars: int = 16,
-        memoize: bool = False,
     ) -> None:
         if kind not in FEATURE_KINDS:
             raise ValueError(f"unknown feature kind {kind!r}")
@@ -178,10 +171,14 @@ class FeatureExtractor:
         self.token_vocabulary = token_vocabulary
         self.character_vocabulary = character_vocabulary
         self.max_chars = max_chars
-        self._memo: Optional[dict[str, np.ndarray]] = {} if memoize else None
+        self._memo: Optional[dict[str, np.ndarray]] = None
 
     def enable_memo(self) -> None:
-        """Turn on per-text caching (id arrays are immutable, so this is safe)."""
+        """Keep a per-text cache of id arrays (they are immutable, so this is safe).
+
+        Worthwhile when the same lexemes are encoded batch after batch from
+        plain text lists, as syntax-path sampling does.
+        """
         if self._memo is None:
             self._memo = {}
 
@@ -206,7 +203,7 @@ class FeatureExtractor:
     # -- text-list conversion -----------------------------------------------------
 
     def features_for_texts(self, texts: Sequence[str]) -> TextFeatures:
-        """Featurize a text list; identical ids to the per-string eager path."""
+        """Featurize a text list, one row per text."""
         memo = self._memo
         if memo is None:
             rows = [self._ids_for_text(text) for text in texts]
@@ -232,16 +229,20 @@ class FeatureExtractor:
 
     # -- graph conversion ----------------------------------------------------------
 
-    def features_for_graph(self, graph) -> TextFeatures:
-        """Featurize a :class:`~repro.graph.flatgraph.FlatGraph`'s node texts.
+    def features_for_graph(self, graph, nodes: Optional[np.ndarray] = None) -> TextFeatures:
+        """Features of a :class:`~repro.graph.flatgraph.FlatGraph`'s node rows.
 
-        A graph's string table holds every distinct lexeme exactly once: the
-        table is featurized once and the per-node rows are gathered by text
-        id, so a lexeme shared by a thousand nodes is tokenized a single
-        time.  The produced arrays are byte-identical to featurizing
-        ``graph.node_texts()`` directly.
+        ``nodes`` selects the rows (in order, repeats allowed); ``None``
+        means every node.  Only the distinct strings those rows use are
+        featurized, each once through the graph's intern table, and the
+        rows are gathered by text id — so a lexeme shared by a thousand
+        nodes is tokenized a single time.  The arrays are byte-identical to
+        featurizing the rows' texts directly.
         """
-        return self.features_for_texts(graph.strings).take(graph.node_text)
+        text_ids = graph.node_text if nodes is None else graph.node_text[nodes]
+        distinct, rows = np.unique(text_ids, return_inverse=True)
+        strings = graph.strings
+        return self.features_for_texts([strings[i] for i in distinct.tolist()]).take(rows)
 
 
 def vocabulary_fingerprint(kind: str, tokens: Iterable[str]) -> str:

@@ -25,8 +25,9 @@ import numpy as np
 from repro.graph.edges import ALL_EDGE_KINDS, EdgeKind
 from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
-from repro.models.batching import GraphBatch, build_graph_batch
+from repro.models.batching import GraphBatch, GraphPiece, assemble_graph_batch, graph_piece
 from repro.models.encoder_init import NodeInitializer
+from repro.models.featurize import TextFeatures
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Linear
 from repro.nn.rnn import GRUCell
@@ -45,8 +46,9 @@ class MessagePlan:
     does a single gather (whose backward scatters through a presorted
     :class:`~repro.nn.segments.SegmentIndex`) and a single max-aggregation
     over a presorted destination index.  The arrays depend only on the batch
-    and the encoder's edge configuration, so compiled training plans build
-    them once and reuse them every epoch.
+    and the encoder's edge configuration, so :meth:`GGNNEncoder.assemble`
+    builds them with the batch and a resident training plan reuses them
+    every epoch.
     """
 
     gather_indices: np.ndarray  # source row per message, all kinds concatenated
@@ -136,8 +138,16 @@ class GGNNEncoder(SymbolEncoder):
 
     # -- batching -------------------------------------------------------------------
 
-    def prepare_batch(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
-        return build_graph_batch(graphs, targets_per_graph)
+    def piece(
+        self, graph: FlatGraph, targets: Sequence[int], node_features: Optional[TextFeatures] = None
+    ) -> GraphPiece:
+        return graph_piece(graph, targets, self.initializer.extractor, node_features)
+
+    def assemble(self, pieces: Sequence[GraphPiece]) -> GraphBatch:
+        """The union batch with its message plan built (so a prefetch thread builds it)."""
+        batch = assemble_graph_batch(pieces)
+        self._plan_for_batch(batch)
+        return batch
 
     # -- forward --------------------------------------------------------------------
 
@@ -155,10 +165,7 @@ class GGNNEncoder(SymbolEncoder):
         return plan
 
     def forward(self, batch: GraphBatch) -> Tensor:
-        if batch.features is not None:
-            states = self.initializer.encode_features(batch.features)
-        else:
-            states = self.initializer.encode_texts(batch.node_texts)
+        states = self.initializer.encode_features(batch.features)
         if self.input_projection is not None:
             states = self.input_projection(states).tanh()
         if self.dropout is not None:
@@ -199,17 +206,17 @@ class NameOnlyEncoder(SymbolEncoder):
         self.output_dim = hidden_dim
         self.projection = Linear(initializer.dim, hidden_dim, rng) if initializer.dim != hidden_dim else None
 
-    def prepare_batch(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
-        return build_graph_batch(graphs, targets_per_graph)
+    def piece(
+        self, graph: FlatGraph, targets: Sequence[int], node_features: Optional[TextFeatures] = None
+    ) -> GraphPiece:
+        """A piece holding only the targets' feature rows: nothing else is read."""
+        return graph_piece(graph, targets, self.initializer.extractor, node_features, targets_only=True)
+
+    def assemble(self, pieces: Sequence[GraphPiece]) -> GraphBatch:
+        return assemble_graph_batch(pieces)
 
     def forward(self, batch: GraphBatch) -> Tensor:
-        if batch.features is not None:
-            if batch.target_features is None:
-                batch.target_features = batch.features.take(batch.target_nodes)
-            states = self.initializer.encode_features(batch.target_features)
-        else:
-            target_texts = [batch.node_texts[index] for index in batch.target_nodes]
-            states = self.initializer.encode_texts(target_texts)
+        states = self.initializer.encode_features(batch.features)
         if self.projection is not None:
             states = self.projection(states).tanh()
         return states

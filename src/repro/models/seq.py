@@ -15,14 +15,15 @@ Following Hellendoorn et al. (2018) as described in Sec. 6.1 "Baselines":
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
-from repro.models.batching import SequenceBatch, build_sequence_batch
+from repro.models.batching import SequenceBatch, SequencePiece, assemble_sequence_batch, sequence_piece
 from repro.models.encoder_init import NodeInitializer
+from repro.models.featurize import TextFeatures
 from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.rnn import BiGRU
@@ -53,19 +54,21 @@ class SequenceEncoder(SymbolEncoder):
 
     # -- batching ----------------------------------------------------------------------
 
-    def prepare_batch(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> SequenceBatch:
-        return build_sequence_batch(graphs, targets_per_graph, max_tokens=self.max_tokens)
+    def piece(
+        self, graph: FlatGraph, targets: Sequence[int], node_features: Optional[TextFeatures] = None
+    ) -> SequencePiece:
+        return sequence_piece(graph, targets, self.initializer.extractor, self.max_tokens, node_features)
+
+    def assemble(self, pieces: Sequence[SequencePiece]) -> SequenceBatch:
+        """Pad the pieces' sequences with the features of the empty text."""
+        return assemble_sequence_batch(pieces, self.initializer.featurize([""]))
 
     # -- forward ------------------------------------------------------------------------
 
     def forward(self, batch: SequenceBatch) -> Tensor:
         num_sequences = batch.num_sequences
         length = batch.sequence_length
-        if batch.features is not None:
-            embedded = self.initializer.encode_features(batch.features)  # (S * L, dim)
-        else:
-            flat_texts = [text for sequence in batch.token_texts for text in sequence]
-            embedded = self.initializer.encode_texts(flat_texts)  # (S * L, dim)
+        embedded = self.initializer.encode_features(batch.features)  # (S * L, dim)
         # (S, L, dim) -> (L, S, dim) for the recurrent layers.
         sequence_input = embedded.reshape(num_sequences, length, self.initializer.dim).transpose(1, 0, 2)
 

@@ -3,8 +3,8 @@
 The autograd engine historically pinned every array to ``float64``.  The
 speed experiment (Sec. 6.1) does not need double precision — training in
 ``float32`` halves memory traffic and roughly doubles BLAS/transcendental
-throughput on CPU — but the reproduction's exactness tests do: the compiled
-training plan must replay the eager float64 loss trajectory bit-for-bit.
+throughput on CPU — but the reproduction's exactness tests do: every
+training mode must replay the recorded float64 loss trajectory.
 
 This module therefore makes the dtype a configuration instead of a constant:
 

@@ -153,7 +153,7 @@ def segment_sum(values: Tensor, segment_ids: SegmentIds, num_segments: int) -> T
     pooling subtoken embeddings per node (Eq. 7 uses the mean, built on this).
 
     ``segment_ids`` may be a raw id array or a precomputed
-    :class:`~repro.nn.segments.SegmentIndex` (compiled batch plans pass the
+    :class:`~repro.nn.segments.SegmentIndex` (assembled batches pass the
     latter so the sort is paid once per batch, not once per call).
     """
     index = as_segment_index(segment_ids, num_segments)

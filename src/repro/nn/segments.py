@@ -5,7 +5,7 @@
 dominate training profiles.  Sorting the segment ids once and reducing
 contiguous runs with ``ufunc.reduceat`` is 2–4× faster, and — because the
 same id array is reused across every GGNN propagation step and across every
-epoch of a compiled training plan — the sort is paid once and amortised.
+epoch of a resident training plan — the sort is paid once and amortised.
 
 :class:`SegmentIndex` packages that precomputation: the stable sort
 permutation, run starts and the set of non-empty segments.  The segment
@@ -15,8 +15,8 @@ operations in :mod:`repro.nn.functional` and the gather/scatter backward in
 Exactness notes: ``max`` is associative and commutative, so the reduceat
 maximum is bit-identical to ``np.maximum.at``.  Summation happens in sorted
 order, which may round differently from index order — but every code path
-(eager and compiled) reduces in the same order, so eager/compiled float64
-training trajectories stay bit-identical.
+reduces in the same order, so float64 training trajectories stay
+bit-identical across execution modes.
 """
 
 from __future__ import annotations

@@ -516,7 +516,7 @@ class Tensor:
           full-table buffer — the optimiser then updates only touched rows;
         * non-leaf tensors scatter through ``scatter_index`` (a precomputed
           :class:`~repro.nn.segments.SegmentIndex` over ``indices``, e.g.
-          from a compiled batch plan) when provided, falling back to
+          from a batch's message plan) when provided, falling back to
           ``np.add.at`` otherwise.
         """
         idx = np.asarray(indices, dtype=np.int64)

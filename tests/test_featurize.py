@@ -53,7 +53,8 @@ class TestFeatureExtractor:
         assert char_features.ids.tolist()[1] == characters.encode("_", 8)
 
     def test_memo_returns_identical_arrays(self, subtokens):
-        extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=subtokens, memoize=True)
+        extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=subtokens)
+        extractor.enable_memo()
         first = extractor.features_for_texts(["num_count"])
         second = extractor.features_for_texts(["num_count"])
         assert (first.ids == second.ids).all()
@@ -93,6 +94,8 @@ class TestTextFeaturesOps:
         direct = extractor.features_for_texts(["get_value", "num_count", "get_value"])
         assert (taken.ids == direct.ids).all()
         assert (taken.segments == direct.segments).all()
+        none = features.take(np.zeros(0, dtype=np.int64))
+        assert none.num_texts == 0 and none.ids.size == 0 and none.row_splits.tolist() == [0]
 
     def test_repeated_tiles_rows(self, subtokens):
         extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=subtokens)

@@ -7,6 +7,7 @@ compares the columns with themselves.
 """
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -30,8 +31,15 @@ from repro.graph.flatgraph import (
     StringTable,
     is_identifier_text,
 )
-from repro.models.batching import build_graph_batch, build_path_batch, build_sequence_batch
-from repro.models.featurize import SUBTOKEN, FeatureExtractor
+from repro.graph.subtokens import SubtokenVocabulary
+from repro.models.batching import (
+    assemble_graph_batch,
+    assemble_sequence_batch,
+    build_path_batch,
+    graph_piece,
+    sequence_piece,
+)
+from repro.models.encoder_init import SubtokenNodeInitializer
 from repro.utils.rng import SeededRNG
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -256,6 +264,33 @@ def _mutate(payload, mutation: tuple) -> None:
         del container[mutation[1][-1]][-1]
 
 
+class TestValidate:
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("node_kind", 99),
+            ("node_kind", -1),
+            ("node_text", -1),
+            ("node_text", 10**6),
+            ("symbol_kind", 99),
+            ("symbol_name", -1),
+            ("symbol_scope", -1),
+            ("symbol_annotation", -2),
+            ("symbol_annotation", 10**6),
+        ],
+    )
+    def test_out_of_range_codes_and_ids_rejected(self, graph, column, value):
+        graph.validate()
+        edited = np.array(getattr(graph, column))
+        edited[0] = value
+        with pytest.raises(ValueError, match="out of range"):
+            dataclasses.replace(graph, **{column: edited}).validate()
+
+    def test_unannotated_sentinel_accepted(self, graph):
+        assert (graph.symbol_annotation == NO_ANNOTATION).any()
+        graph.validate()
+
+
 class TestPayloadDecoderProperty:
     @settings(max_examples=300, deadline=None)
     @given(mutation=_MUTATIONS)
@@ -351,38 +386,61 @@ def _expected_sequence(graph, targets, max_tokens):
     return [payload["nodes"][index][1] for index in token_nodes], occurrences
 
 
-class TestFlatConsumers:
-    def test_features_for_graph_byte_identical(self, graph):
-        from repro.graph import SubtokenVocabulary
-
-        vocabulary = SubtokenVocabulary()
+def _initializer(*graphs) -> SubtokenNodeInitializer:
+    vocabulary = SubtokenVocabulary()
+    for graph in graphs:
         for _, subtokens in graph.node_subtokens():
             vocabulary.observe(subtokens)
-        vocabulary.finalise()
-        extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=vocabulary)
-        via_table = extractor.features_for_graph(graph)
-        direct = extractor.features_for_texts([node[1] for node in graph_to_payload(graph)["nodes"]])
-        assert np.array_equal(via_table.ids, direct.ids)
-        assert np.array_equal(via_table.row_splits, direct.row_splits)
+    return SubtokenNodeInitializer(vocabulary.finalise(), 8, SeededRNG(0))
+
+
+def _same_features(actual, expected) -> bool:
+    return (
+        actual.num_texts == expected.num_texts
+        and np.array_equal(actual.ids, expected.ids)
+        and np.array_equal(actual.row_splits, expected.row_splits)
+    )
+
+
+class TestFlatConsumers:
+    def test_features_for_graph_byte_identical(self, graph):
+        extractor = _initializer(graph).extractor
+        texts = [node[1] for node in graph_to_payload(graph)["nodes"]]
+        assert _same_features(extractor.features_for_graph(graph), extractor.features_for_texts(texts))
+        rows = np.asarray([symbol.node_index for symbol in graph.symbols][::-1] + [0, 0])
+        assert _same_features(
+            extractor.features_for_graph(graph, rows),
+            extractor.features_for_texts([texts[row] for row in rows]),
+        )
 
     def test_graph_batches_identical_flat_vs_objects(self, graph):
         other = build_graph("def helper(value):\n    return value + 1\n", "helper.py")
+        initializer = _initializer(graph, other)
         targets = [[symbol.node_index for symbol in g.symbols] for g in (graph, other)]
-        batch = build_graph_batch([graph, other], targets)
+        batch = assemble_graph_batch(
+            [graph_piece(g, t, initializer.extractor) for g, t in zip((graph, other), targets)]
+        )
         texts, edges, target_nodes, graph_of_node = _expected_graph_batch([graph, other], targets)
-        assert batch.node_texts == texts
+        assert _same_features(batch.features, initializer.featurize(texts))
+        assert batch.num_nodes == len(texts)
         assert set(batch.edges) == set(edges)
         for kind, pairs in edges.items():
             assert batch.edges[kind].dtype == np.int64
             assert batch.edges[kind].T.tolist() == pairs
         assert batch.target_nodes.tolist() == target_nodes
         assert batch.graph_of_node.tolist() == graph_of_node
+        names_only = assemble_graph_batch(
+            [graph_piece(g, t, initializer.extractor, targets_only=True) for g, t in zip((graph, other), targets)]
+        )
+        assert _same_features(names_only.features, initializer.featurize([texts[node] for node in target_nodes]))
 
     def test_sequence_batches_identical_flat_vs_objects(self, graph):
+        initializer = _initializer(graph)
         targets = [symbol.node_index for symbol in graph.symbols]
-        batch = build_sequence_batch([graph], [targets], max_tokens=64)
+        piece = sequence_piece(graph, targets, initializer.extractor, max_tokens=64)
+        batch = assemble_sequence_batch([piece], initializer.featurize([""]))
         texts, occurrences = _expected_sequence(graph, targets, max_tokens=64)
-        assert batch.token_texts == [texts]
+        assert _same_features(batch.features, initializer.featurize(texts))
         assert batch.sequence_length == len(texts)
         assert batch.target_occurrences == [(0, positions) for positions in occurrences]
 

@@ -12,10 +12,8 @@ from repro.models import (
     SubtokenNodeInitializer,
     TokenNodeInitializer,
     TokenVocabulary,
-    build_graph_batch,
     build_initializer,
     build_path_batch,
-    build_sequence_batch,
 )
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.models.encoder_init import CharCNNNodeInitializer
@@ -77,9 +75,10 @@ class TestNodeInitialisers:
 
 
 class TestGraphBatching:
-    def test_disjoint_union_offsets(self, graphs, targets):
-        batch = build_graph_batch(graphs, targets)
+    def test_disjoint_union_offsets(self, graphs, targets, subtoken_init):
+        batch = GGNNEncoder(subtoken_init, 16, SeededRNG(2), num_steps=1).prepare_batch(graphs, targets)
         assert batch.num_nodes == sum(g.num_nodes for g in graphs)
+        assert batch.features.num_texts == batch.num_nodes
         assert batch.num_targets == sum(len(t) for t in targets)
         # Every edge stays within its own graph.
         for pairs in batch.edges.values():
@@ -87,12 +86,14 @@ class TestGraphBatching:
                 assert batch.graph_of_node[source] == batch.graph_of_node[target]
         assert (batch.target_nodes < batch.num_nodes).all()
 
-    def test_mismatched_lengths_raise(self, graphs):
+    def test_mismatched_lengths_raise(self, graphs, subtoken_init):
         with pytest.raises(ValueError):
-            build_graph_batch(graphs, [[0]])
+            GGNNEncoder(subtoken_init, 16, SeededRNG(2), num_steps=1).prepare_batch(graphs, [[0]])
 
-    def test_target_nodes_are_symbols(self, graphs, targets):
-        build_graph_batch(graphs, targets)
+    def test_target_nodes_are_symbols(self, graphs, targets, subtoken_init):
+        batch = NameOnlyEncoder(subtoken_init, 16, SeededRNG(2)).prepare_batch(graphs, targets)
+        # A names-only batch carries one feature row per target and nothing else.
+        assert batch.features.num_texts == batch.num_targets
         offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
         for local_targets, offset, graph in zip(targets, offsets, graphs):
             symbol_nodes = set(graph.node_indices_of_kind(NodeKind.SYMBOL).tolist())
@@ -101,18 +102,20 @@ class TestGraphBatching:
 
 
 class TestSequenceBatching:
-    def test_padded_lengths_and_occurrences(self, graphs, targets):
-        batch = build_sequence_batch(graphs, targets, max_tokens=64)
+    def test_padded_lengths_and_occurrences(self, graphs, targets, subtoken_init):
+        batch = SequenceEncoder(subtoken_init, 16, SeededRNG(2), max_tokens=64).prepare_batch(graphs, targets)
         assert batch.num_sequences == len(graphs)
-        assert all(len(sequence) == batch.sequence_length for sequence in batch.token_texts)
+        # Every sequence is padded to the same length: one feature row per slot.
+        assert batch.features.num_texts == batch.num_sequences * batch.sequence_length
         assert batch.num_targets == sum(len(t) for t in targets)
         for sequence_index, positions in batch.target_occurrences:
             assert 0 <= sequence_index < len(graphs)
             assert all(0 <= p < batch.sequence_length for p in positions)
 
-    def test_truncation_respected(self, graphs, targets):
-        batch = build_sequence_batch(graphs, targets, max_tokens=16)
+    def test_truncation_respected(self, graphs, targets, subtoken_init):
+        batch = SequenceEncoder(subtoken_init, 16, SeededRNG(2), max_tokens=16).prepare_batch(graphs, targets)
         assert batch.sequence_length <= 16
+        assert batch.features.num_texts == batch.num_sequences * batch.sequence_length
 
 
 class TestPathBatching:

@@ -30,8 +30,8 @@ def raw_dir(dataset, tmp_path_factory):
     return path
 
 
-def _train(dataset, *, epochs=3, workers=1, prefetch=None, dtype="float64"):
-    encoder = build_encoder(dataset, EncoderConfig(family="graph", hidden_dim=16, gnn_steps=2, seed=9))
+def _train(dataset, *, epochs=3, workers=1, prefetch=None, dtype="float64", family="graph"):
+    encoder = build_encoder(dataset, EncoderConfig(family=family, hidden_dim=16, gnn_steps=2, seed=9))
     trainer = Trainer(
         encoder,
         dataset,
@@ -54,10 +54,11 @@ def _parameters(trainer):
 
 
 class TestStreaming:
-    def test_bounded_windows_replay_resident_losses_exactly(self, dataset):
-        resident_losses, resident = _train(dataset)
+    @pytest.mark.parametrize("family", ["graph", "names", "sequence", "path"])
+    def test_bounded_windows_replay_resident_losses_exactly(self, dataset, family):
+        resident_losses, resident = _train(dataset, family=family)
         for window in (1, 2, 10**9):
-            losses, trainer = _train(dataset, prefetch=window)
+            losses, trainer = _train(dataset, prefetch=window, family=family)
             assert losses == resident_losses, f"window={window} diverged"
             for streamed, baseline in zip(_parameters(trainer), _parameters(resident)):
                 assert np.array_equal(streamed, baseline)
@@ -157,6 +158,20 @@ class TestRawShards:
         np.save(nodes_path, nodes + 1)
         with pytest.raises(PayloadError, match="fingerprint"):
             TypeAnnotationDataset.load(target)
+
+    def test_out_of_range_ids_rejected_on_mmap_read(self, dataset, tmp_path):
+        """An mmapped graph is validated before anything gathers through its ids."""
+        target = tmp_path / "bad_ids"
+        dataset.save(target, shard_size=1000, shard_format="raw")
+        (shard,) = sorted(target.glob("graphs-*.raw"))
+        nodes_path = shard / "nodes.npy"
+        nodes = np.load(nodes_path)
+        nodes[0, 0] = 99  # no such node kind
+        nodes[1, 0] = -1  # would silently read the last string
+        np.save(nodes_path, nodes)
+        mapped = TypeAnnotationDataset.load(target, mmap=True)
+        with pytest.raises(PayloadError, match="out of range"):
+            [graph for split in mapped.splits.values() for graph in split.graphs]
 
     def test_missing_raw_meta_rejected(self, dataset, tmp_path):
         target = tmp_path / "no_meta"
