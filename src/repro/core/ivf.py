@@ -44,8 +44,8 @@ from repro.core.knn import (
     NeighbourResult,
     _as_query_matrix,
     _empty_batch,
-    _top_k_rows,
     l1_distance_matrix,
+    l1_top_k,
 )
 from repro.utils.rng import SeededRNG
 
@@ -295,9 +295,7 @@ class IVFIndex:
         points = self.points
         k = min(k, len(points))
         assert self._centroids is not None
-        nprobe = min(self.nprobe, len(self._centroids))
-        centroid_distances = l1_distance_matrix(vectors, self._centroids)
-        probed_cells, _ = _top_k_rows(centroid_distances, nprobe)
+        probed_cells, _ = l1_top_k(vectors, self._centroids, self.nprobe)
 
         all_indices = np.empty((len(vectors), k), dtype=np.int64)
         all_distances = np.empty((len(vectors), k), dtype=self.dtype)
@@ -318,10 +316,7 @@ class IVFIndex:
             candidates = shortlist
             if self._quantized is not None:
                 candidates = self._rerank_candidates(queries, shortlist, k)
-            distances = l1_distance_matrix(queries, points[candidates])
-            positions, sorted_distances = _top_k_rows(distances, k)
-            all_indices[rows] = candidates[positions]
-            all_distances[rows] = sorted_distances
+            all_indices[rows], all_distances[rows] = l1_top_k(queries, points, k, subset=candidates)
         if fallback_groups:
             rows = np.concatenate(fallback_groups)
             exact = self._exact.query_batch_arrays(vectors[rows], k)
@@ -341,8 +336,8 @@ class IVFIndex:
         for member in members:
             buffer[offset : offset + len(member)] = member
             offset += len(member)
-        # Cells are disjoint, so a sort is already duplicate-free — ascending
-        # order keeps re-rank tie-breaking deterministic.
+        # Cells are disjoint, so a sort is already duplicate-free; the re-rank
+        # scan needs ascending rows for its lower-row tie rule.
         buffer.sort()
         return buffer
 

@@ -72,6 +72,15 @@ CHECKOUT_TIMEOUT_SECONDS = 60.0
 #: them for ``ping`` (``mmap`` and ``marker_bytes`` are per worker).
 FLEET_FACTS = ("markers", "dim", "index_kind", "dtype")
 
+#: The thread-count variables of the BLAS/OpenMP runtimes NumPy may link.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads() -> Optional[int]:
+    """This process's ``OPENBLAS_NUM_THREADS`` as an int, or ``None`` when unset."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", "").strip()
+    return int(value) if value.isdigit() else None
+
 
 class WorkerCrashed(RuntimeError):
     """A worker process died (or was killed) while handling a dispatch.
@@ -300,6 +309,16 @@ class WorkerPool:
                 json.dumps(config_payload),
             ]
             env = dict(os.environ)
+            # Each worker gets its share of the usable cores for BLAS threads,
+            # so N workers do not each start one thread per core; a value the
+            # user set is kept.
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            for variable in BLAS_THREAD_VARIABLES:
+                env.setdefault(variable, str(max(1, cores // self.num_workers)))
+            # glibc hands free heap back to the OS once a few MB of it pile
+            # up, so every request's GNN forward page-faulted ~6MB of arrays
+            # back in; keeping up to 32MB free between requests avoids that.
+            env.setdefault("MALLOC_TRIM_THRESHOLD_", str(32 << 20))
             # The subprocess must import `repro` even when the package is run
             # from a source tree rather than installed.
             package_root = str(Path(__file__).resolve().parents[2])
@@ -603,6 +622,7 @@ class WorkerPool:
                         ),
                         "markers": worker.info.get("markers") if worker is not None else None,
                         "mmap": worker.info.get("mmap") if worker is not None else None,
+                        "blas_threads": worker.info.get("blas_threads") if worker is not None else None,
                         **self._stats[worker_id],
                     }
                 )
@@ -678,7 +698,8 @@ class AnnotationWorker:
 
     def hello(self, worker_id: int) -> dict:
         """The greeting that introduces this worker to its pool."""
-        return {"op": "hello", "worker_id": worker_id, "pid": os.getpid(), **describe_pipeline(self.pipeline)}
+        return {"op": "hello", "worker_id": worker_id, "pid": os.getpid(), "blas_threads": blas_threads(),
+                **describe_pipeline(self.pipeline)}
 
     def handle(self, request: dict) -> dict:
         op = request.get("op")
@@ -698,6 +719,7 @@ class AnnotationWorker:
             return {
                 "ok": True,
                 "pid": os.getpid(),
+                "blas_threads": blas_threads(),
                 **describe_pipeline(self.pipeline),
                 "private_rss_bytes": private_rss_bytes(),
             }

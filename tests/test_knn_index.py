@@ -1,7 +1,10 @@
 """Batched index queries, incremental extension and stale-index adaptation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.knn as knn_module
 from repro.core import (
@@ -14,7 +17,34 @@ from repro.core import (
     build_index,
     validate_index_params,
 )
-from repro.core.knn import l1_distance_matrix
+from repro.core.knn import l1_distance_matrix, l1_top_k
+
+
+def brute_force_top_k(queries, points, k):
+    """The reference: the full distance matrix, then (distance, row) order per query."""
+    distances = l1_distance_matrix(queries, points, max_elements=10**12)
+    rows = np.arange(len(points))
+    order = np.array([np.lexsort((rows, row))[:k] for row in distances], dtype=np.int64)
+    return order, np.take_along_axis(distances, order, axis=1)
+
+
+@st.composite
+def scan_cases(draw):
+    """Small point sets with duplicated rows, ``k`` in ``[1, n]`` and any tile budget."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    dim = draw(st.integers(1, 4))
+    coordinates = st.one_of(
+        st.integers(-3, 3).map(lambda value: value / 2),  # exact sums: many equal distances
+        st.floats(-8, 8, allow_nan=False, width=32),
+    )
+    vectors = st.lists(coordinates, min_size=dim, max_size=dim)
+    distinct = np.array(draw(st.lists(vectors, min_size=1, max_size=6)), dtype=dtype)
+    copies = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=30))
+    points = distinct[copies]
+    queries = np.array(draw(st.lists(vectors, min_size=1, max_size=5)), dtype=dtype)
+    k = draw(st.integers(1, len(points)))
+    budget = draw(st.integers(1, len(queries) * len(points)))
+    return queries, points, k, budget
 
 
 class TestBatchQueries:
@@ -294,13 +324,54 @@ class TestDistanceMatrixChunking:
 
     def test_exact_index_results_independent_of_cap(self, monkeypatch):
         rng = np.random.default_rng(14)
-        points = rng.normal(size=(150, 6))
-        queries = rng.normal(size=(30, 6))
-        baseline = ExactL1Index(points).query_batch_arrays(queries, k=8)
-        monkeypatch.setattr(knn_module, "L1_CHUNK_ELEMENTS", 256)
-        capped = ExactL1Index(points).query_batch_arrays(queries, k=8)
-        np.testing.assert_array_equal(baseline.indices, capped.indices)
-        np.testing.assert_array_equal(baseline.distances, capped.distances)
+        for dtype in (np.float64, np.float32):
+            points = rng.normal(size=(150, 6)).astype(dtype)
+            queries = rng.normal(size=(30, 6)).astype(dtype)
+            baseline = ExactL1Index(points).query_batch_arrays(queries, k=8)
+            # Tile budgets from one marker row per block up to the whole matrix.
+            for cap in (1, 29, 30, 256, 4_500, 10**9):
+                monkeypatch.setattr(knn_module, "L1_CHUNK_ELEMENTS", cap)
+                capped = ExactL1Index(points).query_batch_arrays(queries, k=8)
+                np.testing.assert_array_equal(baseline.indices, capped.indices)
+                np.testing.assert_array_equal(baseline.distances, capped.distances)
+
+
+class TestTopKScan:
+    """``l1_top_k`` walks the markers in tiles and ranks by (distance, row)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=scan_cases(), data=st.data())
+    def test_scan_equals_brute_force_reference(self, case, data):
+        queries, points, k, budget = case
+        rows = np.arange(len(points))
+        if data.draw(st.booleans(), label="subset"):  # the IVF re-rank scans a subset of rows
+            rows = np.array(sorted(data.draw(st.sets(st.integers(0, len(points) - 1), min_size=1))))
+        with mock.patch.object(knn_module, "L1_CHUNK_ELEMENTS", budget):
+            indices, distances = l1_top_k(queries, points, k, subset=rows)
+        expected_positions, expected_distances = brute_force_top_k(queries, points[rows], k)
+        assert distances.dtype == points.dtype
+        np.testing.assert_array_equal(indices, rows[expected_positions])
+        np.testing.assert_array_equal(distances, expected_distances)
+        if len(rows) == len(points):
+            with mock.patch.object(knn_module, "L1_CHUNK_ELEMENTS", budget):
+                np.testing.assert_array_equal(l1_top_k(queries, points, k)[0], expected_positions)
+
+    def test_duplicate_markers_rank_lower_row_first(self, monkeypatch):
+        points = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        for cap in (1, 2, 4, 10**9):
+            monkeypatch.setattr(knn_module, "L1_CHUNK_ELEMENTS", cap)
+            result = ExactL1Index(points).query_batch_arrays(np.zeros((1, 2)), k=4)
+            assert result.indices.tolist() == [[1, 3, 4, 0]]
+            assert result.distances.tolist() == [[0.0, 0.0, 0.0, 1.0]]
+            probe_all = IVFIndex(points, nlist=2, nprobe=2).query_batch_arrays(np.zeros((1, 2)), k=4)
+            assert probe_all.indices.tolist() == [[1, 3, 4, 0]]
+
+    def test_k_zero_and_no_queries_give_empty_rows(self):
+        points = np.random.default_rng(15).normal(size=(40, 3))
+        indices, distances = l1_top_k(np.zeros((2, 3)), points, 0)
+        assert indices.shape == distances.shape == (2, 0)
+        indices, distances = l1_top_k(np.zeros((0, 3)), points, 5)
+        assert indices.shape == distances.shape == (0, 5)
 
 
 class TestBuildIndexKinds:

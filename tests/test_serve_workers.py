@@ -29,7 +29,7 @@ from repro.serve import (
     recv_frame,
     send_frame,
 )
-from repro.serve.workers import FLEET_FACTS, describe_pipeline
+from repro.serve.workers import BLAS_THREAD_VARIABLES, FLEET_FACTS, blas_threads, describe_pipeline
 
 FILE_A = "def scale_amount(amount, factor):\n    return amount * factor\n"
 FILE_B = (
@@ -324,6 +324,44 @@ class TestWorkerCrashes:
             # agrees on the grown map.
             stats = fleet.client.stats()
             assert {row["markers"] for row in stats["workers"]} == {response["markers"]}
+
+
+def _usable_cores():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _pool_blas_threads(model_dir, num_workers):
+    """``blas_threads`` of every ``stats`` row and of one worker's ``ping``."""
+    pool = WorkerPool(model_dir, num_workers, annotator_config=AnnotatorConfig(use_type_checker=False)).start()
+    try:
+        handle = pool.lease(timeout=60.0)
+        ping = handle.request({"op": "ping"})
+        pool.release(handle)
+        return [row["blas_threads"] for row in pool.worker_stats()], ping["blas_threads"]
+    finally:
+        pool.close()
+
+
+class TestBlasThreadBudget:
+    def test_spawned_workers_split_the_usable_cores(self, raw_model_dir, monkeypatch):
+        for variable in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(variable, raising=False)
+        budget = max(1, _usable_cores() // 2)
+        assert _pool_blas_threads(raw_model_dir, 2) == ([budget, budget], budget)
+
+    def test_a_thread_count_the_user_set_is_kept(self, raw_model_dir, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert _pool_blas_threads(raw_model_dir, 2) == ([3, 3], 3)
+
+    def test_in_process_pool_leaves_the_environment_alone(self, trained_pipeline):
+        before = dict(os.environ)
+        pool = WorkerPool.in_process(trained_pipeline).start()
+        try:
+            rows = pool.worker_stats()
+        finally:
+            pool.close()
+        assert dict(os.environ) == before
+        assert [row["blas_threads"] for row in rows] == [blas_threads()]
 
 
 class TestFleetConstruction:
