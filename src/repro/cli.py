@@ -48,7 +48,7 @@ Examples::
     python -m repro.cli ingest --corpus-dir /tmp/corpus --out /tmp/dataset --jobs 4 --cache-dir /tmp/cache
     python -m repro.cli train --dataset /tmp/dataset --epochs 8 --save-model /tmp/model
     python -m repro.cli ingest --corpus-dir /tmp/corpus --out /tmp/raw --shard-format raw
-    python -m repro.cli train --dataset /tmp/raw --mmap --workers 2 --prefetch-batches 4
+    OPENBLAS_NUM_THREADS=1 python -m repro.cli train --dataset /tmp/raw --mmap --workers 2 --prefetch-batches 4
     python -m repro.cli train --dataset /tmp/dataset --save-model /tmp/model \\
         --index ivf --nlist 256 --nprobe 8 --typespace-layout raw
     python -m repro.cli suggest path/to/file.py --confidence 0.5
@@ -79,6 +79,7 @@ from repro.corpus import (
 )
 from repro.engine import AnnotatorConfig, ProjectAnnotator
 from repro.evaluation import render_table
+from repro.utils.memory import keep_free_heap
 
 
 def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
@@ -117,7 +118,10 @@ def _add_training_arguments(parser: argparse.ArgumentParser, include_workers: bo
                                  "disjoint slice of every batch and the parent reduces per-graph "
                                  "gradients in graph order, so workers=N replays workers=1 "
                                  "bit-for-bit (graph family only; falls back to serial where "
-                                 "fork is unavailable)")
+                                 "fork is unavailable).  Workers inherit the parent's BLAS thread "
+                                 "count: run with OPENBLAS_NUM_THREADS=1 (or cores // N), or "
+                                 "workers=2 on 2 cores runs slower than serial; compare against a "
+                                 "serial run with the same setting, which changes float rounding")
     parser.add_argument("--prefetch-batches", type=int, default=None,
                         help="stream assembled batches through a bounded prefetch window of "
                              "this many batches instead of keeping the whole plan resident; "
@@ -593,6 +597,9 @@ def command_serve(args: argparse.Namespace) -> int:
             )
         pool = WorkerPool(args.load_model, args.workers, annotator_config=annotator_config)
     else:
+        # This process answers every request itself: give it the heap trim
+        # threshold fleet workers start with.
+        keep_free_heap()
         pipeline = _obtain_pipeline(args)
     server = AnnotationServer(
         pipeline,

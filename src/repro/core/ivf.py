@@ -12,11 +12,7 @@ design instead:
   O(nlist) scan, not O(points)) and gathers the members of its ``nprobe``
   nearest cells into a shortlist;
 * **re-ranking** — the shortlist is scored with the exact L1 distance and
-  the top ``k`` are returned.  With quantization enabled the shortlist is
-  first scanned in reduced precision (``"float16"``, or ``"int8"`` with a
-  per-dimension scale + zero point) and only the top candidates of that scan
-  are exactly re-ranked — approximate arithmetic selects candidates, it
-  never orders the final result.
+  the top ``k`` are returned.
 
 Queries therefore touch ``nlist + nprobe/nlist · N`` points instead of
 ``N`` — sub-linear growth that ``bench_fig6_knn_sweep`` measures against the
@@ -49,16 +45,17 @@ from repro.core.knn import (
 )
 from repro.utils.rng import SeededRNG
 
-#: Reduced-precision shortlist-scan modes of :class:`IVFIndex`.
-QUANTIZE_KINDS = ("float16", "int8")
+#: Cap on the number of points the coarse quantizer trains on; the k-means
+#: sample is drawn deterministically from the first point set.
+TRAIN_POINTS = 65_536
 
-#: Default cap on the number of points the coarse quantizer trains on; the
-#: k-means sample is drawn deterministically from the first point set.
-DEFAULT_TRAIN_POINTS = 65_536
+#: Lloyd iterations of the coarse quantizer's k-means (converged
+#: assignments end it sooner).
+KMEANS_ITERATIONS = 8
 
 
 def kmeans_cells(
-    points: np.ndarray, nlist: int, seed: int = 0, iterations: int = 8
+    points: np.ndarray, nlist: int, seed: int = 0, iterations: int = KMEANS_ITERATIONS
 ) -> np.ndarray:
     """Deterministic seeded k-means under the L1 metric (pure numpy).
 
@@ -91,89 +88,13 @@ def kmeans_cells(
     return centroids
 
 
-class QuantizedShortlist:
-    """Reduced-precision L1 scorer over the stored rows (shortlist stage only).
-
-    ``"float16"`` keeps a half-precision copy of every row; ``"int8"`` keeps
-    byte codes under a per-dimension scale + zero point learned from the
-    first non-empty row set (later rows are clipped into that range).  Both
-    modes answer :meth:`distances` — approximate L1 distances from a query
-    batch to a gathered row subset — which the IVF query path uses purely to
-    *select* re-rank candidates; the distances the index reports always come
-    from the exact full-precision scan of those candidates.
-    """
-
-    def __init__(self, kind: str, dim: int) -> None:
-        if kind not in QUANTIZE_KINDS:
-            raise ValueError(
-                f"quantize must be one of {QUANTIZE_KINDS} (or None), got {kind!r}"
-            )
-        self.kind = kind
-        self.dim = dim
-        code_dtype = np.float16 if kind == "float16" else np.int8
-        self._codes = np.empty((0, dim), dtype=code_dtype)
-        self._size = 0
-        self._scales: Optional[np.ndarray] = None  # int8 only, per dimension
-        self._offsets: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def extend(self, points: np.ndarray) -> None:
-        """Append codes for ``points`` (rows in index storage order)."""
-        if not len(points):
-            return
-        if self.kind == "int8" and self._scales is None:
-            lows = points.min(axis=0).astype(np.float64)
-            highs = points.max(axis=0).astype(np.float64)
-            scales = (highs - lows) / 255.0
-            scales[scales == 0.0] = 1.0  # constant dimensions encode to one code
-            self._scales = scales
-            self._offsets = lows
-        codes = self._encode(points)
-        needed = self._size + len(codes)
-        if needed > len(self._codes):
-            capacity = max(needed, 2 * len(self._codes), 16)
-            storage = np.empty((capacity, self.dim), dtype=self._codes.dtype)
-            storage[: self._size] = self._codes[: self._size]
-            self._codes = storage
-        self._codes[self._size : needed] = codes
-        self._size = needed
-
-    def _encode(self, values: np.ndarray) -> np.ndarray:
-        if self.kind == "float16":
-            return np.asarray(values, dtype=np.float16)
-        assert self._scales is not None and self._offsets is not None
-        levels = np.rint((np.asarray(values, dtype=np.float64) - self._offsets) / self._scales)
-        return (np.clip(levels, 0.0, 255.0) - 128.0).astype(np.int8)
-
-    def distances(self, queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Approximate L1 distances ``(len(queries), len(rows))`` to ``rows``."""
-        codes = self._codes[: self._size][rows]
-        if self.kind == "float16":
-            return l1_distance_matrix(np.asarray(queries, dtype=np.float16), codes)
-        query_codes = self._encode(queries).astype(np.int16)
-        point_codes = codes.astype(np.int16)
-        assert self._scales is not None
-        scales = self._scales
-        distances = np.zeros((len(queries), len(rows)), dtype=np.float64)
-        scratch = np.empty((len(queries), len(rows)), dtype=np.int16)
-        for dim in range(self.dim):
-            np.subtract.outer(query_codes[:, dim], point_codes[:, dim], out=scratch)
-            np.abs(scratch, out=scratch)
-            distances += scales[dim] * scratch
-        return distances
-
-
 class IVFIndex:
     """Inverted-file index: k-means cells, ``nprobe`` shortlist, exact re-rank.
 
     Construction parameters mirror FAISS: ``nlist`` cells (clamped to the
-    point count at training time), ``nprobe`` probed cells per query,
-    ``quantize`` an optional reduced-precision shortlist scan
-    (``"float16"``/``"int8"``) whose top ``max(rerank_floor, rerank_factor·k)``
-    candidates are exactly re-ranked.  All randomness (the k-means sample and
-    initialisation) flows from ``seed``.
+    point count at training time) and ``nprobe`` probed cells per query.
+    All randomness (the k-means sample and initialisation) flows from
+    ``seed``.
 
     The embedded :class:`ExactL1Index` provides row storage, the re-rank
     arithmetic and the fallback for queries whose probed cells hold fewer
@@ -187,11 +108,6 @@ class IVFIndex:
         nprobe: int = 8,
         seed: int = 0,
         dtype: Optional[np.dtype] = None,
-        quantize: Optional[str] = None,
-        train_points: int = DEFAULT_TRAIN_POINTS,
-        kmeans_iterations: int = 8,
-        rerank_factor: int = 4,
-        rerank_floor: int = 32,
     ) -> None:
         if not isinstance(nlist, (int, np.integer)) or nlist < 1:
             raise ValueError(f"nlist must be a positive integer, got {nlist!r}")
@@ -199,24 +115,9 @@ class IVFIndex:
             raise ValueError(f"nprobe must be a positive integer, got {nprobe!r}")
         if nprobe > nlist:
             raise ValueError(f"nprobe {nprobe} cannot exceed nlist {nlist}")
-        if quantize is not None and quantize not in QUANTIZE_KINDS:
-            raise ValueError(
-                f"quantize must be one of {QUANTIZE_KINDS} (or None), got {quantize!r}"
-            )
-        if train_points < 1:
-            raise ValueError(f"train_points must be positive, got {train_points!r}")
-        if kmeans_iterations < 1:
-            raise ValueError(f"kmeans_iterations must be positive, got {kmeans_iterations!r}")
-        if rerank_factor < 1 or rerank_floor < 1:
-            raise ValueError("rerank_factor and rerank_floor must be positive")
         self.nlist = int(nlist)
         self.nprobe = int(nprobe)
         self.seed = int(seed)
-        self.quantize = quantize
-        self.train_points = int(train_points)
-        self.kmeans_iterations = int(kmeans_iterations)
-        self.rerank_factor = int(rerank_factor)
-        self.rerank_floor = int(rerank_floor)
         self._exact = ExactL1Index(np.asarray(points), dtype=dtype)
         self.dtype = self._exact.dtype
         # The coarse quantizer trains lazily on the first non-empty point set,
@@ -224,7 +125,6 @@ class IVFIndex:
         # exactly as one constructed full would.
         self._centroids: Optional[np.ndarray] = None
         self._cells: list[np.ndarray] = []
-        self._quantized: Optional[QuantizedShortlist] = None
         if len(self._exact):
             self._assign_points(0)
 
@@ -251,12 +151,10 @@ class IVFIndex:
 
     def _train(self, points: np.ndarray) -> None:
         sample = points
-        if len(points) > self.train_points:
+        if len(points) > TRAIN_POINTS:
             rng = SeededRNG(self.seed)
-            sample = points[np.sort(rng.np.choice(len(points), size=self.train_points, replace=False))]
-        self._centroids = kmeans_cells(
-            sample, self.nlist, seed=self.seed, iterations=self.kmeans_iterations
-        )
+            sample = points[np.sort(rng.np.choice(len(points), size=TRAIN_POINTS, replace=False))]
+        self._centroids = kmeans_cells(sample, self.nlist, seed=self.seed)
         self._cells = [np.zeros(0, dtype=np.int64) for _ in range(len(self._centroids))]
 
     def _assign_points(self, start: int) -> None:
@@ -275,10 +173,6 @@ class IVFIndex:
             # sorted extension keeps every cell's member list ascending.
             members = np.sort(order[starts[position] : stop]) + start
             self._cells[cell] = np.concatenate([self._cells[cell], members])
-        if self.quantize is not None:
-            if self._quantized is None:
-                self._quantized = QuantizedShortlist(self.quantize, points.shape[1])
-            self._quantized.extend(points[len(self._quantized) :])
 
     # -- queries -----------------------------------------------------------------------
 
@@ -312,11 +206,7 @@ class IVFIndex:
             if len(shortlist) < k:
                 fallback_groups.append(rows)
                 continue
-            queries = vectors[rows]
-            candidates = shortlist
-            if self._quantized is not None:
-                candidates = self._rerank_candidates(queries, shortlist, k)
-            all_indices[rows], all_distances[rows] = l1_top_k(queries, points, k, subset=candidates)
+            all_indices[rows], all_distances[rows] = l1_top_k(vectors[rows], points, k, subset=shortlist)
         if fallback_groups:
             rows = np.concatenate(fallback_groups)
             exact = self._exact.query_batch_arrays(vectors[rows], k)
@@ -340,20 +230,3 @@ class IVFIndex:
         # scan needs ascending rows for its lower-row tie rule.
         buffer.sort()
         return buffer
-
-    def _rerank_candidates(self, queries: np.ndarray, shortlist: np.ndarray, k: int) -> np.ndarray:
-        """Shrink the shortlist with the quantized scan before the exact re-rank.
-
-        Every query in the group contributes its ``max(rerank_floor,
-        rerank_factor·k)`` nearest shortlist rows under the approximate
-        distances; the union is exactly re-ranked, so quantization can only
-        ever *select* candidates (conservatively widened across the group),
-        never order the reported neighbours.
-        """
-        assert self._quantized is not None
-        rerank = min(len(shortlist), max(self.rerank_floor, self.rerank_factor * k))
-        if rerank == len(shortlist):
-            return shortlist
-        approximate = self._quantized.distances(queries, shortlist)
-        kept = np.argpartition(approximate, rerank - 1, axis=1)[:, :rerank]
-        return np.unique(shortlist[kept])

@@ -8,8 +8,7 @@ queries fast.  Two indexes are provided here with the same interface:
 * :class:`~repro.core.ivf.IVFIndex` — the sub-linear serving-tier index: a
   seeded k-means coarse quantizer partitions the points into cells, queries
   probe the ``nprobe`` nearest cells for a shortlist and the shortlist is
-  exactly re-ranked (optionally after a reduced-precision scan).  Built by
-  :func:`build_index` with ``kind="ivf"``.
+  exactly re-ranked.  Built by :func:`build_index` with ``kind="ivf"``.
 
 Both indexes are batch-first: the primitive operation is
 :meth:`query_batch_arrays`, which answers *all* queries with vectorized

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -278,8 +279,8 @@ class TypeAnnotationDataset:
         Layout: ``dataset.json`` (manifest: config, splits' samples,
         registry, vocabulary, lattice, dedup report), ``sources.json``,
         graph shard files of at most ``shard_size`` graphs each and —
-        unless ``include_features`` is off — ``features.npz`` with each
-        graph's precomputed subtoken id arrays.  ``shard_format="binary"``
+        unless ``include_features`` is off — ``features.npz`` with the
+        precomputed subtoken ids of every graph.  ``shard_format="binary"``
         (the default) writes fingerprint-validated ``graphs-NNNNN.npz``
         archives of the columnar :class:`~repro.graph.flatgraph.FlatGraph`
         arrays — several times faster to write and load than JSON;
@@ -374,19 +375,18 @@ class TypeAnnotationDataset:
     def load(cls, path: Union[str, Path], mmap: bool = False) -> "TypeAnnotationDataset":
         """Restore a dataset saved with :meth:`save`.
 
-        Binary ``.npz`` shards load as columnar graphs (validated against
-        their stored fingerprint); legacy ``.json`` shards decode into the
-        same columns (validated by :meth:`FlatGraph.validate`), so
-        directories written by older versions keep working unchanged.
-        ``.raw`` shard directories load eagerly by default (same
-        fingerprint validation as ``.npz``).
+        Every graph passes :meth:`FlatGraph.validate`, whatever its shard
+        format.  Binary ``.npz`` shards and ``.raw`` shard directories load
+        eagerly by default, both checked against their stored fingerprint;
+        legacy ``.json`` shards decode into the same columns, so directories
+        written by older versions keep working unchanged.
 
         ``mmap=True`` requires every shard to be ``.raw`` and memory-maps
         the columns read-only instead of loading them: splits hand out
-        :class:`FlatGraph` objects whose arrays slice the maps, persisted
-        features stay mapped, and multiple processes share the page cache.  Content
-        fingerprints are *not* verified in this mode (verification would
-        page in the whole corpus); structural shape checks still run.
+        :class:`FlatGraph` objects whose arrays slice the maps, validated as
+        each is read, persisted features stay mapped, and multiple processes
+        share the page cache.  Content fingerprints are *not* verified in
+        this mode (verification would page in the whole corpus).
         """
         path = Path(path)
         manifest = json.loads((path / "dataset.json").read_text(encoding="utf-8"))
@@ -465,56 +465,40 @@ class TypeAnnotationDataset:
         return dataset
 
     def _attach_features(self, path: Path, mmap: bool = False) -> None:
-        """Restore persisted per-graph features; silently skip stale/missing files.
+        """Restore persisted per-graph features; silently skip stale, missing or unreadable files.
 
-        The vocabulary fingerprint is validated *before* any id arrays are
-        decoded: ``np.load`` reads ``.npz`` members lazily per key, so a
-        stale-vocabulary directory costs two tiny reads instead of inflating
-        the whole archive just to throw it away.
+        ``features.raw`` (memory-mapped with ``mmap``) and ``features.npz``
+        are opened the same way, and their header decides before any id
+        array is read: features index the embedding rows of this vocabulary,
+        so a stale fingerprint, another layout version or another graph
+        count means they must be recomputed, at the cost of a few tiny reads.
         """
         from repro.models.featurize import SUBTOKEN, vocabulary_fingerprint
 
-        expected_fingerprint = vocabulary_fingerprint(SUBTOKEN, self.subtokens.tokens)
-        expected_graphs = sum(split.num_graphs for split in self.splits.values())
-
-        raw_path = path / "features.raw"
-        if raw_path.is_dir():
-            restored = serialize.read_features_raw(raw_path, mmap=mmap)
-            if restored is None:
+        fingerprint = vocabulary_fingerprint(SUBTOKEN, self.subtokens.tokens)
+        expected = (
+            serialize.FEATURES_FORMAT_VERSION,
+            fingerprint,
+            sum(split.num_graphs for split in self.splits.values()),
+        )
+        features_path = path / "features.raw"
+        if not features_path.is_dir():
+            features_path = path / "features.npz"
+            if not features_path.exists():
                 return
-            features, fingerprint = restored
-            if fingerprint != expected_fingerprint or len(features) != expected_graphs:
-                return
-            self._adopt_features(features, fingerprint)
-            return
-
-        features_path = path / "features.npz"
-        if not features_path.exists():
-            return
-        import numpy as np
-
-        with np.load(features_path, allow_pickle=False) as archive:
-            # Features index the embedding rows of this vocabulary; a
-            # mismatch (e.g. a hand-edited directory) means they must be
-            # recomputed — decide that from the header entries alone.
-            try:
-                if int(archive["version"][0]) != serialize.FEATURES_FORMAT_VERSION:
+        try:
+            with serialize.open_columns(features_path, mmap=mmap) as columns:
+                header = (int(columns["format"][0]), str(columns["fingerprint"][0]), int(columns["num_graphs"][0]))
+                if header != expected:
                     return
-                if str(archive["fingerprint"][0]) != expected_fingerprint:
-                    return
-                if int(archive["num_graphs"][0]) != expected_graphs:
-                    return
-            except (KeyError, ValueError, IndexError):
-                return
-            restored = serialize.features_from_arrays(archive)
-        if restored is None:
+                view = serialize.FeatureView(columns)
+        except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile):
             return
-        self._adopt_features(*restored)
-
-    def _adopt_features(self, features, fingerprint: str) -> None:
+        features = serialize.LazyView(view.feature, 0, len(view))
         cursor = 0
         for split in self.splits.values():
-            split.node_features = features[cursor : cursor + split.num_graphs]
+            window = features[cursor : cursor + split.num_graphs]
+            split.node_features = window if mmap else list(window)
             split.features_fingerprint = fingerprint
             cursor += split.num_graphs
 

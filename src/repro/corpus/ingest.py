@@ -163,11 +163,11 @@ class GraphCache:
     part of the key — a renamed file is still a hit, with the stored graph
     re-labelled on load.
 
-    Entries are fingerprint-validated binary ``.npz`` archives of the
-    columnar :class:`~repro.graph.flatgraph.FlatGraph` arrays; anything that
-    fails to decode or validate is treated as a miss (and overwritten on the
-    next store), so a corrupted or truncated entry costs one re-extraction,
-    never an error.
+    Entries are one-graph ``.npz`` shards, read through the same decoder as
+    dataset shards: an entry whose fingerprint does not match, or whose
+    graph fails :meth:`~repro.graph.flatgraph.FlatGraph.validate`, is treated
+    as a miss (and overwritten on the next store), so a corrupted or
+    truncated entry costs one re-extraction, never an error.
     """
 
     def __init__(self, directory: Union[str, Path], extractor_version: str = EXTRACTOR_VERSION) -> None:

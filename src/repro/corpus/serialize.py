@@ -1,4 +1,4 @@
-"""Graph and dataset serialization: binary FlatGraph shards + JSON payloads.
+"""Graph and dataset serialization: column shards + JSON payloads.
 
 Two consumers share these helpers:
 
@@ -10,17 +10,32 @@ Two consumers share these helpers:
   whole assembled dataset — splits, samples, registry, vocabulary, lattice —
   to a directory that reloads in milliseconds.
 
-**Binary graph shards (the default).**  Graphs persist as ``.npz`` archives
-of their columnar :class:`~repro.graph.flatgraph.FlatGraph` arrays — per
-graph: the interned string table, a ``(4, N) int32`` node block (kind code,
-text id, line, column), one ``(2, E_k) int32`` array per
-:class:`~repro.graph.edges.EdgeKind`, a ``(6, S) int32`` symbol block and
-the occurrence CSR pair.  Each shard carries a SHA-256 **fingerprint** over
-every array's bytes; :func:`flat_graphs_from_arrays` recomputes and
-compares it on load, so a truncated or bit-flipped shard raises
-:class:`PayloadError` (which the graph cache treats as a miss) instead of
-silently mis-indexing.  Every reader returns :class:`FlatGraph` objects — the
-arrays are handed straight to featurization and batch assembly.
+**One column layout per kind.**  A graph shard concatenates the
+:class:`FlatGraph` columns of its graphs — the interned string tables, an
+``int32`` node block, one edge block per kind, a symbol block and the
+occurrence CSR pair — with per-graph split arrays
+(:func:`flat_graphs_to_arrays`); persisted features concatenate each
+graph's subtoken ids and row splits into four columns
+(:func:`features_to_arrays`).  Each layout carries a header: format version,
+graph count and a fingerprint — the SHA-256 over a shard's columns, or the
+vocabulary fingerprint the feature ids are tied to.
+
+**Two containers.**  A layout is stored either as an ``.npz`` archive or as
+a raw directory of plain ``.npy`` files whose ``meta.json`` holds the header
+and is written last (:class:`RawColumns`, which can memory-map the
+columns).  Every reader sees either one as a mapping of column names to
+arrays.
+
+**One decoder per kind, validation on every read.**  :class:`GraphShard` is
+the only code that builds a :class:`FlatGraph` from shard columns: it
+slices out one graph at a time and runs :meth:`FlatGraph.validate` on it,
+so an out-of-range kind code or string id raises :class:`PayloadError`
+through every reader (:func:`read_graph_shard`, :func:`read_graph_shard_raw`,
+the graph cache, :class:`RawGraphShard`).  The eager readers first check
+the format version and then the fingerprint, so a truncated or bit-flipped
+shard is rejected whole; a memory-mapped :class:`RawGraphShard` skips the
+fingerprint, which would page in the whole shard.  :class:`FeatureView` is
+the only code that builds :class:`TextFeatures` from feature columns.
 
 **Legacy JSON payloads.**  The original dict-of-lists layout remains fully
 readable *and* writable (``shard_format="json"``), diffable and
@@ -37,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -62,12 +78,14 @@ from repro.types.registry import TypeRegistry
 #: it (or :data:`repro.corpus.ingest.EXTRACTOR_VERSION`) invalidates caches.
 GRAPH_PAYLOAD_VERSION = 1
 
-#: Version of the binary ``.npz`` graph-shard layout.
+#: Version of the graph-shard column layout (``.npz`` and raw alike).
 GRAPH_SHARD_FORMAT_VERSION = 1
 
-#: Version of the ``features.npz`` companion file written next to dataset
-#: shards; unknown versions are ignored (features are recomputed instead).
-FEATURES_FORMAT_VERSION = 1
+#: Version of the feature column layout written next to dataset shards
+#: (``features.npz`` or ``features.raw``); other versions are ignored and
+#: the features recomputed.  v2: ``features.npz`` holds the four columns of
+#: ``features.raw`` instead of one id/split array pair per graph.
+FEATURES_FORMAT_VERSION = 2
 
 
 class PayloadError(ValueError):
@@ -235,10 +253,11 @@ def _pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(blob, dtype=np.uint8).copy(), splits
 
 
-def _unpack_strings(blob: np.ndarray, splits: np.ndarray) -> list[str]:
-    raw = blob.tobytes()
-    offsets = splits.tolist()
-    return [raw[offsets[i] : offsets[i + 1]].decode("utf-8") for i in range(len(offsets) - 1)]
+def _unpack_strings(blob: np.ndarray, offsets: list[int]) -> list[str]:
+    """The strings between consecutive ``offsets`` into a packed ``blob``."""
+    base = offsets[0]
+    raw = np.asarray(blob[base : offsets[-1]]).tobytes()
+    return [raw[lo - base : hi - base].decode("utf-8") for lo, hi in zip(offsets, offsets[1:])]
 
 
 def _counts_splits(counts: Sequence[int]) -> np.ndarray:
@@ -334,88 +353,104 @@ def flat_graphs_to_arrays(graphs: Sequence[FlatGraph]) -> dict[str, np.ndarray]:
     return arrays
 
 
-def flat_graphs_from_arrays(archive) -> list[FlatGraph]:
-    """Decode :func:`flat_graphs_to_arrays` output, validating the fingerprint.
+class GraphShard:
+    """The one decoder of the graph-shard columns of :func:`flat_graphs_to_arrays`.
 
-    ``archive`` is anything mapping keys to arrays (an ``np.load`` result or
-    a plain dict).  Raises :class:`PayloadError` on unknown versions, missing
-    arrays or fingerprint mismatches — never returns a partially decoded
-    shard.  Per-graph arrays are zero-copy slices of the shard columns.
+    ``columns`` is any mapping of those columns: an ``np.load``-ed ``.npz``
+    archive, a plain dict or a :class:`RawColumns` directory, loaded or
+    memory-mapped.  The constructor checks the format version, then — with
+    ``verify`` — the fingerprint over every column, and reads only the
+    graph-boundary columns; the content columns are kept as given, so mapped
+    columns stay mapped.  :meth:`graph` slices one graph out of them and
+    runs :meth:`FlatGraph.validate` on it.  Every failure raises
+    :class:`PayloadError`.
     """
-    try:
-        loaded = {key: np.asarray(archive[key]) for key in _archive_keys(archive)}
-        if int(loaded["format"][0]) != GRAPH_SHARD_FORMAT_VERSION:
-            raise PayloadError(
-                f"unsupported graph shard version {int(loaded['format'][0])!r}"
-            )
-        stored = str(loaded["fingerprint"][0])
-        expected = _shard_fingerprint(loaded)
-        if stored != expected:
-            raise PayloadError("graph shard fingerprint mismatch (corrupted shard?)")
 
-        num_graphs = int(loaded["num_graphs"][0])
-        all_strings = _unpack_strings(loaded["strbytes"], loaded["strsplits"])
-        meta = _unpack_strings(loaded["metabytes"], loaded["metasplits"])
-        strgraph = loaded["strgraph"].tolist()
-        nodesplits = loaded["nodesplits"].tolist()
-        symsplits = loaded["symsplits"].tolist()
-        nodes = loaded["nodes"]
-        symbols = loaded["symbols"]
-        occ = loaded["occ"]
-        occcounts = loaded["occcounts"]
-        edge_columns = [
-            (kind, loaded[f"edges:{kind.value}"], loaded[f"edgesplits:{kind.value}"].tolist())
-            for kind in ALL_EDGE_KINDS
-            if f"edges:{kind.value}" in loaded
-        ]
+    def __init__(self, columns: Mapping[str, np.ndarray], where: str = "graph shard", verify: bool = True) -> None:
+        self.where = where
+        try:
+            version = int(columns["format"][0])
+            if version != GRAPH_SHARD_FORMAT_VERSION:
+                raise PayloadError(f"unsupported {where} version {version!r}")
+            arrays = {key: np.asarray(columns[key]) for key in columns}
+            if verify and str(arrays["fingerprint"][0]) != _shard_fingerprint(arrays):
+                raise PayloadError(f"{where} fingerprint mismatch (corrupted shard?)")
+            self.num_graphs = int(arrays["num_graphs"][0])
+            self._arrays = arrays
+            self._strsplits = arrays["strsplits"]
+            self._occsplits = _counts_splits(arrays["occcounts"])
+            self._strgraph = arrays["strgraph"].tolist()
+            self._metasplits = arrays["metasplits"].tolist()
+            self._nodesplits = arrays["nodesplits"].tolist()
+            self._symsplits = arrays["symsplits"].tolist()
+            self._edges = [
+                (kind, arrays[f"edges:{kind.value}"], arrays[f"edgesplits:{kind.value}"].tolist())
+                for kind in ALL_EDGE_KINDS
+                if f"edges:{kind.value}" in arrays
+            ]
+        except PayloadError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError, OSError) as error:
+            raise PayloadError(f"malformed {where}: {error}") from error
+        expected = self.num_graphs + 1
+        bounds = [self._strgraph, self._nodesplits, self._symsplits, *(splits for _, _, splits in self._edges)]
+        if any(len(splits) != expected for splits in bounds) or len(self._metasplits) != 2 * expected - 1:
+            raise PayloadError(f"{where}: graph-boundary columns disagree with {self.num_graphs} graphs")
 
-        graphs: list[FlatGraph] = []
-        occ_cursor = 0
-        for i in range(num_graphs):
-            node_lo, node_hi = nodesplits[i], nodesplits[i + 1]
-            sym_lo, sym_hi = symsplits[i], symsplits[i + 1]
+    def graph(self, index: int) -> FlatGraph:
+        """Graph ``index``, validated; its array fields are slices of the columns."""
+        if not 0 <= index < self.num_graphs:
+            raise IndexError(f"graph index {index} out of range for shard of {self.num_graphs}")
+        arrays = self._arrays
+        nodes = arrays["nodes"]
+        symbols = arrays["symbols"]
+        node_lo, node_hi = self._nodesplits[index : index + 2]
+        sym_lo, sym_hi = self._symsplits[index : index + 2]
+        str_lo, str_hi = self._strgraph[index : index + 2]
+        try:
             edges: dict[EdgeKind, np.ndarray] = {}
-            for kind, column, splits in edge_columns:
-                lo, hi = splits[i], splits[i + 1]
+            for kind, column, splits in self._edges:
+                lo, hi = splits[index : index + 2]
                 if hi > lo:
                     edges[kind] = column[:, lo:hi]
-            counts = occcounts[sym_lo:sym_hi]
-            occurrence_splits = np.zeros(counts.shape[0] + 1, dtype=np.int32)
-            np.cumsum(counts, out=occurrence_splits[1:])
-            num_occurrences = int(occurrence_splits[-1]) if counts.size else 0
-            graphs.append(
-                FlatGraph(
-                    filename=meta[2 * i],
-                    source=meta[2 * i + 1],
-                    strings=tuple(all_strings[strgraph[i] : strgraph[i + 1]]),
-                    node_kind=nodes[0, node_lo:node_hi],
-                    node_text=nodes[1, node_lo:node_hi],
-                    node_line=nodes[2, node_lo:node_hi],
-                    node_col=nodes[3, node_lo:node_hi],
-                    edges=edges,
-                    symbol_node=symbols[0, sym_lo:sym_hi],
-                    symbol_name=symbols[1, sym_lo:sym_hi],
-                    symbol_kind=symbols[2, sym_lo:sym_hi],
-                    symbol_scope=symbols[3, sym_lo:sym_hi],
-                    symbol_annotation=symbols[4, sym_lo:sym_hi],
-                    symbol_line=symbols[5, sym_lo:sym_hi],
-                    occurrence_ids=occ[occ_cursor : occ_cursor + num_occurrences],
-                    occurrence_splits=occurrence_splits,
-                )
+            filename, source = _unpack_strings(arrays["metabytes"], self._metasplits[2 * index : 2 * index + 3])
+            occurrence_splits = self._occsplits[sym_lo : sym_hi + 1]
+            graph = FlatGraph(
+                filename=filename,
+                source=source,
+                strings=tuple(_unpack_strings(arrays["strbytes"], self._strsplits[str_lo : str_hi + 1].tolist())),
+                node_kind=nodes[0, node_lo:node_hi],
+                node_text=nodes[1, node_lo:node_hi],
+                node_line=nodes[2, node_lo:node_hi],
+                node_col=nodes[3, node_lo:node_hi],
+                edges=edges,
+                symbol_node=symbols[0, sym_lo:sym_hi],
+                symbol_name=symbols[1, sym_lo:sym_hi],
+                symbol_kind=symbols[2, sym_lo:sym_hi],
+                symbol_scope=symbols[3, sym_lo:sym_hi],
+                symbol_annotation=symbols[4, sym_lo:sym_hi],
+                symbol_line=symbols[5, sym_lo:sym_hi],
+                occurrence_ids=arrays["occ"][occurrence_splits[0] : occurrence_splits[-1]],
+                occurrence_splits=(occurrence_splits - occurrence_splits[0]).astype(np.int32),
             )
-            occ_cursor += num_occurrences
-    except PayloadError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as error:
-        raise PayloadError(f"malformed graph shard: {error}") from error
-    return graphs
+            graph.validate()
+        except (TypeError, ValueError, IndexError) as error:
+            raise PayloadError(f"malformed graph {index} in {self.where}: {error}") from error
+        return graph
+
+    def graphs(self) -> list[FlatGraph]:
+        return [self.graph(index) for index in range(self.num_graphs)]
 
 
-def _archive_keys(archive) -> Sequence[str]:
-    files = getattr(archive, "files", None)
-    if files is not None:
-        return files
-    return list(archive.keys())
+def flat_graphs_from_arrays(archive: Mapping[str, np.ndarray]) -> list[FlatGraph]:
+    """Decode every graph of :func:`flat_graphs_to_arrays` output, fingerprint checked.
+
+    ``archive`` is any column mapping (see :class:`GraphShard`).  Raises
+    :class:`PayloadError` on unknown versions, missing arrays, fingerprint
+    mismatches or an invalid graph — never returns a partially decoded
+    shard.  Per-graph arrays are zero-copy slices of the shard columns.
+    """
+    return GraphShard(archive).graphs()
 
 
 def write_graph_shard(path, graphs: Sequence[FlatGraph]) -> None:
@@ -428,60 +463,76 @@ def write_graph_shard(path, graphs: Sequence[FlatGraph]) -> None:
 def read_graph_shard(path) -> list[FlatGraph]:
     """Read a binary shard back as :class:`FlatGraph` objects."""
     with np.load(path, allow_pickle=False) as archive:
-        return flat_graphs_from_arrays(archive)
+        return GraphShard(archive, f"graph shard at {path}").graphs()
 
 
 # ---------------------------------------------------------------------------
-# Raw graph shards (zero-copy, memory-mappable)
+# Raw column directories (zero-copy, memory-mappable)
 # ---------------------------------------------------------------------------
 
-#: Commit marker and index of a raw shard/feature directory; written last, so
-#: a directory without it is an aborted write, not a corrupt dataset.
+#: Commit marker and header of a raw shard/feature directory; written last,
+#: so a directory without it is an aborted write, not a corrupt dataset.
 RAW_META_NAME = "meta.json"
 
-#: Keys every raw graph shard must provide (edge columns vary per shard).
-_RAW_REQUIRED_COLUMNS = (
-    "strbytes",
-    "strsplits",
-    "strgraph",
-    "metabytes",
-    "metasplits",
-    "nodes",
-    "nodesplits",
-    "symbols",
-    "symsplits",
-    "occ",
-    "occcounts",
-)
+#: Header entries of a column layout: one-element arrays in an ``.npz``
+#: archive, plain values in a raw directory's ``meta.json``.
+_HEADER_KEYS = ("format", "num_graphs", "fingerprint")
 
 
-def _read_raw_meta(path: Path, expected_version: int, what: str) -> dict[str, Any]:
-    try:
-        meta = json.loads((path / RAW_META_NAME).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
-        raise PayloadError(f"cannot read raw {what} metadata at {path}: {error}") from error
-    version = int(meta.get("format", -1))
-    if version != expected_version:
-        raise PayloadError(f"unsupported raw {what} version {version!r} at {path}")
-    return meta
+class RawColumns(Mapping):
+    """A raw directory read like an ``np.load``-ed ``.npz`` archive.
 
-
-def write_graph_shard_raw(path, graphs: Sequence[FlatGraph]) -> None:
-    """Write graphs as a raw shard *directory*: one ``.npy`` file per column.
-
-    Same columnar arrays as the ``.npz`` shard (see
-    :func:`flat_graphs_to_arrays`), but each stored as a plain ``.npy`` so
-    loaders can ``np.load(..., mmap_mode="r")`` them — pages stream in on
-    access instead of the whole archive inflating into every process.
-    ``meta.json`` (version, graph count, fingerprint, column index) is
-    written last as the commit marker.
+    ``meta.json`` names each column's ``.npy`` file and holds the header,
+    which this mapping serves as one-element arrays, as an archive stores
+    it.  A column is read when looked up: memory-mapped read-only with
+    ``mmap``, else loaded.
     """
-    arrays = flat_graphs_to_arrays(graphs)
+
+    def __init__(self, path, mmap: bool = False) -> None:
+        self.path = Path(path)
+        try:
+            meta = json.loads((self.path / RAW_META_NAME).read_text(encoding="utf-8"))
+            self._header = {
+                "format": np.asarray([int(meta["format"])], dtype=np.int64),
+                "num_graphs": np.asarray([int(meta["num_graphs"])], dtype=np.int64),
+                "fingerprint": _string_array([str(meta["fingerprint"])]),
+            }
+            self._files = dict(meta["arrays"])
+        except (OSError, ValueError, KeyError, TypeError) as error:
+            raise PayloadError(f"cannot read raw metadata at {self.path}: {error}") from error
+        self._mode = "r" if mmap else None
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key in self._header:
+            return self._header[key]
+        return np.load(self.path / self._files[key], mmap_mode=self._mode, allow_pickle=False)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter([*self._header, *self._files])
+
+    def __len__(self) -> int:
+        return len(self._header) + len(self._files)
+
+    def __enter__(self) -> "RawColumns":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Nothing to release: mapped columns stay valid after the block."""
+
+
+def open_columns(path, mmap: bool = False):
+    """An ``.npz`` archive or a raw directory as a column mapping, for a ``with`` block."""
+    path = Path(path)
+    return RawColumns(path, mmap=mmap) if path.is_dir() else np.load(path, allow_pickle=False)
+
+
+def _write_raw(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write a column layout as a raw directory: one ``.npy`` per column, ``meta.json`` last."""
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     names: dict[str, str] = {}
     for key, value in arrays.items():
-        if key in ("format", "num_graphs", "fingerprint"):
+        if key in _HEADER_KEYS:
             continue
         name = key.replace(":", "__") + ".npy"
         np.save(directory / name, np.ascontiguousarray(value))
@@ -495,144 +546,33 @@ def write_graph_shard_raw(path, graphs: Sequence[FlatGraph]) -> None:
     (directory / RAW_META_NAME).write_text(json.dumps(meta, indent=1), encoding="utf-8")
 
 
+def write_graph_shard_raw(path, graphs: Sequence[FlatGraph]) -> None:
+    """Write graphs as a raw shard *directory*: one ``.npy`` file per column.
+
+    Same columnar arrays as the ``.npz`` shard (see
+    :func:`flat_graphs_to_arrays`), but each stored as a plain ``.npy`` so
+    loaders can ``np.load(..., mmap_mode="r")`` them — pages stream in on
+    access instead of the whole archive inflating into every process.
+    """
+    _write_raw(path, flat_graphs_to_arrays(graphs))
+
+
 def read_graph_shard_raw(path) -> list[FlatGraph]:
-    """Eagerly read a raw shard directory, validating its fingerprint.
-
-    The resident counterpart of :class:`RawGraphShard`: all columns are
-    loaded into memory and pass through the same fingerprint check and
-    decode as an ``.npz`` shard.
-    """
-    directory = Path(path)
-    meta = _read_raw_meta(directory, GRAPH_SHARD_FORMAT_VERSION, "graph shard")
-    try:
-        arrays = {
-            key: np.load(directory / name, allow_pickle=False)
-            for key, name in meta["arrays"].items()
-        }
-    except (OSError, ValueError, KeyError) as error:
-        raise PayloadError(f"malformed raw graph shard at {path}: {error}") from error
-    arrays["format"] = np.asarray([int(meta["format"])], dtype=np.int64)
-    arrays["num_graphs"] = np.asarray([int(meta["num_graphs"])], dtype=np.int64)
-    arrays["fingerprint"] = _string_array([str(meta["fingerprint"])])
-    return flat_graphs_from_arrays(arrays)
+    """Eagerly read a raw shard directory: the same checks and decoder as an ``.npz`` shard."""
+    return GraphShard(RawColumns(path), f"raw graph shard at {path}").graphs()
 
 
-class RawGraphShard:
-    """Zero-copy view over a raw shard directory.
+class RawGraphShard(GraphShard):
+    """A raw shard directory, memory-mapped read-only and decoded on demand.
 
-    The big content columns (strings blob, node/symbol/edge blocks,
-    occurrences) stay memory-mapped read-only; only the O(graphs) split
-    arrays are materialised up front.  :meth:`graph` slices one graph's
-    columns without touching any other graph's pages, and decodes only that
-    graph's strings.
-
-    Content fingerprints are *not* verified on open — doing so would page in
-    the entire shard, defeating the layout.  Structural shape checks still
-    reject mismatched columns, and every graph handed out has passed
-    :meth:`FlatGraph.validate`; callers wanting full verification use
-    :func:`read_graph_shard_raw`.
+    Only the graph-boundary columns are read up front; :meth:`graph` touches
+    one graph's pages.  The fingerprint is not verified — that would page in
+    the entire shard — but every graph handed out has passed
+    :meth:`FlatGraph.validate`; :func:`read_graph_shard_raw` verifies it.
     """
 
-    def __init__(self, path, mmap: bool = True) -> None:
-        directory = Path(path)
-        meta = _read_raw_meta(directory, GRAPH_SHARD_FORMAT_VERSION, "graph shard")
-        self.path = directory
-        self.num_graphs = int(meta["num_graphs"])
-        self.fingerprint = str(meta.get("fingerprint", ""))
-        mode = "r" if mmap else None
-        try:
-            self._arrays = {
-                key: np.load(directory / name, mmap_mode=mode, allow_pickle=False)
-                for key, name in meta["arrays"].items()
-            }
-        except (OSError, ValueError, KeyError) as error:
-            raise PayloadError(f"malformed raw graph shard at {path}: {error}") from error
-        missing = [key for key in _RAW_REQUIRED_COLUMNS if key not in self._arrays]
-        if missing:
-            raise PayloadError(f"raw graph shard at {path} is missing columns {missing}")
-        arrays = self._arrays
-        self._strsplits = np.array(arrays["strsplits"], dtype=np.int64)
-        self._strgraph = np.array(arrays["strgraph"], dtype=np.int64)
-        self._metasplits = np.array(arrays["metasplits"], dtype=np.int64)
-        self._nodesplits = np.array(arrays["nodesplits"], dtype=np.int64)
-        self._symsplits = np.array(arrays["symsplits"], dtype=np.int64)
-        occcounts = arrays["occcounts"]
-        self._occ_prefix = np.zeros(occcounts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(occcounts, out=self._occ_prefix[1:])
-        self._edge_columns = [
-            (kind, arrays[f"edges:{kind.value}"], np.array(arrays[f"edgesplits:{kind.value}"], dtype=np.int64))
-            for kind in ALL_EDGE_KINDS
-            if f"edges:{kind.value}" in arrays
-        ]
-        expected = self.num_graphs + 1
-        for name, splits in (
-            ("strgraph", self._strgraph),
-            ("nodesplits", self._nodesplits),
-            ("symsplits", self._symsplits),
-        ):
-            if splits.shape[0] != expected:
-                raise PayloadError(
-                    f"raw graph shard at {path}: column {name!r} has {splits.shape[0]} splits, "
-                    f"expected {expected}"
-                )
-
-    def _strings(self, index: int) -> tuple[str, ...]:
-        lo, hi = int(self._strgraph[index]), int(self._strgraph[index + 1])
-        byte_lo = int(self._strsplits[lo])
-        blob = np.asarray(self._arrays["strbytes"][byte_lo : int(self._strsplits[hi])])
-        return tuple(_unpack_strings(blob, self._strsplits[lo : hi + 1] - byte_lo))
-
-    def _meta_strings(self, index: int) -> list[str]:
-        lo = int(self._metasplits[2 * index])
-        hi = int(self._metasplits[2 * index + 2])
-        blob = np.asarray(self._arrays["metabytes"][lo:hi])
-        return _unpack_strings(blob, self._metasplits[2 * index : 2 * index + 3] - lo)
-
-    def graph(self, index: int) -> FlatGraph:
-        """One validated graph; its array fields are slices of the maps.
-
-        Raises :class:`PayloadError` when a column holds an out-of-range
-        code or id (see :meth:`FlatGraph.validate`).
-        """
-        if not 0 <= index < self.num_graphs:
-            raise IndexError(f"graph index {index} out of range for shard of {self.num_graphs}")
-        arrays = self._arrays
-        filename, source = self._meta_strings(index)
-        node_lo, node_hi = int(self._nodesplits[index]), int(self._nodesplits[index + 1])
-        sym_lo, sym_hi = int(self._symsplits[index]), int(self._symsplits[index + 1])
-        edges: dict[EdgeKind, np.ndarray] = {}
-        for kind, column, splits in self._edge_columns:
-            lo, hi = int(splits[index]), int(splits[index + 1])
-            if hi > lo:
-                edges[kind] = column[:, lo:hi]
-        counts = np.asarray(arrays["occcounts"][sym_lo:sym_hi])
-        occurrence_splits = np.zeros(counts.shape[0] + 1, dtype=np.int32)
-        np.cumsum(counts, out=occurrence_splits[1:])
-        nodes = arrays["nodes"]
-        symbols = arrays["symbols"]
-        graph = FlatGraph(
-            filename=filename,
-            source=source,
-            strings=self._strings(index),
-            node_kind=nodes[0, node_lo:node_hi],
-            node_text=nodes[1, node_lo:node_hi],
-            node_line=nodes[2, node_lo:node_hi],
-            node_col=nodes[3, node_lo:node_hi],
-            edges=edges,
-            symbol_node=symbols[0, sym_lo:sym_hi],
-            symbol_name=symbols[1, sym_lo:sym_hi],
-            symbol_kind=symbols[2, sym_lo:sym_hi],
-            symbol_scope=symbols[3, sym_lo:sym_hi],
-            symbol_annotation=symbols[4, sym_lo:sym_hi],
-            symbol_line=symbols[5, sym_lo:sym_hi],
-            occurrence_ids=arrays["occ"][int(self._occ_prefix[sym_lo]) : int(self._occ_prefix[sym_hi])],
-            occurrence_splits=occurrence_splits,
-        )
-        try:
-            graph.validate()
-        except ValueError as error:
-            raise PayloadError(f"malformed graph {index} in raw shard at {self.path}: {error}") from error
-        return graph
+    def __init__(self, path) -> None:
+        super().__init__(RawColumns(path, mmap=True), f"raw graph shard at {path}", verify=False)
 
 
 class LazyGraphStore:
@@ -652,7 +592,7 @@ class LazyGraphStore:
     #: typical graphs while staying small next to the mapped shards.
     DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
-    def __init__(self, shards: Sequence[RawGraphShard], cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
+    def __init__(self, shards: Sequence[GraphShard], cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         if cache_bytes < 0:
             raise ValueError("cache_bytes must be non-negative")
         self._shards = list(shards)
@@ -742,107 +682,59 @@ class LazyView:
 
 
 def features_to_arrays(features: list[TextFeatures], fingerprint: str) -> dict[str, np.ndarray]:
-    """Flatten per-graph subtoken features into ``np.savez``-ready arrays.
+    """Concatenate per-graph subtoken features into the four feature columns.
 
-    Layout: one CSR id/row-split array pair per graph, plus the vocabulary
-    fingerprint that ties the ids to the subtoken table they index.
-    """
-    arrays: dict[str, np.ndarray] = {
-        "version": np.asarray([FEATURES_FORMAT_VERSION], dtype=np.int64),
-        "num_graphs": np.asarray([len(features)], dtype=np.int64),
-        "fingerprint": np.asarray([fingerprint]),
-    }
-    for index, feature in enumerate(features):
-        if feature.kind != SUBTOKEN:
-            raise ValueError(f"only subtoken features persist with the dataset, got {feature.kind!r}")
-        arrays[f"ids_{index}"] = feature.ids
-        arrays[f"splits_{index}"] = feature.row_splits
-    return arrays
-
-
-def features_from_arrays(archive) -> Optional[tuple[list[TextFeatures], str]]:
-    """Rebuild per-graph features from a ``features.npz`` archive.
-
-    Returns ``None`` for unknown versions or malformed archives — callers
-    fall back to recomputing features, never fail the dataset load.
-    """
-    try:
-        if int(archive["version"][0]) != FEATURES_FORMAT_VERSION:
-            return None
-        num_graphs = int(archive["num_graphs"][0])
-        fingerprint = str(archive["fingerprint"][0])
-        features = []
-        for index in range(num_graphs):
-            ids = np.asarray(archive[f"ids_{index}"], dtype=np.int64)
-            row_splits = np.asarray(archive[f"splits_{index}"], dtype=np.int64)
-            features.append(
-                TextFeatures(
-                    kind=SUBTOKEN, num_texts=row_splits.size - 1, ids=ids, row_splits=row_splits
-                )
-            )
-    except (KeyError, ValueError, IndexError):
-        return None
-    return features, fingerprint
-
-
-def write_features_raw(path, features: list[TextFeatures], fingerprint: str) -> None:
-    """Write per-graph subtoken features as a raw ``.npy``-column directory.
-
-    All graphs' CSR ids and (graph-relative) row splits are concatenated
-    into two flat columns with per-graph boundary arrays, so a mapped loader
-    can hand out one graph's features as pure slices.
+    ``ids`` holds every graph's CSR ids and ``rowsplits`` its graph-relative
+    row splits, one graph after another; ``idsplits`` and ``rowgraph``
+    (``G + 1`` entries each) delimit the graphs.  The header's
+    ``fingerprint`` is the vocabulary fingerprint that ties the ids to the
+    subtoken table they index.  ``features.npz`` and ``features.raw`` hold
+    exactly these arrays.
     """
     for feature in features:
         if feature.kind != SUBTOKEN:
             raise ValueError(f"only subtoken features persist with the dataset, got {feature.kind!r}")
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    columns = {
-        "ids": np.concatenate([np.asarray(f.ids, dtype=np.int64) for f in features])
-        if features
-        else np.zeros(0, dtype=np.int64),
-        "idsplits": _counts_splits([np.asarray(f.ids).shape[0] for f in features]),
-        "rowsplits": np.concatenate([np.asarray(f.row_splits, dtype=np.int64) for f in features])
-        if features
-        else np.zeros(0, dtype=np.int64),
-        "rowgraph": _counts_splits([np.asarray(f.row_splits).shape[0] for f in features]),
+
+    def concat64(pieces: list[np.ndarray]) -> np.ndarray:
+        if not pieces:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate([np.asarray(piece, dtype=np.int64) for piece in pieces])
+
+    return {
+        "format": np.asarray([FEATURES_FORMAT_VERSION], dtype=np.int64),
+        "num_graphs": np.asarray([len(features)], dtype=np.int64),
+        "fingerprint": _string_array([fingerprint]),
+        "ids": concat64([feature.ids for feature in features]),
+        "idsplits": _counts_splits([np.asarray(feature.ids).shape[0] for feature in features]),
+        "rowsplits": concat64([feature.row_splits for feature in features]),
+        "rowgraph": _counts_splits([np.asarray(feature.row_splits).shape[0] for feature in features]),
     }
-    names = {}
-    for key, value in columns.items():
-        name = key + ".npy"
-        np.save(directory / name, np.ascontiguousarray(value))
-        names[key] = name
-    meta = {
-        "format": FEATURES_FORMAT_VERSION,
-        "num_graphs": len(features),
-        "fingerprint": fingerprint,
-        "arrays": names,
-    }
-    (directory / RAW_META_NAME).write_text(json.dumps(meta, indent=1), encoding="utf-8")
 
 
-class RawFeatureStore:
-    """Per-graph :class:`TextFeatures` views over a raw features directory."""
+def write_features_raw(path, features: list[TextFeatures], fingerprint: str) -> None:
+    """Write per-graph subtoken features as a raw ``.npy``-column directory."""
+    _write_raw(path, features_to_arrays(features, fingerprint))
 
-    def __init__(self, path, mmap: bool = True) -> None:
-        directory = Path(path)
-        meta = _read_raw_meta(directory, FEATURES_FORMAT_VERSION, "features")
-        self.num_graphs = int(meta["num_graphs"])
-        self.fingerprint = str(meta.get("fingerprint", ""))
-        mode = "r" if mmap else None
-        try:
-            arrays = {
-                key: np.load(directory / name, mmap_mode=mode, allow_pickle=False)
-                for key, name in meta["arrays"].items()
-            }
-            self._ids = arrays["ids"]
-            self._rowsplits = arrays["rowsplits"]
-            self._idsplits = np.array(arrays["idsplits"], dtype=np.int64)
-            self._rowgraph = np.array(arrays["rowgraph"], dtype=np.int64)
-        except (OSError, ValueError, KeyError) as error:
-            raise PayloadError(f"malformed raw features at {path}: {error}") from error
-        if self._idsplits.shape[0] != self.num_graphs + 1 or self._rowgraph.shape[0] != self.num_graphs + 1:
-            raise PayloadError(f"raw features at {path} have inconsistent split columns")
+
+class FeatureView:
+    """The one decoder of the feature columns of :func:`features_to_arrays`.
+
+    ``columns`` is a ``features.npz`` archive or a ``features.raw``
+    :class:`RawColumns` directory, loaded or memory-mapped.  Only the
+    graph-boundary columns are read up front; :meth:`feature` hands out one
+    graph's :class:`TextFeatures` as slices of ``ids`` and ``rowsplits``.
+    Callers check the header first (see
+    :meth:`~repro.corpus.dataset.TypeAnnotationDataset.load`).
+    """
+
+    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
+        self.num_graphs = int(columns["num_graphs"][0])
+        self._ids = columns["ids"]
+        self._rowsplits = columns["rowsplits"]
+        self._idsplits = columns["idsplits"].tolist()
+        self._rowgraph = columns["rowgraph"].tolist()
+        if not len(self._idsplits) == len(self._rowgraph) == self.num_graphs + 1:
+            raise PayloadError(f"feature columns disagree with {self.num_graphs} graphs")
 
     def __len__(self) -> int:
         return self.num_graphs
@@ -850,8 +742,8 @@ class RawFeatureStore:
     def feature(self, index: int) -> TextFeatures:
         if not 0 <= index < self.num_graphs:
             raise IndexError(f"feature index {index} out of range for {self.num_graphs}")
-        id_lo, id_hi = int(self._idsplits[index]), int(self._idsplits[index + 1])
-        row_lo, row_hi = int(self._rowgraph[index]), int(self._rowgraph[index + 1])
+        row_lo, row_hi = self._rowgraph[index : index + 2]
+        id_lo, id_hi = self._idsplits[index : index + 2]
         row_splits = np.asarray(self._rowsplits[row_lo:row_hi])
         return TextFeatures(
             kind=SUBTOKEN,
@@ -859,19 +751,6 @@ class RawFeatureStore:
             ids=np.asarray(self._ids[id_lo:id_hi]),
             row_splits=row_splits,
         )
-
-
-def read_features_raw(path, mmap: bool = True) -> Optional[tuple[LazyView, str]]:
-    """Open a raw features directory as a lazy per-graph view.
-
-    Mirrors :func:`features_from_arrays`' contract: ``None`` on anything
-    unreadable or version-mismatched, so callers recompute instead of fail.
-    """
-    try:
-        store = RawFeatureStore(path, mmap=mmap)
-    except PayloadError:
-        return None
-    return LazyView(store.feature, 0, len(store)), store.fingerprint
 
 
 # ---------------------------------------------------------------------------

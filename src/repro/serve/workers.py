@@ -59,7 +59,7 @@ from repro.core.pipeline import TypilusPipeline
 from repro.engine.annotator import AnnotatorConfig, ProjectAnnotator, suggestion_to_payload
 from repro.serve.faults import FaultInjector, InjectedFault
 from repro.serve.protocol import ProtocolError, recv_frame, send_frame
-from repro.utils.memory import private_rss_bytes
+from repro.utils.memory import HEAP_TRIM_THRESHOLD, private_rss_bytes
 
 #: How long the pool waits for a freshly spawned worker to connect and greet;
 #: covers the model load, which happens before the greeting.
@@ -318,7 +318,7 @@ class WorkerPool:
             # glibc hands free heap back to the OS once a few MB of it pile
             # up, so every request's GNN forward page-faulted ~6MB of arrays
             # back in; keeping up to 32MB free between requests avoids that.
-            env.setdefault("MALLOC_TRIM_THRESHOLD_", str(32 << 20))
+            env.setdefault("MALLOC_TRIM_THRESHOLD_", str(HEAP_TRIM_THRESHOLD))
             # The subprocess must import `repro` even when the package is run
             # from a source tree rather than installed.
             package_root = str(Path(__file__).resolve().parents[2])

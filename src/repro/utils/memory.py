@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -10,6 +12,14 @@ try:  # POSIX only; Windows and exotic builds fall back to None.
     import resource
 except ImportError:  # pragma: no cover - non-POSIX
     resource = None  # type: ignore[assignment]
+
+#: glibc heap trim threshold of serving processes: keeping up to 32MB of free
+#: heap between requests spares the next request's GNN forward from
+#: page-faulting its arrays back in.
+HEAP_TRIM_THRESHOLD = 32 << 20
+
+#: ``M_TRIM_THRESHOLD``, glibc's ``mallopt`` parameter for it (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
 
 
 def peak_rss_bytes() -> Optional[int]:
@@ -56,3 +66,21 @@ def private_rss_bytes() -> Optional[int]:
             total += int(line.split()[1]) * 1024  # smaps reports kB
             seen = True
     return total if seen else None
+
+
+def keep_free_heap() -> bool:
+    """Give this process the :data:`HEAP_TRIM_THRESHOLD` through glibc's ``mallopt``.
+
+    It is what ``MALLOC_TRIM_THRESHOLD_`` does when a process starts, so a
+    value the user set in that variable wins and nothing changes.  Returns
+    whether the threshold was applied: not where libc has no ``mallopt``.
+    """
+    if "MALLOC_TRIM_THRESHOLD_" in os.environ:
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD) == 1

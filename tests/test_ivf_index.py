@@ -1,10 +1,10 @@
-"""IVF serving index: recall floor vs the exact oracle, extension, quantization."""
+"""IVF serving index: recall floor vs the exact oracle, extension."""
 
 import numpy as np
 import pytest
 
 from repro.core import ExactL1Index, IVFIndex, TypeSpace
-from repro.core.ivf import QUANTIZE_KINDS, QuantizedShortlist, kmeans_cells
+from repro.core.ivf import kmeans_cells
 
 
 def clustered_points(n, dim, num_clusters, seed, dtype=np.float64):
@@ -56,25 +56,15 @@ class TestIVFRecallFloor:
         exact = ExactL1Index(points)
         assert recall_against_exact(index, exact, queries, k=10) >= 0.95
 
-    @pytest.mark.parametrize("quantize", QUANTIZE_KINDS)
-    def test_recall_floor_with_quantized_shortlist(self, quantize):
-        points = clustered_points(3000, 12, 24, seed=5)
-        queries = clustered_points(100, 12, 24, seed=105)
-        index = IVFIndex(points, nlist=32, nprobe=8, seed=5, quantize=quantize)
-        exact = ExactL1Index(points)
-        assert recall_against_exact(index, exact, queries, k=10) >= 0.95
-
     def test_reported_distances_are_exact(self):
-        """Quantization selects candidates; it never orders or scores results."""
+        """The re-rank scores every reported neighbour with the exact L1 distance."""
         points = clustered_points(1500, 10, 12, seed=8)
         queries = clustered_points(40, 10, 12, seed=108)
-        exact = ExactL1Index(points)
-        for quantize in (None,) + QUANTIZE_KINDS:
-            index = IVFIndex(points, nlist=16, nprobe=4, seed=8, quantize=quantize)
-            result = index.query_batch_arrays(queries, 5)
-            for row in range(len(queries)):
-                expected = np.abs(points[result.indices[row]] - queries[row]).sum(axis=1)
-                np.testing.assert_allclose(result.distances[row], expected, rtol=1e-12)
+        index = IVFIndex(points, nlist=16, nprobe=4, seed=8)
+        result = index.query_batch_arrays(queries, 5)
+        for row in range(len(queries)):
+            expected = np.abs(points[result.indices[row]] - queries[row]).sum(axis=1)
+            np.testing.assert_allclose(result.distances[row], expected, rtol=1e-12)
 
     def test_full_probe_equals_exact(self):
         """nprobe == nlist probes every cell: the shortlist is the whole set."""
@@ -124,16 +114,6 @@ class TestIVFExtension:
         assert batch.indices.shape == (3, 0)
         assert list(batch.counts) == [0, 0, 0]
 
-    @pytest.mark.parametrize("quantize", QUANTIZE_KINDS)
-    def test_extend_keeps_quantized_codes_aligned(self, quantize):
-        points = clustered_points(800, 8, 8, seed=15)
-        index = IVFIndex(points[:500], nlist=8, nprobe=8, seed=15, quantize=quantize)
-        index.extend(points[500:])
-        queries = clustered_points(20, 8, 8, seed=115)
-        oracle = ExactL1Index(points).query_batch_arrays(queries, 5)
-        result = index.query_batch_arrays(queries, 5)
-        np.testing.assert_array_equal(result.indices, oracle.indices)
-
 
 class TestIVFValidation:
     def test_invalid_parameters_rejected(self):
@@ -144,16 +124,6 @@ class TestIVFValidation:
             IVFIndex(points, nprobe=0)
         with pytest.raises(ValueError, match="nprobe 9 cannot exceed nlist 4"):
             IVFIndex(points, nlist=4, nprobe=9)
-        with pytest.raises(ValueError, match="quantize must be one of"):
-            IVFIndex(points, quantize="int4")
-        with pytest.raises(ValueError, match="train_points must be positive"):
-            IVFIndex(points, train_points=0)
-        with pytest.raises(ValueError, match="rerank_factor and rerank_floor"):
-            IVFIndex(points, rerank_floor=0)
-
-    def test_quantized_shortlist_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="quantize must be one of"):
-            QuantizedShortlist("bfloat16", dim=4)
 
     def test_dtype_follows_points(self):
         points = np.random.default_rng(0).normal(size=(50, 4)).astype(np.float32)

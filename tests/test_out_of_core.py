@@ -254,7 +254,7 @@ class TestDecodeCacheByteBound:
 class TestFeatureFingerprintValidation:
     def test_stale_fingerprint_skips_decoding_entirely(self, dataset, tmp_path, monkeypatch):
         """The vocabulary fingerprint gates decoding: with a stale header the
-        id arrays must never be inflated (features_from_arrays not called)."""
+        id arrays must never be inflated (FeatureView not constructed)."""
         from repro.corpus import serialize
 
         target = tmp_path / "stale"
@@ -265,10 +265,10 @@ class TestFeatureFingerprintValidation:
         arrays["fingerprint"] = np.array(["not-the-vocabulary"])
         np.savez(features_path, **arrays)
 
-        def explode(archive):  # pragma: no cover - the assertion is that it never runs
-            raise AssertionError("features_from_arrays called despite stale fingerprint")
+        def explode(columns):  # pragma: no cover - the assertion is that it never runs
+            raise AssertionError("FeatureView built despite stale fingerprint")
 
-        monkeypatch.setattr(serialize, "features_from_arrays", explode)
+        monkeypatch.setattr(serialize, "FeatureView", explode)
         loaded = TypeAnnotationDataset.load(target)
         assert loaded.train.node_features is None
 

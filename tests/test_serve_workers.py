@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import shutil
 import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import contextmanager
@@ -362,6 +365,79 @@ class TestBlasThreadBudget:
             pool.close()
         assert dict(os.environ) == before
         assert [row["blas_threads"] for row in rows] == [blas_threads()]
+
+
+#: Frees 8MB of 64KB malloc blocks (below glibc's mmap threshold, so on the
+#: heap) and prints whether the trim threshold was applied and how much free
+#: heap glibc kept at the top instead of trimming it.
+_HEAP_PROBE = """
+import ctypes
+from repro.utils.memory import keep_free_heap
+
+applied = keep_free_heap()
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = [ctypes.c_void_p]
+blocks = [0] * 128
+for i in range(len(blocks)):
+    blocks[i] = libc.malloc(64 * 1024)
+for block in reversed(blocks):
+    libc.free(block)
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc.mallinfo2.restype = MallInfo2
+print(applied, libc.mallinfo2().keepcost)
+"""
+
+
+def _heap_probe(trim_threshold=None):
+    env = {key: value for key, value in os.environ.items() if key != "MALLOC_TRIM_THRESHOLD_"}
+    if trim_threshold is not None:
+        env["MALLOC_TRIM_THRESHOLD_"] = str(trim_threshold)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+    output = subprocess.run(
+        [sys.executable, "-c", _HEAP_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    return output[0] == "True", int(output[1])
+
+
+class TestHeapTrimThreshold:
+    @pytest.fixture(autouse=True)
+    def _glibc(self):
+        if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+            pytest.skip("needs glibc >= 2.33 (mallopt and mallinfo2)")
+
+    def test_single_process_keeps_free_heap(self):
+        applied, kept = _heap_probe()
+        assert applied
+        assert kept >= 4 << 20  # the 8MB of freed blocks stay in the heap
+
+    def test_a_threshold_the_user_set_wins(self):
+        applied, kept = _heap_probe(trim_threshold=128 * 1024)
+        assert not applied
+        assert kept < 1 << 20  # glibc trimmed at the user's 128KB
+
+    def test_serve_without_workers_applies_it(self, raw_model_dir, monkeypatch):
+        from repro import cli
+
+        calls = []
+
+        def record() -> bool:
+            calls.append(True)
+            return True
+
+        monkeypatch.setattr(cli, "keep_free_heap", record)
+        monkeypatch.setattr(AnnotationServer, "serve_forever", lambda server: server.close())
+        workdir = tempfile.mkdtemp(prefix="typilus-trim-")
+        try:
+            argv = ["serve", "--load-model", str(raw_model_dir), "--socket", os.path.join(workdir, "d.sock")]
+            assert cli.main(argv) == 0
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+        assert calls == [True]
 
 
 class TestFleetConstruction:
