@@ -19,6 +19,7 @@ accepted annotations agree with the original (held-back) ones, and the
 engine's throughput.
 """
 
+import ast
 import tempfile
 from pathlib import Path
 
@@ -26,9 +27,7 @@ from repro.checker import CheckerMode, apply_annotation
 from repro.core import EncoderConfig, LossKind, TrainingConfig, TypilusPipeline
 from repro.corpus import CorpusSynthesizer, DatasetConfig, SynthesisConfig, TypeAnnotationDataset
 from repro.engine import AnnotatorConfig, ProjectAnnotator
-from repro.graph import collect_annotations, erase_annotations
-from repro.graph.builder import SymbolKey
-from repro.graph.nodes import SymbolKind
+from repro.graph import SymbolKey, SymbolKind, take_annotations
 
 
 def main() -> None:
@@ -52,8 +51,12 @@ def main() -> None:
         # A "new project" the model has never seen: freshly synthesised files,
         # with their annotations stripped as the unannotated starting point.
         project = CorpusSynthesizer(SynthesisConfig(num_files=3, seed=999)).generate()
-        originals = {entry.filename: collect_annotations(entry.source) for entry in project}
-        working_sources = {entry.filename: erase_annotations(entry.source) for entry in project}
+        originals: dict[str, dict] = {}
+        working_sources: dict[str, str] = {}
+        for entry in project:
+            tree = ast.parse(entry.source)
+            originals[entry.filename] = take_annotations(tree)
+            working_sources[entry.filename] = ast.unparse(tree)
 
         annotator = ProjectAnnotator(
             served, AnnotatorConfig(use_type_checker=True, checker_mode=CheckerMode.STRICT)

@@ -14,7 +14,9 @@ Each file is parsed and checked once (:meth:`PredictionChecker.baseline`).
 A prediction is then set into that checked module in place, and only the
 parts of the file it can affect are re-checked (see
 :mod:`repro.checker.incremental`); the verdict equals re-checking the file
-that :func:`apply_annotation` writes.
+that :func:`apply_annotation` writes.  Both find the prediction's slot
+through :class:`~repro.graph.slots.SlotIndex`, the index the graph builder
+reads the original annotations through.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from enum import Enum
 from typing import Optional
 
 from repro.checker.checker import CheckerMode
-from repro.checker.incremental import AnnotationRewriteError, CheckedModule, SlotIndex, parse_annotation
+from repro.checker.incremental import CheckedModule
 from repro.graph.nodes import SymbolKind
+from repro.graph.slots import AnnotationRewriteError, SlotIndex, parse_annotation
 from repro.types.normalize import canonical_string
 
 

@@ -107,7 +107,6 @@ class IVFIndex:
         nlist: int = 64,
         nprobe: int = 8,
         seed: int = 0,
-        dtype: Optional[np.dtype] = None,
     ) -> None:
         if not isinstance(nlist, (int, np.integer)) or nlist < 1:
             raise ValueError(f"nlist must be a positive integer, got {nlist!r}")
@@ -118,8 +117,7 @@ class IVFIndex:
         self.nlist = int(nlist)
         self.nprobe = int(nprobe)
         self.seed = int(seed)
-        self._exact = ExactL1Index(np.asarray(points), dtype=dtype)
-        self.dtype = self._exact.dtype
+        self._exact = ExactL1Index(points)
         # The coarse quantizer trains lazily on the first non-empty point set,
         # so an index constructed empty and later extended probes cells
         # exactly as one constructed full would.
@@ -183,16 +181,16 @@ class IVFIndex:
         return self.query_batch_arrays(vectors, k).to_list()
 
     def query_batch_arrays(self, vectors: np.ndarray, k: int) -> BatchNeighbourResult:
-        vectors = _as_query_matrix(vectors, self.dtype)
+        vectors = _as_query_matrix(vectors)
         if len(self._exact) == 0:
-            return _empty_batch(len(vectors), self.dtype)
+            return _empty_batch(len(vectors))
         points = self.points
         k = min(k, len(points))
         assert self._centroids is not None
         probed_cells, _ = l1_top_k(vectors, self._centroids, self.nprobe)
 
         all_indices = np.empty((len(vectors), k), dtype=np.int64)
-        all_distances = np.empty((len(vectors), k), dtype=self.dtype)
+        all_distances = np.empty((len(vectors), k))
         # Queries probing the same cell set share one shortlist gather and one
         # vectorized re-rank — clustered query batches collapse to a handful
         # of groups (probe order does not matter, so group on the sorted set).

@@ -27,9 +27,7 @@ rows into amortised-growth storage, the IVF index assigns only the new
 points to its fixed cells — so a long-lived TypeSpace can grow marker by
 marker at a cost proportional to the extension, not to the whole index.
 
-Storage is dtype-aware: float32 point sets stay float32 end to end
-(queries are cast to the *index's* dtype, never silently up to float64),
-while float64 and integer inputs keep the historical float64 behaviour.
+Points, queries and distances are float64.
 """
 
 from __future__ import annotations
@@ -45,35 +43,18 @@ except ImportError:  # pragma: no cover - exercised only on scipy-less installs
     _cdist = None
 
 
-def resolve_point_dtype(points: np.ndarray, dtype: Optional[np.dtype] = None) -> np.dtype:
-    """The storage dtype for a point set: float32 stays float32, else float64."""
-    if dtype is not None:
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(f"index dtype must be float32 or float64, got {dtype}")
-        return dtype
-    if np.asarray(points).dtype == np.float32:
-        return np.dtype(np.float32)
-    return np.dtype(np.float64)
-
-
 #: Cap on the elements of one ``(queries × points)`` distance tile: the row
 #: block of :func:`l1_top_k` and the query chunk of :func:`l1_distance_matrix`.
 #: On a mapped 20,000 × 32 map (2 cores, 8–128 queries) the scan took 0.74–0.98×
-#: the time of a whole-matrix top-k in float64 (0.73–0.97× with two processes
-#: scanning at once) and 0.47–1.18× in float32, whose tiles run slow when a row
-#: holds fewer than ~3,000 points.
+#: the time of a whole-matrix top-k (0.73–0.97× with two processes scanning at
+#: once).
 L1_CHUNK_ELEMENTS = 131_072
 
 
 def l1_distance_matrix(
     queries: np.ndarray, points: np.ndarray, max_elements: int = L1_CHUNK_ELEMENTS
 ) -> np.ndarray:
-    """All-pairs L1 distances as a ``(num_queries, num_points)`` matrix.
-
-    The result dtype follows the operands: float32 inputs produce float32
-    distances (scipy's ``cdist`` always returns float64, so the float32 path
-    uses the numpy accumulation instead of paying an up-cast copy).
+    """All-pairs L1 distances as a float64 ``(num_queries, num_points)`` matrix.
 
     When the ``(num_queries, num_points)`` block would exceed ``max_elements``
     the queries are processed in chunks, bounding the peak working set (the
@@ -82,27 +63,26 @@ def l1_distance_matrix(
     identical with any cap.
     """
     num_queries, num_points = len(queries), len(points)
-    result_dtype = np.result_type(queries.dtype, points.dtype)
     if num_queries * num_points <= max_elements or num_queries <= 1:
-        return _l1_distance_block(queries, points, result_dtype)
-    distances = np.empty((num_queries, num_points), dtype=result_dtype)
+        return _l1_distance_block(queries, points)
+    distances = np.empty((num_queries, num_points))
     chunk_size = max(1, max_elements // max(num_points, 1))
     for start in range(0, num_queries, chunk_size):
         stop = start + chunk_size
-        distances[start:stop] = _l1_distance_block(queries[start:stop], points, result_dtype)
+        distances[start:stop] = _l1_distance_block(queries[start:stop], points)
     return distances
 
 
-def _l1_distance_block(queries: np.ndarray, points: np.ndarray, result_dtype: np.dtype) -> np.ndarray:
+def _l1_distance_block(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """One unchunked all-pairs L1 tile (see :func:`l1_distance_matrix`, :func:`l1_top_k`)."""
-    if _cdist is not None and result_dtype == np.float64:
+    if _cdist is not None:
         return _cdist(queries, points, "cityblock")
     # Accumulate per dimension with in-place ops on contiguous columns: this
     # keeps the working set at one (queries × points) matrix instead of the
     # (queries × points × dim) broadcast temporary.
     queries_t = np.ascontiguousarray(queries.T)
     points_t = np.ascontiguousarray(points.T)
-    distances = np.zeros((len(queries), len(points)), dtype=result_dtype)
+    distances = np.zeros((len(queries), len(points)))
     scratch = np.empty_like(distances)
     for dim in range(queries_t.shape[0]):
         np.subtract.outer(queries_t[dim], points_t[dim], out=scratch)
@@ -124,11 +104,11 @@ def l1_top_k(
     num_queries, total = len(queries), len(points) if subset is None else len(subset)
     k = min(k, total)
     best_rows = np.zeros((num_queries, 0), dtype=np.int64)
-    best = np.zeros((num_queries, 0), dtype=np.result_type(queries.dtype, points.dtype))
+    best = np.zeros((num_queries, 0))
     block_rows = max(1, L1_CHUNK_ELEMENTS // max(num_queries, 1))
     for start in range(0, total if k > 0 else 0, block_rows):
         rows = slice(start, start + block_rows) if subset is None else subset[start : start + block_rows]
-        tile = _l1_distance_block(queries, points[rows], best.dtype)
+        tile = _l1_distance_block(queries, points[rows])
         width = tile.shape[1]
         # Only tile entries not above a threshold can enter the top-k: the
         # current k-th best once ``best`` is full, else the tile's own k-th
@@ -162,7 +142,7 @@ class BatchNeighbourResult:
     """Neighbours of a whole query batch as dense arrays.
 
     ``indices`` is ``(num_queries, k)`` int64 and ``distances`` the matching
-    float array (the index's storage dtype), both sorted by increasing
+    float64 array, both sorted by increasing
     distance per row.  Every column of every row is a valid neighbour:
     non-empty indexes answer with exactly ``min(k, len(index))`` columns, and
     an empty index answers with zero-width ``(num_queries, 0)`` arrays —
@@ -185,16 +165,16 @@ class BatchNeighbourResult:
         return [self.row(position) for position in range(len(self))]
 
 
-def _empty_batch(num_queries: int, dtype: np.dtype = np.dtype(np.float64)) -> BatchNeighbourResult:
+def _empty_batch(num_queries: int) -> BatchNeighbourResult:
     return BatchNeighbourResult(
         indices=np.zeros((num_queries, 0), dtype=np.int64),
-        distances=np.zeros((num_queries, 0), dtype=dtype),
+        distances=np.zeros((num_queries, 0)),
         counts=np.zeros(num_queries, dtype=np.int64),
     )
 
 
-def _as_query_matrix(vectors: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=dtype)
+def _as_query_matrix(vectors: np.ndarray) -> np.ndarray:
+    vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim == 1:
         vectors = vectors.reshape(1, -1)
     if vectors.ndim != 2:
@@ -229,12 +209,11 @@ class ExactL1Index:
     is what makes marker-by-marker TypeSpace adaptation cheap.
     """
 
-    def __init__(self, points: np.ndarray, dtype: Optional[np.dtype] = None) -> None:
-        points = np.asarray(points)
+    def __init__(self, points: np.ndarray) -> None:
+        points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2:
             raise ValueError("points must be a (num_points, dim) array")
-        self.dtype = resolve_point_dtype(points, dtype)
-        self._storage = np.asarray(points, dtype=self.dtype)
+        self._storage = points
         self._size = len(points)
 
     @property
@@ -246,7 +225,7 @@ class ExactL1Index:
 
     def extend(self, points: np.ndarray) -> None:
         """Append rows to the index without touching the existing ones."""
-        points = np.asarray(points, dtype=self.dtype)
+        points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self._storage.shape[1]:
             raise ValueError(
                 f"extension must be a (num_points, {self._storage.shape[1]}) array, "
@@ -257,7 +236,7 @@ class ExactL1Index:
         needed = self._size + len(points)
         if needed > len(self._storage):
             capacity = max(needed, 2 * len(self._storage), 16)
-            storage = np.empty((capacity, self._storage.shape[1]), dtype=self.dtype)
+            storage = np.empty((capacity, self._storage.shape[1]))
             storage[: self._size] = self._storage[: self._size]
             self._storage = storage
         self._storage[self._size : needed] = points
@@ -270,9 +249,9 @@ class ExactL1Index:
         return self.query_batch_arrays(vectors, k).to_list()
 
     def query_batch_arrays(self, vectors: np.ndarray, k: int) -> BatchNeighbourResult:
-        vectors = _as_query_matrix(vectors, self.dtype)
+        vectors = _as_query_matrix(vectors)
         if self._size == 0:
-            return _empty_batch(len(vectors), self.dtype)
+            return _empty_batch(len(vectors))
         indices, distances = l1_top_k(vectors, self.points, k)
         counts = np.full(len(vectors), indices.shape[1], dtype=np.int64)
         return BatchNeighbourResult(indices, distances, counts)
@@ -284,7 +263,6 @@ INDEX_KINDS = ("exact", "ivf")
 
 def build_index(
     points: np.ndarray,
-    dtype: Optional[np.dtype] = None,
     kind: str = "exact",
     **kwargs,
 ) -> NearestNeighbourIndex:
@@ -302,21 +280,21 @@ def build_index(
                 f"the exact index takes no parameters, got {sorted(kwargs)} "
                 "(did you mean kind='ivf'?)"
             )
-        return ExactL1Index(points, dtype=dtype)
+        return ExactL1Index(points)
     if kind == "ivf":
         from repro.core.ivf import IVFIndex  # deferred: ivf imports this module
 
-        return IVFIndex(points, dtype=dtype, **kwargs)
+        return IVFIndex(points, **kwargs)
     raise ValueError(
         f"unknown index kind {kind!r}: valid kinds are {', '.join(INDEX_KINDS)}"
     )
 
 
-def validate_index_params(kind: str, dim: int, dtype: Optional[np.dtype] = None, **kwargs) -> None:
+def validate_index_params(kind: str, dim: int, **kwargs) -> None:
     """Validate an index kind + parameter set without building a real index.
 
     Runs the same constructor-time checks the indexes apply (a dry build over
     a zero-point set), so a misconfigured ``TypeSpace(index_kind=...)`` fails
     at construction, not at the first query.
     """
-    build_index(np.zeros((0, max(dim, 1))), dtype=dtype, kind=kind, **kwargs)
+    build_index(np.zeros((0, max(dim, 1))), kind=kind, **kwargs)

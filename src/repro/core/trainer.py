@@ -468,22 +468,17 @@ class Trainer:
     def build_type_space(
         self,
         include_valid: bool = True,
-        dtype=None,
         index_kind: str = "exact",
         index_params=None,
     ) -> TypeSpace:
         """Populate the type map from the train (and validation) annotations.
 
         This mirrors Sec. 7: "we built the type map over the training and the
-        validation sets".  ``dtype`` selects the marker storage precision
-        (default float64, the historical behaviour; ``float32`` keeps a
-        float32 encoder's serving path up-cast free at half the memory).
-        ``index_kind``/``index_params`` select the spatial index: ``"exact"``
-        (the default) or ``"ivf"``.
+        validation sets".  ``index_kind``/``index_params`` select the spatial
+        index: ``"exact"`` (the default) or ``"ivf"``.
         """
         space = TypeSpace(
             self.encoder.output_dim,
-            dtype=dtype if dtype is not None else np.float64,
             index_kind=index_kind,
             index_params=index_params,
         )

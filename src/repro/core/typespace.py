@@ -20,9 +20,7 @@ vocabulary — there is no per-marker object graph.  Adding markers *extends*
 the matrix, the code array and (when already built) the nearest-neighbour
 index in place, at a cost proportional to the extension; nothing is
 invalidated wholesale, which is what keeps long-lived serving and one-shot
-type adaptation cheap.  The marker dtype is configurable (``float64`` by
-default, matching the historical behaviour bit for bit; ``float32`` halves
-the memory and keeps float32 encoder pipelines up-cast free).
+type adaptation cheap.  Markers, queries and distances are float64.
 """
 
 from __future__ import annotations
@@ -88,23 +86,22 @@ class TypeSpace:
     additions cost O(extension), not O(markers).
     """
 
+    #: The dtype of the markers, of the queries and of their distances.
+    dtype = np.dtype(np.float64)
+
     def __init__(
         self,
         dim: int,
-        dtype: Union[str, np.dtype] = np.float64,
         index_kind: str = "exact",
         index_params: Optional[dict] = None,
     ) -> None:
         self.dim = dim
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(f"TypeSpace dtype must be float32 or float64, got {self.dtype}")
         # ``index_kind`` ("exact" | "ivf") and its params are validated now,
         # with the indexes' own constructor checks, not at the first query.
         self.index_kind = index_kind
         self.index_params = dict(index_params or {})
-        validate_index_params(self.index_kind, dim, dtype=self.dtype, **self.index_params)
-        self._embeddings = np.empty((0, dim), dtype=self.dtype)  # growable row storage
+        validate_index_params(self.index_kind, dim, **self.index_params)
+        self._embeddings = np.empty((0, dim))  # growable row storage
         self._size = 0
         self._codes = np.empty(0, dtype=np.int64)  # growable, parallel to the rows
         self._sources: list[str] = []
@@ -136,7 +133,7 @@ class TypeSpace:
         needed = self._size + len(embeddings)
         if needed > len(self._embeddings):
             capacity = max(needed, 2 * len(self._embeddings), 16)
-            storage = np.empty((capacity, self.dim), dtype=self.dtype)
+            storage = np.empty((capacity, self.dim))
             storage[: self._size] = self._embeddings[: self._size]
             self._embeddings = storage
             code_storage = np.empty(capacity, dtype=np.int64)
@@ -150,7 +147,7 @@ class TypeSpace:
             self._index.extend(self._embeddings[needed - len(embeddings) : needed])
 
     def add_marker(self, type_name: str, embedding: np.ndarray, source: str = "") -> None:
-        embedding = np.asarray(embedding, dtype=self.dtype).reshape(-1)
+        embedding = np.asarray(embedding, dtype=np.float64).reshape(-1)
         if embedding.shape[0] != self.dim:
             raise ValueError(f"marker dimension {embedding.shape[0]} does not match TypeSpace dim {self.dim}")
         self._append_rows(
@@ -172,7 +169,7 @@ class TypeSpace:
         single call — never once per marker.  ``source`` may be one shared
         provenance string or a per-marker sequence.
         """
-        embeddings = np.asarray(embeddings, dtype=self.dtype)
+        embeddings = np.asarray(embeddings, dtype=np.float64)
         if embeddings.ndim != 2 or embeddings.shape[1] != self.dim:
             raise ValueError(
                 f"embeddings must be a (num_markers, {self.dim}) array, got shape {embeddings.shape}"
@@ -276,7 +273,7 @@ class TypeSpace:
         """The spatial index over the markers (built lazily, then extended)."""
         if self._index is None:
             self._index = build_index(
-                self.marker_matrix(), kind=self.index_kind, dtype=self.dtype, **self.index_params
+                self.marker_matrix(), kind=self.index_kind, **self.index_params
             )
         return self._index
 
@@ -287,7 +284,7 @@ class TypeSpace:
         index (``space.reindex("ivf", nlist=256, nprobe=8)``) without touching
         the markers.  Parameters are validated immediately.
         """
-        validate_index_params(index_kind, self.dim, dtype=self.dtype, **index_params)
+        validate_index_params(index_kind, self.dim, **index_params)
         self.index_kind = index_kind
         self.index_params = dict(index_params)
         self._index = None
@@ -297,12 +294,7 @@ class TypeSpace:
         return self.nearest_batch(np.asarray(embedding).reshape(1, -1), k).row(0)
 
     def nearest_batch(self, embeddings: np.ndarray, k: int) -> TypeNeighbourBatch:
-        """Nearest markers of a whole query batch in one vectorized index call.
-
-        Queries run in the space's storage dtype — the index casts them once,
-        so a float32 space never silently promotes the distance math to
-        float64.
-        """
+        """Nearest markers of a whole query batch in one vectorized index call."""
         result: BatchNeighbourResult = self.index().query_batch_arrays(embeddings, k)
         return TypeNeighbourBatch(
             type_codes=self.marker_type_codes()[result.indices],
@@ -322,7 +314,7 @@ class TypeSpace:
         raw ``embeddings.npy`` (loadable with ``mmap_mode="r"``, so a
         million-marker map opens without copying into every process) next to
         a columnar ``markers.npz`` (int64 type codes + interned vocabulary +
-        sources).  Embeddings keep their dtype in both layouts.
+        sources).
         """
         if layout == "npz":
             np.savez(
@@ -364,8 +356,8 @@ class TypeSpace:
         read-only (``mmap_mode="r"``) — no full-matrix copy, and concurrent
         loaders share the same physical pages.  The first
         :meth:`add_markers` on a mapped space promotes the matrix to private
-        writable storage (one copy, the on-disk file is never touched).  The
-        stored embedding dtype is preserved either way.
+        writable storage (one copy, the on-disk file is never touched).  A
+        file stored in another dtype (float32) is copied to float64 instead.
         """
         source = Path(path)
         if source.is_dir():
@@ -378,8 +370,7 @@ class TypeSpace:
         with np.load(path, allow_pickle=True) as archive:
             dim = int(archive["dim"][0])
             embeddings = archive["embeddings"]
-            dtype = np.float32 if embeddings.dtype == np.float32 else np.float64
-            space = cls(dim, dtype=dtype, index_kind=index_kind, index_params=index_params)
+            space = cls(dim, index_kind=index_kind, index_params=index_params)
             type_names = [str(name) for name in archive["type_names"]]
             sources = [str(source) for source in archive["sources"]]
             space.add_markers(type_names, embeddings.reshape(len(type_names), dim), source=sources)
@@ -407,15 +398,14 @@ class TypeSpace:
             )
         if len(codes) and codes.max(initial=-1) >= len(vocabulary):
             raise ValueError(f"raw TypeSpace at {directory} has codes outside its vocabulary")
-        dtype = np.float32 if embeddings.dtype == np.float32 else np.float64
-        space = cls(dim, dtype=dtype, index_kind=index_kind, index_params=index_params)
+        space = cls(dim, index_kind=index_kind, index_params=index_params)
         for name in vocabulary:
             space._intern(name)
         # Adopt the arrays as-is: the (possibly memory-mapped, read-only)
         # matrix becomes the row storage with zero copies.  Growth reallocates
         # (len == size, so any extension exceeds capacity), which is exactly
         # the copy-on-extend promotion a mapped space needs.
-        space._embeddings = embeddings
+        space._embeddings = embeddings if embeddings.dtype == np.float64 else np.array(embeddings, dtype=np.float64)
         space._codes = codes
         space._sources = sources
         space._size = len(codes)

@@ -17,6 +17,7 @@ This mirrors the pipeline of Sec. 6 "Data":
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import zipfile
@@ -31,6 +32,7 @@ from repro.corpus.ingest import IngestConfig, IngestReport, ingest_sources, para
 from repro.corpus.synthesis import CorpusSynthesizer, SynthesisConfig
 from repro.graph.flatgraph import FlatGraph
 from repro.graph.nodes import SymbolKind
+from repro.graph.slots import AnnotationRewriteError, SlotIndex, parse_annotation
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.types.lattice import TypeLattice
 from repro.types.registry import TypeRegistry
@@ -126,7 +128,6 @@ class DatasetConfig:
     rarity_threshold: int = 20
     split_fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
     seed: int = 5
-    max_deep_parameter_depth: Optional[int] = None
 
 
 class TypeAnnotationDataset:
@@ -448,6 +449,7 @@ class TypeAnnotationDataset:
 
         config_payload = dict(manifest["config"])
         config_payload["split_fractions"] = tuple(config_payload["split_fractions"])
+        config_payload.pop("max_deep_parameter_depth", None)  # a retired field older manifests carry
         sources_path = path / "sources.json"
         sources = json.loads(sources_path.read_text(encoding="utf-8")) if sources_path.exists() else {}
         dataset = cls(
@@ -582,10 +584,9 @@ def _augment_with_inferred_annotations(source: str) -> str:
 
     This mirrors the paper's pytype augmentation.  Only function returns are
     inserted (the inference for variables would require rewriting assignment
-    statements, which adds noise without changing what the experiment tests).
+    statements, which adds noise without changing what the experiment tests),
+    into every unannotated ``def`` at the inferred scope path.
     """
-    import ast
-
     inferred = OptionalTypeChecker(CheckerMode.LENIENT).infer_annotations(source)
     if not inferred:
         return source
@@ -593,41 +594,24 @@ def _augment_with_inferred_annotations(source: str) -> str:
         tree = ast.parse(source)
     except SyntaxError:
         return source
-
-    class _ReturnAnnotator(ast.NodeTransformer):
-        def __init__(self) -> None:
-            self._scope = ["module"]
-
-        def _visit_scope(self, node, name):
-            self._scope.append(name)
-            self.generic_visit(node)
-            self._scope.pop()
-            return node
-
-        def visit_ClassDef(self, node: ast.ClassDef):
-            return self._visit_scope(node, node.name)
-
-        def visit_FunctionDef(self, node: ast.FunctionDef):
-            scope_path = ".".join(self._scope + [node.name])
-            key = (scope_path, "<return>", "function_return")
-            if node.returns is None and key in inferred:
-                try:
-                    node.returns = ast.parse(inferred[key], mode="eval").body
-                except SyntaxError:
-                    pass
-            return self._visit_scope(node, node.name)
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-    new_tree = _ReturnAnnotator().visit(tree)
-    ast.fix_missing_locations(new_tree)
-    return ast.unparse(new_tree)
+    slots = SlotIndex(tree)
+    for (scope, name, kind), type_string in inferred.items():
+        if kind != SymbolKind.FUNCTION_RETURN:
+            continue
+        try:
+            annotation = parse_annotation(type_string)
+            returns = slots.find(scope, name, SymbolKind.FUNCTION_RETURN)
+        except AnnotationRewriteError:
+            continue
+        for slot in returns:
+            if slot.function.returns is None:
+                slot.fill(annotation)
+    ast.fix_missing_locations(tree)
+    return ast.unparse(tree)
 
 
 def _class_edges_from_sources(files: dict[str, str]) -> list[tuple[str, str]]:
     """Extract ``class Sub(Base)`` edges from every file for the lattice."""
-    import ast
-
     edges: list[tuple[str, str]] = []
     for source in files.values():
         try:

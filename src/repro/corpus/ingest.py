@@ -53,7 +53,8 @@ R = TypeVar("R")
 #: Version of the graph extractor.  Bump whenever :class:`GraphBuilder`
 #: output changes so stale cache entries stop matching.
 #: v2: variable symbols in first-occurrence order, not string-hash order.
-EXTRACTOR_VERSION = "2"
+#: v3: an f-string is one token on every Python (3.12 used to split it).
+EXTRACTOR_VERSION = "3"
 
 #: Cache entry layout version (independent of the extractor semantics).
 #: v2: binary ``.npz`` FlatGraph entries instead of JSON payloads.

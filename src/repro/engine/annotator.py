@@ -37,8 +37,9 @@ from repro.utils.timing import Stopwatch
 
 #: Version of annotation-cache entries: their layout and the protocol that
 #: produced them.  v2: exact per-symbol checker filter; rejections name the
-#: error codes they introduced.
-ANNOTATION_CACHE_VERSION = 2
+#: error codes they introduced.  v3: graphs with one token per f-string on
+#: every Python.
+ANNOTATION_CACHE_VERSION = 3
 
 
 @dataclass

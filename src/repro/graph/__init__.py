@@ -4,8 +4,6 @@ from repro.graph.builder import (
     GraphBuildError,
     GraphBuilder,
     build_graph,
-    collect_annotations,
-    erase_annotations,
 )
 from repro.graph.edges import (
     ALL_EDGE_KINDS,
@@ -15,6 +13,7 @@ from repro.graph.edges import (
 )
 from repro.graph.flatgraph import FlatGraph, FlatGraphBuilder, StringTable
 from repro.graph.nodes import NodeKind, SymbolInfo, SymbolKind
+from repro.graph.slots import SlotIndex, SymbolKey, take_annotations
 from repro.graph.subtokens import (
     CharacterVocabulary,
     SubtokenVocabulary,
@@ -29,8 +28,9 @@ __all__ = [
     "GraphBuilder",
     "GraphBuildError",
     "build_graph",
-    "collect_annotations",
-    "erase_annotations",
+    "SlotIndex",
+    "SymbolKey",
+    "take_annotations",
     "EdgeKind",
     "ALL_EDGE_KINDS",
     "SYNTACTIC_EDGES",

@@ -2,10 +2,13 @@
 
 The builder follows Sec. 5.1 of the paper.  For a single Python file it
 
-1. collects the ground-truth type annotations (parameters, returns,
-   variable annotations) keyed by scope, name and symbol kind;
-2. *erases* every annotation from the AST — the models must never see the
-   thing they are asked to predict — and re-generates the source;
+1. parses the file and, in one walk over its annotation slots
+   (:func:`~repro.graph.slots.take_annotations`), reads the ground-truth
+   type annotations (parameters, returns, variable annotations) keyed by
+   scope, name and symbol kind and *erases* them from the tree — the models
+   must never see the thing they are asked to predict;
+2. re-generates the erased source and parses it once more, so that AST
+   positions match the erased text the tokens come from;
 3. tokenises the erased source into **token** nodes with ``NEXT_TOKEN``
    edges;
 4. walks the erased AST creating **non-terminal** nodes, ``CHILD`` edges,
@@ -34,16 +37,14 @@ import ast
 import io
 import tokenize as tokenize_module
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.graph.dataflow import NextMayUseAnalysis, UseEvent, compute_next_lexical_use
 from repro.graph.edges import EdgeKind
 from repro.graph.flatgraph import FlatGraph, FlatGraphBuilder, is_identifier_text
 from repro.graph.nodes import NodeKind, SymbolInfo, SymbolKind
+from repro.graph.slots import RETURN_SYMBOL_NAME, SymbolKey, take_annotations
 from repro.graph.subtokens import split_identifier
-
-#: Name used for the function-return symbol inside a function scope.
-RETURN_SYMBOL_NAME = "<return>"
 
 #: Token types kept as token nodes (identifiers/keywords, operators, literals).
 _KEPT_TOKEN_TYPES = {
@@ -53,120 +54,38 @@ _KEPT_TOKEN_TYPES = {
     tokenize_module.STRING,
 }
 
+#: Python 3.12+ tokenizes an f-string into these kinds around its parts; absent before.
+_FSTRING_START = getattr(tokenize_module, "FSTRING_START", None)
+_FSTRING_END = getattr(tokenize_module, "FSTRING_END", None)
+
 
 class GraphBuildError(ValueError):
     """Raised when a file cannot be parsed or its graph cannot be built."""
 
 
-# ---------------------------------------------------------------------------
-# Annotation collection and erasure
-# ---------------------------------------------------------------------------
+def kept_tokens(source: str) -> Iterator[tuple[str, tuple[int, int]]]:
+    """``(text, (line, column))`` of every token kept as a token node, the same on every Python.
 
-
-@dataclass(frozen=True)
-class SymbolKey:
-    """Identifies a symbol across the original and the erased tree."""
-
-    scope: str
-    name: str
-    kind: SymbolKind
-
-
-class _AnnotationCollector(ast.NodeVisitor):
-    """Collect annotation strings from the *original* (un-erased) tree."""
-
-    def __init__(self) -> None:
-        self.annotations: dict[SymbolKey, str] = {}
-        self._scope: list[str] = ["module"]
-
-    @property
-    def scope_path(self) -> str:
-        return ".".join(self._scope)
-
-    def _record(self, name: str, kind: SymbolKind, annotation: Optional[ast.expr], scope: Optional[str] = None) -> None:
-        if annotation is None:
-            return
-        key = SymbolKey(scope or self.scope_path, name, kind)
-        self.annotations[key] = ast.unparse(annotation)
-
-    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self._scope.append(node.name)
-        args = node.args
-        for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-            self._record(arg.arg, SymbolKind.PARAMETER, arg.annotation)
-        if args.vararg is not None:
-            self._record(args.vararg.arg, SymbolKind.PARAMETER, args.vararg.annotation)
-        if args.kwarg is not None:
-            self._record(args.kwarg.arg, SymbolKind.PARAMETER, args.kwarg.annotation)
-        self._record(RETURN_SYMBOL_NAME, SymbolKind.FUNCTION_RETURN, node.returns)
-        self.generic_visit(node)
-        self._scope.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._scope.append(node.name)
-        self.generic_visit(node)
-        self._scope.pop()
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        target = node.target
-        if isinstance(target, ast.Name):
-            self._record(target.id, SymbolKind.VARIABLE, node.annotation)
-        elif (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            # self.attr annotations belong to the enclosing class scope.
-            class_scope = ".".join(self._scope[:-1]) if len(self._scope) > 1 else self.scope_path
-            self._record(f"self.{target.attr}", SymbolKind.VARIABLE, node.annotation, scope=class_scope)
-        self.generic_visit(node)
-
-
-class _AnnotationEraser(ast.NodeTransformer):
-    """Remove every type annotation from the tree, preserving structure."""
-
-    def _erase_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> ast.AST:
-        self.generic_visit(node)
-        args = node.args
-        for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-            arg.annotation = None
-        if args.vararg is not None:
-            args.vararg.annotation = None
-        if args.kwarg is not None:
-            args.kwarg.annotation = None
-        node.returns = None
-        return node
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> ast.AST:
-        return self._erase_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> ast.AST:
-        return self._erase_function(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> ast.AST:
-        self.generic_visit(node)
-        value = node.value if node.value is not None else ast.Constant(value=None)
-        return ast.copy_location(ast.Assign(targets=[node.target], value=value), node)
-
-
-def collect_annotations(source: str) -> dict[SymbolKey, str]:
-    """Return the annotation map ``(scope, name, kind) -> annotation string``."""
-    collector = _AnnotationCollector()
-    collector.visit(ast.parse(source))
-    return collector.annotations
-
-
-def erase_annotations(source: str) -> str:
-    """Return ``source`` re-generated with every type annotation removed."""
-    tree = _AnnotationEraser().visit(ast.parse(source))
-    ast.fix_missing_locations(tree)
-    return ast.unparse(tree)
+    Python 3.12 splits an f-string into ``FSTRING_START``, its literal parts,
+    the braces and names of its fields and ``FSTRING_END``.  Each such run,
+    nested f-strings included, is merged into the one string token earlier
+    versions give: the literal's source text at its start position.
+    """
+    lines = io.StringIO(source).readlines()
+    depth = 0
+    for token in tokenize_module.generate_tokens(io.StringIO(source).readline):
+        if token.type == _FSTRING_START:
+            if depth == 0:
+                start = token.start
+            depth += 1
+        elif token.type == _FSTRING_END:
+            depth -= 1
+            if depth == 0:
+                (first, column), (last, end) = start, token.end
+                text = "".join(lines[first - 1 : last])
+                yield text[column : len(text) - len(lines[last - 1]) + end], start
+        elif depth == 0 and token.type in _KEPT_TOKEN_TYPES and token.string:
+            yield token.string, token.start
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +160,10 @@ class GraphBuilder:
 
     def build(self, source: str, filename: str = "<string>") -> FlatGraph:
         try:
-            annotations = collect_annotations(source)
-            erased = erase_annotations(source)
+            tree = ast.parse(source)
+            annotations = take_annotations(tree)
+            # Token positions must match the erased text, so it is parsed again.
+            erased = ast.unparse(tree)
             tree = ast.parse(erased)
         except SyntaxError as error:
             raise GraphBuildError(f"cannot parse {filename}: {error}") from error
@@ -298,16 +219,12 @@ class _BuildState:
         graph = self.graph
         previous: Optional[int] = None
         try:
-            tokens = list(tokenize_module.generate_tokens(io.StringIO(source).readline))
+            tokens = list(kept_tokens(source))
         except tokenize_module.TokenError as error:  # pragma: no cover - defensive
             raise GraphBuildError(f"tokenisation failed: {error}") from error
-        for token in tokens:
-            if token.type not in _KEPT_TOKEN_TYPES or not token.string:
-                continue
-            index = graph.add_node(
-                NodeKind.TOKEN, token.string, lineno=token.start[0], col=token.start[1]
-            )
-            self.token_index_at[(token.start[0], token.start[1])] = index
+        for text, (lineno, col) in tokens:
+            index = graph.add_node(NodeKind.TOKEN, text, lineno=lineno, col=col)
+            self.token_index_at[(lineno, col)] = index
             self.token_order.append(index)
             if previous is not None:
                 graph.add_edge(EdgeKind.NEXT_TOKEN, previous, index)

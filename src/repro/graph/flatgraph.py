@@ -21,13 +21,13 @@ arrays rather than one heap object per node:
 that builds a graph by hand) appends into; :meth:`FlatGraphBuilder.finish`
 freezes the arena into an immutable :class:`FlatGraph`.  Per-symbol
 :class:`~repro.graph.nodes.SymbolInfo` records are derived from the symbol
-columns on first use (:attr:`FlatGraph.symbols`).
+columns on each read (:attr:`FlatGraph.symbols`): a graph holds nothing but
+its columns, strings and source, so :attr:`FlatGraph.nbytes` is all it costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -107,7 +107,6 @@ class FlatGraph:
     symbol_line: np.ndarray  # (S,)
     occurrence_ids: np.ndarray  # (sum of occurrences,) node indices, CSR values
     occurrence_splits: np.ndarray  # (S + 1,) CSR row splits
-    _subtoken_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- sizes ------------------------------------------------------------------
 
@@ -169,13 +168,12 @@ class FlatGraph:
 
     # -- symbol queries ----------------------------------------------------------
 
-    @cached_property
+    @property
     def symbols(self) -> list[SymbolInfo]:
         """One :class:`SymbolInfo` per symbol, in symbol-column order.
 
-        Built from the columns on first read and cached: a frozen graph's
-        symbols never change, so the records are shared by every reader and
-        must be treated as read-only.
+        Built from the columns on every read and not kept, so a cached graph
+        never grows past :attr:`nbytes`; read it once per pass.
         """
         strings = self.strings
         nodes = self.symbol_node.tolist()
@@ -227,15 +225,14 @@ class FlatGraph:
 
     def node_subtokens(self):
         """Yield ``(node_index, subtokens)`` per node, splitting each unique
-        lexeme exactly once (the intern table is the memo)."""
+        lexeme once per call (the memo lives only as long as the call)."""
         from repro.graph.subtokens import split_identifier
 
-        cache = self._subtoken_cache
+        splits: dict[int, list[str]] = {}
         for node_index, text_id in enumerate(self.node_text.tolist()):
-            subtokens = cache.get(text_id)
+            subtokens = splits.get(text_id)
             if subtokens is None:
-                subtokens = split_identifier(self.strings[text_id])
-                cache[text_id] = subtokens
+                subtokens = splits[text_id] = split_identifier(self.strings[text_id])
             yield node_index, subtokens
 
     def without_edges(self, excluded: Iterable[EdgeKind]) -> "FlatGraph":
@@ -244,14 +241,13 @@ class FlatGraph:
         return replace(
             self,
             edges={kind: pairs for kind, pairs in self.edges.items() if kind not in excluded_set},
-            _subtoken_cache=self._subtoken_cache,
         )
 
     def with_filename(self, filename: str) -> "FlatGraph":
         """This graph relabelled (content-addressed cache hits on renames)."""
         if filename == self.filename:
             return self
-        return replace(self, filename=filename, _subtoken_cache=self._subtoken_cache)
+        return replace(self, filename=filename)
 
     # -- consistency --------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from repro.corpus import (
     generate_corpus,
     jaccard_similarity,
 )
-from repro.graph import collect_annotations
+from repro.graph import take_annotations
 from repro.graph.nodes import SymbolKind
 
 
@@ -40,16 +40,16 @@ class TestSynthesis:
         assert not failures, f"synthetic files with type errors: {failures}"
 
     def test_files_contain_annotations(self, files):
-        total = sum(len(collect_annotations(entry.source)) for entry in files)
+        total = sum(len(take_annotations(ast.parse(entry.source))) for entry in files)
         assert total > 50
 
     def test_annotation_probability_zero_produces_no_annotations(self):
         files = generate_corpus(SynthesisConfig(num_files=4, seed=1, annotation_probability=0.0, duplicate_fraction=0.0))
-        assert all(not collect_annotations(entry.source) for entry in files)
+        assert all(not take_annotations(ast.parse(entry.source)) for entry in files)
 
     def test_annotation_probability_one_annotates_everything_it_can(self):
         files = generate_corpus(SynthesisConfig(num_files=4, seed=1, annotation_probability=1.0, duplicate_fraction=0.0))
-        assert all(collect_annotations(entry.source) for entry in files)
+        assert all(take_annotations(ast.parse(entry.source)) for entry in files)
 
     def test_generation_is_deterministic(self):
         first = generate_corpus(SynthesisConfig(num_files=5, seed=9))

@@ -234,7 +234,7 @@ class TestIncrementalAnnotation:
         payload["format"] = 1  # what version 1 wrote, under version 1's key
         old_key = hashlib.sha256(f"1:{cache.context_key}\x00{UNANNOTATED_A}".encode("utf-8")).hexdigest()
         (current.parent / f"{old_key}.json").write_text(json.dumps(payload), encoding="utf-8")
-        assert ANNOTATION_CACHE_VERSION == 2
+        assert ANNOTATION_CACHE_VERSION == 3
         assert cache.load(UNANNOTATED_A) is None
         current.write_text(json.dumps(payload), encoding="utf-8")  # and under the current key
         assert cache.load(UNANNOTATED_A) is None

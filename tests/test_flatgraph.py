@@ -95,7 +95,7 @@ class TestArena:
             assert symbol.annotation == (None if annotation_id == NO_ANNOTATION else strings[annotation_id])
             lo, hi = graph.occurrence_splits[position], graph.occurrence_splits[position + 1]
             assert symbol.occurrence_indices == graph.occurrence_ids[lo:hi].tolist()
-        assert graph.symbols is graph.symbols  # built once, then cached
+        assert graph.symbols == graph.symbols  # rebuilt from the columns on each read
 
     def test_unannotated_symbols_use_sentinel(self, graph):
         unannotated = [
@@ -447,7 +447,7 @@ class TestFlatConsumers:
     def test_symbol_lookup_on_flat_view(self, graph):
         symbol = graph.find_symbol("widget", kind=SymbolKind.PARAMETER)
         assert symbol is not None and symbol.occurrence_indices
-        assert graph.find_symbol("widget", scope="module.process") is symbol
+        assert graph.find_symbol("widget", scope="module.process") == symbol
         assert graph.find_symbol("widget", scope="module.elsewhere") is None
         assert graph.find_symbol("widget", kind=SymbolKind.VARIABLE) is None
 

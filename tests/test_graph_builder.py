@@ -1,5 +1,7 @@
 """Tests for the program-graph builder (nodes, edges, symbols, annotations)."""
 
+import ast
+
 import pytest
 
 from repro.graph import (
@@ -11,12 +13,23 @@ from repro.graph import (
     NodeKind,
     SymbolKind,
     build_graph,
-    collect_annotations,
-    erase_annotations,
+    take_annotations,
     to_dot,
 )
-from repro.graph.builder import RETURN_SYMBOL_NAME, SymbolKey
+from repro.graph.builder import RETURN_SYMBOL_NAME, SymbolKey, kept_tokens
 from repro.graph.flatgraph import NODE_KIND_ORDER
+
+
+def annotations_of(source: str) -> dict:
+    """The annotation map :func:`take_annotations` reads from ``source``."""
+    return take_annotations(ast.parse(source))
+
+
+def erased(source: str) -> str:
+    """``source`` re-generated after :func:`take_annotations` erased it."""
+    tree = ast.parse(source)
+    take_annotations(tree)
+    return ast.unparse(tree)
 
 
 @pytest.fixture()
@@ -34,45 +47,42 @@ def _kind(graph: FlatGraph, node_index: int) -> NodeKind:
 
 class TestAnnotationCollection:
     def test_parameter_annotations_collected(self, sample_source):
-        annotations = collect_annotations(sample_source)
+        annotations = annotations_of(sample_source)
         assert annotations[SymbolKey("module.get_foo", "i", SymbolKind.PARAMETER)] == "int"
         assert annotations[SymbolKey("module.Widget.__init__", "sizes", SymbolKind.PARAMETER)] == "List[int]"
         assert annotations[SymbolKey("module.process", "scale", SymbolKind.PARAMETER)] == "Optional[float]"
 
     def test_return_annotations_collected(self, sample_source):
-        annotations = collect_annotations(sample_source)
+        annotations = annotations_of(sample_source)
         assert annotations[SymbolKey("module.get_foo", RETURN_SYMBOL_NAME, SymbolKind.FUNCTION_RETURN)] == "str"
         assert annotations[SymbolKey("module.process", RETURN_SYMBOL_NAME, SymbolKind.FUNCTION_RETURN)] == "float"
 
     def test_variable_annotations_collected(self, sample_source):
-        annotations = collect_annotations(sample_source)
+        annotations = annotations_of(sample_source)
         assert annotations[SymbolKey("module", "MAX_RETRIES", SymbolKind.VARIABLE)] == "int"
         assert annotations[SymbolKey("module.get_foo", "result", SymbolKind.VARIABLE)] == "str"
 
     def test_self_attribute_annotations_recorded_under_class_scope(self, sample_source):
-        annotations = collect_annotations(sample_source)
+        annotations = annotations_of(sample_source)
         assert annotations[SymbolKey("module.Widget", "self.name", SymbolKind.VARIABLE)] == "str"
 
 
 class TestAnnotationErasure:
     def test_erased_source_has_no_annotations(self, sample_source):
-        erased = erase_annotations(sample_source)
-        assert collect_annotations(erased) == {}
-        assert "->" not in erased
-        assert ": int" not in erased and ": str" not in erased
+        text = erased(sample_source)
+        assert annotations_of(text) == {}
+        assert "->" not in text
+        assert ": int" not in text and ": str" not in text
 
     def test_erased_source_still_parses_and_keeps_structure(self, sample_source):
-        import ast
-
         original = ast.parse(sample_source)
-        erased = ast.parse(erase_annotations(sample_source))
+        erased_tree = ast.parse(erased(sample_source))
         original_functions = [n.name for n in ast.walk(original) if isinstance(n, ast.FunctionDef)]
-        erased_functions = [n.name for n in ast.walk(erased) if isinstance(n, ast.FunctionDef)]
+        erased_functions = [n.name for n in ast.walk(erased_tree) if isinstance(n, ast.FunctionDef)]
         assert original_functions == erased_functions
 
     def test_bare_annotated_declaration_becomes_assignment(self):
-        erased = erase_annotations("x: int\ny = x")
-        assert "x = None" in erased
+        assert "x = None" in erased("x: int\ny = x")
 
     def test_graph_nodes_never_contain_annotation_text(self):
         source = "def f(parameter: SomeVeryUniqueTypeName) -> AnotherUniqueType:\n    return parameter\n"
@@ -80,6 +90,41 @@ class TestAnnotationErasure:
         texts = set(graph.node_texts())
         assert "SomeVeryUniqueTypeName" not in texts
         assert "AnotherUniqueType" not in texts
+
+
+class TestTokens:
+    """Token nodes must not depend on the Python version (3.12 splits f-strings)."""
+
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            pytest.param('x = f"outer {f\'inner {y}\'} end"\n',
+                         [("x", (1, 0)), ("=", (1, 2)), ('f"outer {f\'inner {y}\'} end"', (1, 4))],
+                         id="nested"),
+            pytest.param('z = f"{value:>{width}.2f}!"\n',
+                         [("z", (1, 0)), ("=", (1, 2)), ('f"{value:>{width}.2f}!"', (1, 4))],
+                         id="format_spec"),
+            pytest.param('doc = f"""one {a}\ntwo {b:{c}}\n  é {d}"""\nafter = 1\n',
+                         [("doc", (1, 0)), ("=", (1, 4)), ('f"""one {a}\ntwo {b:{c}}\n  é {d}"""', (1, 6)),
+                          ("after", (4, 0)), ("=", (4, 6)), ("1", (4, 8))],
+                         id="triple_quoted_multiline"),
+            pytest.param('p = rf"\\d{x=}{y!r:>4}"\n',
+                         [("p", (1, 0)), ("=", (1, 2)), ('rf"\\d{x=}{y!r:>4}"', (1, 4))],
+                         id="rf_prefix_and_equals"),
+            pytest.param('s = (f"a{b}" "c"\n     f\'{d}\' rb"e")\n',
+                         [("s", (1, 0)), ("=", (1, 2)), ("(", (1, 4)), ('f"a{b}"', (1, 5)), ('"c"', (1, 13)),
+                          ("f\'{d}\'", (2, 5)), ('rb"e"', (2, 12)), (")", (2, 17))],
+                         id="implicit_concatenation"),
+        ],
+    )
+    def test_fstring_is_one_token(self, source, expected):
+        assert list(kept_tokens(source)) == expected
+
+    def test_graph_has_no_fstring_field_tokens(self):
+        graph = build_graph('name = "b"\nx = f"a{name}c"\n')
+        texts = [text for text, kind in zip(graph.node_texts(), graph.node_kind.tolist())
+                 if NODE_KIND_ORDER[kind] == NodeKind.TOKEN]
+        assert texts == ["name", "=", "'b'", "x", "=", "f'a{name}c'"]
 
 
 class TestGraphStructure:

@@ -37,7 +37,7 @@ class TestExtractionWorker:
         assert {"int", "str"} <= annotations
         # Positions index into graph.symbols.
         for position, symbol in extracted.annotated_symbols:
-            assert extracted.graph.symbols[position] is symbol
+            assert extracted.graph.symbols[position] == symbol
 
     def test_uninformative_annotations_filtered(self):
         source = "def f(x: Any) -> None:\n    return None\n"

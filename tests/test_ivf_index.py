@@ -125,10 +125,6 @@ class TestIVFValidation:
         with pytest.raises(ValueError, match="nprobe 9 cannot exceed nlist 4"):
             IVFIndex(points, nlist=4, nprobe=9)
 
-    def test_dtype_follows_points(self):
-        points = np.random.default_rng(0).normal(size=(50, 4)).astype(np.float32)
-        assert IVFIndex(points, nlist=4, nprobe=2).dtype == np.float32
-
 
 class TestIVFTypeSpace:
     def test_typespace_ivf_round_trip(self, tmp_path):

@@ -31,17 +31,16 @@ def brute_force_top_k(queries, points, k):
 @st.composite
 def scan_cases(draw):
     """Small point sets with duplicated rows, ``k`` in ``[1, n]`` and any tile budget."""
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
     dim = draw(st.integers(1, 4))
     coordinates = st.one_of(
         st.integers(-3, 3).map(lambda value: value / 2),  # exact sums: many equal distances
         st.floats(-8, 8, allow_nan=False, width=32),
     )
     vectors = st.lists(coordinates, min_size=dim, max_size=dim)
-    distinct = np.array(draw(st.lists(vectors, min_size=1, max_size=6)), dtype=dtype)
+    distinct = np.array(draw(st.lists(vectors, min_size=1, max_size=6)), dtype=np.float64)
     copies = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=30))
     points = distinct[copies]
-    queries = np.array(draw(st.lists(vectors, min_size=1, max_size=5)), dtype=dtype)
+    queries = np.array(draw(st.lists(vectors, min_size=1, max_size=5)), dtype=np.float64)
     k = draw(st.integers(1, len(points)))
     budget = draw(st.integers(1, len(queries) * len(points)))
     return queries, points, k, budget
@@ -155,60 +154,11 @@ class TestIncrementalExtension:
 
 
 class TestDtypeAwareStorage:
-    """float32 point sets stay float32; queries run in the stored dtype."""
-
-    def _points(self, dtype, n=80, dim=6):
-        return np.random.default_rng(33).normal(size=(n, dim)).astype(dtype)
-
-    def test_exact_index_preserves_float32(self):
-        index = ExactL1Index(self._points(np.float32))
-        assert index.points.dtype == np.float32
-        batch = index.query_batch_arrays(self._points(np.float32, n=5), k=3)
-        assert batch.distances.dtype == np.float32
-
-    def test_float64_queries_cast_down_to_index_dtype(self):
-        index = ExactL1Index(self._points(np.float32))
-        batch = index.query_batch_arrays(self._points(np.float64, n=5), k=3)
-        assert batch.distances.dtype == np.float32
+    """Points, queries and distances are float64, whatever the input dtype."""
 
     def test_integer_points_default_to_float64(self):
         index = ExactL1Index(np.arange(12).reshape(4, 3))
         assert index.points.dtype == np.float64
-
-    def test_explicit_dtype_overrides_input(self):
-        index = ExactL1Index(np.zeros((3, 2)), dtype=np.float32)
-        assert index.points.dtype == np.float32
-        with pytest.raises(ValueError):
-            ExactL1Index(np.zeros((3, 2)), dtype=np.int32)
-
-    def test_float32_results_equivalent_to_float64_path(self):
-        """The float32 path must find the same neighbours as float64 (satellite)."""
-        points64 = self._points(np.float64, n=200, dim=8)
-        points32 = points64.astype(np.float32)
-        queries64 = np.random.default_rng(34).normal(size=(30, 8))
-        exact64 = ExactL1Index(points64).query_batch_arrays(queries64, k=5)
-        exact32 = ExactL1Index(points32).query_batch_arrays(queries64.astype(np.float32), k=5)
-        assert exact32.indices.tobytes() == exact64.indices.tobytes()
-        assert np.allclose(exact32.distances, exact64.distances, rtol=1e-5, atol=1e-5)
-
-    def test_float32_typespace_nearest_batch_matches_float64(self):
-        rng = np.random.default_rng(35)
-        embeddings = rng.normal(size=(120, 7))
-        names = [f"type_{i % 9}" for i in range(120)]
-        space64 = TypeSpace(dim=7)
-        space64.add_markers(names, embeddings, source="t")
-        space32 = TypeSpace(dim=7, dtype=np.float32)
-        space32.add_markers(names, embeddings, source="t")
-        queries = rng.normal(size=(15, 7))
-        batch64 = space64.nearest_batch(queries, k=4)
-        batch32 = space32.nearest_batch(queries, k=4)
-        assert batch32.distances.dtype == np.float32
-        assert batch32.type_codes.tobytes() == batch64.type_codes.tobytes()
-        assert np.allclose(batch32.distances, batch64.distances, rtol=1e-5, atol=1e-5)
-
-    def test_typespace_rejects_non_float_dtype(self):
-        with pytest.raises(ValueError):
-            TypeSpace(dim=3, dtype=np.int64)
 
 
 class TestIVFEdgeCases:
@@ -304,15 +254,6 @@ class TestDistanceMatrixChunking:
             chunked = l1_distance_matrix(queries, points, max_elements=cap)
             np.testing.assert_array_equal(chunked, full)
 
-    def test_chunked_distances_equal_unchunked_float32(self):
-        rng = np.random.default_rng(12)
-        queries = rng.normal(size=(21, 5)).astype(np.float32)
-        points = rng.normal(size=(40, 5)).astype(np.float32)
-        full = l1_distance_matrix(queries, points, max_elements=10**9)
-        chunked = l1_distance_matrix(queries, points, max_elements=64)
-        assert chunked.dtype == np.float32
-        np.testing.assert_array_equal(chunked, full)
-
     def test_single_query_never_chunks_below_one_row(self):
         rng = np.random.default_rng(13)
         queries = rng.normal(size=(1, 4))
@@ -324,16 +265,29 @@ class TestDistanceMatrixChunking:
 
     def test_exact_index_results_independent_of_cap(self, monkeypatch):
         rng = np.random.default_rng(14)
-        for dtype in (np.float64, np.float32):
-            points = rng.normal(size=(150, 6)).astype(dtype)
-            queries = rng.normal(size=(30, 6)).astype(dtype)
-            baseline = ExactL1Index(points).query_batch_arrays(queries, k=8)
-            # Tile budgets from one marker row per block up to the whole matrix.
-            for cap in (1, 29, 30, 256, 4_500, 10**9):
-                monkeypatch.setattr(knn_module, "L1_CHUNK_ELEMENTS", cap)
-                capped = ExactL1Index(points).query_batch_arrays(queries, k=8)
-                np.testing.assert_array_equal(baseline.indices, capped.indices)
-                np.testing.assert_array_equal(baseline.distances, capped.distances)
+        points = rng.normal(size=(150, 6))
+        queries = rng.normal(size=(30, 6))
+        baseline = ExactL1Index(points).query_batch_arrays(queries, k=8)
+        # Tile budgets from one marker row per block up to the whole matrix.
+        for cap in (1, 29, 30, 256, 4_500, 10**9):
+            monkeypatch.setattr(knn_module, "L1_CHUNK_ELEMENTS", cap)
+            capped = ExactL1Index(points).query_batch_arrays(queries, k=8)
+            np.testing.assert_array_equal(baseline.indices, capped.indices)
+            np.testing.assert_array_equal(baseline.distances, capped.distances)
+
+    @pytest.mark.skipif(knn_module._cdist is None, reason="scipy is not installed")
+    def test_numpy_kernel_equals_scipy(self, monkeypatch):
+        """Without scipy, the per-dimension numpy accumulation gives scipy's answers bit for bit."""
+        rng = np.random.default_rng(15)
+        queries = rng.normal(size=(37, 32))
+        points = rng.normal(size=(5_000, 32))
+        distances = l1_distance_matrix(queries, points)
+        top = ExactL1Index(points).query_batch_arrays(queries, k=10)
+        monkeypatch.setattr(knn_module, "_cdist", None)
+        np.testing.assert_array_equal(l1_distance_matrix(queries, points), distances)
+        numpy_top = ExactL1Index(points).query_batch_arrays(queries, k=10)
+        np.testing.assert_array_equal(numpy_top.indices, top.indices)
+        np.testing.assert_array_equal(numpy_top.distances, top.distances)
 
 
 class TestTopKScan:

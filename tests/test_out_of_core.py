@@ -250,6 +250,30 @@ class TestDecodeCacheByteBound:
         with pytest.raises(ValueError, match="cache_bytes"):
             self._store(raw_dir, cache_bytes=-1)
 
+    def test_reads_retain_nothing_past_the_counted_bytes(self, raw_dir):
+        """Symbol records and subtoken splits of a cached graph are not kept on
+        the graph, so the budget, which counts ``nbytes``, stays exact."""
+        import gc
+        import tracemalloc
+
+        store = self._store(raw_dir)
+        graph = store.graph(0)
+        assert store.graph(0) is graph and store.cached_bytes == graph.nbytes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            symbols = graph.symbols
+            subtokens = list(graph.node_subtokens())
+            assert symbols and subtokens
+            del symbols, subtokens
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert retained < 1024, f"a read left {retained} B on a cached graph"
+        assert store.cached_bytes == graph.nbytes
+
 
 class TestFeatureFingerprintValidation:
     def test_stale_fingerprint_skips_decoding_entirely(self, dataset, tmp_path, monkeypatch):

@@ -29,12 +29,15 @@ class TestRawLayout:
         assert restored.dtype == space.dtype
         np.testing.assert_array_equal(restored.marker_matrix(), space.marker_matrix())
 
-    def test_raw_round_trip_preserves_float32(self, tmp_path):
-        space = populated_space(dtype=np.float32)
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_float32_file_loads_as_a_float64_copy(self, tmp_path, mmap):
+        space = populated_space()
         space.save(str(tmp_path / "ts"), layout="raw")
-        restored = TypeSpace.load(str(tmp_path / "ts"), mmap=True)
-        assert restored.dtype == np.float32
-        assert restored.marker_matrix().dtype == np.float32
+        np.save(tmp_path / "ts" / "embeddings.npy", space.marker_matrix().astype(np.float32))
+        restored = TypeSpace.load(str(tmp_path / "ts"), mmap=mmap)
+        assert restored.marker_matrix().dtype == np.float64
+        assert not restored.is_memory_mapped
+        np.testing.assert_array_equal(restored.marker_matrix(), space.marker_matrix().astype(np.float32))
 
     def test_unknown_layout_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown TypeSpace layout 'parquet'"):
