@@ -72,11 +72,11 @@ def test_binary_shards_faster_than_json(benchmark, dataset, tmp_path, quick, ben
     binary_dir = tmp_path / "binary-shards"
 
     def json_round_trip():
-        dataset.save(json_dir, include_features=False, shard_format="json")
+        dataset.save(json_dir, shard_format="json")
         TypeAnnotationDataset.load(json_dir)
 
     def binary_round_trip():
-        dataset.save(binary_dir, include_features=False)
+        dataset.save(binary_dir)
         TypeAnnotationDataset.load(binary_dir)
 
     def measure():

@@ -5,9 +5,9 @@ resident plan assembles each batch once (features, segment indexes,
 message plans) and reuses it every epoch.  :func:`test_training_epoch_throughput`
 records that one path's float32 and float64 epoch seconds.  It gates
 nothing: there is no second path left to compare against, and float64
-exactness is asserted by the streaming, workers and persisted-feature
-benchmarks below and by the tier-1 tests (a recorded float64 trajectory per
-encoder family, and bit-for-bit replay between execution modes).
+exactness is asserted by the streaming and workers benchmarks below and by
+the tier-1 tests (a recorded float64 trajectory per encoder family, and
+bit-for-bit replay between execution modes).
 
 The out-of-core rework adds two more axes: data-parallel ``workers``
 throughput (hardware, ``bench_check``; bit-replay of the serial trajectory
@@ -248,15 +248,3 @@ def test_streaming_bounds_retained_memory(train_dataset, quick, tmp_path, bench_
         streaming_growth_2x=growth,
         streamed_losses_match=True,
     )
-
-
-def test_persisted_features_match_recomputed(train_dataset, tmp_path, bench_record):
-    """A dataset reloaded with persisted features trains identically to one without."""
-    train_dataset.save(tmp_path / "dataset")
-    reloaded = TypeAnnotationDataset.load(tmp_path / "dataset")
-    assert reloaded.train.node_features is not None
-
-    fresh_losses, _ = _train(train_dataset, 1, "float64")
-    reloaded_losses, _ = _train(reloaded, 1, "float64")
-    assert reloaded_losses == fresh_losses
-    bench_record(train_graphs=reloaded.train.num_graphs, losses_match=True)

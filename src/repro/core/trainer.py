@@ -35,7 +35,6 @@ from repro.core.typespace import TypeSpace
 from repro.corpus.dataset import AnnotatedSymbol, DatasetSplit, TypeAnnotationDataset
 from repro.models.base import SymbolEncoder
 from repro.models.batching import GraphBatch
-from repro.models.featurize import TextFeatures
 from repro.core.parallel import WorkerTeam
 from repro.nn.dtype import resolve_dtype
 from repro.nn.optim import Adam, accumulate_gradients, capture_gradients, restore_gradients
@@ -122,18 +121,18 @@ class BatchPlan:
     """What the trainer feeds the encoder for each batch of one dataset split.
 
     Every batch is assembled from per-graph pieces (``encoder.piece`` then
-    ``encoder.assemble``, the functions inference uses too), gathering node
-    features from those persisted alongside the dataset shards when their
-    vocabulary fingerprint matches.  Batch memberships are fixed for the
-    whole run (the trainer only re-shuffles batch order per epoch), so a
-    resident plan assembles each batch once — arrays, segment indexes and
-    message plans — and reuses it verbatim every later epoch.
+    ``encoder.assemble``, the functions inference uses too), which featurize
+    each graph's node rows through its intern table.  Batch memberships are
+    fixed for the whole run (the trainer only re-shuffles batch order per
+    epoch), so a resident plan assembles each batch once — features, arrays,
+    segment indexes and message plans — and reuses it verbatim every later
+    epoch.
 
     ``lazy=True`` is the out-of-core mode: nothing is retained, and every
-    batch is assembled on demand and owned by the caller (the streaming
-    prefetcher or a worker-side LRU), so plan memory no longer scales with
-    the corpus.  Assembly is pure, so lazy and resident plans produce
-    identical arrays.
+    batch is assembled (and featurized) on demand and owned by the caller
+    (the streaming prefetcher or a worker-side LRU), so plan memory no
+    longer scales with the corpus.  Assembly is pure, so lazy and resident
+    plans produce identical arrays.
 
     The path family resamples syntax paths every batch, so its batches are
     never kept: each is a fresh ``prepare_batch``, and the plan turns on the
@@ -145,24 +144,11 @@ class BatchPlan:
         self.split = split
         self.lazy = lazy
         self._training: dict[int, object] = {}
-        self._persisted = self._persisted_features(encoder)
         if encoder.family == "path":
             encoder.initializer.extractor.enable_memo()
 
-    def _persisted_features(self, encoder: SymbolEncoder) -> Optional[list[TextFeatures]]:
-        """Features saved next to the dataset shards, if they match the vocabulary."""
-        features = getattr(self.split, "node_features", None)
-        if features is None or len(features) != len(self.split.graphs):
-            return None
-        fingerprint = getattr(self.split, "features_fingerprint", None)
-        if fingerprint != encoder.initializer.extractor.fingerprint():
-            return None
-        return features
-
     def _piece(self, graph_index: int, group: Sequence[AnnotatedSymbol]):
-        persisted = self._persisted[graph_index] if self._persisted is not None else None
-        targets = [sample.node_index for sample in group]
-        return self.encoder.piece(self.split.graphs[graph_index], targets, persisted)
+        return self.encoder.piece(self.split.graphs[graph_index], [sample.node_index for sample in group])
 
     def graph_pieces(
         self,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import ast
 import json
 import math
-import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -74,13 +73,6 @@ class DatasetSplit:
     name: str
     graphs: list[FlatGraph] = field(default_factory=list)
     samples: list[AnnotatedSymbol] = field(default_factory=list)
-    #: Precomputed subtoken features per graph (parallel to ``graphs``),
-    #: produced by :meth:`TypeAnnotationDataset.featurize_nodes` or restored
-    #: from the dataset directory; training batches gather from them so
-    #: node texts are tokenized exactly once per corpus.
-    node_features: Optional[list] = field(default=None, repr=False, compare=False)
-    #: Fingerprint of the vocabulary the features were computed against.
-    features_fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
     #: Lazily-built sample groupings: ``(num_samples, by_graph, by_kind)``.
     #: Rebuilt whenever the sample count changes, so batch formation and
     #: kind breakdowns stop rescanning ``samples`` once per graph/kind.
@@ -244,44 +236,22 @@ class TypeAnnotationDataset:
             files, class_edges=synthesizer.class_hierarchy_edges(), config=config, ingest=ingest
         )
 
-    # -- featurization -------------------------------------------------------------------
-
-    def featurize_nodes(self, force: bool = False) -> str:
-        """Compute every split's per-graph subtoken features exactly once.
-
-        Returns the vocabulary fingerprint the features are tied to.  The
-        training plan (:class:`repro.core.trainer.BatchPlan`) gathers from
-        these arrays instead of re-tokenizing node texts, and :meth:`save`
-        persists them alongside the graph shards so a reloaded dataset never
-        tokenizes at all.
-        """
-        from repro.models.featurize import SUBTOKEN, FeatureExtractor
-
-        extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=self.subtokens)
-        fingerprint = extractor.fingerprint()
-        for split in self.splits.values():
-            if not force and split.features_fingerprint == fingerprint and split.node_features is not None:
-                continue
-            split.node_features = [extractor.features_for_graph(graph) for graph in split.graphs]
-            split.features_fingerprint = fingerprint
-        return fingerprint
-
     # -- persistence ---------------------------------------------------------------------
 
     def save(
         self,
         path: Union[str, Path],
         shard_size: int = 64,
-        include_features: bool = True,
         shard_format: str = "binary",
     ) -> Path:
         """Persist the assembled dataset to a directory, graphs sharded.
 
-        Layout: ``dataset.json`` (manifest: config, splits' samples,
-        registry, vocabulary, lattice, dedup report), ``sources.json``,
-        graph shard files of at most ``shard_size`` graphs each and —
-        unless ``include_features`` is off — ``features.npz`` with the
-        precomputed subtoken ids of every graph.  ``shard_format="binary"``
+        Layout: graph shard files of at most ``shard_size`` graphs each,
+        ``sources.json`` and, written last, ``dataset.json`` (manifest:
+        config, splits' samples, registry, vocabulary, lattice, dedup
+        report), so a directory with a manifest is complete.  Graphs are all
+        a dataset persists: node features are computed from a graph and the
+        vocabulary whenever a batch is built.  ``shard_format="binary"``
         (the default) writes fingerprint-validated ``graphs-NNNNN.npz``
         archives of the columnar :class:`~repro.graph.flatgraph.FlatGraph`
         arrays — several times faster to write and load than JSON;
@@ -289,12 +259,11 @@ class TypeAnnotationDataset:
         payloads, which decode back into the same columns.  :meth:`load` reads either
         (per shard, by extension) and restores a dataset whose splits,
         sample order, registry ids and vocabulary are identical to the
-        original — so a corpus is ingested (and featurized) once and
-        reloaded instantly by the trainer, the benchmarks and the engine.
+        original — so a corpus is ingested once and reloaded instantly by
+        the trainer, the benchmarks and the engine.
 
         ``shard_format="raw"`` writes each shard as a ``graphs-NNNNN.raw``
-        *directory* of plain ``.npy`` columns (and the features as a
-        ``features.raw`` directory) — the zero-copy layout
+        *directory* of plain ``.npy`` columns — the zero-copy layout
         ``load(..., mmap=True)`` memory-maps for out-of-core training.
         """
         if shard_format not in ("binary", "json", "raw"):
@@ -351,25 +320,10 @@ class TypeAnnotationDataset:
             "lattice_edges": serialize.lattice_to_payload(self.lattice),
             "dedup": serialize.dedup_report_to_payload(self.dedup_report),
         }
-        (path / "dataset.json").write_text(json.dumps(manifest, separators=(",", ":")), encoding="utf-8")
         (path / "sources.json").write_text(
             json.dumps(self.sources, separators=(",", ":")), encoding="utf-8"
         )
-        if include_features:
-            import numpy as np
-
-            fingerprint = self.featurize_nodes()
-            flat_features = [
-                feature
-                for split in self.splits.values()
-                for feature in (split.node_features or [])
-            ]
-            if shard_format == "raw":
-                serialize.write_features_raw(path / "features.raw", flat_features, fingerprint)
-            else:
-                np.savez_compressed(
-                    path / "features.npz", **serialize.features_to_arrays(flat_features, fingerprint)
-                )
+        (path / "dataset.json").write_text(json.dumps(manifest, separators=(",", ":")), encoding="utf-8")
         return path
 
     @classmethod
@@ -385,9 +339,11 @@ class TypeAnnotationDataset:
         ``mmap=True`` requires every shard to be ``.raw`` and memory-maps
         the columns read-only instead of loading them: splits hand out
         :class:`FlatGraph` objects whose arrays slice the maps, validated as
-        each is read, persisted features stay mapped, and multiple processes
-        share the page cache.  Content fingerprints are *not* verified in
-        this mode (verification would page in the whole corpus).
+        each is read, and multiple processes share the page cache.  Content
+        fingerprints are *not* verified in this mode (verification would
+        page in the whole corpus).  Directories written when datasets also
+        persisted node features (``features.npz`` or ``features.raw``) load
+        the same way; those files are not read.
         """
         path = Path(path)
         manifest = json.loads((path / "dataset.json").read_text(encoding="utf-8"))
@@ -452,7 +408,7 @@ class TypeAnnotationDataset:
         config_payload.pop("max_deep_parameter_depth", None)  # a retired field older manifests carry
         sources_path = path / "sources.json"
         sources = json.loads(sources_path.read_text(encoding="utf-8")) if sources_path.exists() else {}
-        dataset = cls(
+        return cls(
             splits["train"],
             splits["valid"],
             splits["test"],
@@ -463,46 +419,6 @@ class TypeAnnotationDataset:
             DatasetConfig(**config_payload),
             sources=sources,
         )
-        dataset._attach_features(path, mmap=mmap)
-        return dataset
-
-    def _attach_features(self, path: Path, mmap: bool = False) -> None:
-        """Restore persisted per-graph features; silently skip stale, missing or unreadable files.
-
-        ``features.raw`` (memory-mapped with ``mmap``) and ``features.npz``
-        are opened the same way, and their header decides before any id
-        array is read: features index the embedding rows of this vocabulary,
-        so a stale fingerprint, another layout version or another graph
-        count means they must be recomputed, at the cost of a few tiny reads.
-        """
-        from repro.models.featurize import SUBTOKEN, vocabulary_fingerprint
-
-        fingerprint = vocabulary_fingerprint(SUBTOKEN, self.subtokens.tokens)
-        expected = (
-            serialize.FEATURES_FORMAT_VERSION,
-            fingerprint,
-            sum(split.num_graphs for split in self.splits.values()),
-        )
-        features_path = path / "features.raw"
-        if not features_path.is_dir():
-            features_path = path / "features.npz"
-            if not features_path.exists():
-                return
-        try:
-            with serialize.open_columns(features_path, mmap=mmap) as columns:
-                header = (int(columns["format"][0]), str(columns["fingerprint"][0]), int(columns["num_graphs"][0]))
-                if header != expected:
-                    return
-                view = serialize.FeatureView(columns)
-        except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile):
-            return
-        features = serialize.LazyView(view.feature, 0, len(view))
-        cursor = 0
-        for split in self.splits.values():
-            window = features[cursor : cursor + split.num_graphs]
-            split.node_features = window if mmap else list(window)
-            split.features_fingerprint = fingerprint
-            cursor += split.num_graphs
 
     # -- splitting -----------------------------------------------------------------------
 

@@ -10,7 +10,8 @@ This module makes ingestion scale along both axes:
   annotated symbols) with no shared state, so parallel ingestion produces a
   dataset byte-for-byte identical to serial ingestion;
 * **reuse** — :class:`GraphCache` persists extraction results on disk,
-  keyed by a content hash of the source text and the extractor version.
+  keyed by a content hash of the source text, the extractor version and the
+  interpreter.
   Re-ingesting a corpus touches only changed files: the warm-cache path is
   ~O(changed files), independent of corpus size.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import sys
 import tempfile
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +61,14 @@ EXTRACTOR_VERSION = "3"
 #: Cache entry layout version (independent of the extractor semantics).
 #: v2: binary ``.npz`` FlatGraph entries instead of JSON payloads.
 CACHE_FORMAT_VERSION = 2
+
+#: The interpreter that parsed a file, e.g. ``cpython-3.11``.  Graphs of the
+#: same source can differ between Python versions (3.12 gives the literal
+#: parts of an f-string their own positions), so every cache key names it.
+INTERPRETER_TAG = f"{sys.implementation.name}-{sys.version_info.major}.{sys.version_info.minor}"
+
+#: Files handed to a pool worker per task; amortises IPC per file.
+CHUNK_SIZE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +169,10 @@ class GraphCache:
     """On-disk cache of extraction results, keyed by source content.
 
     The key hashes the source text together with the extractor and shard
-    versions: editing a file, upgrading the extractor or changing the layout
-    each invalidate exactly the affected entries.  Filenames are *not*
-    part of the key — a renamed file is still a hit, with the stored graph
-    re-labelled on load.
+    versions and the interpreter: editing a file, upgrading the extractor,
+    changing the layout or switching Python versions each invalidate exactly
+    the affected entries.  Filenames are *not* part of the key — a renamed
+    file is still a hit, with the stored graph re-labelled on load.
 
     Entries are one-graph ``.npz`` shards, read through the same decoder as
     dataset shards: an entry whose fingerprint does not match, or whose
@@ -171,9 +181,8 @@ class GraphCache:
     truncated entry costs one re-extraction, never an error.
     """
 
-    def __init__(self, directory: Union[str, Path], extractor_version: str = EXTRACTOR_VERSION) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.extractor_version = extractor_version
         self.directory.mkdir(parents=True, exist_ok=True)
         self._evict_legacy_entries()
 
@@ -192,7 +201,8 @@ class GraphCache:
                 pass
 
     def key(self, source: str) -> str:
-        material = f"{CACHE_FORMAT_VERSION}:{GRAPH_SHARD_FORMAT_VERSION}:{self.extractor_version}\x00{source}"
+        versions = f"{CACHE_FORMAT_VERSION}:{GRAPH_SHARD_FORMAT_VERSION}:{EXTRACTOR_VERSION}:{INTERPRETER_TAG}"
+        material = f"{versions}\x00{source}"
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def path_for(self, source: str) -> Path:
@@ -205,7 +215,7 @@ class GraphCache:
             with np.load(path, allow_pickle=False) as archive:
                 if "x:extractor_version" not in archive.files:
                     return None
-                if str(archive["x:extractor_version"][0]) != self.extractor_version:
+                if str(archive["x:extractor_version"][0]) != EXTRACTOR_VERSION:
                     return None
                 graphs = flat_graphs_from_arrays(archive)
             if len(graphs) != 1:
@@ -219,7 +229,7 @@ class GraphCache:
         """Persist an extraction atomically (write-temp + rename)."""
         path = self.path_for(source)
         arrays = flat_graphs_to_arrays([extracted.graph])
-        arrays["x:extractor_version"] = np.asarray([self.extractor_version])
+        arrays["x:extractor_version"] = np.asarray([EXTRACTOR_VERSION])
         atomic_write_npz(path, arrays)
         return path
 
@@ -240,10 +250,6 @@ class IngestConfig:
     jobs: Optional[int] = 1
     #: Directory of the content-addressed graph cache; ``None`` disables caching.
     cache_dir: Optional[Union[str, Path]] = None
-    #: Extractor version used for cache keys (bump to invalidate).
-    extractor_version: str = EXTRACTOR_VERSION
-    #: Files handed to a pool worker per task; amortises IPC per file.
-    chunk_size: int = 4
 
     def effective_jobs(self) -> int:
         if self.jobs is None:
@@ -298,12 +304,7 @@ def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
     return None
 
 
-def parallel_map(
-    function: Callable[[T], R],
-    items: Sequence[T],
-    jobs: int,
-    chunk_size: int = 4,
-) -> list[R]:
+def parallel_map(function: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
     """Order-preserving map over a process pool, with serial fallback.
 
     ``function`` must be a module-level callable of picklable arguments.
@@ -311,23 +312,18 @@ def parallel_map(
     item, when ``fork`` is unavailable, or when the pool cannot be created
     (sandboxes commonly forbid it) — the result is identical either way.
     """
-    results, _ = _pooled_map(function, items, jobs, chunk_size)
+    results, _ = _pooled_map(function, items, jobs)
     return results
 
 
-def _pooled_map(
-    function: Callable[[T], R],
-    items: Sequence[T],
-    jobs: int,
-    chunk_size: int,
-) -> tuple[list[R], bool]:
+def _pooled_map(function: Callable[[T], R], items: Sequence[T], jobs: int) -> tuple[list[R], bool]:
     """:func:`parallel_map` core; also reports whether a pool was used."""
     if jobs > 1 and len(items) > 1:
         context = _pool_context()
         if context is not None:
             try:
                 with ProcessPoolExecutor(max_workers=min(jobs, len(items)), mp_context=context) as pool:
-                    return list(pool.map(function, items, chunksize=max(1, chunk_size))), True
+                    return list(pool.map(function, items, chunksize=CHUNK_SIZE)), True
             except (OSError, PermissionError):
                 pass  # sandboxes may forbid process creation; serial is identical
     return [function(item) for item in items], False
@@ -346,7 +342,7 @@ def ingest_sources(
     """
     config = config or IngestConfig()
     jobs = config.effective_jobs()
-    cache = GraphCache(config.cache_dir, config.extractor_version) if config.cache_dir is not None else None
+    cache = GraphCache(config.cache_dir) if config.cache_dir is not None else None
 
     ordered_names = sorted(files)
     report = IngestReport(total_files=len(ordered_names), jobs=jobs)
@@ -365,9 +361,7 @@ def ingest_sources(
                 pending.append((filename, source))
 
         if pending:
-            extracted_batch, report.used_process_pool = _pooled_map(
-                _pool_extract, pending, jobs, config.chunk_size
-            )
+            extracted_batch, report.used_process_pool = _pooled_map(_pool_extract, pending, jobs)
             for filename, extracted, error in extracted_batch:
                 if error is not None or extracted is None:
                     report.failed_files.append(filename)

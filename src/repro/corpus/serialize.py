@@ -10,32 +10,31 @@ Two consumers share these helpers:
   whole assembled dataset — splits, samples, registry, vocabulary, lattice —
   to a directory that reloads in milliseconds.
 
-**One column layout per kind.**  A graph shard concatenates the
+**One column layout.**  A graph shard concatenates the
 :class:`FlatGraph` columns of its graphs — the interned string tables, an
 ``int32`` node block, one edge block per kind, a symbol block and the
 occurrence CSR pair — with per-graph split arrays
-(:func:`flat_graphs_to_arrays`); persisted features concatenate each
-graph's subtoken ids and row splits into four columns
-(:func:`features_to_arrays`).  Each layout carries a header: format version,
-graph count and a fingerprint — the SHA-256 over a shard's columns, or the
-vocabulary fingerprint the feature ids are tied to.
+(:func:`flat_graphs_to_arrays`).  Its header holds the format version, the
+graph count and a fingerprint: the SHA-256 over the shard's columns.
+Datasets persist graphs only; node features are a pure function of a graph
+and the vocabulary, computed through the graph's intern table whenever a
+batch is built.
 
-**Two containers.**  A layout is stored either as an ``.npz`` archive or as
+**Two containers.**  A shard is stored either as an ``.npz`` archive or as
 a raw directory of plain ``.npy`` files whose ``meta.json`` holds the header
 and is written last (:class:`RawColumns`, which can memory-map the
-columns).  Every reader sees either one as a mapping of column names to
+columns).  The decoder sees either one as a mapping of column names to
 arrays.
 
-**One decoder per kind, validation on every read.**  :class:`GraphShard` is
-the only code that builds a :class:`FlatGraph` from shard columns: it
-slices out one graph at a time and runs :meth:`FlatGraph.validate` on it,
-so an out-of-range kind code or string id raises :class:`PayloadError`
-through every reader (:func:`read_graph_shard`, :func:`read_graph_shard_raw`,
-the graph cache, :class:`RawGraphShard`).  The eager readers first check
-the format version and then the fingerprint, so a truncated or bit-flipped
+**One decoder, validation on every read.**  :class:`GraphShard` is the
+only code that builds a :class:`FlatGraph` from shard columns: it slices
+out one graph at a time and runs :meth:`FlatGraph.validate` on it, so an
+out-of-range kind code or string id raises :class:`PayloadError` through
+every reader (:func:`read_graph_shard`, :func:`read_graph_shard_raw`, the
+graph cache, :class:`RawGraphShard`).  The eager readers first check the
+format version and then the fingerprint, so a truncated or bit-flipped
 shard is rejected whole; a memory-mapped :class:`RawGraphShard` skips the
-fingerprint, which would page in the whole shard.  :class:`FeatureView` is
-the only code that builds :class:`TextFeatures` from feature columns.
+fingerprint, which would page in the whole shard.
 
 **Legacy JSON payloads.**  The original dict-of-lists layout remains fully
 readable *and* writable (``shard_format="json"``), diffable and
@@ -70,7 +69,6 @@ from repro.graph.flatgraph import (
 )
 from repro.graph.nodes import NodeKind, SymbolKind
 from repro.graph.subtokens import SubtokenVocabulary
-from repro.models.featurize import SUBTOKEN, TextFeatures
 from repro.types.lattice import TypeLattice
 from repro.types.registry import TypeRegistry
 
@@ -80,12 +78,6 @@ GRAPH_PAYLOAD_VERSION = 1
 
 #: Version of the graph-shard column layout (``.npz`` and raw alike).
 GRAPH_SHARD_FORMAT_VERSION = 1
-
-#: Version of the feature column layout written next to dataset shards
-#: (``features.npz`` or ``features.raw``); other versions are ignored and
-#: the features recomputed.  v2: ``features.npz`` holds the four columns of
-#: ``features.raw`` instead of one id/split array pair per graph.
-FEATURES_FORMAT_VERSION = 2
 
 
 class PayloadError(ValueError):
@@ -470,12 +462,12 @@ def read_graph_shard(path) -> list[FlatGraph]:
 # Raw column directories (zero-copy, memory-mappable)
 # ---------------------------------------------------------------------------
 
-#: Commit marker and header of a raw shard/feature directory; written last,
+#: Commit marker and header of a raw shard directory; written last,
 #: so a directory without it is an aborted write, not a corrupt dataset.
 RAW_META_NAME = "meta.json"
 
-#: Header entries of a column layout: one-element arrays in an ``.npz``
-#: archive, plain values in a raw directory's ``meta.json``.
+#: Header entries of a shard: one-element arrays in an ``.npz`` archive,
+#: plain values in a raw directory's ``meta.json``.
 _HEADER_KEYS = ("format", "num_graphs", "fingerprint")
 
 
@@ -513,21 +505,16 @@ class RawColumns(Mapping):
     def __len__(self) -> int:
         return len(self._header) + len(self._files)
 
-    def __enter__(self) -> "RawColumns":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        """Nothing to release: mapped columns stay valid after the block."""
+def write_graph_shard_raw(path, graphs: Sequence[FlatGraph]) -> None:
+    """Write graphs as a raw shard *directory*: one ``.npy`` file per column, ``meta.json`` last.
 
-
-def open_columns(path, mmap: bool = False):
-    """An ``.npz`` archive or a raw directory as a column mapping, for a ``with`` block."""
-    path = Path(path)
-    return RawColumns(path, mmap=mmap) if path.is_dir() else np.load(path, allow_pickle=False)
-
-
-def _write_raw(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write a column layout as a raw directory: one ``.npy`` per column, ``meta.json`` last."""
+    Same columnar arrays as the ``.npz`` shard (see
+    :func:`flat_graphs_to_arrays`), but each stored as a plain ``.npy`` so
+    loaders can ``np.load(..., mmap_mode="r")`` them — pages stream in on
+    access instead of the whole archive inflating into every process.
+    """
+    arrays = flat_graphs_to_arrays(graphs)
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     names: dict[str, str] = {}
@@ -544,17 +531,6 @@ def _write_raw(path, arrays: dict[str, np.ndarray]) -> None:
         "arrays": names,
     }
     (directory / RAW_META_NAME).write_text(json.dumps(meta, indent=1), encoding="utf-8")
-
-
-def write_graph_shard_raw(path, graphs: Sequence[FlatGraph]) -> None:
-    """Write graphs as a raw shard *directory*: one ``.npy`` file per column.
-
-    Same columnar arrays as the ``.npz`` shard (see
-    :func:`flat_graphs_to_arrays`), but each stored as a plain ``.npy`` so
-    loaders can ``np.load(..., mmap_mode="r")`` them — pages stream in on
-    access instead of the whole archive inflating into every process.
-    """
-    _write_raw(path, flat_graphs_to_arrays(graphs))
 
 
 def read_graph_shard_raw(path) -> list[FlatGraph]:
@@ -674,83 +650,6 @@ class LazyView:
     def __iter__(self):
         for index in range(self._start, self._stop):
             yield self._provider(index)
-
-
-# ---------------------------------------------------------------------------
-# Precomputed node features (see repro.models.featurize)
-# ---------------------------------------------------------------------------
-
-
-def features_to_arrays(features: list[TextFeatures], fingerprint: str) -> dict[str, np.ndarray]:
-    """Concatenate per-graph subtoken features into the four feature columns.
-
-    ``ids`` holds every graph's CSR ids and ``rowsplits`` its graph-relative
-    row splits, one graph after another; ``idsplits`` and ``rowgraph``
-    (``G + 1`` entries each) delimit the graphs.  The header's
-    ``fingerprint`` is the vocabulary fingerprint that ties the ids to the
-    subtoken table they index.  ``features.npz`` and ``features.raw`` hold
-    exactly these arrays.
-    """
-    for feature in features:
-        if feature.kind != SUBTOKEN:
-            raise ValueError(f"only subtoken features persist with the dataset, got {feature.kind!r}")
-
-    def concat64(pieces: list[np.ndarray]) -> np.ndarray:
-        if not pieces:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([np.asarray(piece, dtype=np.int64) for piece in pieces])
-
-    return {
-        "format": np.asarray([FEATURES_FORMAT_VERSION], dtype=np.int64),
-        "num_graphs": np.asarray([len(features)], dtype=np.int64),
-        "fingerprint": _string_array([fingerprint]),
-        "ids": concat64([feature.ids for feature in features]),
-        "idsplits": _counts_splits([np.asarray(feature.ids).shape[0] for feature in features]),
-        "rowsplits": concat64([feature.row_splits for feature in features]),
-        "rowgraph": _counts_splits([np.asarray(feature.row_splits).shape[0] for feature in features]),
-    }
-
-
-def write_features_raw(path, features: list[TextFeatures], fingerprint: str) -> None:
-    """Write per-graph subtoken features as a raw ``.npy``-column directory."""
-    _write_raw(path, features_to_arrays(features, fingerprint))
-
-
-class FeatureView:
-    """The one decoder of the feature columns of :func:`features_to_arrays`.
-
-    ``columns`` is a ``features.npz`` archive or a ``features.raw``
-    :class:`RawColumns` directory, loaded or memory-mapped.  Only the
-    graph-boundary columns are read up front; :meth:`feature` hands out one
-    graph's :class:`TextFeatures` as slices of ``ids`` and ``rowsplits``.
-    Callers check the header first (see
-    :meth:`~repro.corpus.dataset.TypeAnnotationDataset.load`).
-    """
-
-    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
-        self.num_graphs = int(columns["num_graphs"][0])
-        self._ids = columns["ids"]
-        self._rowsplits = columns["rowsplits"]
-        self._idsplits = columns["idsplits"].tolist()
-        self._rowgraph = columns["rowgraph"].tolist()
-        if not len(self._idsplits) == len(self._rowgraph) == self.num_graphs + 1:
-            raise PayloadError(f"feature columns disagree with {self.num_graphs} graphs")
-
-    def __len__(self) -> int:
-        return self.num_graphs
-
-    def feature(self, index: int) -> TextFeatures:
-        if not 0 <= index < self.num_graphs:
-            raise IndexError(f"feature index {index} out of range for {self.num_graphs}")
-        row_lo, row_hi = self._rowgraph[index : index + 2]
-        id_lo, id_hi = self._idsplits[index : index + 2]
-        row_splits = np.asarray(self._rowsplits[row_lo:row_hi])
-        return TextFeatures(
-            kind=SUBTOKEN,
-            num_texts=row_splits.shape[0] - 1,
-            ids=np.asarray(self._ids[id_lo:id_hi]),
-            row_splits=row_splits,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.checker.checker import CheckerMode
 from repro.core.filter import FilteredSuggestion
 from repro.core.pipeline import SymbolSuggestion, TypilusPipeline
 from repro.core.predictor import TypePrediction
-from repro.corpus.ingest import IngestConfig, atomic_write_text
+from repro.corpus.ingest import INTERPRETER_TAG, IngestConfig, atomic_write_text
 from repro.graph.nodes import SymbolKind
 from repro.utils.timing import Stopwatch
 
@@ -142,8 +142,9 @@ class AnnotationCache:
     """Per-file suggestion results, keyed by (pipeline, settings, source).
 
     Content-addressed like the graph cache: the key hashes the pipeline
-    fingerprint, the annotation settings that change answers and the source
-    text, so any of those changing invalidates exactly the affected entries.
+    fingerprint, the annotation settings that change answers, the
+    interpreter (its graphs of a source can differ) and the source text, so
+    any of those changing invalidates exactly the affected entries.
     Corrupted or unreadable entries are misses, never errors.
     """
 
@@ -153,7 +154,7 @@ class AnnotationCache:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def key(self, source: str) -> str:
-        material = f"{ANNOTATION_CACHE_VERSION}:{self.context_key}\x00{source}"
+        material = f"{ANNOTATION_CACHE_VERSION}:{INTERPRETER_TAG}:{self.context_key}\x00{source}"
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def path_for(self, source: str) -> Path:

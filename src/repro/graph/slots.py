@@ -104,7 +104,8 @@ class SlotIndex:
     def __init__(self, tree: ast.Module) -> None:
         self.functions: dict[str, list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, int, Optional[int]]]] = {}
         self.assignments: dict[str, list[AnnotationSlot]] = {}
-        #: Single-target ``self.attr = ...`` statements with their enclosing class names.
+        #: Single-target ``self.attr = ...`` and ``self.attr: T = ...`` statements
+        #: with their enclosing class names.
         self.self_assignments: list[tuple[str, tuple[str, ...], AnnotationSlot]] = []
         #: ``(scope, slot)`` in source order: each ``def``'s return slot, scoped
         #: by the function itself, and each assignment slot.
@@ -128,8 +129,8 @@ class SlotIndex:
                 slot = AnnotationSlot(node, unit_top, unit_member, body, index)
                 self.assignments.setdefault(path, []).append(slot)
                 self.in_order.append((path, slot))
-                if isinstance(node, ast.Assign) and len(node.targets) == 1 and is_self_attribute(node.targets[0]):
-                    self.self_assignments.append((node.targets[0].attr, classes, slot))
+                if (isinstance(node, ast.AnnAssign) or len(node.targets) == 1) and is_self_attribute(slot.target):
+                    self.self_assignments.append((slot.target.attr, classes, slot))
             else:  # nested blocks: if/for/while/with/try/match bodies, in source order
                 for _, value in ast.iter_fields(node):
                     if not isinstance(value, list):
@@ -145,8 +146,8 @@ class SlotIndex:
         A parameter or return is annotated in every ``def`` with that scope
         path (redefinitions included).  A variable is annotated at its first
         single-target assignment in the scope.  A ``self.attr`` symbol, which
-        lives in its class's scope, falls back to the first
-        ``self.attr = ...`` outside other classes.
+        lives in its class's scope, falls back to the first single-target
+        ``self.attr = ...`` or ``self.attr: T = ...`` outside other classes.
         """
         slots = self._find(scope, name, kind)
         if not slots:

@@ -16,7 +16,7 @@ from repro.models.encoder_init import (
     TokenVocabulary,
     build_initializer,
 )
-from repro.models.featurize import FeatureExtractor, TextFeatures, vocabulary_fingerprint
+from repro.models.featurize import FeatureExtractor, TextFeatures
 from repro.models.ggnn import GGNNEncoder, MessagePlan, NameOnlyEncoder, build_message_plan
 from repro.models.path import PathEncoder
 from repro.models.seq import SequenceEncoder
@@ -42,5 +42,4 @@ __all__ = [
     "TextFeatures",
     "MessagePlan",
     "build_message_plan",
-    "vocabulary_fingerprint",
 ]

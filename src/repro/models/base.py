@@ -10,10 +10,9 @@ variants under identical losses (Table 2).
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from repro.graph.flatgraph import FlatGraph
-from repro.models.featurize import TextFeatures
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 
@@ -26,13 +25,8 @@ class SymbolEncoder(Module):
     #: Model family name used in experiment tables ("graph", "sequence", "path").
     family: str = "unknown"
 
-    def piece(self, graph: FlatGraph, targets: Sequence[int], node_features: Optional[TextFeatures] = None):
-        """One graph's share of a batch (see :mod:`repro.models.batching`).
-
-        ``node_features`` — the graph's features, one row per node, e.g.
-        persisted with the dataset — are gathered from instead of featurizing
-        the graph's texts.
-        """
+    def piece(self, graph: FlatGraph, targets: Sequence[int]):
+        """One graph's share of a batch (see :mod:`repro.models.batching`)."""
         raise NotImplementedError
 
     def assemble(self, pieces: Sequence):

@@ -14,13 +14,13 @@ Each model family consumes a different view of the program:
 The graph and sequence batches are built in two steps.  A **piece** is one
 graph's share of a batch (:func:`graph_piece`, :func:`sequence_piece`): its
 edges, its targets and the features of the node rows the encoder reads,
-gathered through the graph's intern table
-(:meth:`~repro.models.featurize.FeatureExtractor.features_for_graph`) or
-taken from features persisted with the dataset.  **Assembly**
-(:func:`assemble_graph_batch`, :func:`assemble_sequence_batch`) is pure
-array concatenation of pieces.  Inference (``SymbolEncoder.prepare_batch``)
-and training (:class:`repro.core.trainer.BatchPlan`) both go through these
-functions, so the two sides feed the encoder identical arrays.
+featurized through the graph's intern table
+(:meth:`~repro.models.featurize.FeatureExtractor.features_for_graph`).
+**Assembly** (:func:`assemble_graph_batch`, :func:`assemble_sequence_batch`)
+is pure array concatenation of pieces.  Inference
+(``SymbolEncoder.prepare_batch``) and training
+(:class:`repro.core.trainer.BatchPlan`) both go through these functions, so
+the two sides feed the encoder identical arrays.
 """
 
 from __future__ import annotations
@@ -36,22 +36,6 @@ from repro.graph.flatgraph import NODE_KIND_CODES, FlatGraph, is_identifier_text
 from repro.graph.nodes import NodeKind
 from repro.models.featurize import FeatureExtractor, TextFeatures
 from repro.utils.rng import SeededRNG
-
-
-def _node_rows(
-    graph: FlatGraph,
-    extractor: FeatureExtractor,
-    nodes: Optional[np.ndarray],
-    node_features: Optional[TextFeatures],
-) -> TextFeatures:
-    """Features of the given node rows (all nodes when ``nodes`` is ``None``).
-
-    ``node_features`` — one row per node, e.g. persisted with the dataset —
-    are gathered from when given; otherwise the graph's texts are featurized.
-    """
-    if node_features is None:
-        return extractor.features_for_graph(graph, nodes)
-    return node_features if nodes is None else node_features.take(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +57,6 @@ def graph_piece(
     graph: FlatGraph,
     targets: Sequence[int],
     extractor: FeatureExtractor,
-    node_features: Optional[TextFeatures] = None,
     targets_only: bool = False,
 ) -> GraphPiece:
     """The piece of ``graph`` for the given target nodes.
@@ -87,7 +70,7 @@ def graph_piece(
         num_nodes=graph.num_nodes,
         edges=graph.edges,
         target_nodes=target_nodes,
-        features=_node_rows(graph, extractor, rows, node_features),
+        features=extractor.features_for_graph(graph, rows),
     )
 
 
@@ -155,7 +138,6 @@ def sequence_piece(
     targets: Sequence[int],
     extractor: FeatureExtractor,
     max_tokens: int = 192,
-    node_features: Optional[TextFeatures] = None,
 ) -> SequencePiece:
     """The token sequence of ``graph`` and the occurrence positions of each target.
 
@@ -173,7 +155,7 @@ def sequence_piece(
         if target in wanted and source in position_of_node:
             occurrences.setdefault(target, []).append(position_of_node[source])
     return SequencePiece(
-        features=_node_rows(graph, extractor, token_nodes, node_features),
+        features=extractor.features_for_graph(graph, token_nodes),
         target_occurrences=[sorted(occurrences.get(node, [])) or [0] for node in targets],
     )
 

@@ -13,22 +13,18 @@ the arrays around instead of the strings:
 * :class:`FeatureExtractor` — string → ids conversion, per graph through its
   intern table (:meth:`FeatureExtractor.features_for_graph`), with an
   optional per-text memo for workloads that keep re-encoding the same
-  lexemes (syntax-path sampling);
-* :func:`vocabulary_fingerprint` — content hash tying persisted feature
-  arrays to the vocabulary that produced them, so stale features are
-  recomputed instead of silently mis-indexing a new embedding table.
+  lexemes (syntax-path sampling).
 
-Featurizing a list of texts, the distinct strings of a graph, or gathering
-rows from features persisted with the dataset all produce the same ids per
-row, so every batch of :mod:`repro.models.batching` is byte-identical
-whichever source its features came from.
+A node's features are a pure function of its graph and the vocabulary, so
+they are never stored: training and inference batches alike featurize
+through :meth:`FeatureExtractor.features_for_graph`, which gives the same
+ids per row as featurizing the rows' texts one by one.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -182,14 +178,6 @@ class FeatureExtractor:
         if self._memo is None:
             self._memo = {}
 
-    def fingerprint(self) -> str:
-        """Hash of the vocabulary content that determines the produced ids."""
-        if self.kind == SUBTOKEN:
-            return vocabulary_fingerprint(SUBTOKEN, self.subtoken_vocabulary.tokens)
-        if self.kind == TOKEN:
-            return vocabulary_fingerprint(TOKEN, self.token_vocabulary.tokens)
-        return vocabulary_fingerprint(CHARACTER, [str(self.max_chars)])
-
     # -- single-text conversion ---------------------------------------------------
 
     def _ids_for_text(self, text: str) -> np.ndarray:
@@ -243,11 +231,3 @@ class FeatureExtractor:
         distinct, rows = np.unique(text_ids, return_inverse=True)
         strings = graph.strings
         return self.features_for_texts([strings[i] for i in distinct.tolist()]).take(rows)
-
-
-def vocabulary_fingerprint(kind: str, tokens: Iterable[str]) -> str:
-    """Content hash of an ordered token list (id == position)."""
-    digest = hashlib.sha256(kind.encode("utf-8") + b"\x00")
-    for token in tokens:
-        digest.update(token.encode("utf-8") + b"\x00")
-    return digest.hexdigest()

@@ -27,7 +27,6 @@ from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
 from repro.models.batching import GraphBatch, GraphPiece, assemble_graph_batch, graph_piece
 from repro.models.encoder_init import NodeInitializer
-from repro.models.featurize import TextFeatures
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Linear
 from repro.nn.rnn import GRUCell
@@ -138,10 +137,8 @@ class GGNNEncoder(SymbolEncoder):
 
     # -- batching -------------------------------------------------------------------
 
-    def piece(
-        self, graph: FlatGraph, targets: Sequence[int], node_features: Optional[TextFeatures] = None
-    ) -> GraphPiece:
-        return graph_piece(graph, targets, self.initializer.extractor, node_features)
+    def piece(self, graph: FlatGraph, targets: Sequence[int]) -> GraphPiece:
+        return graph_piece(graph, targets, self.initializer.extractor)
 
     def assemble(self, pieces: Sequence[GraphPiece]) -> GraphBatch:
         """The union batch with its message plan built (so a prefetch thread builds it)."""
@@ -206,11 +203,9 @@ class NameOnlyEncoder(SymbolEncoder):
         self.output_dim = hidden_dim
         self.projection = Linear(initializer.dim, hidden_dim, rng) if initializer.dim != hidden_dim else None
 
-    def piece(
-        self, graph: FlatGraph, targets: Sequence[int], node_features: Optional[TextFeatures] = None
-    ) -> GraphPiece:
+    def piece(self, graph: FlatGraph, targets: Sequence[int]) -> GraphPiece:
         """A piece holding only the targets' feature rows: nothing else is read."""
-        return graph_piece(graph, targets, self.initializer.extractor, node_features, targets_only=True)
+        return graph_piece(graph, targets, self.initializer.extractor, targets_only=True)
 
     def assemble(self, pieces: Sequence[GraphPiece]) -> GraphBatch:
         return assemble_graph_batch(pieces)

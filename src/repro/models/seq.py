@@ -15,7 +15,7 @@ Following Hellendoorn et al. (2018) as described in Sec. 6.1 "Baselines":
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
 from repro.models.batching import SequenceBatch, SequencePiece, assemble_sequence_batch, sequence_piece
 from repro.models.encoder_init import NodeInitializer
-from repro.models.featurize import TextFeatures
 from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.rnn import BiGRU
@@ -54,10 +53,8 @@ class SequenceEncoder(SymbolEncoder):
 
     # -- batching ----------------------------------------------------------------------
 
-    def piece(
-        self, graph: FlatGraph, targets: Sequence[int], node_features: Optional[TextFeatures] = None
-    ) -> SequencePiece:
-        return sequence_piece(graph, targets, self.initializer.extractor, self.max_tokens, node_features)
+    def piece(self, graph: FlatGraph, targets: Sequence[int]) -> SequencePiece:
+        return sequence_piece(graph, targets, self.initializer.extractor, self.max_tokens)
 
     def assemble(self, pieces: Sequence[SequencePiece]) -> SequenceBatch:
         """Pad the pieces' sequences with the features of the empty text."""

@@ -258,6 +258,30 @@ class TestPredictionHarness:
         modified = apply_annotation(source, "module.Box", "self.width", SymbolKind.VARIABLE, "int")
         assert "self.width: int = width" in modified
 
+    def test_annotated_self_attribute_is_checked_like_a_plain_one(self):
+        """``self.size: int = size`` in a method is the slot of class-scoped ``self.size``."""
+        annotated = (
+            "class C:\n"
+            "    def __init__(self, size: int) -> None:\n"
+            "        self.size: int = size\n"
+            "\n"
+            "    def double(self) -> int:\n"
+            "        return self.size * 2\n"
+        )
+        plain = annotated.replace("self.size: int = size", "self.size = size")
+        checker = PredictionChecker(CheckerMode.STRICT)
+        outcomes = {
+            (label, candidate): checker.check_prediction(source, "module.C", "self.size", SymbolKind.VARIABLE,
+                                                         candidate)
+            for label, source in (("annotated", annotated), ("plain", plain))
+            for candidate in ("str", "int")
+        }
+        assert not any(outcome.skipped for outcome in outcomes.values())
+        assert outcomes["plain", "str"].reason == "2 type error(s): assignment, return-value"
+        assert outcomes["annotated", "str"].reason == outcomes["plain", "str"].reason
+        assert not outcomes["annotated", "str"].ok
+        assert outcomes["annotated", "int"].ok and outcomes["plain", "int"].ok
+
     def test_good_prediction_accepted(self):
         checker = PredictionChecker(CheckerMode.STRICT)
         outcome = checker.check_prediction(self.SOURCE, "module.run", "count", SymbolKind.PARAMETER, "int")

@@ -1,6 +1,7 @@
 """Sharded dataset save/load round trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,26 @@ class TestSaveLayout:
     def test_unknown_shard_format_rejected(self, dataset, tmp_path):
         with pytest.raises(ValueError, match="shard format"):
             dataset.save(tmp_path, shard_format="parquet")
+
+    @pytest.mark.parametrize("shard_format", ["binary", "json", "raw"])
+    def test_graphs_are_all_a_save_persists(self, dataset, tmp_path, shard_format):
+        dataset.save(tmp_path, shard_format=shard_format)
+        assert not list(tmp_path.glob("features*"))
+
+    def test_manifest_is_written_last(self, dataset, tmp_path, monkeypatch):
+        """A save that fails before it completes leaves no manifest, so nothing loads it."""
+        write_text = Path.write_text
+
+        def fail_on_sources(self, *args, **kwargs):
+            if self.name == "sources.json":
+                raise OSError("disk full")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fail_on_sources)
+        with pytest.raises(OSError, match="disk full"):
+            dataset.save(tmp_path / "interrupted")
+        assert list((tmp_path / "interrupted").glob("graphs-*"))
+        assert not (tmp_path / "interrupted" / "dataset.json").exists()
 
 
 class TestRoundTrip:

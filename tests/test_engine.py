@@ -9,6 +9,9 @@ import pytest
 from repro.core import EncoderConfig, TrainingConfig, TypeCheckedFilter, TypilusPipeline
 from repro.corpus import CorpusSynthesizer, SynthesisConfig
 from repro.engine import AnnotatorConfig, FileReport, ProjectAnnotator, ProjectReport, suggestion_to_payload
+from repro.corpus import IngestConfig, ingest_sources
+from repro.corpus import ingest as ingest_module
+from repro.engine import annotator as annotator_module
 from repro.engine.annotator import ANNOTATION_CACHE_VERSION
 from repro.graph.nodes import SymbolKind
 
@@ -238,6 +241,18 @@ class TestIncrementalAnnotation:
         assert cache.load(UNANNOTATED_A) is None
         current.write_text(json.dumps(payload), encoding="utf-8")  # and under the current key
         assert cache.load(UNANNOTATED_A) is None
+        assert annotator.annotate_sources(sources).reused_files == 0
+
+    def test_interpreter_change_misses_both_caches(self, trained_pipeline, tmp_path, monkeypatch):
+        """Graphs depend on the Python version, so neither cache serves another interpreter's entries."""
+        sources = {"a.py": UNANNOTATED_A, "b.py": UNANNOTATED_B}
+        annotator = ProjectAnnotator(trained_pipeline, AnnotatorConfig(use_type_checker=False, cache_dir=tmp_path))
+        graphs = IngestConfig(cache_dir=tmp_path / "graphs")
+        annotator.annotate_sources(sources)
+        assert ingest_sources(sources, graphs)[1].cache_hits == 2
+        monkeypatch.setattr(ingest_module, "INTERPRETER_TAG", "cpython-3.99")
+        monkeypatch.setattr(annotator_module, "INTERPRETER_TAG", "cpython-3.99")
+        assert ingest_sources(sources, graphs)[1].cache_hits == 0
         assert annotator.annotate_sources(sources).reused_files == 0
 
     def test_pipeline_mutation_invalidates_cache(self, trained_pipeline, tmp_path):

@@ -11,7 +11,6 @@ from repro.models.featurize import (
     TOKEN,
     FeatureExtractor,
     TextFeatures,
-    vocabulary_fingerprint,
 )
 
 
@@ -65,14 +64,6 @@ class TestFeatureExtractor:
             FeatureExtractor(SUBTOKEN)
         with pytest.raises(ValueError):
             FeatureExtractor("nonsense")
-
-    def test_fingerprint_tracks_vocabulary_content(self, subtokens):
-        extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=subtokens)
-        other = SubtokenVocabulary()
-        other.observe_identifier("different_words")
-        other_extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=other.finalise())
-        assert extractor.fingerprint() != other_extractor.fingerprint()
-        assert extractor.fingerprint() == vocabulary_fingerprint(SUBTOKEN, subtokens.tokens)
 
 
 class TestTextFeaturesOps:

@@ -1,8 +1,10 @@
 """Parallel ingestion and the content-addressed graph cache."""
 
+import sys
 
 import pytest
 
+from repro.corpus import ingest as ingest_module
 from repro.corpus import (
     EXTRACTOR_VERSION,
     GraphCache,
@@ -106,13 +108,24 @@ class TestGraphCache:
         assert report.extracted == 1
         assert report.cache_hits == len(corpus) - 1
 
-    def test_extractor_version_change_invalidates_everything(self, corpus, tmp_path):
+    def test_extractor_version_change_invalidates_everything(self, corpus, tmp_path, monkeypatch):
         ingest_sources(corpus, IngestConfig(jobs=1, cache_dir=tmp_path))
-        _, report = ingest_sources(
-            corpus, IngestConfig(jobs=1, cache_dir=tmp_path, extractor_version="next-version")
-        )
+        monkeypatch.setattr(ingest_module, "EXTRACTOR_VERSION", "next-version")
+        _, report = ingest_sources(corpus, IngestConfig(jobs=1, cache_dir=tmp_path))
         assert report.cache_hits == 0
         assert report.extracted == len(corpus)
+
+    def test_interpreter_change_invalidates_everything(self, corpus, tmp_path, monkeypatch):
+        assert ingest_module.INTERPRETER_TAG == f"{sys.implementation.name}-{sys.version_info[0]}.{sys.version_info[1]}"
+        config = IngestConfig(jobs=1, cache_dir=tmp_path)
+        ingest_sources(corpus, config)
+        monkeypatch.setattr(ingest_module, "INTERPRETER_TAG", "cpython-3.99")
+        _, report = ingest_sources(corpus, config)
+        assert report.cache_hits == 0
+        assert report.extracted == len(corpus)
+        monkeypatch.undo()
+        _, report = ingest_sources(corpus, config)
+        assert report.cache_hits == len(corpus)
 
     def test_rename_is_still_a_hit_with_renamed_graph(self, tmp_path):
         source = "def f(x: int) -> int:\n    return x\n"
@@ -166,11 +179,12 @@ class TestGraphCache:
         assert report.extracted == 1
         assert _payloads(recovered) == _payloads(clean)
 
-    def test_key_depends_on_source_and_version(self, tmp_path):
+    def test_key_depends_on_source_and_version(self, tmp_path, monkeypatch):
         cache = GraphCache(tmp_path)
-        other = GraphCache(tmp_path, extractor_version=EXTRACTOR_VERSION + "-other")
-        assert cache.key("a") != cache.key("b")
-        assert cache.key("a") != other.key("a")
+        key = cache.key("a")
+        assert key != cache.key("b")
+        monkeypatch.setattr(ingest_module, "EXTRACTOR_VERSION", EXTRACTOR_VERSION + "-other")
+        assert cache.key("a") != key
 
 
 class TestIngestReport:

@@ -6,12 +6,16 @@ their combinations — must reproduce the serial in-memory float64 loss
 trajectory and final parameters byte-for-byte.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import EncoderConfig, LossKind, Trainer, TrainingConfig, build_encoder
 from repro.corpus import DatasetConfig, SynthesisConfig, TypeAnnotationDataset
 from repro.corpus.serialize import PayloadError, graph_to_payload
+from repro.models.featurize import SUBTOKEN, FeatureExtractor
 from repro.utils.memory import peak_rss_bytes
 
 
@@ -126,16 +130,6 @@ class TestRawShards:
         assert graphs[-1].filename == graphs[len(graphs) - 1].filename
         with pytest.raises(IndexError):
             graphs[len(graphs)]
-
-    def test_mmap_features_attached_with_matching_fingerprint(self, dataset, raw_dir):
-        dataset.featurize_nodes()
-        mapped = TypeAnnotationDataset.load(raw_dir, mmap=True)
-        assert mapped.train.node_features is not None
-        assert mapped.train.features_fingerprint == dataset.train.features_fingerprint
-        original = dataset.train.node_features[0]
-        restored = mapped.train.node_features[0]
-        assert np.array_equal(np.asarray(restored.ids), np.asarray(original.ids))
-        assert np.array_equal(np.asarray(restored.row_splits), np.asarray(original.row_splits))
 
     def test_training_from_mmap_replays_in_memory_exactly(self, dataset, raw_dir):
         baseline_losses, _ = _train(dataset)
@@ -275,45 +269,55 @@ class TestDecodeCacheByteBound:
         assert store.cached_bytes == graph.nbytes
 
 
-class TestFeatureFingerprintValidation:
-    def test_stale_fingerprint_skips_decoding_entirely(self, dataset, tmp_path, monkeypatch):
-        """The vocabulary fingerprint gates decoding: with a stale header the
-        id arrays must never be inflated (FeatureView not constructed)."""
-        from repro.corpus import serialize
+def _write_feature_files(dataset, directory, raw):
+    """Per-node features as earlier versions saved them next to the shards.
 
-        target = tmp_path / "stale"
-        dataset.save(target)
-        features_path = target / "features.npz"
-        with np.load(features_path, allow_pickle=False) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        arrays["fingerprint"] = np.array(["not-the-vocabulary"])
-        np.savez(features_path, **arrays)
+    Layout version 2: every graph's subtoken ids and row splits in four
+    columns, under a header whose fingerprint hashes the subtoken vocabulary
+    — as ``features.npz`` or as a ``features.raw`` directory with a
+    ``meta.json``.  The header matches the dataset, so a reader of these
+    files would accept them.
+    """
+    extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=dataset.subtokens)
+    features = [extractor.features_for_graph(graph) for split in dataset.splits.values() for graph in split.graphs]
+    digest = hashlib.sha256(b"subtoken\x00")
+    for token in dataset.subtokens.tokens:
+        digest.update(token.encode("utf-8") + b"\x00")
+    header = {"format": 2, "num_graphs": len(features), "fingerprint": digest.hexdigest()}
+    columns = {
+        "ids": np.concatenate([feature.ids for feature in features]).astype(np.int64),
+        "idsplits": np.cumsum([0] + [feature.ids.shape[0] for feature in features]).astype(np.int64),
+        "rowsplits": np.concatenate([feature.row_splits for feature in features]).astype(np.int64),
+        "rowgraph": np.cumsum([0] + [feature.row_splits.shape[0] for feature in features]).astype(np.int64),
+    }
+    if not raw:
+        np.savez_compressed(directory / "features.npz", **{key: np.asarray([value]) for key, value in header.items()},
+                            **columns)
+        return
+    target = directory / "features.raw"
+    target.mkdir()
+    for key, value in columns.items():
+        np.save(target / f"{key}.npy", value)
+    meta = dict(header, arrays={key: f"{key}.npy" for key in columns})
+    (target / "meta.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
 
-        def explode(columns):  # pragma: no cover - the assertion is that it never runs
-            raise AssertionError("FeatureView built despite stale fingerprint")
 
-        monkeypatch.setattr(serialize, "FeatureView", explode)
-        loaded = TypeAnnotationDataset.load(target)
-        assert loaded.train.node_features is None
-
-    def test_matching_fingerprint_still_adopts_features(self, dataset, tmp_path):
-        target = tmp_path / "fresh"
-        dataset.save(target)
-        loaded = TypeAnnotationDataset.load(target)
-        assert loaded.train.node_features is not None
-        assert loaded.train.features_fingerprint == dataset.train.features_fingerprint
-
-    def test_stale_raw_features_skipped(self, dataset, tmp_path):
-        import json
-
-        target = tmp_path / "stale_raw"
-        dataset.save(target, shard_format="raw")
-        meta_path = target / "features.raw" / "meta.json"
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        meta["fingerprint"] = "not-the-vocabulary"
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
-        loaded = TypeAnnotationDataset.load(target, mmap=True)
-        assert loaded.train.node_features is None
+class TestDirectoriesWithFeatureFiles:
+    def test_load_and_train_exactly_like_memory(self, dataset, tmp_path):
+        """Datasets persist graphs only; the feature files earlier versions
+        wrote beside the shards do not change a load or a trained model."""
+        baseline_losses, baseline = _train(dataset, epochs=2)
+        dataset.save(tmp_path / "npz", shard_size=4)
+        _write_feature_files(dataset, tmp_path / "npz", raw=False)
+        dataset.save(tmp_path / "raw", shard_size=4, shard_format="raw")
+        _write_feature_files(dataset, tmp_path / "raw", raw=True)
+        for path, mmap in ((tmp_path / "npz", False), (tmp_path / "raw", False), (tmp_path / "raw", True)):
+            loaded = TypeAnnotationDataset.load(path, mmap=mmap)
+            assert loaded.summary() == dataset.summary()
+            losses, trainer = _train(loaded, epochs=2)
+            assert losses == baseline_losses, f"{path.name} (mmap={mmap}) diverged"
+            for trained, expected in zip(_parameters(trainer), _parameters(baseline)):
+                assert np.array_equal(trained, expected)
 
 
 class TestPeakRss:

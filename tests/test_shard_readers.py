@@ -1,9 +1,8 @@
-"""Every persisted graph and feature goes through one decoder per kind.
+"""Every persisted graph goes through one decoder.
 
 Graph shards (``.npz`` archive or raw ``.npy`` directory, read eagerly, from
 the graph cache or memory-mapped) decode through ``GraphShard``, which runs
-``FlatGraph.validate()`` on each graph; persisted features (``features.npz``
-or ``features.raw``) decode through ``FeatureView``.
+``FlatGraph.validate()`` on each graph.
 """
 
 import dataclasses
@@ -29,11 +28,9 @@ SOURCE = "def scale(amount: int, factor: int) -> int:\n    total = amount * fact
 
 @pytest.fixture(scope="module")
 def dataset() -> TypeAnnotationDataset:
-    dataset = TypeAnnotationDataset.synthetic(
+    return TypeAnnotationDataset.synthetic(
         SynthesisConfig(num_files=10, seed=41), DatasetConfig(rarity_threshold=6, seed=41)
     )
-    dataset.featurize_nodes()
-    return dataset
 
 
 def _crafted_graph():
@@ -76,7 +73,7 @@ class TestCraftedShardRejected:
 
     @pytest.mark.parametrize("shard_format", ["binary", "raw"])
     def test_eager_dataset_load(self, dataset, tmp_path, shard_format):
-        _with_crafted_graph(dataset).save(tmp_path, include_features=False, shard_format=shard_format)
+        _with_crafted_graph(dataset).save(tmp_path, shard_format=shard_format)
         with pytest.raises(PayloadError, match="out of range"):
             TypeAnnotationDataset.load(tmp_path)
 
@@ -97,48 +94,11 @@ class TestContainersAgree:
     def test_npz_and_raw_hold_the_same_columns(self, dataset, tmp_path):
         dataset.save(tmp_path / "npz", shard_size=1000)
         dataset.save(tmp_path / "raw", shard_size=1000, shard_format="raw")
-        for npz_name, raw_name in (("graphs-00000.npz", "graphs-00000.raw"), ("features.npz", "features.raw")):
-            meta = json.loads((tmp_path / "raw" / raw_name / "meta.json").read_text(encoding="utf-8"))
-            with np.load(tmp_path / "npz" / npz_name, allow_pickle=False) as archive:
-                assert set(archive.files) == {"format", "num_graphs", "fingerprint", *meta["arrays"]}
-                assert int(archive["format"][0]) == meta["format"]
-                assert str(archive["fingerprint"][0]) == meta["fingerprint"]
-                for key, name in meta["arrays"].items():
-                    assert np.array_equal(archive[key], np.load(tmp_path / "raw" / raw_name / name))
-
-
-class TestRestoredFeatures:
-    def _assert_features_equal(self, loaded, dataset):
-        for name, split in dataset.splits.items():
-            restored = loaded.splits[name].node_features
-            assert restored is not None and len(restored) == len(split.node_features)
-            for original, feature in zip(split.node_features, restored):
-                assert feature.num_texts == original.num_texts
-                assert np.array_equal(feature.ids, original.ids)
-                assert np.array_equal(feature.row_splits, original.row_splits)
-
-    def test_npz_features(self, dataset, tmp_path):
-        dataset.save(tmp_path, shard_size=4)
-        self._assert_features_equal(TypeAnnotationDataset.load(tmp_path), dataset)
-
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_raw_features(self, dataset, tmp_path, mmap):
-        dataset.save(tmp_path, shard_size=4, shard_format="raw")
-        self._assert_features_equal(TypeAnnotationDataset.load(tmp_path, mmap=mmap), dataset)
-
-    def test_per_graph_npz_layout_is_ignored(self, dataset, tmp_path):
-        """A ``features.npz`` of one ``ids_<i>``/``splits_<i>`` pair per graph
-        (format 1) is recomputed, not read and not an error."""
-        dataset.save(tmp_path, shard_size=4)
-        features = [feature for split in dataset.splits.values() for feature in split.node_features]
-        arrays = {
-            "version": np.asarray([1], dtype=np.int64),
-            "num_graphs": np.asarray([len(features)], dtype=np.int64),
-            "fingerprint": np.asarray([dataset.train.features_fingerprint]),
-        }
-        for index, feature in enumerate(features):
-            arrays[f"ids_{index}"] = feature.ids
-            arrays[f"splits_{index}"] = feature.row_splits
-        np.savez_compressed(tmp_path / "features.npz", **arrays)
-        loaded = TypeAnnotationDataset.load(tmp_path)
-        assert loaded.train.node_features is None
+        shard = tmp_path / "raw" / "graphs-00000.raw"
+        meta = json.loads((shard / "meta.json").read_text(encoding="utf-8"))
+        with np.load(tmp_path / "npz" / "graphs-00000.npz", allow_pickle=False) as archive:
+            assert set(archive.files) == {"format", "num_graphs", "fingerprint", *meta["arrays"]}
+            assert int(archive["format"][0]) == meta["format"]
+            assert str(archive["fingerprint"][0]) == meta["fingerprint"]
+            for key, name in meta["arrays"].items():
+                assert np.array_equal(archive[key], np.load(shard / name))

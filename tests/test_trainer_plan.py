@@ -109,17 +109,6 @@ class TestBatchPlanAssembly:
         assert plan.training_batch(0, chosen, groups) is not plan.training_batch(0, chosen, groups)
         assert not plan._training
 
-    def test_plan_reuses_persisted_features(self, plan_dataset, tmp_path):
-        plan_dataset.save(tmp_path / "ds")
-        reloaded = TypeAnnotationDataset.load(tmp_path / "ds")
-        assert reloaded.train.node_features is not None
-        encoder = build_encoder(reloaded, EncoderConfig(family="graph", hidden_dim=16, gnn_steps=2, seed=9))
-        chosen, groups = _first_groups(reloaded.train, 2)
-        payload = BatchPlan(encoder, reloaded.train).training_batch(0, chosen, groups)
-        # Each single-graph batch holds the restored array objects, not recomputed ones.
-        for _, graph_index, _, batch in payload:
-            assert batch.features is reloaded.train.node_features[graph_index]
-
 
 class TestEpochTiming:
     def test_epoch_seconds_are_per_epoch_not_cumulative(self, plan_dataset):
