@@ -14,7 +14,6 @@ from typing import Callable, Optional
 from repro.checker.env import (
     BUILTIN_METHODS,
     BUILTIN_SIGNATURES,
-    ClassInfo,
     FunctionSignature,
     ModuleContext,
     Scope,

@@ -339,5 +339,3 @@ def suggestion_from_payload(payload: dict) -> SymbolSuggestion:
         ),
         filtered=filtered,
     )
-
-

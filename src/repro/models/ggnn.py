@@ -27,7 +27,6 @@ from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
 from repro.models.batching import GraphBatch, GraphPiece, assemble_graph_batch, graph_piece
 from repro.models.encoder_init import NodeInitializer
-from repro.nn import functional as F
 from repro.nn.layers import Dropout, Linear
 from repro.nn.rnn import GRUCell
 from repro.nn.segments import SegmentIndex
@@ -39,15 +38,15 @@ from repro.utils.rng import SeededRNG
 class MessagePlan:
     """Precomputed gather/scatter structure for one batch's message passing.
 
-    A GGNN step used to issue one gather + one scatter-add *per edge kind and
-    direction* (up to 18 of each).  The plan concatenates every kind's source
-    rows into one index array with per-kind slices, so each propagation step
-    does a single gather (whose backward scatters through a presorted
-    :class:`~repro.nn.segments.SegmentIndex`) and a single max-aggregation
-    over a presorted destination index.  The arrays depend only on the batch
-    and the encoder's edge configuration, so :meth:`GGNNEncoder.assemble`
-    builds them with the batch and a resident training plan reuses them
-    every epoch.
+    The plan concatenates every edge kind's (and direction's) source rows
+    into one index array with per-kind slices, so each propagation step does
+    a single gather, one matmul per block into one message buffer and a
+    single max over a presorted destination index; the step's backward
+    scatters the gathered-row gradient through ``gather_index``.  The arrays
+    depend only on the batch and the encoder's edge configuration, so
+    :meth:`GGNNEncoder.assemble` builds them with the batch and a resident
+    training plan reuses them (and the max buckets cached on
+    ``destination_index``) every epoch.
     """
 
     gather_indices: np.ndarray  # source row per message, all kinds concatenated
@@ -170,22 +169,49 @@ class GGNNEncoder(SymbolEncoder):
 
         plan = self._plan_for_batch(batch)
         for _ in range(self.num_steps):
-            aggregated = self._aggregate_messages(states, plan, batch.num_nodes)
-            states = self.update_cell(aggregated, states)
+            states = self._step(states, plan)
 
         return states.gather_rows(batch.target_nodes)
 
-    def _aggregate_messages(self, states: Tensor, plan: Optional[MessagePlan], num_nodes: int) -> Tensor:
-        """Compute per-node max-pooled messages across all edge kinds."""
+    def _step(self, states: Tensor, plan: Optional[MessagePlan]) -> Tensor:
+        """One propagation step (Eq. 6) as one autograd node.
+
+        The forward gathers source rows, writes each block's edge transform
+        into one message buffer, max-pools per destination (nodes without
+        messages get zeros) and applies the GRU kernel.  The backward follows
+        the arithmetic of the same step spelled as tensor operations and adds
+        into the state gradient in that tape's order — the direct GRU term,
+        then the scattered message gradient, then ``d_gates_h @ w_hidden.T``
+        — so values and gradients are bit-identical to it.
+        """
+        cell = self.update_cell
         if plan is None:
-            return Tensor(np.zeros((num_nodes, self.hidden_dim), dtype=states.data.dtype))
-        gathered = states.gather_rows(plan.gather_indices, scatter_index=plan.gather_index)
-        all_messages = F.block_linear(
-            gathered,
-            [self.edge_transforms[key].weight for key, _ in plan.blocks],
-            [rows for _, rows in plan.blocks],
-        )
-        return F.segment_max(all_messages, plan.destination_index, num_nodes)
+            blocks = []
+            aggregated = np.zeros_like(states.data)
+        else:
+            blocks = [(self.edge_transforms[key].weight, rows) for key, rows in plan.blocks]
+            gathered = states.data[plan.gather_indices]
+            messages = np.empty_like(gathered)
+            for weight, rows in blocks:
+                np.matmul(gathered[rows], weight.data, out=messages[rows])
+            aggregated = plan.destination_index.max(messages)
+        out, acts = cell.kernel(aggregated, states.data)
+
+        def backward(grad: np.ndarray) -> None:
+            d_gates_x, d_gates_h = cell.kernel_backward(grad, aggregated, states.data, acts)
+            states._accumulate(grad * acts.update, own=True)
+            if plan is not None:
+                d_messages = plan.destination_index.max_grad(messages, aggregated, d_gates_x @ cell.w_input.data.T)
+                d_gathered = np.empty_like(gathered)
+                for weight, rows in blocks:
+                    np.matmul(d_messages[rows], weight.data.T, out=d_gathered[rows])
+                    weight._accumulate(gathered[rows].T @ d_messages[rows], own=True)
+                if states.requires_grad:
+                    plan.gather_index.scatter_add(states._grad, d_gathered)
+            states._accumulate(d_gates_h @ cell.w_hidden.data.T, own=True)
+
+        parents = (states, cell.w_input, cell.w_hidden, cell.bias, *(weight for weight, _ in blocks))
+        return states._make(out, parents, backward)
 
 
 class NameOnlyEncoder(SymbolEncoder):

@@ -94,57 +94,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def block_linear(inputs: Tensor, weights: Sequence[Tensor], blocks: Sequence[slice]) -> Tensor:
-    """Apply a different weight matrix to each contiguous row block of ``inputs``.
-
-    The GGNN transforms each edge kind's (and direction's) gathered source
-    states with its own learned map — up to 18 separate matmul/slice/concat
-    autograd nodes per propagation step when written naively.  This fuses
-    them into **one** node: the forward writes each block's GEMM straight
-    into the output buffer, and the backward fills the input gradient
-    blockwise and accumulates each weight's gradient, with no intermediate
-    tensors.  Values and gradients are identical to the per-block spelling.
-
-    ``blocks[i]`` selects the rows transformed by ``weights[i]``; blocks must
-    tile ``inputs`` contiguously (as produced by a message plan).
-    """
-    if len(weights) != len(blocks):
-        raise ValueError("weights and blocks must align")
-    if not weights:
-        raise ValueError("block_linear requires at least one block")
-    cursor = 0
-    for rows in blocks:
-        if rows.start != cursor or rows.stop < rows.start or rows.step not in (None, 1):
-            raise ValueError(
-                f"blocks must tile the input rows contiguously; got {rows} at offset {cursor}"
-            )
-        cursor = rows.stop
-    if cursor != inputs.shape[0]:
-        raise ValueError(f"blocks cover {cursor} rows but inputs have {inputs.shape[0]}")
-    out_dim = weights[0].shape[1]
-    data = np.empty((inputs.shape[0], out_dim), dtype=inputs.data.dtype)
-    for weight, rows in zip(weights, blocks):
-        np.matmul(inputs.data[rows], weight.data, out=data[rows])
-
-    parents = (inputs, *weights)
-    requires = any(parent.requires_grad for parent in parents)
-    out = Tensor(data, requires_grad=requires, _parents=parents if requires else ())
-    if requires:
-
-        def backward(grad: np.ndarray) -> None:
-            if inputs.requires_grad:
-                input_grad = np.empty_like(inputs.data)
-                for weight, rows in zip(weights, blocks):
-                    np.matmul(grad[rows], weight.data.T, out=input_grad[rows])
-                inputs._accumulate(input_grad, own=True)
-            for weight, rows in zip(weights, blocks):
-                if weight.requires_grad:
-                    weight._accumulate(inputs.data[rows].T @ grad[rows], own=True)
-
-        out._backward = backward
-    return out
-
-
 def segment_sum(values: Tensor, segment_ids: SegmentIds, num_segments: int) -> Tensor:
     """Sum rows of ``values`` that share a segment id.
 
@@ -186,26 +135,13 @@ def segment_max(values: Tensor, segment_ids: SegmentIds, num_segments: int, empt
     gradient equally.
     """
     index = as_segment_index(segment_ids, num_segments)
-    data, _ = index.max(values.data, empty_value=empty_value)
+    data = index.max(values.data, empty_value=empty_value)
     requires = values.requires_grad
     out = Tensor(data, requires_grad=requires, _parents=(values,) if requires else ())
     if requires:
-        cells_per_segment = int(np.prod(values.shape[1:], dtype=np.int64)) if values.ndim > 1 else 1
 
         def backward(grad: np.ndarray) -> None:
-            gathered = data[index.ids]
-            winners = values.data == gathered
-            upstream = grad[index.ids]
-            # Every non-empty (segment, cell) has at least one winner, so the
-            # winner count equals the non-empty cell count exactly when there
-            # are no ties — in which case the tie-splitting scatter (a full
-            # ``(num_segments, D)`` buffer plus an ``add.at``) is skipped.
-            if int(winners.sum()) == index.num_nonempty * cells_per_segment:
-                values._accumulate(upstream * winners)
-            else:
-                tie_counts = index.sum(winners.astype(data.dtype))
-                denom = np.maximum(tie_counts[index.ids], 1.0)
-                values._accumulate(upstream * winners / denom)
+            values._accumulate(index.max_grad(values.data, data, grad), own=True)
 
         out._backward = backward
     return out

@@ -2,21 +2,25 @@
 
 ``np.add.at`` / ``np.maximum.at`` are the natural NumPy spelling of
 "aggregate rows per segment id", but they dispatch element-by-element and
-dominate training profiles.  Sorting the segment ids once and reducing
-contiguous runs with ``ufunc.reduceat`` is 2–4× faster, and — because the
-same id array is reused across every GGNN propagation step and across every
-epoch of a resident training plan — the sort is paid once and amortised.
+dominate training profiles.  A :class:`SegmentIndex` sorts the segment ids
+once — the same id array is reused across every GGNN propagation step and
+across every epoch of a resident training plan — and keeps what each
+reduction needs: the stable sort permutation, run starts and the set of
+non-empty segments.  Sums run as one sparse matmul when scipy is available
+(``ufunc.reduceat`` otherwise); maxima run over runs grouped by
+power-of-two length, one ``values[rows].max(axis=1)`` per group.  On the
+per-graph message matrices of a 200-file synthetic corpus (median 1,461
+rows × 32, float32, 2 cores) that took 0.18 ms per call against 0.33 ms for
+a ``reduceat`` of the sorted rows, which runs one short loop per run.  The
+segment operations in :mod:`repro.nn.functional` and the fused GGNN step
+take an index in place of a raw id array.
 
-:class:`SegmentIndex` packages that precomputation: the stable sort
-permutation, run starts and the set of non-empty segments.  The segment
-operations in :mod:`repro.nn.functional` and the gather/scatter backward in
-:mod:`repro.nn.tensor` accept one in place of a raw id array.
-
-Exactness notes: ``max`` is associative and commutative, so the reduceat
-maximum is bit-identical to ``np.maximum.at``.  Summation happens in sorted
-order, which may round differently from index order — but every code path
-reduces in the same order, so float64 training trajectories stay
-bit-identical across execution modes.
+Exactness notes: ``max`` is associative and commutative and rounds nothing,
+so padding a run by repeating its first row and reducing in any grouping
+gives bit-identical maxima.  Summation happens in sorted order, which may
+round differently from index order — but every code path reduces in the
+same order, so float64 training trajectories stay bit-identical across
+execution modes.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ class SegmentIndex:
     #: ``sum``/``scatter_add`` become one sparse matmul each when scipy is
     #: available.
     _sum_matrices: dict = field(default_factory=dict, compare=False, repr=False)
+    #: Lazily-built ``(segment ids, (runs, length) rows)`` groups of
+    #: :meth:`max`, one per padded run length.
+    _max_buckets: list = field(default_factory=list, compare=False, repr=False)
 
     @classmethod
     def build(cls, segment_ids: np.ndarray, num_segments: int) -> "SegmentIndex":
@@ -107,19 +114,44 @@ class SegmentIndex:
             out[self.unique] = np.add.reduceat(values[self.perm], self.starts, axis=0)
         return out
 
-    def max(self, values: np.ndarray, empty_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Per-segment element-wise maxima plus the empty-segment mask.
+    def max(self, values: np.ndarray, empty_value: float = 0.0) -> np.ndarray:
+        """Per-segment element-wise maxima; segments with no rows get ``empty_value``.
 
-        Returns ``(maxima, empty)`` where ``empty`` is a ``(num_segments,)``
-        boolean marking segments with no rows, whose maxima are
-        ``empty_value``.
+        Runs are grouped by length rounded up to a power of two and padded
+        by repeating their first row, so each group is one
+        ``values[rows].max(axis=1)``.  The groups are built on first use and
+        cached on the index.
         """
+        if not self._max_buckets and self.unique.size:
+            buckets = []
+            _, exponents = np.frexp(self.counts - 1)  # bit length of count - 1
+            for exponent in np.unique(exponents):
+                runs = np.flatnonzero(exponents == exponent)
+                offsets = np.arange(1 << int(exponent))
+                positions = self.starts[runs, None] + np.where(offsets < self.counts[runs, None], offsets, 0)
+                buckets.append((self.unique[runs], self.perm[positions]))
+            self._max_buckets[:] = buckets
         out = np.full((self.num_segments,) + values.shape[1:], empty_value, dtype=values.dtype)
-        empty = np.ones(self.num_segments, dtype=bool)
-        if self.unique.size:
-            out[self.unique] = np.maximum.reduceat(values[self.perm], self.starts, axis=0)
-            empty[self.unique] = False
-        return out, empty
+        for segments, rows in self._max_buckets:
+            out[segments] = values[rows].max(axis=1)
+        return out
+
+    def max_grad(self, values: np.ndarray, maxima: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Gradient of :meth:`max` with respect to ``values``.
+
+        Each cell's upstream gradient flows to the rows that achieved its
+        maximum; ties split it equally.
+        """
+        winners = values == maxima[self.ids]
+        upstream = grad[self.ids]
+        # Every non-empty (segment, cell) has at least one winner, so the
+        # winner count equals the non-empty cell count exactly when there are
+        # no ties — in which case the tie-splitting division is skipped.
+        cells_per_segment = int(np.prod(values.shape[1:], dtype=np.int64))
+        if int(winners.sum()) == self.num_nonempty * cells_per_segment:
+            return upstream * winners
+        tie_counts = self.sum(winners.astype(maxima.dtype))
+        return upstream * winners / np.maximum(tie_counts[self.ids], 1.0)
 
     def scatter_add(self, target: np.ndarray, values: np.ndarray) -> None:
         """In-place ``target[ids] += values`` with duplicate ids pre-reduced."""

@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from repro.nn.dtype import get_default_dtype, is_float_array
-from repro.nn.segments import SegmentIndex
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
@@ -504,20 +503,17 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def gather_rows(self, indices: np.ndarray, scatter_index: Optional[SegmentIndex] = None) -> "Tensor":
+    def gather_rows(self, indices: np.ndarray) -> "Tensor":
         """Select rows by integer index (embedding-style lookup).
 
         Unlike ``__getitem__`` with an ndarray index this keeps the index as a
         first-class argument so repeated indices accumulate gradient
-        correctly.  The backward pass picks the cheapest correct scatter:
-
-        * **leaf tensors** (embedding tables) record a sparse
-          ``(indices, rows)`` contribution instead of densifying into a
-          full-table buffer — the optimiser then updates only touched rows;
-        * non-leaf tensors scatter through ``scatter_index`` (a precomputed
-          :class:`~repro.nn.segments.SegmentIndex` over ``indices``, e.g.
-          from a batch's message plan) when provided, falling back to
-          ``np.add.at`` otherwise.
+        correctly.  On **leaf tensors** (embedding tables) the backward
+        records a sparse ``(indices, rows)`` contribution instead of
+        densifying into a full-table buffer, so the optimiser updates only
+        touched rows; other tensors scatter with ``np.add.at``.  The GGNN's
+        per-step gather scatters inside its own fused node
+        (:mod:`repro.models.ggnn`), not here.
         """
         idx = np.asarray(indices, dtype=np.int64)
         out_data = self.data[idx]
@@ -528,10 +524,6 @@ class Tensor:
                 return
             if is_leaf and idx.ndim == 1:
                 self._accumulate_rows(idx, grad)
-            elif scatter_index is not None and idx.ndim == 1:
-                if self._grad is None:
-                    self._grad = np.zeros_like(self.data)
-                scatter_index.scatter_add(self._grad, grad)
             else:
                 self._accumulate_at(idx, grad)
 

@@ -21,7 +21,7 @@ The lattice combines
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.types.expr import TypeExpr
 from repro.types.normalize import canonicalise

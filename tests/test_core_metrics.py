@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    EvaluatedPrediction,
     bucketed_by_frequency,
     evaluate_prediction,
     precision_at_recall,

@@ -10,7 +10,6 @@ from repro.core import (
     TrainingConfig,
     TypeCheckedFilter,
     TypePrediction,
-    TypilusPipeline,
     build_encoder,
     summarise_by_rarity,
 )

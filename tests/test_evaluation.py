@@ -18,7 +18,6 @@ from repro.evaluation import (
     format_figure6,
     format_figure7,
     format_speed_comparison,
-    format_table2,
     format_table3,
     format_table4,
     format_table5,

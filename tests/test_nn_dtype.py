@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.dtype import default_dtype, get_default_dtype, resolve_dtype, set_default_dtype
-from repro.nn.layers import Embedding, Linear, Module
+from repro.nn.layers import Embedding, Linear
 from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor
 from repro.utils.rng import SeededRNG
