@@ -134,11 +134,8 @@ def test_flatgraph_reload_preserves_features_and_fingerprint(dataset, tmp_path, 
     def train_pieces(candidate: TypeAnnotationDataset) -> dict:
         """Every training graph's single-graph batch, keyed by graph index."""
         split = candidate.train
-        samples_by_graph = split.samples_by_graph()
-        graph_indices = sorted(samples_by_graph)
         plan = BatchPlan(build_encoder(candidate, ENCODER), split)
-        pieces = plan.training_batch(0, graph_indices, [samples_by_graph[index] for index in graph_indices])
-        return {graph_index: batch for _, graph_index, _, batch in pieces}
+        return {index: plan.graph_batch(index, group) for index, group in split.samples_by_graph().items()}
 
     reference = train_pieces(dataset)
     features_identical = True

@@ -65,10 +65,6 @@ class OptionalTypeChecker:
                   for error in self.check_unit(node, context, class_name)]
         return CheckResult(errors=errors)
 
-    def check_file(self, path: str) -> CheckResult:
-        with open(path, "r", encoding="utf-8") as handle:
-            return self.check_source(handle.read(), filename=path)
-
     def infer_annotations(self, source: str) -> dict[tuple[str, str, str], str]:
         """Best-effort inference of missing annotations (the pytype role).
 

@@ -26,11 +26,6 @@ class ErrorCode(str, Enum):
     ANNOTATION_UNPARSABLE = "valid-type"
     CONDITION = "condition"
 
-    @property
-    def is_type_related(self) -> bool:
-        """All of our codes concern types; kept for interface parity."""
-        return True
-
 
 @dataclass(frozen=True)
 class TypeCheckError:
@@ -54,9 +49,6 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    def errors_of(self, code: ErrorCode) -> list[TypeCheckError]:
-        return [error for error in self.errors if error.code == code]
 
     def summary(self) -> dict[str, int]:
         counts: dict[str, int] = {}

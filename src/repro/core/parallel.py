@@ -1,13 +1,18 @@
 """Data-parallel epoch execution over forked worker processes.
 
-``TrainingConfig.workers`` splits every batch's graph groups across N forked
-workers.  Each worker assembles and forward-encodes a disjoint slice of the
-batch and, after the parent has run the loss, backpropagates its graphs in
-isolation — exactly the per-graph gradient decomposition the serial trainer
-uses (see :func:`repro.nn.optim.capture_gradients`).  The parent then sums
-the per-graph contributions *in graph order*, which is the same association
-the serial path applies, so ``workers=N`` replays ``workers=1`` bit-for-bit
-in any dtype.
+``TrainingConfig.workers`` splits every batch's graphs across N forked
+workers.  The team is only transport.  Each worker encodes its share of the
+batch through the :class:`~repro.core.trainer.BatchPlan` it inherited by
+fork and, after the parent has run the loss, backpropagates those graphs
+through :meth:`~repro.core.trainer.Trainer.graph_contributions`, the
+isolated per-graph backward the serial trainer runs in-process.  The parent
+hands the contributions to :meth:`~repro.core.trainer.Trainer._step` in
+graph order, so ``workers=N`` runs the serial step's arithmetic in the
+serial order and replays ``workers=1`` bit-for-bit in any dtype.
+
+A graph goes to the same worker in every epoch, so with a resident plan each
+worker keeps the batches of its own graphs in its forked copy of the plan and
+the parent's copy stays empty; a streaming (lazy) plan keeps nothing.
 
 Data flows through shared memory wherever it is dense:
 
@@ -32,13 +37,11 @@ from __future__ import annotations
 
 import multiprocessing
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.nn.optim import accumulate_gradients, capture_gradients, restore_gradients
 from repro.nn.tensor import Tensor
 
 
@@ -64,45 +67,13 @@ def _rehome_parameters(context, parameters: Sequence[Tensor]) -> None:
         parameter.data = view
 
 
-class _PieceCache:
-    """Per-worker cache of assembled single-graph batches.
-
-    Batch memberships are fixed for the run and each graph belongs to exactly
-    one batch, so the key ``(graph_index, count)`` is hit once per epoch.
-    Unbounded (resident) by default; when the trainer streams with a bounded
-    prefetch window the cache becomes an LRU so worker RSS stays O(window)
-    instead of O(corpus / workers).
-    """
-
-    def __init__(self, plan, samples_by_graph, capacity: Optional[int]) -> None:
-        self.plan = plan
-        self.samples_by_graph = samples_by_graph
-        self.capacity = capacity
-        self._pieces: OrderedDict = OrderedDict()
-
-    def piece(self, graph_index: int, count: int):
-        key = (graph_index, count)
-        cached = self._pieces.get(key)
-        if cached is not None:
-            self._pieces.move_to_end(key)
-            return cached
-        group = self.samples_by_graph[graph_index][:count]
-        piece = self.plan.graph_pieces([graph_index], [group])[0][3]
-        self._pieces[key] = piece
-        if self.capacity is not None:
-            while len(self._pieces) > self.capacity:
-                self._pieces.popitem(last=False)
-        return piece
-
-
 @dataclass
 class _WorkerState:
     """Everything a forked worker needs; inherited by fork, never pickled."""
 
     connection: object
-    encoder: object
-    parameters: list
-    cache: _PieceCache
+    trainer: object
+    plan: object
     embeddings: np.ndarray  # (max_symbols_per_batch, dim) shared, worker-written
     gradients: np.ndarray  # (max_symbols_per_batch, dim) shared, parent-written
     slots: np.ndarray  # (graphs_per_batch, total_dense) shared, worker-written
@@ -111,29 +82,26 @@ class _WorkerState:
 
 def _worker_main(state: _WorkerState) -> None:
     connection = state.connection
-    tapes: list = []
+    trainer, plan = state.trainer, state.plan
+    samples_by_graph = plan.split.samples_by_graph()
+    assigned: list = []
+    outputs: list = []
     try:
         while True:
-            message = connection.recv()
-            kind = message[0]
+            kind, body = connection.recv()
             if kind == "stop":
                 return
             if kind == "encode":
-                tapes = []
-                for position, graph_index, count, row in message[1]:
-                    batch = state.cache.piece(graph_index, count)
-                    output = state.encoder(batch)
-                    rows = output.data.shape[0]
-                    state.embeddings[row : row + rows] = output.data
-                    tapes.append((position, output, row, rows))
+                assigned, outputs = body, []
+                for _, graph_index, count, row in assigned:
+                    output = trainer.encoder(plan.graph_batch(graph_index, samples_by_graph[graph_index][:count]))
+                    state.embeddings[row : row + count] = output.data
+                    outputs.append(output)
                 connection.send(("encoded", None))
             elif kind == "backward":
+                seeds = [state.gradients[row : row + count] for _, _, count, row in assigned]
                 payload = []
-                for position, output, row, rows in tapes:
-                    stash = capture_gradients(state.parameters)
-                    output.backward(state.gradients[row : row + rows])
-                    contribution = capture_gradients(state.parameters)
-                    restore_gradients(state.parameters, stash)
+                for (position, _, _, _), contribution in zip(assigned, trainer.graph_contributions(outputs, seeds)):
                     dense_slots: list[int] = []
                     sparse: list[tuple] = []
                     for slot, (grad, grad_rows) in enumerate(contribution):
@@ -144,7 +112,7 @@ def _worker_main(state: _WorkerState) -> None:
                         if grad_rows:
                             sparse.append((slot, grad_rows))
                     payload.append((position, dense_slots, sparse))
-                tapes = []
+                outputs = []
                 connection.send(("grads", payload))
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown worker message {kind!r}")
@@ -169,12 +137,8 @@ class WorkerTeam:
         self.offsets = offsets
         self.sizes = sizes
 
-    @property
-    def num_workers(self) -> int:
-        return len(self._processes)
-
     @classmethod
-    def start(cls, trainer, plan, split) -> Optional["WorkerTeam"]:
+    def start(cls, trainer, plan) -> Optional["WorkerTeam"]:
         """Fork the team, or return ``None`` where that is impossible.
 
         Mirrors the ingest pool's graceful degradation: sandboxes that deny
@@ -199,10 +163,6 @@ class WorkerTeam:
             slots = _shared_view(context, (config.graphs_per_batch, int(offsets[-1])), dtype)
         except (OSError, PermissionError):
             return None
-        samples_by_graph = split.samples_by_graph()
-        capacity = None
-        if config.prefetch_batches is not None:
-            capacity = max(1, config.prefetch_batches * config.graphs_per_batch)
         processes = []
         connections = []
         try:
@@ -210,9 +170,8 @@ class WorkerTeam:
                 parent_end, child_end = context.Pipe()
                 state = _WorkerState(
                     connection=child_end,
-                    encoder=trainer.encoder,
-                    parameters=parameters,
-                    cache=_PieceCache(plan, samples_by_graph, capacity),
+                    trainer=trainer,
+                    plan=plan,
                     embeddings=embeddings,
                     gradients=gradients,
                     slots=slots,
@@ -244,61 +203,46 @@ class WorkerTeam:
         return message[1]
 
     def run_batch(self, trainer, graph_indices, samples_per_graph) -> float:
-        """One training step with forward/backward fanned out over the team.
-
-        The parent still owns the loss, gradient clipping and the Adam step,
-        so the optimiser trajectory is byte-for-byte the serial one — the
-        workers only supply the per-graph forward activations and isolated
-        gradient contributions, reduced here in graph order.
-        """
-        nonempty = [
-            (position, graph_indices[position], group)
-            for position, group in enumerate(samples_per_graph)
-            if group
-        ]
+        """One :meth:`~repro.core.trainer.Trainer._step` with each graph's
+        forward and backward run by the worker it is assigned to."""
+        nonempty = [(index, len(group)) for index, group in zip(graph_indices, samples_per_graph) if group]
         assignments: list[list] = [[] for _ in self._connections]
-        order: list[tuple[int, int, int]] = []  # (position, row, count) in graph order
         row = 0
-        for index, (position, graph_index, group) in enumerate(nonempty):
-            count = len(group)
-            assignments[index % len(assignments)].append((position, graph_index, count, row))
-            order.append((position, row, count))
+        for position, (graph_index, count) in enumerate(nonempty):
+            assignments[position % len(assignments)].append((position, graph_index, count, row))
             row += count
-        total = row
         active = [worker for worker, assigned in enumerate(assignments) if assigned]
         for worker in active:
             self._connections[worker].send(("encode", assignments[worker]))
         for worker in active:
             self._expect(worker, "encoded")
+        embeddings = Tensor(np.array(self.embeddings[:row]), requires_grad=True)
+        contributions = self._contributions(trainer.optimizer.parameters, embeddings, active, len(nonempty))
+        return trainer._step(embeddings, samples_per_graph, contributions)
 
-        embeddings = Tensor(np.array(self.embeddings[:total]), requires_grad=True)
-        loss = trainer._loss_for_batch(embeddings, trainer._ordered_types(samples_per_graph))
-        trainer.optimizer.zero_grad()
-        loss.backward()
+    def _contributions(self, parameters, embeddings: Tensor, active: list[int], count: int):
+        """Seed the workers' backwards and yield their contributions in graph order.
 
-        if embeddings._grad is not None and total:
-            self.gradients[:total] = embeddings._grad
-            for worker in active:
-                self._connections[worker].send(("backward", None))
-            contributions: dict[int, tuple] = {}
-            for worker in active:
-                for position, dense_slots, sparse in self._expect(worker, "grads"):
-                    contributions[position] = (dense_slots, sparse)
-            parameters = trainer.optimizer.parameters
-            for position, _, _ in order:
-                dense_slots, sparse = contributions[position]
-                merged: list[list] = [[None, None] for _ in parameters]
-                for slot in dense_slots:
-                    start = int(self.offsets[slot])
-                    size = int(self.sizes[slot])
-                    flat = np.array(self.slots[position, start : start + size])
-                    merged[slot][0] = flat.reshape(parameters[slot].data.shape)
-                for slot, grad_rows in sparse:
-                    merged[slot][1] = grad_rows
-                accumulate_gradients(parameters, [tuple(entry) for entry in merged])
-        trainer.optimizer.clip_gradients(trainer.config.gradient_clip)
-        trainer.optimizer.step()
-        return float(loss.data)
+        A generator: its body runs once ``Trainer._step`` reads it, after the
+        loss backward has left the seed gradient on ``embeddings``.
+        """
+        self.gradients[: embeddings.data.shape[0]] = embeddings._grad
+        for worker in active:
+            self._connections[worker].send(("backward", None))
+        received: dict[int, tuple] = {}
+        for worker in active:
+            for position, dense_slots, sparse in self._expect(worker, "grads"):
+                received[position] = (dense_slots, sparse)
+        for position in range(count):
+            dense_slots, sparse = received[position]
+            contribution: list[list] = [[None, None] for _ in parameters]
+            for slot in dense_slots:
+                start = int(self.offsets[slot])
+                flat = np.array(self.slots[position, start : start + int(self.sizes[slot])])
+                contribution[slot][0] = flat.reshape(parameters[slot].data.shape)
+            for slot, grad_rows in sparse:
+                contribution[slot][1] = grad_rows
+            yield [tuple(entry) for entry in contribution]
 
     # -- lifecycle ---------------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.models.base import SymbolEncoder
 from repro.models.batching import GraphBatch
 from repro.core.parallel import WorkerTeam
 from repro.nn.dtype import resolve_dtype
-from repro.nn.optim import Adam, accumulate_gradients, capture_gradients, restore_gradients
+from repro.nn.optim import Adam, GradientState, accumulate_gradients, capture_gradients, restore_gradients
 from repro.nn.tensor import Tensor
 from repro.utils.memory import peak_rss_bytes
 from repro.utils.rng import SeededRNG
@@ -126,13 +126,15 @@ class BatchPlan:
     fixed for the whole run (the trainer only re-shuffles batch order per
     epoch), so a resident plan assembles each batch once — features, arrays,
     segment indexes and message plans — and reuses it verbatim every later
-    epoch.
+    epoch.  Graph-family batches are kept per graph (:meth:`graph_batch`),
+    the unit the training step backpropagates in isolation; forked training
+    workers inherit the plan and keep the graphs they encode in their own
+    copies.
 
     ``lazy=True`` is the out-of-core mode: nothing is retained, and every
-    batch is assembled (and featurized) on demand and owned by the caller
-    (the streaming prefetcher or a worker-side LRU), so plan memory no
-    longer scales with the corpus.  Assembly is pure, so lazy and resident
-    plans produce identical arrays.
+    batch is assembled (and featurized) on demand and owned by the caller,
+    so plan memory no longer scales with the corpus.  Assembly is pure, so
+    lazy and resident plans produce identical arrays.
 
     The path family resamples syntax paths every batch, so its batches are
     never kept: each is a fresh ``prepare_batch``, and the plan turns on the
@@ -143,32 +145,33 @@ class BatchPlan:
         self.encoder = encoder
         self.split = split
         self.lazy = lazy
+        #: Kept batches: union batches by batch id, graph-family batches by graph index.
         self._training: dict[int, object] = {}
         if encoder.family == "path":
             encoder.initializer.extractor.enable_memo()
 
-    def _piece(self, graph_index: int, group: Sequence[AnnotatedSymbol]):
-        return self.encoder.piece(self.split.graphs[graph_index], [sample.node_index for sample in group])
+    def _assembled(self, key: int, groups) -> object:
+        batch = self._training.get(key)
+        if batch is None:
+            batch = self.encoder.assemble(
+                [
+                    self.encoder.piece(self.split.graphs[index], [sample.node_index for sample in group])
+                    for index, group in groups
+                ]
+            )
+            if not self.lazy:
+                self._training[key] = batch
+        return batch
 
-    def graph_pieces(
-        self,
-        graph_indices: Sequence[int],
-        samples_per_graph: Sequence[Sequence[AnnotatedSymbol]],
-    ) -> list[tuple[int, int, int, GraphBatch]]:
-        """One single-graph batch per non-empty group, in graph order.
+    def graph_batch(self, graph_index: int, group: Sequence[AnnotatedSymbol]) -> GraphBatch:
+        """One graph's single-graph batch (graph family), kept when resident.
 
-        Returns ``(position, graph_index, sample_count, batch)`` tuples —
-        the unit the decomposed training step forwards and backpropagates in
-        isolation, and the unit the streaming window and the worker caches
-        evict.  A single-graph batch is the ordinary union assembly with one
-        member, so each is element-for-element what the group contributes
-        to the full union batch.
+        A single-graph batch is the ordinary union assembly with one member,
+        so it is element-for-element what the group contributes to the union
+        batch.  Each graph belongs to exactly one fixed batch, so its index is
+        the key.
         """
-        return [
-            (position, graph_index, len(group), self.encoder.assemble([self._piece(graph_index, group)]))
-            for position, (graph_index, group) in enumerate(zip(graph_indices, samples_per_graph))
-            if group
-        ]
+        return self._assembled(graph_index, [(graph_index, group)])
 
     def training_batch(
         self,
@@ -178,26 +181,19 @@ class BatchPlan:
     ):
         """What the trainer consumes for one batch, kept when resident.
 
-        Graph family: the list of single-graph batches (see
-        :meth:`graph_pieces`).  Sequence family: the padded union batch
-        (padding couples the graphs, so it cannot decompose per graph).
-        Path family: a freshly sampled batch, never kept.
+        Graph family (the GGNN and the names-only baseline): one
+        :meth:`graph_batch` per non-empty group, in graph order.  Sequence
+        family: the padded union batch (padding couples the graphs, so it
+        cannot decompose per graph).  Path family: a freshly sampled batch,
+        never kept.
         """
         if self.encoder.family == "path":
             graphs = [self.split.graphs[index] for index in graph_indices]
             targets = [[sample.node_index for sample in group] for group in samples_per_graph]
             return self.encoder.prepare_batch(graphs, targets)
-        cached = self._training.get(batch_id)
-        if cached is None:
-            if self.encoder.family == "graph":
-                cached = self.graph_pieces(graph_indices, samples_per_graph)
-            else:
-                cached = self.encoder.assemble(
-                    [self._piece(index, group) for index, group in zip(graph_indices, samples_per_graph)]
-                )
-            if not self.lazy:
-                self._training[batch_id] = cached
-        return cached
+        if self.encoder.family == "graph":
+            return [self.graph_batch(index, group) for index, group in zip(graph_indices, samples_per_graph) if group]
+        return self._assembled(batch_id, zip(graph_indices, samples_per_graph))
 
 
 class Trainer:
@@ -305,14 +301,12 @@ class Trainer:
     def _training_plan(self, split: DatasetSplit) -> BatchPlan:
         """The plan for the training split (built once, before epoch 0).
 
-        Streaming and data-parallel runs get a *lazy* plan: batches are
-        assembled on demand (by the prefetch thread or inside the workers)
-        instead of being retained, so nothing corpus-sized accumulates in
-        the parent.
+        Streaming runs get a *lazy* plan: batches are assembled on demand by
+        the prefetch thread instead of being retained, so nothing
+        corpus-sized accumulates.
         """
-        lazy = self.config.prefetch_batches is not None or self.config.workers > 1
-        if self._plan is None or self._plan.split is not split or self._plan.lazy != lazy:
-            self._plan = BatchPlan(self.encoder, split, lazy=lazy)
+        if self._plan is None or self._plan.split is not split:
+            self._plan = BatchPlan(self.encoder, split, lazy=self.config.prefetch_batches is not None)
         return self._plan
 
     @staticmethod
@@ -330,54 +324,66 @@ class Trainer:
         assert self.typilus_loss is not None
         return self.typilus_loss(embeddings, type_names)
 
-    def _union_step(self, embeddings: Tensor, samples_per_graph: list[list[AnnotatedSymbol]]) -> float:
-        """One optimiser step on a jointly-encoded batch (non-graph families)."""
+    def _step(
+        self,
+        embeddings: Tensor,
+        samples_per_graph: list[list[AnnotatedSymbol]],
+        contributions: Optional[Iterable[list[GradientState]]] = None,
+    ) -> float:
+        """The optimiser step of every family and every execution mode.
+
+        The sequence and path families pass the encoder's output, so the
+        loss backward reaches the parameters directly.  The graph family
+        passes a detached leaf holding every graph's embeddings, plus
+        ``contributions``: each graph's isolated parameter gradients in graph
+        order, from :meth:`graph_contributions` in-process or from the worker
+        team.  They are read only after the loss backward, so a generator may
+        take its seeds from the leaf's gradient.  Summing them in graph order
+        is the trainer's *definition* of a graph-family step, not an
+        approximation of the union backward, and it is what makes every
+        execution mode give the same bits.
+        """
         loss = self._loss_for_batch(embeddings, self._ordered_types(samples_per_graph))
         self.optimizer.zero_grad()
         loss.backward()
+        if contributions is not None and embeddings._grad is not None:
+            for contribution in contributions:
+                accumulate_gradients(self.optimizer.parameters, contribution)
         self.optimizer.clip_gradients(self.config.gradient_clip)
         self.optimizer.step()
         return float(loss.data)
 
-    def _graph_step(self, outputs: list[Tensor], samples_per_graph: list[list[AnnotatedSymbol]]) -> float:
-        """One optimiser step with per-graph gradient decomposition.
+    def graph_contributions(
+        self, outputs: Sequence[Tensor], seeds: Iterable[np.ndarray]
+    ) -> Iterator[list[GradientState]]:
+        """Backpropagate each graph's output in isolation; yield its gradients.
 
-        ``outputs`` holds each non-empty group's embeddings, encoded one
-        graph at a time (graph forwards are independent, so the concatenated
-        activations match a union encode bit-for-bit).  The loss sees the
-        whole batch at once through a detached leaf; its gradient is then
-        sliced back to the graphs, each graph backpropagates in isolation,
-        and the parameter contributions are summed in graph order.  That
-        fixed association is what data-parallel workers reproduce exactly —
-        the decomposition is the trainer's *definition* of a gradient step,
-        not an approximation of the union backward.
+        ``seeds`` holds the loss gradient of each output's rows, in the order
+        of ``outputs``, and is read one entry per graph.  Each backward runs
+        between two captures of the parameters' gradient state, which is
+        restored before the contribution is yielded, so a contribution is
+        exactly one graph's, whatever the caller has accumulated so far.
         """
-        emb = Tensor(np.concatenate([output.data for output in outputs], axis=0), requires_grad=True)
-        loss = self._loss_for_batch(emb, self._ordered_types(samples_per_graph))
-        self.optimizer.zero_grad()
-        loss.backward()
         parameters = self.optimizer.parameters
-        seed = emb._grad
-        if seed is not None:
-            offset = 0
-            for output in outputs:
-                rows = output.data.shape[0]
-                stash = capture_gradients(parameters)
-                output.backward(seed[offset : offset + rows])
-                contribution = capture_gradients(parameters)
-                restore_gradients(parameters, stash)
-                accumulate_gradients(parameters, contribution)
-                offset += rows
-        self.optimizer.clip_gradients(self.config.gradient_clip)
-        self.optimizer.step()
-        return float(loss.data)
+        for output, seed in zip(outputs, seeds):
+            stash = capture_gradients(parameters)
+            output.backward(seed)
+            contribution = capture_gradients(parameters)
+            restore_gradients(parameters, stash)
+            yield contribution
 
     def _step_with_payload(self, payload, samples_per_graph: list[list[AnnotatedSymbol]]) -> float:
         """Step on an assembled payload from :meth:`BatchPlan.training_batch`."""
-        if self.encoder.family == "graph":
-            outputs = [self.encoder(piece) for _, _, _, piece in payload]
-            return self._graph_step(outputs, samples_per_graph)
-        return self._union_step(self.encoder(payload), samples_per_graph)
+        if self.encoder.family != "graph":
+            return self._step(self.encoder(payload), samples_per_graph)
+        # Graph forwards are independent, so the concatenated per-graph
+        # activations match a union encode bit-for-bit.
+        outputs = [self.encoder(batch) for batch in payload]
+        embeddings = Tensor(np.concatenate([output.data for output in outputs], axis=0), requires_grad=True)
+        bounds = np.cumsum([0] + [output.data.shape[0] for output in outputs])
+        # Lazy: the leaf holds its gradient only once _step has run the loss backward.
+        seeds = (embeddings._grad[start:stop] for start, stop in zip(bounds[:-1], bounds[1:]))
+        return self._step(embeddings, samples_per_graph, self.graph_contributions(outputs, seeds))
 
     def train(self, verbose: bool = False) -> TrainingResult:
         """Run the configured number of epochs over the training split."""
@@ -393,13 +399,9 @@ class Trainer:
         window = self.config.prefetch_batches
         team = None
         if self.config.workers > 1 and self.encoder.family == "graph":
-            team = WorkerTeam.start(self, plan, split)
+            team = WorkerTeam.start(self, plan)
             if team is None and verbose:
                 print(f"workers={self.config.workers} unavailable on this host; training serially")
-        if team is None and plan.lazy and window is None:
-            # The lazy plan existed for the worker path; without a team (and
-            # without a streaming window) keeping batches resident is faster.
-            plan = self._plan = BatchPlan(self.encoder, split, lazy=False)
 
         def assemble(batch):
             return plan.training_batch(*batch)

@@ -270,10 +270,6 @@ class IngestReport:
     elapsed_seconds: float = 0.0
 
     @property
-    def cache_misses(self) -> int:
-        return self.extracted
-
-    @property
     def files_per_second(self) -> float:
         return self.total_files / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
 

@@ -93,16 +93,13 @@ def _evaluate_with_knn(
     k: int,
     p: float,
 ) -> list[EvaluatedPrediction]:
-    predictor = KNNTypePredictor(space, k=k, p=p)
-    evaluated = []
-    for sample, embedding in zip(samples, embeddings):
-        prediction = predictor.predict(embedding)
-        evaluated.append(
-            evaluate_prediction(
-                prediction.top_type, sample.annotation, prediction.confidence, dataset.lattice, kind=sample.kind
-            )
+    predictions = KNNTypePredictor(space, k=k, p=p).predict_batch(embeddings)
+    return [
+        evaluate_prediction(
+            prediction.top_type, sample.annotation, prediction.confidence, dataset.lattice, kind=sample.kind
         )
-    return evaluated
+        for sample, prediction in zip(samples, predictions)
+    ]
 
 
 def _evaluate_with_classifier(
@@ -357,7 +354,8 @@ def run_table5(
     # dominates because most symbols are unannotated).
     from repro.utils.rng import SeededRNG
 
-    requests = SeededRNG(settings.seed).shuffle(requests)
+    requests = SeededRNG(settings.seed).shuffle(requests)[:max_predictions_per_mode]
+    predictions = predictor.predict_batch(np.stack([request[3] for request in requests])) if requests else []
 
     by_mode: dict[str, list[Table5Cell]] = {}
     overall: dict[str, float] = {}
@@ -365,8 +363,7 @@ def run_table5(
     for mode in modes:
         checker = _BaselineReuse(PredictionChecker(mode=mode))
         outcomes: list = []
-        for request_kind, sample, symbol_ref, embedding in requests[:max_predictions_per_mode]:
-            prediction = predictor.predict(embedding)
+        for (request_kind, sample, symbol_ref, _), prediction in zip(requests, predictions):
             if prediction.top_type is None or prediction.top_type == "Any":
                 continue
             if request_kind == "annotated":
@@ -528,13 +525,14 @@ def run_figure7(
         variant = train_variant(dataset, settings, "graph", LossKind.TYPILUS, label="Typilus")
     assert variant.type_space is not None
     predictor = KNNTypePredictor(variant.type_space, k=settings.knn_k, p=settings.knn_p)
+    samples = variant.test_samples[:max_predictions]
+    predictions = predictor.predict_batch(variant.test_embeddings[: len(samples)])
 
     curves: dict[str, list[Figure7Point]] = {}
     for mode in modes:
         checker = _BaselineReuse(PredictionChecker(mode=mode))
         records: list[tuple[float, bool]] = []  # (confidence, checker-correct)
-        for sample, embedding in list(zip(variant.test_samples, variant.test_embeddings))[:max_predictions]:
-            prediction = predictor.predict(embedding)
+        for sample, prediction in zip(samples, predictions):
             if prediction.top_type is None:
                 continue
             graph = dataset.test.graphs[sample.graph_index]

@@ -30,8 +30,3 @@ class EdgeKind(str, Enum):
 SYNTACTIC_EDGES = frozenset({EdgeKind.NEXT_TOKEN, EdgeKind.CHILD})
 DATAFLOW_USE_EDGES = frozenset({EdgeKind.NEXT_MAY_USE, EdgeKind.NEXT_LEXICAL_USE})
 ALL_EDGE_KINDS = tuple(EdgeKind)
-
-
-def edge_vocabulary() -> dict[EdgeKind, int]:
-    """Stable integer ids for edge kinds (used by the GNN's per-edge weights)."""
-    return {kind: i for i, kind in enumerate(ALL_EDGE_KINDS)}

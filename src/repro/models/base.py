@@ -10,7 +10,7 @@ variants under identical losses (Table 2).
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.graph.flatgraph import FlatGraph
 from repro.nn.layers import Module
@@ -46,10 +46,3 @@ class SymbolEncoder(Module):
     def encode(self, graphs: Sequence[FlatGraph], targets_per_graph: Sequence[Sequence[int]]) -> Tensor:
         """Convenience: prepare a batch and run the forward pass."""
         return self(self.prepare_batch(graphs, targets_per_graph))
-
-
-class EncoderFactory(Protocol):
-    """Anything that can build a fresh (randomly initialised) encoder."""
-
-    def __call__(self) -> SymbolEncoder:  # pragma: no cover - typing only
-        ...

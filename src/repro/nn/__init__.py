@@ -25,7 +25,7 @@ from repro.nn.layers import (
     Module,
     Sequential,
 )
-from repro.nn.optim import Adam, Optimizer, SGD
+from repro.nn.optim import Adam
 from repro.nn.rnn import BiGRU, GRU, GRUCell
 from repro.nn.tensor import Tensor
 
@@ -43,8 +43,6 @@ __all__ = [
     "BiGRU",
     "Conv1D",
     "CharCNNEncoder",
-    "Optimizer",
-    "SGD",
     "Adam",
     "SegmentIndex",
     "default_dtype",

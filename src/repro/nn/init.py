@@ -32,11 +32,3 @@ def zeros(shape: tuple[int, ...]) -> np.ndarray:
 
 def ones(shape: tuple[int, ...]) -> np.ndarray:
     return np.ones(shape, dtype=get_default_dtype())
-
-
-def orthogonal(rng: SeededRNG, rows: int, cols: int) -> np.ndarray:
-    """Orthogonal initialisation, the usual choice for recurrent weights."""
-    matrix = rng.np.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, _ = np.linalg.qr(matrix)
-    q = q[:rows, :cols] if q.shape[0] >= rows else q.T[:rows, :cols]
-    return np.ascontiguousarray(q[:rows, :cols], dtype=get_default_dtype())

@@ -1,11 +1,11 @@
-"""Gradient-based optimisers for the reproduction's models.
+"""The Adam optimiser and the gradient-state primitives of the training step.
 
 Embedding tables receive their gradients as sparse ``(row_indices, rows)``
-contributions (see :meth:`repro.nn.tensor.Tensor.gather_rows`), and the
-optimisers here consume them without ever densifying into a full-vocabulary
-buffer.  The sparse update is *exactly* equivalent to the dense one: a row
-whose Adam state is all-zero and whose gradient is zero would receive a zero
-update, so only rows that have ever been touched need to be visited.  Rows
+contributions (see :meth:`repro.nn.tensor.Tensor.gather_rows`), and Adam
+consumes them without ever densifying into a full-vocabulary buffer.  The
+sparse update is *exactly* equivalent to the dense one: a row whose Adam
+state is all-zero and whose gradient is zero would receive a zero update,
+so only rows that have ever been touched need to be visited.  Rows
 touched at least once keep decaying momentum like the dense update would, so
 float64 trajectories are bit-identical to the historical dense behaviour.
 """
@@ -28,11 +28,12 @@ def capture_gradients(parameters: Sequence[Tensor]) -> list[GradientState]:
 
     After the call all parameters hold no gradient, so a subsequent backward
     pass accumulates into fresh buffers.  This is the primitive behind the
-    trainer's per-graph gradient decomposition: each graph's backward runs in
-    isolation, its contribution is captured, and the contributions are summed
-    in a fixed graph order — an ordering that is independent of how the
-    graphs are distributed over worker processes, which is what makes
-    ``workers=N`` replay ``workers=1`` bit-for-bit.
+    trainer's per-graph gradient decomposition: ``Trainer.graph_contributions``
+    runs each graph's backward in isolation between two captures, in-process
+    or in a forked worker, and ``Trainer._step`` sums the contributions in
+    graph order.  That order does not depend on how the graphs are spread
+    over worker processes, which is what makes ``workers=N`` replay
+    ``workers=1`` bit-for-bit.
     """
     captured: list[GradientState] = []
     for parameter in parameters:
@@ -70,13 +71,28 @@ def accumulate_gradients(parameters: Sequence[Tensor], contribution: Sequence[Gr
             parameter.grad_rows.extend(rows)
 
 
-class Optimizer:
-    """Base optimiser holding a list of parameters."""
+class Adam:
+    """Adam optimiser (Kingma & Ba), the default for all experiments."""
 
-    def __init__(self, parameters: Iterable[Tensor]) -> None:
+    def __init__(
+        self,
+        parameters: Iterable[Tensor],
+        lr: float = 1e-3,
+        betas: tuple[float, float] = (0.9, 0.999),
+        eps: float = 1e-8,
+    ) -> None:
         self.parameters = [p for p in parameters if p.requires_grad]
         if not self.parameters:
             raise ValueError("optimizer received no trainable parameters")
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self._step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        #: Rows of each parameter whose Adam state is (possibly) non-zero.
+        #: ``None`` until the parameter first receives a sparse gradient.
+        self._active_rows: list[Optional[np.ndarray]] = [None for _ in self.parameters]
 
     def zero_grad(self) -> None:
         for parameter in self.parameters:
@@ -111,72 +127,13 @@ class Optimizer:
                     parameter.grad_rows[0][1][...] *= scale
         return norm
 
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if self.momentum:
-                # Momentum couples every row to the full history; densify.
-                grad = parameter.densify_grad()
-                if grad is None:
-                    continue
-                velocity *= self.momentum
-                velocity -= self.lr * grad
-                parameter.data += velocity
-                continue
-            if parameter._grad is not None and parameter.grad_rows:
-                parameter.densify_grad()
-            if parameter._grad is not None:
-                parameter.data -= self.lr * parameter._grad
-            else:
-                sparse = parameter.coalesce_grad_rows()
-                if sparse is not None:
-                    indices, rows = sparse
-                    parameter.data[indices] -= self.lr * rows
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba), the default for all experiments."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        #: Rows of each parameter whose Adam state is (possibly) non-zero.
-        #: ``None`` until the parameter first receives a sparse gradient.
-        self._active_rows: list[Optional[np.ndarray]] = [None for _ in self.parameters]
-
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
         for slot, (parameter, m, v) in enumerate(zip(self.parameters, self._m, self._v)):
-            if parameter.grad_rows and (parameter._grad is not None or self.weight_decay):
-                # Mixed dense+sparse usage, or weight decay (which grads every
-                # row): fall back to the dense update for correctness.
+            if parameter.grad_rows and parameter._grad is not None:
+                # Mixed dense+sparse usage: fall back to the dense update.
                 parameter.densify_grad()
             if parameter._grad is None and parameter.grad_rows:
                 self._sparse_step(slot, parameter, m, v, bias1, bias2)
@@ -189,8 +146,6 @@ class Adam(Optimizer):
                 # rows may carry state, so stop tracking the active subset.
                 self._active_rows[slot] = None
             grad = parameter._grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2

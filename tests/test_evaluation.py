@@ -9,6 +9,7 @@ import pytest
 
 from repro.checker.checker import CheckerMode
 from repro.core import LossKind
+from repro.core.predictor import KNNTypePredictor
 from repro.evaluation import (
     ExperimentSettings,
     build_dataset,
@@ -150,6 +151,42 @@ class TestFigureRunners:
             assert recalls == sorted(recalls, reverse=True)
             assert all(0.0 <= point.precision <= 1.0 for point in points)
         assert "strict" in format_figure7(result)
+
+
+class TestBatchedKnn:
+    """The runners score each list of queries with one ``predict_batch`` call;
+    the per-query ``predict`` is the oracle."""
+
+    @pytest.mark.parametrize("k, p", [(1, 0.01), (10, 1.0), (25, 5.0)])
+    def test_batch_candidates_equal_per_query_predict(self, typilus_variant, k, p):
+        predictor = KNNTypePredictor(typilus_variant.type_space, k=k, p=p)
+        embeddings = typilus_variant.test_embeddings
+        expected = [predictor.predict(embedding).candidates for embedding in embeddings]
+        assert [prediction.candidates for prediction in predictor.predict_batch(embeddings)] == expected
+
+    def test_runners_answer_as_with_per_query_predict(self, settings, dataset, typilus_variant, monkeypatch):
+        def run():
+            return (
+                run_table5(settings, dataset=dataset, variant=typilus_variant, max_predictions_per_mode=40),
+                run_figure7(settings, dataset=dataset, variant=typilus_variant, max_predictions=25),
+                run_figure6(settings, dataset=dataset, variant=typilus_variant, k_values=(1, 4), p_values=(0.5, 2.0)),
+            )
+
+        batched = run()
+        batch = KNNTypePredictor.predict_batch
+        calls = []
+
+        def one_query_at_a_time(self, embeddings):
+            calls.append(len(embeddings))
+            # What ``predict`` does, once per query.
+            return [batch(self, np.reshape(embedding, (1, -1)))[0] for embedding in embeddings]
+
+        monkeypatch.setattr(KNNTypePredictor, "predict_batch", one_query_at_a_time)
+        per_query = run()
+        assert per_query[:2] == batched[:2]
+        assert np.array_equal(per_query[2].scores, batched[2].scores)
+        # Table 5 and Fig. 7 predict their capped lists once; Fig. 6 once per (k, p) cell.
+        assert calls == [40, 25] + [len(typilus_variant.test_samples)] * 4
 
 
 class TestRendering:

@@ -6,7 +6,7 @@ import pytest
 from repro.nn import functional as F
 from repro.nn.dtype import default_dtype, get_default_dtype, resolve_dtype, set_default_dtype
 from repro.nn.layers import Embedding, Linear
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.utils.rng import SeededRNG
 
@@ -157,22 +157,6 @@ class TestSparseEmbeddingGradients:
         dense_adam.step()
 
         assert np.allclose(sparse_param.data, dense_param.data)
-
-    def test_sgd_sparse_matches_dense(self):
-        initial = np.ones((6, 2))
-        sparse_param = Tensor(initial.copy(), requires_grad=True)
-        dense_param = Tensor(initial.copy(), requires_grad=True)
-        indices = np.array([5, 0, 5])
-
-        sparse_param.gather_rows(indices).sum().backward()
-        SGD([sparse_param], lr=0.5).step()
-
-        dense_grad = np.zeros_like(initial)
-        np.add.at(dense_grad, indices, np.ones((3, 2)))
-        dense_param.grad = dense_grad
-        SGD([dense_param], lr=0.5).step()
-
-        assert (sparse_param.data == dense_param.data).all()
 
     def test_mixed_dense_and_sparse_gradients_merge(self):
         table = Tensor(np.ones((4, 3)), requires_grad=True)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.conv import CharCNNEncoder, Conv1D
 from repro.nn.layers import MLP, Dropout, Embedding, LayerNorm, Linear, Module, Sequential
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.rnn import BiGRU, GRU, GRUCell
 from repro.nn.serialization import load, load_state_dict, save, state_dict
 from repro.nn.tensor import Tensor
@@ -145,24 +145,10 @@ class TestOptimisers:
             optimiser.step()
         assert float(loss.data) < 1e-3
 
-    def test_sgd_with_momentum_decreases_loss(self):
-        X, y = self._regression_data()
-        model = Linear(3, 1, SeededRNG(2))
-        optimiser = SGD(model.parameters(), lr=0.01, momentum=0.9)
-        first_loss = None
-        for step in range(100):
-            optimiser.zero_grad()
-            loss = ((model(Tensor(X)) - Tensor(y)) ** 2).mean()
-            loss.backward()
-            optimiser.step()
-            if step == 0:
-                first_loss = float(loss.data)
-        assert float(loss.data) < first_loss
-
     def test_gradient_clipping_bounds_norm(self):
         parameter = Tensor(np.zeros(4), requires_grad=True)
         parameter.grad = np.full(4, 100.0)
-        optimiser = SGD([parameter], lr=0.1)
+        optimiser = Adam([parameter], lr=0.1)
         norm_before = optimiser.clip_gradients(1.0)
         assert norm_before > 1.0
         assert np.sqrt((parameter.grad**2).sum()) <= 1.0 + 1e-9
@@ -170,12 +156,6 @@ class TestOptimisers:
     def test_optimizer_requires_parameters(self):
         with pytest.raises(ValueError):
             Adam([])
-
-    def test_weight_decay_shrinks_weights(self):
-        parameter = Tensor(np.ones(3), requires_grad=True)
-        parameter.grad = np.zeros(3)
-        Adam([parameter], lr=0.1, weight_decay=1.0).step()
-        assert (parameter.data < 1.0).all()
 
 
 class TestSerialization:

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from repro.core import EncoderConfig, LossKind, Trainer, TrainingConfig, build_encoder
+from repro.core.parallel import WorkerTeam
 from repro.corpus import DatasetConfig, SynthesisConfig, TypeAnnotationDataset
 from repro.corpus.serialize import PayloadError, graph_to_payload
 from repro.models.featurize import SUBTOKEN, FeatureExtractor
+from repro.nn.optim import Adam
 from repro.utils.memory import peak_rss_bytes
 
 
@@ -88,14 +90,53 @@ class TestWorkers:
             assert np.array_equal(parallel, baseline)
 
     def test_workers_with_streaming_window_replay_serial(self, dataset):
-        serial_losses, _ = _train(dataset)
-        losses, _ = _train(dataset, workers=2, prefetch=1)
+        serial_losses, serial = _train(dataset)
+        losses, trainer = _train(dataset, workers=2, prefetch=1)
         assert losses == serial_losses
+        for parallel, baseline in zip(_parameters(trainer), _parameters(serial)):
+            assert np.array_equal(parallel, baseline)
+
+    def test_resident_workers_keep_batches_in_their_own_plans(self, dataset):
+        """The forked workers cache the graphs they encode; the parent's plan,
+        which they copied at fork, never assembles a batch."""
+        _, trainer = _train(dataset, epochs=2, workers=2)
+        assert not trainer._plan.lazy
+        assert not trainer._plan._training
+        _, serial = _train(dataset, epochs=2)
+        assert serial._plan._training
 
     def test_invalid_workers_rejected(self, dataset):
         encoder = build_encoder(dataset, EncoderConfig(family="graph", hidden_dim=16, seed=9))
         with pytest.raises(ValueError, match="workers"):
             Trainer(encoder, dataset, config=TrainingConfig(workers=0))
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOneStep:
+    @pytest.mark.parametrize(
+        "family, workers", [("graph", 1), ("names", 1), ("sequence", 1), ("path", 1), ("graph", 2)]
+    )
+    def test_one_step_and_one_adam_update_per_batch(self, dataset, monkeypatch, family, workers):
+        """Every family and execution mode runs ``Trainer._step``, and only it
+        updates the parameters."""
+        steps = _count_calls(monkeypatch, Trainer, "_step")
+        updates = _count_calls(monkeypatch, Adam, "step")
+        team_batches = _count_calls(monkeypatch, WorkerTeam, "run_batch")
+        _, trainer = _train(dataset, epochs=2, workers=workers, family=family)
+        batches = 2 * len(trainer._batch_groups[1])
+        assert len(steps) == len(updates) == batches
+        assert len(team_batches) == (batches if workers > 1 else 0)
 
 
 class TestRawShards:

@@ -73,11 +73,11 @@ class TestBatchPlanAssembly:
         if family == "sequence":
             pairs = [(payload, encoder.prepare_batch([split.graphs[i] for i in chosen], targets))]
         else:
+            assert len(payload) == len(chosen)
             pairs = [
                 (batch, encoder.prepare_batch([split.graphs[graph_index]], [targets[position]]))
-                for position, graph_index, _, batch in payload
+                for position, (graph_index, batch) in enumerate(zip(chosen, payload))
             ]
-            assert [graph_index for _, graph_index, _, _ in payload] == chosen
         for trained, inferred in pairs:
             assert np.array_equal(trained.features.ids, inferred.features.ids)
             assert np.array_equal(trained.features.row_splits, inferred.features.row_splits)
@@ -95,9 +95,16 @@ class TestBatchPlanAssembly:
         split = plan_dataset.train
         chosen, groups = _first_groups(split, 2)
         resident = BatchPlan(encoder, split)
-        assert resident.training_batch(0, chosen, groups) is resident.training_batch(0, chosen, groups)
+        first, again = resident.training_batch(0, chosen, groups), resident.training_batch(0, chosen, groups)
+        assert len(first) == len(chosen)
+        assert all(kept is batch for kept, batch in zip(first, again))
+        # Graph-family batches are kept per graph, whichever call assembles them.
+        assert all(
+            resident.graph_batch(index, group) is batch for index, group, batch in zip(chosen, groups, first)
+        )
         lazy = BatchPlan(encoder, split, lazy=True)
-        assert lazy.training_batch(0, chosen, groups) is not lazy.training_batch(0, chosen, groups)
+        first, again = lazy.training_batch(0, chosen, groups), lazy.training_batch(0, chosen, groups)
+        assert all(fresh is not batch for fresh, batch in zip(first, again))
         assert not lazy._training
 
     def test_path_family_plan_enables_memo_instead(self, plan_dataset):
