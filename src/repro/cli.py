@@ -22,8 +22,10 @@ Seven subcommands cover the library's main workflows without writing Python:
     suggestions, disagreement findings and throughput in one pass.  Combine
     with ``--load-model`` to serve a previously trained pipeline without
     re-training, ``--save-model`` to persist the freshly trained one, and
-    ``--jobs``/``--cache-dir`` for parallel extraction plus incremental
-    re-annotation (unchanged files are served from the cache).  With
+    ``--cache-dir`` for incremental re-annotation (unchanged files are served
+    from the cache).  Graph building, kNN and the checker filter run file by
+    file on every usable core (``--jobs N`` caps the processes, ``--jobs 1``
+    is serial); the GNN forward pass is one batch in the main process.  With
     ``--server`` the project is annotated by a running daemon instead of a
     locally loaded model; ``--report-json`` writes the full report to a file.
 ``serve``
@@ -70,6 +72,7 @@ from typing import Optional, Sequence
 
 from repro.checker import CheckerMode, OptionalTypeChecker
 from repro.core import INDEX_KINDS, EncoderConfig, LossKind, TrainingConfig, TypilusPipeline
+from repro.core.pipeline import POOL_MIN_FILES
 from repro.corpus import (
     CorpusSynthesizer,
     DatasetConfig,
@@ -128,9 +131,17 @@ def _add_training_arguments(parser: argparse.ArgumentParser, include_workers: bo
                              "peak memory becomes O(window) with an identical loss trajectory")
 
 
-def _add_ingest_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for graph extraction (0 = one per CPU core)")
+def _add_ingest_arguments(parser: argparse.ArgumentParser, annotates: bool = False) -> None:
+    if annotates:
+        parser.add_argument("--jobs", type=int, default=None,
+                            help="cap on the processes that build graphs, run kNN and filter candidates "
+                                 "with the checker, file by file (default: one per usable core; 1 = "
+                                 f"serial; projects of fewer than {POOL_MIN_FILES} files never fork); the "
+                                 "batched GNN forward pass always runs in the main process.  Without "
+                                 "--load-model it also caps graph extraction for training")
+    else:
+        parser.add_argument("--jobs", type=int, default=1,
+                            help="worker processes for graph extraction (0 = one per usable core)")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="content-addressed extraction cache; unchanged files are never re-parsed")
 
@@ -163,7 +174,7 @@ def _index_settings(args: argparse.Namespace) -> tuple[Optional[str], dict]:
 def _ingest_config(args: argparse.Namespace) -> IngestConfig:
     jobs: Optional[int] = getattr(args, "jobs", 1)
     if jobs == 0:
-        jobs = None  # one worker per core
+        jobs = None  # one worker per usable core
     return IngestConfig(jobs=jobs, cache_dir=getattr(args, "cache_dir", None))
 
 
@@ -212,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     suggest = subparsers.add_parser("suggest", help="suggest types for Python files")
     _add_corpus_arguments(suggest)
     _add_training_arguments(suggest)
-    _add_ingest_arguments(suggest)
+    _add_ingest_arguments(suggest, annotates=True)
     _add_index_arguments(suggest)
     suggest.add_argument("files", nargs="+", type=Path, help="Python files to annotate")
     suggest.add_argument("--confidence", type=float, default=0.0, help="minimum prediction confidence")
@@ -225,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_corpus_arguments(annotate)
     _add_training_arguments(annotate)
-    _add_ingest_arguments(annotate)
+    _add_ingest_arguments(annotate, annotates=True)
     _add_index_arguments(annotate)
     annotate.add_argument("directory", type=Path, help="project directory of .py files to annotate")
     annotate.add_argument("--load-model", type=Path, default=None,
@@ -256,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_corpus_arguments(serve)
     _add_training_arguments(serve, include_workers=False)
-    _add_ingest_arguments(serve)
     _add_index_arguments(serve)
     serve.add_argument("--socket", type=Path, default=None,
                        help="Unix socket path the daemon listens on")
@@ -270,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "0 (default) keeps the single-process in-memory daemon")
     serve.add_argument("--load-model", type=Path, default=None,
                        help="serve a pipeline saved with --save-model instead of training")
+    serve.add_argument("--cache-dir", type=Path, default=None,
+                       help="content-addressed extraction and annotation cache; unchanged files are "
+                            "never re-parsed (each fleet worker keeps its own subtree)")
     serve.add_argument("--confidence", type=float, default=0.0, help="minimum prediction confidence")
     serve.add_argument("--no-type-checker", action="store_true", help="skip checker filtering of candidates")
     serve.add_argument("--batch-window-ms", type=float, default=10.0,
@@ -420,12 +433,12 @@ def command_train(args: argparse.Namespace) -> int:
 def command_suggest(args: argparse.Namespace) -> int:
     pipeline = _obtain_pipeline(args)
     sources = {str(path): path.read_text(encoding="utf-8") for path in args.files}
-    ingest = _ingest_config(args)
     suggestions_by_file = pipeline.suggest_for_sources(
         sources,
         use_type_checker=not args.no_type_checker,
         confidence_threshold=args.confidence,
-        ingest=ingest if (ingest.jobs != 1 or ingest.cache_dir is not None) else None,
+        jobs=_ingest_config(args).jobs,
+        graph_cache=args.cache_dir,
     )
     for filename, suggestions in suggestions_by_file.items():
         print(f"\n=== {filename} ===")
@@ -472,7 +485,7 @@ def command_annotate(args: argparse.Namespace) -> int:
                 ("--load-model", args.load_model is not None),
                 ("--save-model", args.save_model is not None),
                 ("--cache-dir", args.cache_dir is not None),
-                ("--jobs", args.jobs != 1),
+                ("--jobs", args.jobs is not None),
             ]
             if requested
         ]
@@ -493,14 +506,13 @@ def command_annotate(args: argparse.Namespace) -> int:
         if args.save_model is not None:
             pipeline.save(args.save_model)
             print(f"pipeline saved to {args.save_model}")
-        ingest = _ingest_config(args)
         annotator = ProjectAnnotator(
             pipeline,
             AnnotatorConfig(
                 use_type_checker=not args.no_type_checker,
                 confidence_threshold=args.confidence,
                 disagreement_threshold=args.disagreement_threshold,
-                jobs=ingest.jobs,
+                jobs=_ingest_config(args).jobs,
                 cache_dir=args.cache_dir,
             ),
         )
@@ -560,11 +572,9 @@ def command_serve(args: argparse.Namespace) -> int:
             f"dim {info['dim']}, state {info['state']}, {_workers_noun(info['workers'])})"
         )
         return 0
-    ingest = _ingest_config(args)
     annotator_config = AnnotatorConfig(
         use_type_checker=not args.no_type_checker,
         confidence_threshold=args.confidence,
-        jobs=ingest.jobs,
         cache_dir=args.cache_dir,
     )
     serve_config_kwargs = dict(

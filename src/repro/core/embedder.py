@@ -19,6 +19,7 @@ import numpy as np
 from repro.corpus.dataset import AnnotatedSymbol, DatasetSplit
 from repro.graph.flatgraph import FlatGraph
 from repro.models.base import SymbolEncoder
+from repro.nn import no_grad
 
 
 class SymbolEmbedder:
@@ -42,6 +43,9 @@ class SymbolEmbedder:
 
         Returns a ``(total_targets, output_dim)`` array whose rows follow the
         graphs in order, and within each graph the order of its node indices.
+        The encoder runs without an autograd tape (:func:`repro.nn.no_grad`):
+        nothing back-propagates through these embeddings, and the values are
+        the same as with the tape.
         """
         if len(graphs) != len(node_indices_per_graph):
             raise ValueError("graphs and node_indices_per_graph must have the same length")
@@ -54,7 +58,8 @@ class SymbolEmbedder:
             target_chunk = [list(targets) for targets in node_indices_per_graph[start : start + batch_graphs]]
             if not any(target_chunk):
                 continue
-            chunks.append(self.encoder.encode(graph_chunk, target_chunk).data)
+            with no_grad():
+                chunks.append(self.encoder.encode(graph_chunk, target_chunk).data)
         if not chunks:
             return np.zeros((0, self.encoder.output_dim))
         return np.concatenate(chunks, axis=0)

@@ -22,9 +22,12 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from repro.core.predictor import KNNTypePredictor, TypePrediction
 from repro.core.trainer import LossKind, Trainer, TrainingConfig, TrainingResult
 from repro.core.typespace import TypeSpace
 from repro.corpus.dataset import AnnotatedSymbol, DatasetSplit, TypeAnnotationDataset
-from repro.corpus.ingest import IngestConfig, ingest_sources
+from repro.corpus.ingest import GraphCache, cached_extract, fork_pool
 from repro.graph.builder import GraphBuildError, GraphBuilder
 from repro.graph.edges import EdgeKind
 from repro.graph.flatgraph import FlatGraph
@@ -56,10 +59,23 @@ from repro.models.seq import SequenceEncoder
 from repro.nn import serialization
 from repro.types.lattice import TypeLattice
 from repro.types.normalize import is_informative
+from repro.utils.cores import usable_cores
 from repro.utils.rng import SeededRNG
 
 #: On-disk format of :meth:`TypilusPipeline.save` directories.
 PIPELINE_FORMAT_VERSION = 1
+
+#: Fewer pending files than this are annotated without a pool.  Forking,
+#: feeding and joining the pool, and the freshly forked children's first
+#: page faults, cost a fixed ~50-60 ms.  Measured with two children of
+#: 2-file tasks on a 2-core host (cold annotate processes, 8 alternating
+#: pairs per size): the pool lost at 8 and 12 files and won 6 of 8 pairs at
+#: 16 and 24.  Hosts with more cores are unmeasured.
+POOL_MIN_FILES = 16
+
+#: Files per pool task: small tasks keep the workers evenly loaded, and two
+#: files per task measured faster than four on 16-50-file projects.
+POOL_CHUNK_FILES = 2
 
 
 @dataclass
@@ -162,6 +178,112 @@ class SymbolSuggestion:
         )
 
 
+@dataclass
+class _SuggestRun:
+    """One :meth:`TypilusPipeline.suggest_for_sources` call's per-file work.
+
+    Pool children inherit it through ``fork`` (see :func:`_adopt_run`), so
+    tasks carry only file positions, symbols and embedding rows; the
+    pipeline, the sources and the checker are never pickled.
+    """
+
+    filenames: list[str]
+    sources: list[str]
+    graph_cache: Optional[GraphCache]
+    predictor: KNNTypePredictor
+    checker_filter: Optional[TypeCheckedFilter]
+    confidence_threshold: float
+
+    def graph(self, position: int) -> Union[FlatGraph, GraphBuildError]:
+        """Phase 1: one file's graph, or the error that stopped its build."""
+        extracted = cached_extract(self.graph_cache, self.filenames[position], self.sources[position])
+        return extracted if isinstance(extracted, GraphBuildError) else extracted.graph
+
+    def suggest(
+        self, chunk: tuple[list[int], list[list[SymbolInfo]], np.ndarray]
+    ) -> list[list[SymbolSuggestion]]:
+        """Phase 2: kNN over a chunk of files' embeddings, then each file's checker filter."""
+        positions, symbols_per_file, embeddings = chunk
+        predictions = self.predictor.predict_batch(embeddings)
+        results: list[list[SymbolSuggestion]] = []
+        cursor = 0
+        for position, symbols in zip(positions, symbols_per_file):
+            file_predictions = predictions[cursor : cursor + len(symbols)]
+            cursor += len(symbols)
+            results.append(self._file_suggestions(self.sources[position], symbols, file_predictions))
+        return results
+
+    def _file_suggestions(
+        self, source: str, symbols: list[SymbolInfo], predictions: list[TypePrediction]
+    ) -> list[SymbolSuggestion]:
+        kept = [
+            (symbol, prediction)
+            for symbol, prediction in zip(symbols, predictions)
+            if prediction.confidence >= self.confidence_threshold
+        ]
+        filtered_by_position: dict[int, FilteredSuggestion] = {}
+        if self.checker_filter is not None:
+            requests = [
+                (position, FilterRequest(
+                    scope=symbol.scope,
+                    name=symbol.name,
+                    kind=symbol.kind,
+                    prediction=prediction,
+                    original_annotation=symbol.annotation,
+                ))
+                for position, (symbol, prediction) in enumerate(kept)
+                if prediction.candidates
+            ]
+            filtered = self.checker_filter.filter_many(source, [request for _, request in requests])
+            filtered_by_position = {position: outcome for (position, _), outcome in zip(requests, filtered)}
+        return [
+            SymbolSuggestion(
+                name=symbol.name,
+                scope=symbol.scope,
+                kind=symbol.kind.value,
+                existing_annotation=symbol.annotation
+                if symbol.annotation and is_informative(symbol.annotation)
+                else None,
+                prediction=prediction,
+                filtered=filtered_by_position.get(position),
+            )
+            for position, (symbol, prediction) in enumerate(kept)
+        ]
+
+    def map(self, pool: Optional[ProcessPoolExecutor], method: str, items: Iterable, chunksize: int = 1) -> list:
+        """``self.<method>(item)`` for every item, in order: on the pool's children, or here without one."""
+        if pool is None:
+            return [getattr(self, method)(item) for item in items]
+        return list(pool.map(partial(_run_in_child, method), items, chunksize=chunksize))
+
+
+#: The call a pool child works for, inherited through ``fork`` and set once
+#: per child by the pool's initializer; never set in the calling process.
+_child_run: Optional[_SuggestRun] = None
+
+
+def _adopt_run(run: _SuggestRun) -> None:
+    global _child_run
+    _child_run = run
+
+
+def _run_in_child(method: str, item):
+    return getattr(_child_run, method)(item)
+
+
+def _pool_workers(jobs: Optional[int], files: int) -> int:
+    """Processes for a call's per-file phases; 1 means no pool.
+
+    Never more than the phases' tasks: a child without one would only pay
+    for its fork.
+    """
+    if files < POOL_MIN_FILES:
+        return 1
+    cores = usable_cores()
+    tasks = math.ceil(files / POOL_CHUNK_FILES)
+    return max(1, min(cores if jobs is None else jobs, cores, tasks))
+
+
 class TypilusPipeline:
     """A trained Typilus model bundled with its TypeSpace and predictor."""
 
@@ -244,100 +366,81 @@ class TypilusPipeline:
         confidence_threshold: float = 0.0,
         include_annotated: bool = True,
         skip_unparsable: bool = False,
-        ingest: Optional[IngestConfig] = None,
+        jobs: Optional[int] = None,
+        graph_cache: Optional[Union[str, Path]] = None,
     ) -> dict[str, list[SymbolSuggestion]]:
         """Suggest types for every symbol of a whole set of files in one pass.
 
-        All files' symbols are embedded together (batched across files by the
-        :class:`SymbolEmbedder`) and scored with a single vectorized kNN
-        prediction; the checker filter then runs per file, checking each
-        candidate at its own symbol against one parsed and checked module.
+        Each file is turned into its graph (through the content-addressed
+        :class:`~repro.corpus.ingest.GraphCache` in the ``graph_cache``
+        directory, when given); all files' symbols are then embedded together
+        in one batched forward pass; finally each file's symbols are scored
+        by kNN and their candidates filtered by the checker, each candidate
+        checked at its own symbol against one parsed and checked module.
         Files that fail to parse raise
         :class:`~repro.graph.builder.GraphBuildError` unless
         ``skip_unparsable`` is set, in which case they are omitted from the
         result.
 
-        Passing an ``ingest`` configuration routes graph extraction through
-        :func:`~repro.corpus.ingest.ingest_sources`: files parse in parallel
-        over a process pool and/or reuse the content-addressed graph cache.
-        Suggestions are identical with or without it.
+        The two per-file phases run on a ``fork`` pool opened for this call,
+        sized to the usable cores, capped by ``jobs`` (``None``: no cap; ``1``:
+        serial) and by the number of tasks of :data:`POOL_CHUNK_FILES` files.
+        Fewer than :data:`POOL_MIN_FILES` files, one usable core, or a host
+        that refuses the pool (see :func:`~repro.corpus.ingest.fork_pool`)
+        run the same per-file functions in this process instead.  The forward pass,
+        the only stage that calls BLAS, always runs in this process: forked
+        children inherit its BLAS thread count and would oversubscribe the
+        cores.  Suggestions are identical either way.
 
-        Returns a dict mapping each (parsed) filename to its suggestions.
+        Returns a dict mapping each (parsed) filename to its suggestions, in
+        the order of ``sources``.
         """
-        filenames: list[str] = []
-        graphs: list[FlatGraph] = []
-        symbols_per_file: list[list[SymbolInfo]] = []
-        if ingest is not None:
-            extracted_files, report = ingest_sources(dict(sources), ingest)
-            if report.failed_files and not skip_unparsable:
-                raise GraphBuildError(f"cannot parse {report.failed_files[0]}")
-            graph_by_name = {extracted.filename: extracted.graph for extracted in extracted_files}
-            built = [
-                (filename, graph_by_name[filename]) for filename in sources if filename in graph_by_name
-            ]
-        else:
-            built = []
-            for filename, source in sources.items():
-                try:
-                    built.append((filename, self._graph_builder.build(source, filename=filename)))
-                except GraphBuildError:
+        run = _SuggestRun(
+            filenames=list(sources),
+            sources=list(sources.values()),
+            graph_cache=GraphCache(graph_cache) if graph_cache is not None else None,
+            predictor=self.predictor,
+            checker_filter=TypeCheckedFilter(mode=checker_mode, confidence_threshold=confidence_threshold)
+            if use_type_checker
+            else None,
+            confidence_threshold=confidence_threshold,
+        )
+        # Children inherit the index and its caches instead of each building them.
+        self.predictor.warm_up()
+        with fork_pool(_pool_workers(jobs, len(run.filenames)), _adopt_run, (run,)) as pool:
+            built: list[tuple[int, FlatGraph]] = []
+            graphs = run.map(pool, "graph", range(len(run.filenames)), chunksize=POOL_CHUNK_FILES)
+            for position, graph in enumerate(graphs):
+                if isinstance(graph, GraphBuildError):
                     if skip_unparsable:
                         continue
-                    raise
-        for filename, graph in built:
-            filenames.append(filename)
-            graphs.append(graph)
-            symbols_per_file.append(
+                    raise graph
+                built.append((position, graph))
+            symbols_per_file = [
                 [symbol for symbol in graph.symbols if include_annotated or symbol.annotation is None]
-            )
-
-        embeddings = self.embedder.embed_symbols(
-            graphs, [[symbol.node_index for symbol in symbols] for symbols in symbols_per_file]
-        )
-        predictions = self.predictor.predict_batch(embeddings)
-
-        checker_filter = TypeCheckedFilter(mode=checker_mode, confidence_threshold=confidence_threshold)
-        results: dict[str, list[SymbolSuggestion]] = {}
-        cursor = 0
-        for filename, symbols in zip(filenames, symbols_per_file):
-            file_predictions = predictions[cursor : cursor + len(symbols)]
-            cursor += len(symbols)
-            kept: list[tuple[SymbolInfo, TypePrediction]] = [
-                (symbol, prediction)
-                for symbol, prediction in zip(symbols, file_predictions)
-                if prediction.confidence >= confidence_threshold
+                for _, graph in built
             ]
-            filtered_by_position: dict[int, FilteredSuggestion] = {}
-            if use_type_checker:
-                requests = [
-                    (position, FilterRequest(
-                        scope=symbol.scope,
-                        name=symbol.name,
-                        kind=symbol.kind,
-                        prediction=prediction,
-                        original_annotation=symbol.annotation,
-                    ))
-                    for position, (symbol, prediction) in enumerate(kept)
-                    if prediction.candidates
-                ]
-                filtered = checker_filter.filter_many(sources[filename], [request for _, request in requests])
-                filtered_by_position = {position: outcome for (position, _), outcome in zip(requests, filtered)}
-            suggestions: list[SymbolSuggestion] = []
-            for position, (symbol, prediction) in enumerate(kept):
-                suggestions.append(
-                    SymbolSuggestion(
-                        name=symbol.name,
-                        scope=symbol.scope,
-                        kind=symbol.kind.value,
-                        existing_annotation=symbol.annotation
-                        if symbol.annotation and is_informative(symbol.annotation)
-                        else None,
-                        prediction=prediction,
-                        filtered=filtered_by_position.get(position),
-                    )
-                )
-            results[filename] = suggestions
-        return results
+            embeddings = self.embedder.embed_symbols(
+                [graph for _, graph in built],
+                [[symbol.node_index for symbol in symbols] for symbols in symbols_per_file],
+            )
+            chunk_files = POOL_CHUNK_FILES if pool is not None else max(1, len(built))
+            chunks: list[tuple[list[int], list[list[SymbolInfo]], np.ndarray]] = []
+            cursor = 0
+            for first in range(0, len(built), chunk_files):
+                chunk_symbols = symbols_per_file[first : first + chunk_files]
+                count = sum(len(symbols) for symbols in chunk_symbols)
+                positions = [position for position, _ in built[first : first + chunk_files]]
+                chunks.append((positions, chunk_symbols, embeddings[cursor : cursor + count]))
+                cursor += count
+            suggestions = [
+                file_suggestions
+                for chunk_suggestions in run.map(pool, "suggest", chunks)
+                for file_suggestions in chunk_suggestions
+            ]
+        return {
+            run.filenames[position]: file_suggestions for (position, _), file_suggestions in zip(built, suggestions)
+        }
 
     def suggest_for_source(
         self,

@@ -69,6 +69,16 @@ class KNNTypePredictor:
         self.p = p
         self.epsilon = epsilon
 
+    def warm_up(self) -> None:
+        """Build the space's lazily built query state (index, vocabulary, name ranks) now.
+
+        Processes forked afterwards inherit it instead of each building its
+        own copy on their first query.
+        """
+        self.space.index()
+        self.space.type_vocabulary()
+        self.space.type_name_ranks()
+
     def predict(self, embedding: np.ndarray) -> TypePrediction:
         """Predict a ranked distribution over types for one embedding."""
         embedding = np.asarray(embedding).reshape(1, -1)

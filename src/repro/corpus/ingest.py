@@ -17,9 +17,10 @@ This module makes ingestion scale along both axes:
 
 Pool dispatch uses the ``fork`` start method when the platform offers it
 (workers inherit the imported interpreter state, so there is no per-task
-import tax).  Platforms without ``fork``, single-file corpora and sandboxes
-that refuse process creation all fall back to the serial path — results are
-identical either way, only the wall clock differs.
+import tax).  Platforms without ``fork``, single-file corpora, processes
+running other threads and sandboxes that refuse process creation all fall
+back to the serial path — results are identical either way, only the wall
+clock differs.
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ import multiprocessing
 import os
 import sys
 import tempfile
+import threading
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -47,6 +51,7 @@ from repro.graph.builder import GraphBuildError, GraphBuilder
 from repro.graph.flatgraph import FlatGraph
 from repro.graph.nodes import SymbolInfo
 from repro.types.normalize import is_informative
+from repro.utils.cores import usable_cores
 from repro.utils.timing import Stopwatch
 
 T = TypeVar("T")
@@ -147,17 +152,27 @@ def atomic_write_npz(path: Path, arrays: dict) -> None:
         raise
 
 
-def _pool_extract(item: tuple[str, str]) -> tuple[str, Optional[ExtractedFile], Optional[str]]:
-    """Pool-side wrapper returning ``(filename, extracted, error)``.
+def cached_extract(
+    cache: Optional[GraphCache], filename: str, source: str
+) -> Union[ExtractedFile, GraphBuildError]:
+    """One file's extraction: its ``cache`` entry when there is one, else a fresh build, then stored.
 
-    Build failures travel back as strings instead of raised exceptions so a
-    single unparsable file never tears down the whole pool map.
+    A build failure is returned instead of raised, so a single unparsable
+    file never tears down a whole pool map.
     """
-    filename, source = item
-    try:
-        return filename, extract_file(filename, source), None
-    except GraphBuildError as error:
-        return filename, None, str(error)
+    extracted = cache.load(source, filename) if cache is not None else None
+    if extracted is None:
+        try:
+            extracted = extract_file(filename, source)
+        except GraphBuildError as error:
+            return error
+        if cache is not None:
+            cache.store(source, extracted)
+    return extracted
+
+
+def _pool_extract(cache: Optional[GraphCache], item: tuple[str, str]) -> Union[ExtractedFile, GraphBuildError]:
+    return cached_extract(cache, *item)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +227,8 @@ class GraphCache:
         """Return the cached extraction for ``source``, or ``None`` on a miss."""
         path = self.path_for(source)
         try:
-            with np.load(path, allow_pickle=False) as archive:
+            # Opened here so that an archive np.load rejects is still closed.
+            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
                 if "x:extractor_version" not in archive.files:
                     return None
                 if str(archive["x:extractor_version"][0]) != EXTRACTOR_VERSION:
@@ -246,14 +262,14 @@ class GraphCache:
 class IngestConfig:
     """Knobs of an ingestion run."""
 
-    #: Worker processes; 1 = serial, ``None`` = one per CPU core.
+    #: Worker processes; 1 = serial, ``None`` = one per usable core.
     jobs: Optional[int] = 1
     #: Directory of the content-addressed graph cache; ``None`` disables caching.
     cache_dir: Optional[Union[str, Path]] = None
 
     def effective_jobs(self) -> int:
         if self.jobs is None:
-            return max(1, os.cpu_count() or 1)
+            return usable_cores()
         return max(1, int(self.jobs))
 
 
@@ -300,13 +316,55 @@ def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
     return None
 
 
+@contextmanager
+def fork_pool(
+    workers: int, initializer: Optional[Callable[..., None]] = None, initargs: tuple = ()
+) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """A pool of ``workers`` forked processes, or ``None`` where the caller must run serially.
+
+    ``None`` when ``workers <= 1``, when ``fork`` is unavailable, when other
+    threads run in this process (a forked child would inherit the locks
+    they hold, taken forever), or when the OS refuses the pool's semaphores
+    or its forks (sandboxes commonly do).  Every worker is forked on entry,
+    so the children inherit this process as it is then, and
+    ``initializer(*initargs)`` runs in each child without pickling its
+    arguments.  On exit the workers are joined.
+    """
+    context = _pool_context() if workers > 1 and threading.active_count() == 1 else None
+    pool: Optional[ProcessPoolExecutor] = None
+    try:
+        if context is not None:
+            children_before = set(multiprocessing.active_children())
+            try:
+                # The queues' semaphores are made here: without a working
+                # sem_open (no /dev/shm) this raises OSError or ImportError.
+                pool = ProcessPoolExecutor(
+                    max_workers=workers, mp_context=context, initializer=initializer, initargs=initargs
+                )
+                pool.submit(int).result()  # a fork pool starts all its workers with its first task
+            except (OSError, ImportError):
+                # A fork refused after others succeeded leaves those children
+                # waiting on the queue; unjoined, they would hang this
+                # process's exit.
+                for child in set(multiprocessing.active_children()) - children_before:
+                    child.terminate()
+                    child.join()
+                if pool is not None:
+                    pool.shutdown()
+                pool = None
+        yield pool
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
 def parallel_map(function: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
     """Order-preserving map over a process pool, with serial fallback.
 
     ``function`` must be a module-level callable of picklable arguments.
     Falls back to a plain loop when ``jobs <= 1``, when there is at most one
-    item, when ``fork`` is unavailable, or when the pool cannot be created
-    (sandboxes commonly forbid it) — the result is identical either way.
+    item, or when :func:`fork_pool` cannot open its pool — the result is
+    identical either way.
     """
     results, _ = _pooled_map(function, items, jobs)
     return results
@@ -314,14 +372,9 @@ def parallel_map(function: Callable[[T], R], items: Sequence[T], jobs: int) -> l
 
 def _pooled_map(function: Callable[[T], R], items: Sequence[T], jobs: int) -> tuple[list[R], bool]:
     """:func:`parallel_map` core; also reports whether a pool was used."""
-    if jobs > 1 and len(items) > 1:
-        context = _pool_context()
-        if context is not None:
-            try:
-                with ProcessPoolExecutor(max_workers=min(jobs, len(items)), mp_context=context) as pool:
-                    return list(pool.map(function, items, chunksize=CHUNK_SIZE)), True
-            except (OSError, PermissionError):
-                pass  # sandboxes may forbid process creation; serial is identical
+    with fork_pool(min(jobs, len(items))) as pool:
+        if pool is not None:
+            return list(pool.map(function, items, chunksize=CHUNK_SIZE)), True
     return [function(item) for item in items], False
 
 
@@ -357,15 +410,15 @@ def ingest_sources(
                 pending.append((filename, source))
 
         if pending:
-            extracted_batch, report.used_process_pool = _pooled_map(_pool_extract, pending, jobs)
-            for filename, extracted, error in extracted_batch:
-                if error is not None or extracted is None:
+            # Workers store what they extract; looking a counted miss up
+            # again costs them one hash and one failed open.
+            outcomes, report.used_process_pool = _pooled_map(partial(_pool_extract, cache), pending, jobs)
+            for (filename, _), outcome in zip(pending, outcomes):
+                if isinstance(outcome, GraphBuildError):
                     report.failed_files.append(filename)
                     continue
-                results[filename] = extracted
+                results[filename] = outcome
                 report.extracted += 1
-                if cache is not None:
-                    cache.store(files[filename], extracted)
 
     report.elapsed_seconds = stopwatch.sections.get("ingest", 0.0)
     ordered = [results[filename] for filename in ordered_names if filename in results]

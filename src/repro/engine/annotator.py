@@ -4,9 +4,9 @@ This module implements the engine behind ``repro.cli annotate``.  Where
 :meth:`TypilusPipeline.suggest_for_source` answers for one file,
 :class:`ProjectAnnotator` answers for a whole project: it gathers every
 file's symbols, routes them through the pipeline's batched suggestion path
-(one embedding pass over all files, one vectorized kNN prediction, each
-file's candidates checked symbol by symbol against one parsed and checked
-module) and assembles a :class:`ProjectReport`
+(one embedding pass over all files, vectorized kNN prediction, each file's
+candidates checked symbol by symbol against one parsed and checked module)
+and assembles a :class:`ProjectReport`
 with per-file suggestions, Sec.-7-style disagreement findings and
 throughput numbers.
 
@@ -15,8 +15,11 @@ file's finished suggestion list is persisted under a key derived from the
 pipeline's :meth:`~repro.core.pipeline.TypilusPipeline.fingerprint`, the
 annotator's settings and the source text.  Re-annotating a project after an
 edit re-embeds only the changed files; everything else is served from disk
-(``ProjectReport.reused_files`` counts them).  ``jobs`` additionally
-parallelises graph extraction for the files that do need work.
+(``ProjectReport.reused_files`` counts them).  The files that do need work
+are annotated on one ``fork`` pool per call, sized to the usable cores and
+capped by ``jobs``: graph building, kNN and the checker filter run per file
+in the pool's children, and the batched forward pass runs in this process
+(see :meth:`~repro.core.pipeline.TypilusPipeline.suggest_for_sources`).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.checker.checker import CheckerMode
 from repro.core.filter import FilteredSuggestion
 from repro.core.pipeline import SymbolSuggestion, TypilusPipeline
 from repro.core.predictor import TypePrediction
-from repro.corpus.ingest import INTERPRETER_TAG, IngestConfig, atomic_write_text
+from repro.corpus.ingest import INTERPRETER_TAG, atomic_write_text
 from repro.graph.nodes import SymbolKind
 from repro.utils.timing import Stopwatch
 
@@ -52,8 +55,9 @@ class AnnotatorConfig:
     include_annotated: bool = True
     #: Minimum confidence for a prediction to count as a disagreement finding.
     disagreement_threshold: float = 0.8
-    #: Worker processes for graph extraction (1 = serial, ``None`` = per-core).
-    jobs: Optional[int] = 1
+    #: Cap on the processes annotating pending files (1 = serial, ``None`` =
+    #: one per usable core); small projects never fork.
+    jobs: Optional[int] = None
     #: Directory for incremental re-annotation state: per-file suggestion
     #: results under ``annotations/`` and the content-addressed graph cache
     #: under ``graphs/``.  ``None`` disables both.
@@ -211,13 +215,6 @@ class ProjectAnnotator:
         )
         return AnnotationCache(Path(config.cache_dir) / "annotations", context)
 
-    def _ingest_config(self) -> Optional[IngestConfig]:
-        jobs = self.config.jobs
-        if self.config.cache_dir is None and (jobs is not None and jobs <= 1):
-            return None
-        graph_cache = Path(self.config.cache_dir) / "graphs" if self.config.cache_dir is not None else None
-        return IngestConfig(jobs=jobs, cache_dir=graph_cache)
-
     def annotate_sources(self, sources: Mapping[str, str]) -> ProjectReport:
         """Annotate an in-memory file set (filename → source) in one pass.
 
@@ -242,7 +239,8 @@ class ProjectAnnotator:
                 confidence_threshold=self.config.confidence_threshold,
                 include_annotated=self.config.include_annotated,
                 skip_unparsable=True,
-                ingest=self._ingest_config(),
+                jobs=self.config.jobs,
+                graph_cache=Path(self.config.cache_dir) / "graphs" if self.config.cache_dir is not None else None,
             )
             if cache is not None:
                 for filename, suggestions in suggestions_by_file.items():

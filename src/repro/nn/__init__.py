@@ -27,10 +27,11 @@ from repro.nn.layers import (
 )
 from repro.nn.optim import Adam
 from repro.nn.rnn import BiGRU, GRU, GRUCell
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "Module",
     "Linear",
     "Embedding",

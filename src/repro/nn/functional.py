@@ -59,20 +59,15 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not tensors:
         raise ValueError("cannot concatenate an empty sequence of tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _parents=tensors if requires else ())
-    if requires:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
 
-        def backward(grad: np.ndarray) -> None:
-            for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(start, end)
-                tensor._accumulate(grad[tuple(slicer)])
+    def backward(grad: np.ndarray) -> None:
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+        for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
+            slicer = [slice(None)] * grad.ndim
+            slicer[axis] = slice(start, end)
+            tensor._accumulate(grad[tuple(slicer)])
 
-        out._backward = backward
-    return out
+    return tensors[0]._make(data, tensors, backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -81,17 +76,13 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("cannot stack an empty sequence of tensors")
     data = np.stack([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _parents=tensors if requires else ())
-    if requires:
 
-        def backward(grad: np.ndarray) -> None:
-            moved = np.moveaxis(grad, axis, 0)
-            for i, tensor in enumerate(tensors):
-                tensor._accumulate(moved[i])
+    def backward(grad: np.ndarray) -> None:
+        moved = np.moveaxis(grad, axis, 0)
+        for i, tensor in enumerate(tensors):
+            tensor._accumulate(moved[i])
 
-        out._backward = backward
-    return out
+    return tensors[0]._make(data, tensors, backward)
 
 
 def segment_sum(values: Tensor, segment_ids: SegmentIds, num_segments: int) -> Tensor:
@@ -106,16 +97,11 @@ def segment_sum(values: Tensor, segment_ids: SegmentIds, num_segments: int) -> T
     latter so the sort is paid once per batch, not once per call).
     """
     index = as_segment_index(segment_ids, num_segments)
-    data = index.sum(values.data)
-    requires = values.requires_grad
-    out = Tensor(data, requires_grad=requires, _parents=(values,) if requires else ())
-    if requires:
 
-        def backward(grad: np.ndarray) -> None:
-            values._accumulate(grad[index.ids])
+    def backward(grad: np.ndarray) -> None:
+        values._accumulate(grad[index.ids])
 
-        out._backward = backward
-    return out
+    return values._make(index.sum(values.data), (values,), backward)
 
 
 def segment_mean(values: Tensor, segment_ids: SegmentIds, num_segments: int) -> Tensor:
@@ -136,15 +122,11 @@ def segment_max(values: Tensor, segment_ids: SegmentIds, num_segments: int, empt
     """
     index = as_segment_index(segment_ids, num_segments)
     data = index.max(values.data, empty_value=empty_value)
-    requires = values.requires_grad
-    out = Tensor(data, requires_grad=requires, _parents=(values,) if requires else ())
-    if requires:
 
-        def backward(grad: np.ndarray) -> None:
-            values._accumulate(index.max_grad(values.data, data, grad), own=True)
+    def backward(grad: np.ndarray) -> None:
+        values._accumulate(index.max_grad(values.data, data, grad), own=True)
 
-        out._backward = backward
-    return out
+    return values._make(data, (values,), backward)
 
 
 def dropout(values: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

@@ -21,7 +21,9 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +33,33 @@ ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 #: A sparse (row-indices, row-gradients) contribution to a leaf's gradient.
 SparseGrad = tuple[np.ndarray, np.ndarray]
+
+
+class _GradMode(threading.local):
+    """Whether operations in this thread record the autograd tape."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no autograd tape in this thread inside the ``with`` block.
+
+    Tensors made inside keep no parents and no backward closure, so a
+    forward pass frees each intermediate array as soon as it is done with it
+    and computes exactly the values it computes with the tape.  Parameters
+    keep ``requires_grad``; only the graph between them and the outputs is
+    not recorded, so nothing computed inside can be back-propagated.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -184,7 +213,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
+        requires = _grad_mode.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, _parents=parents if requires else ())
         if requires:
             out._backward = backward

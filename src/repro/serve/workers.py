@@ -42,6 +42,7 @@ restart counters surfacing in the ``stats`` op.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import queue
@@ -59,6 +60,7 @@ from repro.core.pipeline import TypilusPipeline
 from repro.engine.annotator import AnnotatorConfig, ProjectAnnotator, suggestion_to_payload
 from repro.serve.faults import FaultInjector, InjectedFault
 from repro.serve.protocol import ProtocolError, recv_frame, send_frame
+from repro.utils.cores import usable_cores
 from repro.utils.memory import HEAP_TRIM_THRESHOLD, private_rss_bytes
 
 #: How long the pool waits for a freshly spawned worker to connect and greet;
@@ -158,7 +160,6 @@ def _annotator_config_payload(config) -> dict:
         "confidence_threshold": config.confidence_threshold,
         "include_annotated": config.include_annotated,
         "disagreement_threshold": config.disagreement_threshold,
-        "jobs": config.jobs,
         "cache_dir": str(config.cache_dir) if config.cache_dir is not None else None,
     }
 
@@ -312,9 +313,8 @@ class WorkerPool:
             # Each worker gets its share of the usable cores for BLAS threads,
             # so N workers do not each start one thread per core; a value the
             # user set is kept.
-            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
             for variable in BLAS_THREAD_VARIABLES:
-                env.setdefault(variable, str(max(1, cores // self.num_workers)))
+                env.setdefault(variable, str(max(1, usable_cores() // self.num_workers)))
             # glibc hands free heap back to the OS once a few MB of it pile
             # up, so every request's GNN forward page-faulted ~6MB of arrays
             # back in; keeping up to 32MB free between requests avoids that.
@@ -670,7 +670,6 @@ def _annotator_config_from_payload(payload: dict) -> AnnotatorConfig:
         confidence_threshold=float(payload.get("confidence_threshold", 0.0)),
         include_annotated=bool(payload.get("include_annotated", True)),
         disagreement_threshold=float(payload.get("disagreement_threshold", 0.8)),
-        jobs=payload.get("jobs", 1),
         cache_dir=payload.get("cache_dir"),
     )
 
@@ -691,9 +690,12 @@ class AnnotationWorker:
         mmap_typespace: Optional[bool] = None,
     ) -> None:
         self.pipeline = pipeline
-        self.annotator_config = annotator_config
+        # A worker annotates in its own process: the fleet's processes are its
+        # parallelism, and the daemon runs requests on threads, where forking
+        # is unsafe.
+        self.annotator_config = dataclasses.replace(annotator_config, jobs=1)
         self.mmap_typespace = mmap_typespace
-        self.annotator = ProjectAnnotator(pipeline, annotator_config)
+        self.annotator = ProjectAnnotator(pipeline, self.annotator_config)
         self._staged: Optional[TypilusPipeline] = None  # prepared, awaiting the reload commit
 
     def hello(self, worker_id: int) -> dict:

@@ -5,6 +5,7 @@ The utilities live in their own package so that substrate packages
 incidental helpers such as seeded random number generation or timing.
 """
 
+from repro.utils.cores import usable_cores
 from repro.utils.rng import SeededRNG, temp_seed
 from repro.utils.text import (
     camel_and_snake_split,
@@ -18,6 +19,7 @@ __all__ = [
     "temp_seed",
     "Stopwatch",
     "timed",
+    "usable_cores",
     "camel_and_snake_split",
     "normalise_whitespace",
     "truncate",

@@ -1,19 +1,29 @@
 """Project-scale annotation engine: batched reports, metrics and CLI surface."""
 
+import errno
 import hashlib
 import json
+import math
+import multiprocessing
+import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.core import EncoderConfig, TrainingConfig, TypeCheckedFilter, TypilusPipeline
+from repro.core import pipeline as pipeline_module
+from repro.core.pipeline import POOL_CHUNK_FILES, POOL_MIN_FILES
 from repro.corpus import CorpusSynthesizer, SynthesisConfig
 from repro.engine import AnnotatorConfig, FileReport, ProjectAnnotator, ProjectReport, suggestion_to_payload
 from repro.corpus import IngestConfig, ingest_sources
 from repro.corpus import ingest as ingest_module
 from repro.engine import annotator as annotator_module
 from repro.engine.annotator import ANNOTATION_CACHE_VERSION
+from repro.graph.builder import GraphBuilder
 from repro.graph.nodes import SymbolKind
+from repro.nn import Tensor, no_grad
 
 UNANNOTATED_A = (
     "def scale_amount(amount, factor):\n"
@@ -26,6 +36,43 @@ UNANNOTATED_B = (
     "def join_names(names):\n"
     "    return ','.join(names)\n"
 )
+
+
+@pytest.fixture(scope="module")
+def family_pipelines(trained_pipeline, tiny_dataset):
+    """One small pipeline per encoder family (the graph one is the shared fixture)."""
+    pipelines = {"graph": trained_pipeline}
+    for family in ("sequence", "path", "names"):
+        pipelines[family] = TypilusPipeline.fit(
+            tiny_dataset,
+            EncoderConfig(family=family, hidden_dim=16, seed=5),
+            training_config=TrainingConfig(epochs=1, graphs_per_batch=6, seed=5),
+        )
+    return pipelines
+
+
+@pytest.fixture(scope="module")
+def pooled_project():
+    """A project with enough files for the annotate pool."""
+    files = CorpusSynthesizer(SynthesisConfig(num_files=POOL_MIN_FILES + 2, seed=43, num_user_classes=8)).generate()
+    return {file.filename: file.source for file in files}
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Records, per suggestion call, how many children its fork pool ran (0: none); usable cores read as 2."""
+    opened = []
+    real_fork_pool = pipeline_module.fork_pool
+
+    @contextmanager
+    def spy(workers, *args):
+        with real_fork_pool(workers, *args) as pool:
+            opened.append(workers if pool is not None else 0)
+            yield pool
+
+    monkeypatch.setattr(pipeline_module, "fork_pool", spy)
+    monkeypatch.setattr(pipeline_module, "usable_cores", lambda: 2)
+    return opened
 
 
 class TestProjectAnnotator:
@@ -287,15 +334,31 @@ class TestIncrementalAnnotation:
         assert trained_pipeline.fingerprint() == exact_fingerprint
         assert annotator.annotate_sources(sources).reused_files == 2
 
-    def test_parallel_jobs_produce_identical_report(self, trained_pipeline):
-        sources = {"a.py": UNANNOTATED_A, "b.py": UNANNOTATED_B}
-        serial = ProjectAnnotator(
-            trained_pipeline, AnnotatorConfig(use_type_checker=False)
-        ).annotate_sources(sources)
-        parallel = ProjectAnnotator(
-            trained_pipeline, AnnotatorConfig(use_type_checker=False, jobs=2)
-        ).annotate_sources(sources)
-        assert self._suggestion_keys(parallel) == self._suggestion_keys(serial)
+    def test_parallel_jobs_produce_identical_report(self, family_pipelines, pooled_project, pool_spy, monkeypatch):
+        """The fork pool answers exactly as the serial path: every family, both indexes, checker on.
+
+        The default ``jobs`` runs with three usable cores, so it splits the
+        project unevenly over three children, unlike ``jobs=2``.
+        """
+
+        def annotate(pipeline, cores, **jobs):
+            monkeypatch.setattr(pipeline_module, "usable_cores", lambda: cores)
+            return _payload_list(ProjectAnnotator(pipeline, AnnotatorConfig(**jobs)).annotate_sources(pooled_project))
+
+        for family, pipeline in family_pipelines.items():
+            for index in ("exact", "ivf"):
+                if index == "ivf":
+                    pipeline.type_space.reindex("ivf", nlist=4, nprobe=2)
+                try:
+                    reports = [annotate(pipeline, 2, jobs=1), annotate(pipeline, 2, jobs=2), annotate(pipeline, 3)]
+                finally:
+                    pipeline.type_space.reindex("exact")
+                assert reports[1] == reports[0], (family, index)
+                assert reports[2] == reports[0], (family, index)
+                assert len(reports[0]) == len(pooled_project)
+                assert sum(1 for _, payloads in reports[0] for payload in payloads if payload["filtered"]) > 100
+                assert pool_spy[-3:] == [0, 2, 3], (family, index)
+                assert multiprocessing.active_children() == []
 
     def test_fingerprint_stable_and_sensitive(self, trained_pipeline):
         assert trained_pipeline.fingerprint() == trained_pipeline.fingerprint()
@@ -334,6 +397,140 @@ class TestIncrementalAnnotation:
             file_report.filename: [suggestion_to_payload(s) for s in file_report.suggestions]
             for file_report in report.files
         }
+
+
+class TestAnnotatePool:
+    def test_pool_forks_only_for_enough_files_and_jobs(self, trained_pipeline, pooled_project, pool_spy):
+        small = dict(list(pooled_project.items())[:2])
+        ProjectAnnotator(trained_pipeline, AnnotatorConfig(jobs=1)).annotate_sources(pooled_project)
+        ProjectAnnotator(trained_pipeline, AnnotatorConfig()).annotate_sources(small)
+        trained_pipeline.suggest_for_sources(small, jobs=4)
+        assert pool_spy == [0, 0, 0]
+        ProjectAnnotator(trained_pipeline, AnnotatorConfig()).annotate_sources(pooled_project)
+        assert pool_spy == [0, 0, 0, 2]
+
+    def test_no_fork_while_other_threads_run(self, trained_pipeline, pooled_project, pool_spy):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            report = ProjectAnnotator(trained_pipeline, AnnotatorConfig(jobs=2)).annotate_sources(pooled_project)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert pool_spy == [0]
+        assert report.num_files == len(pooled_project)
+        ProjectAnnotator(trained_pipeline, AnnotatorConfig(jobs=2)).annotate_sources(pooled_project)
+        assert pool_spy == [0, 2]
+        assert threading.active_count() == 1  # the pool left no thread behind either
+
+    def test_refused_fork_runs_serially(self, trained_pipeline, pooled_project, pool_spy, monkeypatch):
+        serial = _payload_list(
+            ProjectAnnotator(trained_pipeline, AnnotatorConfig(jobs=1)).annotate_sources(pooled_project)
+        )
+
+        def refuse_fork():
+            raise PermissionError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        report = ProjectAnnotator(trained_pipeline, AnnotatorConfig(jobs=2)).annotate_sources(pooled_project)
+        assert pool_spy == [0, 0]
+        assert _payload_list(report) == serial
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("refusal", [OSError(errno.ENOSYS, "Function not implemented"), ImportError("no sem_open")])
+    def test_refused_semaphores_run_serially(self, trained_pipeline, pooled_project, pool_spy, monkeypatch, refusal):
+        """Hosts without working POSIX semaphores cannot build the pool's queues; annotate runs serially."""
+        serial = _payload_list(ProjectAnnotator(trained_pipeline, AnnotatorConfig(jobs=1)).annotate_sources(pooled_project))
+
+        def refuse_semaphore(context, *args, **kwargs):
+            raise refusal
+
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Lock", refuse_semaphore)
+        report = ProjectAnnotator(trained_pipeline, AnnotatorConfig()).annotate_sources(pooled_project)
+        assert pool_spy == [0, 0]
+        assert _payload_list(report) == serial
+        assert multiprocessing.active_children() == []
+
+    def test_pool_workers_are_capped_by_cores_jobs_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "usable_cores", lambda: 4)
+        assert pipeline_module._pool_workers(None, POOL_MIN_FILES - 1) == 1
+        assert pipeline_module._pool_workers(None, POOL_MIN_FILES) == 4
+        assert pipeline_module._pool_workers(2, 100) == 2
+        assert pipeline_module._pool_workers(1, 100) == 1
+        assert pipeline_module._pool_workers(8, 100) == 4
+        monkeypatch.setattr(pipeline_module, "usable_cores", lambda: 64)
+        for files in (POOL_MIN_FILES, POOL_MIN_FILES + 1, 100):
+            assert pipeline_module._pool_workers(None, files) == math.ceil(files / POOL_CHUNK_FILES)
+        monkeypatch.setattr(pipeline_module, "usable_cores", lambda: 1)
+        assert pipeline_module._pool_workers(None, 100) == 1
+
+    def test_no_child_outlives_a_call(self, trained_pipeline, pooled_project, pool_spy):
+        from repro.graph.builder import GraphBuildError
+
+        serial = _payload_list(
+            ProjectAnnotator(trained_pipeline, AnnotatorConfig(jobs=1)).annotate_sources(pooled_project)
+        )
+        ProjectAnnotator(trained_pipeline, AnnotatorConfig(jobs=2)).annotate_sources(pooled_project)
+        assert multiprocessing.active_children() == []
+        with_broken = {**pooled_project, "broken.py": "def broken(:\n"}
+        report = ProjectAnnotator(trained_pipeline, AnnotatorConfig(jobs=2)).annotate_sources(with_broken)
+        assert report.skipped_files == ["broken.py"]
+        assert _payload_list(report) == serial
+        assert multiprocessing.active_children() == []
+        with pytest.raises(GraphBuildError):
+            trained_pipeline.suggest_for_sources(with_broken, jobs=2, skip_unparsable=False)
+        assert multiprocessing.active_children() == []
+        assert pool_spy == [0, 2, 2, 2]
+
+    def test_graph_cache_filled_by_pool_children(self, trained_pipeline, pooled_project, pool_spy, tmp_path):
+        config = AnnotatorConfig(use_type_checker=False, jobs=2, cache_dir=tmp_path)
+        cold = ProjectAnnotator(trained_pipeline, config).annotate_sources(pooled_project)
+        assert pool_spy == [2]
+        assert ingest_sources(pooled_project, IngestConfig(cache_dir=tmp_path / "graphs"))[1].cache_hits == len(
+            pooled_project
+        )
+        for entry in (tmp_path / "annotations").glob("*.json"):
+            entry.unlink()
+        rebuilt = ProjectAnnotator(trained_pipeline, config).annotate_sources(pooled_project)
+        assert rebuilt.reused_files == 0
+        assert _payload_list(rebuilt) == _payload_list(cold)
+
+
+class TestNoGradEmbedding:
+    def test_embeddings_equal_without_tape_and_nothing_keeps_parents(
+        self, family_pipelines, pooled_project, monkeypatch
+    ):
+        graphs = [GraphBuilder().build(source, filename=name) for name, source in list(pooled_project.items())[:6]]
+        targets = [[symbol.node_index for symbol in graph.symbols] for graph in graphs]
+        original_init = Tensor.__init__
+        for family, pipeline in family_pipelines.items():
+            encoder = pipeline.encoder
+            encoder.eval()
+            taped = encoder.encode(graphs, targets)
+            assert taped._parents, family  # outside the scope the tape is recorded
+            made = []
+
+            def recording_init(tensor, *args, **kwargs):
+                original_init(tensor, *args, **kwargs)
+                made.append(tensor)
+
+            monkeypatch.setattr(Tensor, "__init__", recording_init)
+            with no_grad():
+                untaped = encoder.encode(graphs, targets)
+            monkeypatch.setattr(Tensor, "__init__", original_init)
+            assert np.array_equal(untaped.data, taped.data), family
+            assert made, family
+            assert all(not tensor._parents and tensor._backward is None for tensor in made), family
+            assert np.array_equal(pipeline.embedder.embed_symbols(graphs, targets), taped.data), family
+
+
+def _payload_list(report):
+    return [
+        (file_report.filename, [suggestion_to_payload(s) for s in file_report.suggestions])
+        for file_report in report.files
+    ]
 
 
 class TestReportDataclasses:

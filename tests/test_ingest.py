@@ -1,6 +1,11 @@
 """Parallel ingestion and the content-addressed graph cache."""
 
+import errno
+import gc
+import multiprocessing
+import os
 import sys
+import warnings
 
 import pytest
 
@@ -27,6 +32,10 @@ def corpus() -> dict[str, str]:
 
 def _payloads(extracted_files):
     return [graph_to_payload(extracted.graph) for extracted in extracted_files]
+
+
+def _worker_pid(_item) -> int:
+    return os.getpid()
 
 
 class TestExtractionWorker:
@@ -87,6 +96,41 @@ class TestParallelEqualsSerial:
         items = list(range(20))
         assert parallel_map(str, items, jobs=3) == [str(item) for item in items]
         assert parallel_map(str, items, jobs=1) == [str(item) for item in items]
+
+    @pytest.mark.parametrize("refusal", [OSError(errno.ENOSYS, "Function not implemented"), ImportError("no sem_open")])
+    def test_refused_semaphores_run_serially(self, corpus, monkeypatch, refusal):
+        """Hosts without working POSIX semaphores cannot build a pool's queues; every map runs here."""
+        serial, _ = ingest_sources(corpus, IngestConfig(jobs=1))
+
+        def refuse_semaphore(context, *args, **kwargs):
+            raise refusal
+
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Lock", refuse_semaphore)
+        assert parallel_map(_worker_pid, list(range(8)), jobs=3) == [os.getpid()] * 8
+        parallel, report = ingest_sources(corpus, IngestConfig(jobs=3))
+        assert not report.used_process_pool
+        assert _payloads(parallel) == _payloads(serial)
+
+    def test_fork_refused_midway_leaves_no_child(self, monkeypatch):
+        """A fork refused after one succeeded runs serially, and the child already forked is reaped."""
+        real_fork = os.fork
+        forks = []
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        with ingest_module.fork_pool(3) as pool:
+            assert pool is None
+        assert forks == [1]
+        leftovers = multiprocessing.active_children()
+        for child in leftovers:  # an unreaped child would hang the test run's exit
+            child.terminate()
+            child.join()
+        assert leftovers == []
 
 
 class TestGraphCache:
@@ -178,6 +222,18 @@ class TestGraphCache:
         recovered, report = ingest_sources(corpus, config)
         assert report.extracted == 1
         assert _payloads(recovered) == _payloads(clean)
+
+    def test_rejected_entry_leaves_no_open_file(self, corpus, tmp_path):
+        config = IngestConfig(jobs=1, cache_dir=tmp_path)
+        ingest_sources(corpus, config)
+        for entry in tmp_path.glob("*.npz"):
+            entry.write_bytes(entry.read_bytes()[:50])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            _, report = ingest_sources(corpus, config)
+            gc.collect()
+        assert report.extracted == len(corpus)
+        assert [warning for warning in caught if issubclass(warning.category, ResourceWarning)] == []
 
     def test_key_depends_on_source_and_version(self, tmp_path, monkeypatch):
         cache = GraphCache(tmp_path)

@@ -1,11 +1,13 @@
 """Tests for repro.nn.functional: softmax, losses, segment ops, distances."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 class TestSoftmaxAndCrossEntropy:
@@ -249,3 +251,41 @@ class TestChunkedPairwiseDistances:
             grads.append((a.grad.copy(), b.grad.copy()))
         assert (grads[0][0] == grads[1][0]).all()
         assert (grads[0][1] == grads[1][1]).all()
+
+
+class TestNoGrad:
+    """Every graph node, the functional ones included, honours ``no_grad`` on a parameter input."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda w: F.concatenate([w, w], axis=0),
+            lambda w: F.stack([w, w]),
+            lambda w: F.segment_sum(w, np.array([0, 0, 1]), 2),
+            lambda w: F.segment_mean(w, np.array([0, 0, 1]), 2),
+            lambda w: F.segment_max(w, np.array([0, 1, 1]), 2),
+            lambda w: F.softmax(w),
+            lambda w: (w * 2.0 + w) @ w.transpose(),
+        ],
+        ids=["concatenate", "stack", "segment_sum", "segment_mean", "segment_max", "softmax", "arithmetic"],
+    )
+    def test_no_tape_inside_and_same_values(self, op):
+        weight = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        taped = op(weight)
+        assert taped.requires_grad and taped._parents
+        with no_grad():
+            untaped = op(weight)
+        assert not untaped.requires_grad
+        assert untaped._parents == () and untaped._backward is None
+        assert np.array_equal(untaped.data, taped.data)
+        assert op(weight)._parents  # the tape is back after the scope
+
+    def test_scope_is_per_thread(self):
+        weight = Tensor(np.ones(3), requires_grad=True)
+        seen = []
+        with no_grad():
+            thread = threading.Thread(target=lambda: seen.append((weight * 2.0).requires_grad))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [True]

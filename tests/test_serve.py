@@ -509,9 +509,20 @@ class TestServeCLI:
         project = tmp_path / "project"
         project.mkdir()
         (project / "a.py").write_text(FILE_A, encoding="utf-8")
-        for flags in (["--confidence", "0.5"], ["--no-type-checker"], ["--jobs", "2"]):
+        for flags in (["--confidence", "0.5"], ["--no-type-checker"], ["--jobs", "2"], ["--jobs", "1"]):
             with pytest.raises(SystemExit, match="--server"):
                 main(["annotate", str(project), "--server", served.socket_path, *flags])
+        # Without an explicit --jobs the client call goes through, whatever the local default.
+        assert main(["annotate", str(project), "--server", served.socket_path]) == 0
+
+    def test_serve_has_no_jobs_flag(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--socket", "/tmp/never.sock", "--jobs", "2"])
+        args = build_parser().parse_args(["annotate", "project"])
+        assert args.jobs is None
+        assert build_parser().parse_args(["ingest", "--out", "dataset"]).jobs == 1
 
     def test_cli_shutdown_stops_daemon(self, model_dir, capsys):
         from repro.cli import main

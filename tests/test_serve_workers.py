@@ -32,7 +32,17 @@ from repro.serve import (
     recv_frame,
     send_frame,
 )
-from repro.serve.workers import BLAS_THREAD_VARIABLES, FLEET_FACTS, blas_threads, describe_pipeline
+from repro.serve import workers as workers_module
+from repro.serve.workers import (
+    BLAS_THREAD_VARIABLES,
+    FLEET_FACTS,
+    AnnotationWorker,
+    _annotator_config_from_payload,
+    _annotator_config_payload,
+    blas_threads,
+    describe_pipeline,
+)
+from repro.utils import usable_cores
 
 FILE_A = "def scale_amount(amount, factor):\n    return amount * factor\n"
 FILE_B = (
@@ -329,10 +339,6 @@ class TestWorkerCrashes:
             assert {row["markers"] for row in stats["workers"]} == {response["markers"]}
 
 
-def _usable_cores():
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _pool_blas_threads(model_dir, num_workers):
     """``blas_threads`` of every ``stats`` row and of one worker's ``ping``."""
     pool = WorkerPool(model_dir, num_workers, annotator_config=AnnotatorConfig(use_type_checker=False)).start()
@@ -345,12 +351,30 @@ def _pool_blas_threads(model_dir, num_workers):
         pool.close()
 
 
+class TestWorkersAnnotateInProcess:
+    def test_worker_config_carries_no_jobs_and_workers_never_fork(self, trained_pipeline):
+        payload = _annotator_config_payload(AnnotatorConfig(jobs=4))
+        assert "jobs" not in payload
+        assert _annotator_config_from_payload(payload).jobs is None  # the worker pins it, not the payload
+        for config in (AnnotatorConfig(), AnnotatorConfig(jobs=4), _annotator_config_from_payload(payload)):
+            worker = AnnotationWorker(trained_pipeline, config)
+            assert worker.annotator.config.jobs == 1
+            assert worker.annotator_config.jobs == 1
+        assert WorkerPool.in_process(trained_pipeline, AnnotatorConfig(jobs=4))._local.annotator.config.jobs == 1
+
+
 class TestBlasThreadBudget:
     def test_spawned_workers_split_the_usable_cores(self, raw_model_dir, monkeypatch):
         for variable in BLAS_THREAD_VARIABLES:
             monkeypatch.delenv(variable, raising=False)
-        budget = max(1, _usable_cores() // 2)
+        budget = max(1, usable_cores() // 2)
         assert _pool_blas_threads(raw_model_dir, 2) == ([budget, budget], budget)
+
+    def test_budget_follows_the_affinity_set(self, raw_model_dir, monkeypatch):
+        for variable in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(variable, raising=False)
+        monkeypatch.setattr(workers_module, "usable_cores", lambda: 4)
+        assert _pool_blas_threads(raw_model_dir, 2) == ([2, 2], 2)
 
     def test_a_thread_count_the_user_set_is_kept(self, raw_model_dir, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")

@@ -1,9 +1,13 @@
 """Tests for repro.utils: RNG, text helpers, timing."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.corpus import IngestConfig
+from repro.utils import usable_cores
 from repro.utils.rng import SeededRNG, temp_seed
 from repro.utils.text import camel_and_snake_split, normalise_whitespace, truncate
 from repro.utils.timing import Stopwatch, timed
@@ -110,3 +114,19 @@ class TestTiming:
         result, elapsed = timed(lambda: 21 * 2)
         assert result == 42
         assert elapsed >= 0.0
+
+
+class TestUsableCores:
+    def test_counts_the_affinity_set_not_every_core(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert usable_cores() == 3
+        assert IngestConfig(jobs=None).effective_jobs() == 3
+        assert IngestConfig(jobs=2).effective_jobs() == 2
+
+    def test_without_affinity_counts_cpus_and_never_zero(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cores() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cores() == 1
