@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_training_arguments(train)
     _add_ingest_arguments(train)
     _add_index_arguments(train)
-    train.add_argument("--save-typespace", type=Path, default=None, help="write the TypeSpace to this .npz file")
+    train.add_argument("--save-typespace", type=Path, default=None, help="write the TypeSpace to exactly this path, as an .npz archive")
     train.add_argument("--save-model", type=Path, default=None,
                        help="persist the trained pipeline (weights + TypeSpace) to this directory")
     train.add_argument("--typespace-layout", choices=["npz", "raw"], default="npz",

@@ -28,14 +28,13 @@ control messages go over the pipes.  The protocol is lock-step per batch —
 encode, ack, backward, gradients — so no locks are needed: pipe ordering is
 the synchronisation.
 
-Worker processes require ``fork`` (POSIX); where fork is unavailable or
-denied the team refuses to start and the trainer falls back to the serial
-path, which computes identical numbers.
+Workers fork only where :func:`~repro.utils.cores.fork_context` allows
+(``fork`` exists, no other thread runs); elsewhere, or where fork is denied,
+the trainer runs the serial path, which computes identical numbers.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,6 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.nn.tensor import Tensor
+from repro.utils.cores import fork_context
 
 
 def _shared_view(context, shape: tuple, dtype) -> np.ndarray:
@@ -141,14 +141,13 @@ class WorkerTeam:
     def start(cls, trainer, plan) -> Optional["WorkerTeam"]:
         """Fork the team, or return ``None`` where that is impossible.
 
-        Mirrors the ingest pool's graceful degradation: sandboxes that deny
-        ``fork`` (or non-POSIX hosts without it) get the serial path, which
-        produces bit-identical results anyway.
+        Mirrors the ingest pool's graceful degradation: where
+        :func:`~repro.utils.cores.fork_context` refuses or the OS denies
+        ``fork``, the serial path produces bit-identical results anyway.
         """
         config = trainer.config
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
+        context = fork_context()
+        if context is None:
             return None
         parameters = trainer.optimizer.parameters
         dtype = trainer.dtype

@@ -59,11 +59,15 @@ from repro.models.seq import SequenceEncoder
 from repro.nn import serialization
 from repro.types.lattice import TypeLattice
 from repro.types.normalize import is_informative
+from repro.utils.columns import atomic_write
 from repro.utils.cores import usable_cores
 from repro.utils.rng import SeededRNG
 
 #: On-disk format of :meth:`TypilusPipeline.save` directories.
 PIPELINE_FORMAT_VERSION = 1
+
+#: Where a saved pipeline keeps its type map, per ``typespace_layout``.
+_TYPESPACE_NAMES = {"npz": "typespace.npz", "raw": "typespace"}
 
 #: Fewer pending files than this are annotated without a pool.  Forking,
 #: feeding and joining the pool, and the freshly forked children's first
@@ -539,19 +543,21 @@ class TypilusPipeline:
         The directory holds ``pipeline.json`` (encoder architecture,
         vocabularies, kNN settings and the index configuration),
         ``encoder.npz`` (weights, via :mod:`repro.nn.serialization`) and the
-        type map's markers — as ``typespace.npz`` with the default
-        ``typespace_layout="npz"``, or as a raw ``typespace/`` directory with
-        ``typespace_layout="raw"``, whose marker matrix :meth:`load` then
-        memory-maps instead of copying (the serving layout for large maps).
-        :meth:`load` restores a pipeline that reproduces the saved model's
-        predictions exactly, without a dataset or re-training.
+        type map (:meth:`TypeSpace.save`) — as ``typespace.npz`` with the
+        default ``typespace_layout="npz"``, or as a raw ``typespace/``
+        directory with ``typespace_layout="raw"``, whose marker matrix
+        :meth:`load` then memory-maps instead of copying (the serving layout
+        for large maps).  :meth:`load` restores a pipeline that reproduces
+        the saved model's predictions exactly, without a dataset or
+        re-training.
 
-        ``pipeline.json`` is written **last**, as a commit marker: weights
-        and markers land on disk before the manifest does, so a reader that
-        finds the manifest (e.g. the serving daemon's hot ``reload``) never
-        observes a torn directory — a crash mid-save leaves a directory
-        without a manifest, which :meth:`load` rejects with a clean error
-        instead of loading half a model.
+        Every file is replaced atomically
+        (:func:`repro.utils.columns.atomic_write`), so saving over a
+        directory that a serving process has mapped never truncates a file
+        under it.  ``pipeline.json`` is written **last**, as a commit marker:
+        a crash mid-save into a fresh directory leaves no manifest, which
+        :meth:`load` rejects with a clean error instead of loading half a
+        model.
 
         (Exception: the "path" encoder family samples paths with a stateful
         RNG at inference, so its predictions vary run to run even without
@@ -565,10 +571,7 @@ class TypilusPipeline:
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         serialization.save_modules(path / "encoder.npz", encoder=self.encoder)
-        if typespace_layout == "raw":
-            self.type_space.save(str(path / "typespace"), layout="raw")
-        else:
-            self.type_space.save(str(path / "typespace.npz"))
+        self.type_space.save(str(path / _TYPESPACE_NAMES[typespace_layout]), layout=typespace_layout)
         manifest = {
             "format_version": PIPELINE_FORMAT_VERSION,
             "encoder": _describe_encoder(self.encoder),
@@ -576,7 +579,7 @@ class TypilusPipeline:
             "index": {"kind": self.type_space.index_kind, "params": self.type_space.index_params},
             "typespace_layout": typespace_layout,
         }
-        (path / "pipeline.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+        atomic_write(path / "pipeline.json", json.dumps(manifest, indent=2))
         return path
 
     @classmethod
@@ -641,22 +644,17 @@ class TypilusPipeline:
             index = {"kind": "exact", "params": {}}
         index_kind, index_params = index["kind"], dict(index["params"])
         layout = manifest.get("typespace_layout", "npz")
-        if layout == "raw":
-            space = TypeSpace.load(
-                str(path / "typespace"),
-                index_kind=index_kind,
-                index_params=index_params,
-                mmap=mmap_typespace if mmap_typespace is not None else True,
+        if mmap_typespace and layout != "raw":
+            raise ValueError(
+                "this pipeline was saved with the npz typespace layout, which cannot "
+                "be memory-mapped; re-save with typespace_layout='raw'"
             )
-        else:
-            if mmap_typespace:
-                raise ValueError(
-                    "this pipeline was saved with the npz typespace layout, which cannot "
-                    "be memory-mapped; re-save with typespace_layout='raw'"
-                )
-            space = TypeSpace.load(
-                str(path / "typespace.npz"), index_kind=index_kind, index_params=index_params
-            )
+        space = TypeSpace.load(
+            str(path / _TYPESPACE_NAMES[layout]),
+            index_kind=index_kind,
+            index_params=index_params,
+            mmap=layout == "raw" if mmap_typespace is None else mmap_typespace,
+        )
         knn = manifest.get("knn", {})
         pipeline = cls(
             dataset,

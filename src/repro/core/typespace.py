@@ -21,6 +21,13 @@ the matrix, the code array and (when already built) the nearest-neighbour
 index in place, at a cost proportional to the extension; nothing is
 invalidated wholesale, which is what keeps long-lived serving and one-shot
 type adaptation cheap.  Markers, queries and distances are float64.
+
+On disk the map is the same columns — the matrix, the type and source
+codes, the vocabulary and distinct sources as packed UTF-8 — in the one container
+(:mod:`repro.utils.columns`): an ``.npz`` archive, or a raw directory whose
+``embeddings.npy`` every serving process maps read-only.  Nothing is
+pickled, every file is replaced atomically, and an eager load verifies the
+stored fingerprint.
 """
 
 from __future__ import annotations
@@ -38,6 +45,19 @@ from repro.core.knn import (
     build_index,
     validate_index_params,
 )
+from repro.utils.columns import (
+    RAW_META_NAME,
+    PayloadError,
+    fingerprint,
+    pack_strings,
+    read_columns,
+    unpack_strings,
+    verify_fingerprint,
+    write_columns,
+)
+
+#: Version of the stored type-map columns (:meth:`TypeSpace.save`).
+TYPESPACE_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -83,7 +103,9 @@ class TypeSpace:
     storage, the marker types one int64 code array over an interned
     vocabulary.  :meth:`add_marker` / :meth:`add_markers` append to both and
     extend the spatial index in place when it has been built — repeated
-    additions cost O(extension), not O(markers).
+    additions cost O(extension), not O(markers).  :meth:`save` and
+    :meth:`load` persist exactly these columns (npz or raw layout), and a
+    loaded space adopts the stored arrays, mapped or not.
     """
 
     #: The dtype of the markers, of the queries and of their distances.
@@ -306,38 +328,23 @@ class TypeSpace:
     # -- persistence -------------------------------------------------------------------
 
     def save(self, path: str, layout: str = "npz") -> str:
-        """Persist the markers.
+        """Persist the markers at exactly ``path`` and return it.
 
-        ``layout="npz"`` (the historical default) writes one ``.npz`` archive
-        with per-marker type-name strings.  ``layout="raw"`` treats ``path``
-        as a directory and writes the serving layout: the marker matrix as a
-        raw ``embeddings.npy`` (loadable with ``mmap_mode="r"``, so a
-        million-marker map opens without copying into every process) next to
-        a columnar ``markers.npz`` (int64 type codes + interned vocabulary +
-        sources).
+        The map is one column set of :mod:`repro.utils.columns`: the float64
+        ``embeddings``, the int64 type and source codes, the vocabulary and
+        the distinct sources as packed UTF-8, ``dim``, a format header and a
+        fingerprint.
+        ``layout="npz"`` writes one ``.npz`` archive; ``layout="raw"`` makes
+        ``path`` a directory of ``.npy`` columns whose ``embeddings.npy``
+        :meth:`load` can memory-map.  Every file is replaced atomically, so a
+        re-save never pulls pages from under a process that mapped the map.
         """
-        if layout == "npz":
-            np.savez(
-                path,
-                embeddings=self.marker_matrix(),
-                type_names=np.asarray(self.marker_type_names(), dtype=object),
-                sources=np.asarray(self._sources, dtype=object),
-                dim=np.asarray([self.dim]),
-            )
-            return path
-        if layout == "raw":
-            directory = Path(path)
-            directory.mkdir(parents=True, exist_ok=True)
-            np.save(directory / "embeddings.npy", np.ascontiguousarray(self.marker_matrix()))
-            np.savez(
-                directory / "markers.npz",
-                codes=self.marker_type_codes(),
-                vocabulary=np.asarray(self._vocabulary_list, dtype=object),
-                sources=np.asarray(self._sources, dtype=object),
-                dim=np.asarray([self.dim]),
-            )
-            return path
-        raise ValueError(f"unknown TypeSpace layout {layout!r}: valid layouts are npz, raw")
+        if layout not in ("npz", "raw"):
+            raise ValueError(f"unknown TypeSpace layout {layout!r}: valid layouts are npz, raw")
+        columns = _columns(self.marker_matrix(), self.marker_type_names(), self._sources, self.dim)
+        columns["fingerprint"] = np.asarray([fingerprint(columns)])
+        write_columns(path, columns, raw=layout == "raw")
+        return path
 
     @classmethod
     def load(
@@ -347,57 +354,49 @@ class TypeSpace:
         index_params: Optional[dict] = None,
         mmap: bool = False,
     ) -> "TypeSpace":
-        """Restore a space saved with :meth:`save` in one bulk load.
+        """Restore a space saved with :meth:`save` (either layout) by adopting its columns.
 
-        An ``.npz`` archive restores with a single :meth:`add_markers` call,
-        so the storage is allocated once and the index is built at most once
-        — never once per marker.  A raw-layout directory adopts its arrays
-        directly; with ``mmap=True`` the marker matrix is memory-mapped
-        read-only (``mmap_mode="r"``) — no full-matrix copy, and concurrent
-        loaders share the same physical pages.  The first
+        An eager load verifies the fingerprint.  With ``mmap=True`` (raw
+        layout only) the marker matrix is memory-mapped read-only — no copy,
+        and concurrent loaders share its pages — and the fingerprint, which
+        would page in the whole matrix, is skipped; shapes and the code range
+        are checked either way, and a corrupt map raises
+        :class:`~repro.utils.columns.PayloadError`.  The first
         :meth:`add_markers` on a mapped space promotes the matrix to private
-        writable storage (one copy, the on-disk file is never touched).  A
-        file stored in another dtype (float32) is copied to float64 instead.
+        writable storage.  Maps saved before the column container load too; a
+        float32 matrix is copied to float64.
         """
         source = Path(path)
-        if source.is_dir():
-            return cls._load_raw(source, index_kind, index_params, mmap)
-        if mmap:
-            raise ValueError(
-                "mmap=True needs the raw directory layout (save(path, layout='raw')); "
-                "zip-compressed .npz archives cannot be memory-mapped"
+        columns = _legacy_columns(source, mmap)
+        verify = columns is None and not mmap
+        if columns is None:
+            columns = read_columns(source, mmap=mmap)
+        where = f"TypeSpace at {source}"
+        try:
+            version = int(columns["format"][0])
+            if version != TYPESPACE_FORMAT_VERSION:
+                raise PayloadError(f"unsupported {where} version {version!r}")
+            if verify:
+                verify_fingerprint(columns, where)
+            dim = int(columns["dim"][0])
+            embeddings = columns["embeddings"]
+            codes = np.ascontiguousarray(columns["codes"], dtype=np.int64)
+            source_codes = columns["sourcecodes"].tolist()
+            vocabulary = unpack_strings(columns["vocabbytes"], columns["vocabsplits"])
+            source_table = unpack_strings(columns["sourcebytes"], columns["sourcesplits"])
+            consistent = (
+                embeddings.shape == (len(codes), dim)
+                and len(source_codes) == len(codes)
+                and len(set(vocabulary)) == len(vocabulary)
+                and (not len(codes) or 0 <= codes.min() <= codes.max() < len(vocabulary))
+                and (not source_codes or 0 <= min(source_codes) <= max(source_codes) < len(source_table))
             )
-        with np.load(path, allow_pickle=True) as archive:
-            dim = int(archive["dim"][0])
-            embeddings = archive["embeddings"]
-            space = cls(dim, index_kind=index_kind, index_params=index_params)
-            type_names = [str(name) for name in archive["type_names"]]
-            sources = [str(source) for source in archive["sources"]]
-            space.add_markers(type_names, embeddings.reshape(len(type_names), dim), source=sources)
-        return space
-
-    @classmethod
-    def _load_raw(
-        cls,
-        directory: Path,
-        index_kind: str,
-        index_params: Optional[dict],
-        mmap: bool,
-    ) -> "TypeSpace":
-        """Adopt a raw-layout directory's arrays (optionally memory-mapped)."""
-        embeddings = np.load(directory / "embeddings.npy", mmap_mode="r" if mmap else None)
-        with np.load(directory / "markers.npz", allow_pickle=True) as archive:
-            dim = int(archive["dim"][0])
-            codes = np.ascontiguousarray(archive["codes"], dtype=np.int64)
-            vocabulary = [str(name) for name in archive["vocabulary"]]
-            sources = [str(source) for source in archive["sources"]]
-        if embeddings.ndim != 2 or embeddings.shape != (len(codes), dim):
-            raise ValueError(
-                f"raw TypeSpace at {directory} is inconsistent: embeddings shape "
-                f"{embeddings.shape} does not match {len(codes)} markers of dim {dim}"
-            )
-        if len(codes) and codes.max(initial=-1) >= len(vocabulary):
-            raise ValueError(f"raw TypeSpace at {directory} has codes outside its vocabulary")
+        except PayloadError:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError) as error:
+            raise PayloadError(f"malformed {where}: {error}") from error
+        if not consistent:
+            raise PayloadError(f"{where} is inconsistent: embeddings {embeddings.shape}, {len(codes)} type codes")
         space = cls(dim, index_kind=index_kind, index_params=index_params)
         for name in vocabulary:
             space._intern(name)
@@ -407,6 +406,54 @@ class TypeSpace:
         # the copy-on-extend promotion a mapped space needs.
         space._embeddings = embeddings if embeddings.dtype == np.float64 else np.array(embeddings, dtype=np.float64)
         space._codes = codes
-        space._sources = sources
+        space._sources = [source_table[code] for code in source_codes]
         space._size = len(codes)
         return space
+
+
+def _columns(embeddings: np.ndarray, type_names: Sequence[str], sources: Sequence[str], dim) -> dict:
+    """The stored columns of a map, without the fingerprint; a mapped matrix stays mapped.
+
+    Types and sources are each stored as a table of distinct strings plus one
+    code per marker, so a loaded map holds one string per distinct source.
+    """
+    columns = {
+        "format": np.asarray([TYPESPACE_FORMAT_VERSION], dtype=np.int64),
+        "dim": np.asarray([dim], dtype=np.int64),
+        "embeddings": embeddings,
+    }
+    for codes, table, values in (("codes", "vocab", type_names), ("sourcecodes", "source", sources)):
+        code_of = {text: code for code, text in enumerate(dict.fromkeys(values))}
+        columns[f"{table}bytes"], columns[f"{table}splits"] = pack_strings(list(code_of))
+        columns[codes] = np.fromiter((code_of[text] for text in values), dtype=np.int64, count=len(values))
+    return columns
+
+
+def _legacy_columns(path: Path, mmap: bool) -> Optional[dict]:
+    """The columns of a map saved before the column container, or ``None`` for any other path.
+
+    Those maps are an ``.npz`` archive with per-marker ``type_names`` and
+    ``sources`` as pickled object arrays, or a raw directory without a
+    ``meta.json``: an ``embeddings.npy`` (float64, or float32 from older
+    versions) beside a ``markers.npz`` with the codes and the pickled
+    vocabulary and sources.  This adapter is the only reader in the program
+    that unpickles.
+    """
+    directory = path.is_dir()
+    markers = path / "markers.npz" if directory else path
+    if not markers.is_file() or (directory and (path / RAW_META_NAME).exists()) or (mmap and not directory):
+        return None
+    try:
+        with np.load(markers, allow_pickle=True) as archive:
+            if directory:
+                embeddings = np.load(path / "embeddings.npy", mmap_mode="r" if mmap else None)
+                vocabulary = [str(name) for name in archive["vocabulary"]]
+                names = [vocabulary[code] for code in archive["codes"].tolist()]
+            elif "type_names" in archive.files:
+                names = [str(name) for name in archive["type_names"]]
+                embeddings = archive["embeddings"].reshape(len(names), int(archive["dim"][0]))
+            else:
+                return None
+            return _columns(embeddings, names, [str(text) for text in archive["sources"]], archive["dim"][0])
+    except Exception as error:  # zipfile, numpy and pickle raise many types on bad bytes
+        raise PayloadError(f"unreadable TypeSpace at {path}: {error}") from error

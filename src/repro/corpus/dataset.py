@@ -35,6 +35,7 @@ from repro.graph.slots import AnnotationRewriteError, SlotIndex, parse_annotatio
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.types.lattice import TypeLattice
 from repro.types.registry import TypeRegistry
+from repro.utils.columns import atomic_write, write_columns
 from repro.utils.rng import SeededRNG
 
 #: On-disk format of :meth:`TypeAnnotationDataset.save` directories.
@@ -265,6 +266,8 @@ class TypeAnnotationDataset:
         ``shard_format="raw"`` writes each shard as a ``graphs-NNNNN.raw``
         *directory* of plain ``.npy`` columns — the zero-copy layout
         ``load(..., mmap=True)`` memory-maps for out-of-core training.
+        Every file is replaced atomically, so a re-save never changes the
+        bytes a process that loaded or mapped the directory reads.
         """
         if shard_format not in ("binary", "json", "raw"):
             raise ValueError(f"unknown shard format {shard_format!r}")
@@ -300,15 +303,11 @@ class TypeAnnotationDataset:
             shard_name = f"graphs-{shard_index:05d}.{extension}"
             shard_names.append(shard_name)
             chunk = all_graphs[shard_index * shard_size : (shard_index + 1) * shard_size]
-            if shard_format == "binary":
-                serialize.write_graph_shard(path / shard_name, chunk)
-            elif shard_format == "raw":
-                serialize.write_graph_shard_raw(path / shard_name, chunk)
-            else:
+            if shard_format == "json":
                 payloads = [serialize.graph_to_payload(graph) for graph in chunk]
-                (path / shard_name).write_text(
-                    json.dumps({"graphs": payloads}, separators=(",", ":")), encoding="utf-8"
-                )
+                atomic_write(path / shard_name, json.dumps({"graphs": payloads}, separators=(",", ":")))
+            else:
+                write_columns(path / shard_name, serialize.flat_graphs_to_arrays(chunk), raw=shard_format == "raw")
 
         manifest = {
             "format_version": DATASET_FORMAT_VERSION,
@@ -320,10 +319,8 @@ class TypeAnnotationDataset:
             "lattice_edges": serialize.lattice_to_payload(self.lattice),
             "dedup": serialize.dedup_report_to_payload(self.dedup_report),
         }
-        (path / "sources.json").write_text(
-            json.dumps(self.sources, separators=(",", ":")), encoding="utf-8"
-        )
-        (path / "dataset.json").write_text(json.dumps(manifest, separators=(",", ":")), encoding="utf-8")
+        atomic_write(path / "sources.json", json.dumps(self.sources, separators=(",", ":")))
+        atomic_write(path / "dataset.json", json.dumps(manifest, separators=(",", ":")))
         return path
 
     @classmethod
@@ -359,21 +356,19 @@ class TypeAnnotationDataset:
                     f"{not_raw[0]!r} is not (re-save with shard_format='raw')"
                 )
             store = serialize.LazyGraphStore(
-                [serialize.RawGraphShard(path / name) for name in manifest["graph_shards"]]
+                [serialize.GraphShard.read(path / name, mmap=True) for name in manifest["graph_shards"]]
             )
             all_graphs = serialize.LazyView(store.graph, 0, len(store))
         else:
             all_graphs: list[FlatGraph] = []
             for shard_name in manifest["graph_shards"]:
-                if shard_name.endswith(".npz"):
-                    all_graphs.extend(serialize.read_graph_shard(path / shard_name))
-                elif shard_name.endswith(".raw"):
-                    all_graphs.extend(serialize.read_graph_shard_raw(path / shard_name))
-                else:
+                if shard_name.endswith(".json"):
                     shard = json.loads((path / shard_name).read_text(encoding="utf-8"))
                     all_graphs.extend(
                         serialize.graph_from_payload(payload) for payload in shard["graphs"]
                     )
+                else:
+                    all_graphs.extend(serialize.GraphShard.read(path / shard_name).graphs())
 
         splits: dict[str, DatasetSplit] = {}
         cursor = 0

@@ -27,11 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
 import sys
-import tempfile
-import threading
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -41,17 +37,13 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.corpus.serialize import (
-    GRAPH_SHARD_FORMAT_VERSION,
-    PayloadError,
-    flat_graphs_from_arrays,
-    flat_graphs_to_arrays,
-)
+from repro.corpus.serialize import GRAPH_SHARD_FORMAT_VERSION, GraphShard, flat_graphs_to_arrays
 from repro.graph.builder import GraphBuildError, GraphBuilder
 from repro.graph.flatgraph import FlatGraph
 from repro.graph.nodes import SymbolInfo
 from repro.types.normalize import is_informative
-from repro.utils.cores import usable_cores
+from repro.utils.columns import PayloadError, read_columns, write_columns
+from repro.utils.cores import fork_context, usable_cores
 from repro.utils.timing import Stopwatch
 
 T = TypeVar("T")
@@ -112,44 +104,6 @@ def _annotated_symbols(graph: FlatGraph) -> list[tuple[int, SymbolInfo]]:
         for position, symbol in enumerate(graph.symbols)
         if symbol.annotation is not None and is_informative(symbol.annotation)
     ]
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (write-temp + rename).
-
-    Readers never observe a half-written file; on failure the temp file is
-    removed.  Shared by the graph cache and the engine's annotation cache.
-    """
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent, prefix=".tmp-", suffix=path.suffix, delete=False
-    )
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
-    except OSError:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_npz(path: Path, arrays: dict) -> None:
-    """Write an ``.npz`` archive atomically (write-temp + rename)."""
-    handle = tempfile.NamedTemporaryFile(
-        "wb", dir=path.parent, prefix=".tmp-", suffix=path.suffix, delete=False
-    )
-    try:
-        with handle:
-            np.savez(handle, **arrays)
-        os.replace(handle.name, path)
-    except OSError:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
 
 
 def cached_extract(
@@ -227,30 +181,23 @@ class GraphCache:
         """Return the cached extraction for ``source``, or ``None`` on a miss."""
         path = self.path_for(source)
         try:
-            # Opened here so that an archive np.load rejects is still closed.
-            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-                if "x:extractor_version" not in archive.files:
-                    return None
-                if str(archive["x:extractor_version"][0]) != EXTRACTOR_VERSION:
-                    return None
-                graphs = flat_graphs_from_arrays(archive)
-            if len(graphs) != 1:
+            columns = read_columns(path)
+            version = columns.get("x:extractor_version")
+            if version is None or version.tolist() != [EXTRACTOR_VERSION]:
                 return None
-            graph = graphs[0].with_filename(filename)
-        except (OSError, zipfile.BadZipFile, EOFError, PayloadError, KeyError, ValueError, TypeError):
+            graphs = GraphShard(columns, f"graph cache entry {path.name}").graphs()
+        except (OSError, PayloadError):
             return None
+        if len(graphs) != 1:
+            return None
+        graph = graphs[0].with_filename(filename)
         return ExtractedFile(filename=filename, graph=graph, annotated_symbols=_annotated_symbols(graph))
 
     def store(self, source: str, extracted: ExtractedFile) -> Path:
         """Persist an extraction atomically (write-temp + rename)."""
-        path = self.path_for(source)
         arrays = flat_graphs_to_arrays([extracted.graph])
         arrays["x:extractor_version"] = np.asarray([EXTRACTOR_VERSION])
-        atomic_write_npz(path, arrays)
-        return path
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.npz"))
+        return write_columns(self.path_for(source), arrays, raw=False)
 
 
 # ---------------------------------------------------------------------------
@@ -302,35 +249,20 @@ class IngestReport:
         }
 
 
-def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
-    """The ``fork`` multiprocessing context, or ``None`` when unavailable.
-
-    ``spawn``/``forkserver`` children re-import the package from scratch,
-    which both taxes every run and breaks when ``repro`` is importable only
-    through a ``sys.path`` hook of the parent (the test harness).  Rather
-    than ship a slow, fragile fallback, platforms without ``fork`` use the
-    serial path.
-    """
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
 @contextmanager
 def fork_pool(
     workers: int, initializer: Optional[Callable[..., None]] = None, initargs: tuple = ()
 ) -> Iterator[Optional[ProcessPoolExecutor]]:
     """A pool of ``workers`` forked processes, or ``None`` where the caller must run serially.
 
-    ``None`` when ``workers <= 1``, when ``fork`` is unavailable, when other
-    threads run in this process (a forked child would inherit the locks
-    they hold, taken forever), or when the OS refuses the pool's semaphores
-    or its forks (sandboxes commonly do).  Every worker is forked on entry,
-    so the children inherit this process as it is then, and
-    ``initializer(*initargs)`` runs in each child without pickling its
-    arguments.  On exit the workers are joined.
+    ``None`` when ``workers <= 1``, where :func:`~repro.utils.cores.fork_context`
+    refuses (no ``fork``, or other threads running in this process), or when
+    the OS refuses the pool's semaphores or its forks (sandboxes commonly
+    do).  Every worker is forked on entry, so the children inherit this
+    process as it is then, and ``initializer(*initargs)`` runs in each child
+    without pickling its arguments.  On exit the workers are joined.
     """
-    context = _pool_context() if workers > 1 and threading.active_count() == 1 else None
+    context = fork_context() if workers > 1 else None
     pool: Optional[ProcessPoolExecutor] = None
     try:
         if context is not None:

@@ -14,27 +14,23 @@ Two consumers share these helpers:
 :class:`FlatGraph` columns of its graphs — the interned string tables, an
 ``int32`` node block, one edge block per kind, a symbol block and the
 occurrence CSR pair — with per-graph split arrays
-(:func:`flat_graphs_to_arrays`).  Its header holds the format version, the
-graph count and a fingerprint: the SHA-256 over the shard's columns.
-Datasets persist graphs only; node features are a pure function of a graph
-and the vocabulary, computed through the graph's intern table whenever a
-batch is built.
-
-**Two containers.**  A shard is stored either as an ``.npz`` archive or as
-a raw directory of plain ``.npy`` files whose ``meta.json`` holds the header
-and is written last (:class:`RawColumns`, which can memory-map the
-columns).  The decoder sees either one as a mapping of column names to
-arrays.
+(:func:`flat_graphs_to_arrays`).  Its header holds the format version and a
+fingerprint: the SHA-256 over the shard's columns.  Datasets persist graphs
+only; node features are a pure function of a graph and the vocabulary,
+computed through the graph's intern table whenever a batch is built.  The
+columns are stored in the program's one container
+(:mod:`repro.utils.columns`): an ``.npz`` archive or a raw ``.npy``
+directory, written atomically.
 
 **One decoder, validation on every read.**  :class:`GraphShard` is the
 only code that builds a :class:`FlatGraph` from shard columns: it slices
 out one graph at a time and runs :meth:`FlatGraph.validate` on it, so an
 out-of-range kind code or string id raises :class:`PayloadError` through
-every reader (:func:`read_graph_shard`, :func:`read_graph_shard_raw`, the
-graph cache, :class:`RawGraphShard`).  The eager readers first check the
-format version and then the fingerprint, so a truncated or bit-flipped
-shard is rejected whole; a memory-mapped :class:`RawGraphShard` skips the
-fingerprint, which would page in the whole shard.
+every reader (dataset shards read eagerly or memory-mapped, and the graph
+cache).  Eager reads first check the format version and then the
+fingerprint, so a truncated or bit-flipped shard is rejected whole; a
+memory-mapped shard skips the fingerprint, which would page in the whole
+shard.
 
 **Legacy JSON payloads.**  The original dict-of-lists layout remains fully
 readable *and* writable (``shard_format="json"``), diffable and
@@ -48,12 +44,10 @@ unchanged.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,6 +65,7 @@ from repro.graph.nodes import NodeKind, SymbolKind
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.types.lattice import TypeLattice
 from repro.types.registry import TypeRegistry
+from repro.utils.columns import PayloadError, fingerprint, pack_strings, read_columns, unpack_strings, verify_fingerprint
 
 #: Version of the graph payload layout; part of every cache key, so bumping
 #: it (or :data:`repro.corpus.ingest.EXTRACTOR_VERSION`) invalidates caches.
@@ -78,10 +73,6 @@ GRAPH_PAYLOAD_VERSION = 1
 
 #: Version of the graph-shard column layout (``.npz`` and raw alike).
 GRAPH_SHARD_FORMAT_VERSION = 1
-
-
-class PayloadError(ValueError):
-    """Raised when a payload cannot be decoded back into an object."""
 
 
 # ---------------------------------------------------------------------------
@@ -211,47 +202,6 @@ def graph_from_payload(payload: dict[str, Any], filename: Optional[str] = None) 
 # ---------------------------------------------------------------------------
 
 
-def _string_array(strings: Sequence[str]) -> np.ndarray:
-    """Unicode array of ``strings`` (empty sequences need an explicit dtype)."""
-    if not strings:
-        return np.zeros(0, dtype="<U1")
-    return np.asarray(list(strings))
-
-
-def _shard_fingerprint(arrays: dict[str, np.ndarray]) -> str:
-    """SHA-256 over every array's dtype-tagged bytes, in sorted key order.
-
-    ``x:``-prefixed keys are ancillary (callers may attach them after the
-    fingerprint is computed, e.g. the graph cache's extractor version) and
-    are excluded, as is the fingerprint itself.
-    """
-    digest = hashlib.sha256()
-    for key in sorted(arrays):
-        if key == "fingerprint" or key.startswith("x:"):
-            continue
-        value = np.ascontiguousarray(arrays[key])
-        digest.update(key.encode("utf-8") + b"\x00")
-        digest.update(str(value.dtype).encode("utf-8") + b"\x00")
-        digest.update(value.tobytes())
-    return digest.hexdigest()
-
-
-def _pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack strings into a ``uint8`` UTF-8 blob + ``int64`` offset array."""
-    parts = [text.encode("utf-8") for text in strings]
-    splits = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum([len(part) for part in parts], out=splits[1:])
-    blob = b"".join(parts)
-    return np.frombuffer(blob, dtype=np.uint8).copy(), splits
-
-
-def _unpack_strings(blob: np.ndarray, offsets: list[int]) -> list[str]:
-    """The strings between consecutive ``offsets`` into a packed ``blob``."""
-    base = offsets[0]
-    raw = np.asarray(blob[base : offsets[-1]]).tobytes()
-    return [raw[lo - base : hi - base].decode("utf-8") for lo, hi in zip(offsets, offsets[1:])]
-
-
 def _counts_splits(counts: Sequence[int]) -> np.ndarray:
     splits = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=splits[1:])
@@ -259,11 +209,11 @@ def _counts_splits(counts: Sequence[int]) -> np.ndarray:
 
 
 def flat_graphs_to_arrays(graphs: Sequence[FlatGraph]) -> dict[str, np.ndarray]:
-    """Encode columnar graphs as one ``np.savez``-ready array dictionary.
+    """Encode columnar graphs as one column set for :func:`~repro.utils.columns.write_columns`.
 
     The shard itself is columnar: every graph's columns are concatenated
     into one array per column, with ``(G + 1)``-length split arrays
-    recording per-graph boundaries — the archive holds a couple of dozen
+    recording per-graph boundaries — a shard holds a couple of dozen
     arrays total regardless of how many graphs it contains (per-entry zip
     and header costs dominate ``.npz`` handling of many small arrays).
 
@@ -285,8 +235,8 @@ def flat_graphs_to_arrays(graphs: Sequence[FlatGraph]) -> dict[str, np.ndarray]:
         all_strings.extend(flat.strings)
         strings_per_graph.append(len(flat.strings))
         meta.extend((flat.filename, flat.source))
-    strbytes, strsplits = _pack_strings(all_strings)
-    metabytes, metasplits = _pack_strings(meta)
+    strbytes, strsplits = pack_strings(all_strings)
+    metabytes, metasplits = pack_strings(meta)
 
     def concat32(pieces: list[np.ndarray], axis: int, empty_shape: tuple) -> np.ndarray:
         if not pieces:
@@ -341,20 +291,21 @@ def flat_graphs_to_arrays(graphs: Sequence[FlatGraph]) -> dict[str, np.ndarray]:
         arrays[f"edgesplits:{kind.value}"] = _counts_splits(
             [flat.edge_array(kind).shape[1] for flat in graphs]
         )
-    arrays["fingerprint"] = _string_array([_shard_fingerprint(arrays)])
+    arrays["fingerprint"] = np.asarray([fingerprint(arrays)])
     return arrays
 
 
 class GraphShard:
     """The one decoder of the graph-shard columns of :func:`flat_graphs_to_arrays`.
 
-    ``columns`` is any mapping of those columns: an ``np.load``-ed ``.npz``
-    archive, a plain dict or a :class:`RawColumns` directory, loaded or
-    memory-mapped.  The constructor checks the format version, then — with
-    ``verify`` — the fingerprint over every column, and reads only the
-    graph-boundary columns; the content columns are kept as given, so mapped
-    columns stay mapped.  :meth:`graph` slices one graph out of them and
-    runs :meth:`FlatGraph.validate` on it.  Every failure raises
+    ``columns`` is any mapping of those columns: a plain dict or the
+    :func:`~repro.utils.columns.read_columns` result of an ``.npz`` archive
+    or a raw directory, loaded or memory-mapped (:meth:`read`).  The
+    constructor checks the format version, then — with ``verify`` — the
+    fingerprint over every column, and reads only the graph-boundary
+    columns; the content columns are kept as given, so mapped columns stay
+    mapped.  :meth:`graph` slices one graph out of them and runs
+    :meth:`FlatGraph.validate` on it.  Every failure raises
     :class:`PayloadError`.
     """
 
@@ -365,14 +316,14 @@ class GraphShard:
             if version != GRAPH_SHARD_FORMAT_VERSION:
                 raise PayloadError(f"unsupported {where} version {version!r}")
             arrays = {key: np.asarray(columns[key]) for key in columns}
-            if verify and str(arrays["fingerprint"][0]) != _shard_fingerprint(arrays):
-                raise PayloadError(f"{where} fingerprint mismatch (corrupted shard?)")
+            if verify:
+                verify_fingerprint(arrays, where)
             self.num_graphs = int(arrays["num_graphs"][0])
             self._arrays = arrays
             self._strsplits = arrays["strsplits"]
             self._occsplits = _counts_splits(arrays["occcounts"])
             self._strgraph = arrays["strgraph"].tolist()
-            self._metasplits = arrays["metasplits"].tolist()
+            self._metasplits = arrays["metasplits"]
             self._nodesplits = arrays["nodesplits"].tolist()
             self._symsplits = arrays["symsplits"].tolist()
             self._edges = [
@@ -382,12 +333,22 @@ class GraphShard:
             ]
         except PayloadError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError, OSError) as error:
+        except (KeyError, TypeError, ValueError, IndexError) as error:
             raise PayloadError(f"malformed {where}: {error}") from error
         expected = self.num_graphs + 1
         bounds = [self._strgraph, self._nodesplits, self._symsplits, *(splits for _, _, splits in self._edges)]
         if any(len(splits) != expected for splits in bounds) or len(self._metasplits) != 2 * expected - 1:
             raise PayloadError(f"{where}: graph-boundary columns disagree with {self.num_graphs} graphs")
+
+    @classmethod
+    def read(cls, path: Union[str, Path], mmap: bool = False) -> "GraphShard":
+        """The shard stored at ``path`` (``.npz`` archive or raw directory), fingerprint checked.
+
+        With ``mmap`` the raw columns are mapped read-only and the
+        fingerprint, which would page in the entire shard, is skipped; every
+        graph handed out still passes :meth:`FlatGraph.validate`.
+        """
+        return cls(read_columns(path, mmap=mmap), f"graph shard at {path}", verify=not mmap)
 
     def graph(self, index: int) -> FlatGraph:
         """Graph ``index``, validated; its array fields are slices of the columns."""
@@ -405,12 +366,12 @@ class GraphShard:
                 lo, hi = splits[index : index + 2]
                 if hi > lo:
                     edges[kind] = column[:, lo:hi]
-            filename, source = _unpack_strings(arrays["metabytes"], self._metasplits[2 * index : 2 * index + 3])
+            filename, source = unpack_strings(arrays["metabytes"], self._metasplits[2 * index : 2 * index + 3])
             occurrence_splits = self._occsplits[sym_lo : sym_hi + 1]
             graph = FlatGraph(
                 filename=filename,
                 source=source,
-                strings=tuple(_unpack_strings(arrays["strbytes"], self._strsplits[str_lo : str_hi + 1].tolist())),
+                strings=tuple(unpack_strings(arrays["strbytes"], self._strsplits[str_lo : str_hi + 1])),
                 node_kind=nodes[0, node_lo:node_hi],
                 node_text=nodes[1, node_lo:node_hi],
                 node_line=nodes[2, node_lo:node_hi],
@@ -432,123 +393,6 @@ class GraphShard:
 
     def graphs(self) -> list[FlatGraph]:
         return [self.graph(index) for index in range(self.num_graphs)]
-
-
-def flat_graphs_from_arrays(archive: Mapping[str, np.ndarray]) -> list[FlatGraph]:
-    """Decode every graph of :func:`flat_graphs_to_arrays` output, fingerprint checked.
-
-    ``archive`` is any column mapping (see :class:`GraphShard`).  Raises
-    :class:`PayloadError` on unknown versions, missing arrays, fingerprint
-    mismatches or an invalid graph — never returns a partially decoded
-    shard.  Per-graph arrays are zero-copy slices of the shard columns.
-    """
-    return GraphShard(archive).graphs()
-
-
-def write_graph_shard(path, graphs: Sequence[FlatGraph]) -> None:
-    """Write graphs to a binary ``.npz`` shard at ``path``."""
-    arrays = flat_graphs_to_arrays(graphs)
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
-
-
-def read_graph_shard(path) -> list[FlatGraph]:
-    """Read a binary shard back as :class:`FlatGraph` objects."""
-    with np.load(path, allow_pickle=False) as archive:
-        return GraphShard(archive, f"graph shard at {path}").graphs()
-
-
-# ---------------------------------------------------------------------------
-# Raw column directories (zero-copy, memory-mappable)
-# ---------------------------------------------------------------------------
-
-#: Commit marker and header of a raw shard directory; written last,
-#: so a directory without it is an aborted write, not a corrupt dataset.
-RAW_META_NAME = "meta.json"
-
-#: Header entries of a shard: one-element arrays in an ``.npz`` archive,
-#: plain values in a raw directory's ``meta.json``.
-_HEADER_KEYS = ("format", "num_graphs", "fingerprint")
-
-
-class RawColumns(Mapping):
-    """A raw directory read like an ``np.load``-ed ``.npz`` archive.
-
-    ``meta.json`` names each column's ``.npy`` file and holds the header,
-    which this mapping serves as one-element arrays, as an archive stores
-    it.  A column is read when looked up: memory-mapped read-only with
-    ``mmap``, else loaded.
-    """
-
-    def __init__(self, path, mmap: bool = False) -> None:
-        self.path = Path(path)
-        try:
-            meta = json.loads((self.path / RAW_META_NAME).read_text(encoding="utf-8"))
-            self._header = {
-                "format": np.asarray([int(meta["format"])], dtype=np.int64),
-                "num_graphs": np.asarray([int(meta["num_graphs"])], dtype=np.int64),
-                "fingerprint": _string_array([str(meta["fingerprint"])]),
-            }
-            self._files = dict(meta["arrays"])
-        except (OSError, ValueError, KeyError, TypeError) as error:
-            raise PayloadError(f"cannot read raw metadata at {self.path}: {error}") from error
-        self._mode = "r" if mmap else None
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        if key in self._header:
-            return self._header[key]
-        return np.load(self.path / self._files[key], mmap_mode=self._mode, allow_pickle=False)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter([*self._header, *self._files])
-
-    def __len__(self) -> int:
-        return len(self._header) + len(self._files)
-
-
-def write_graph_shard_raw(path, graphs: Sequence[FlatGraph]) -> None:
-    """Write graphs as a raw shard *directory*: one ``.npy`` file per column, ``meta.json`` last.
-
-    Same columnar arrays as the ``.npz`` shard (see
-    :func:`flat_graphs_to_arrays`), but each stored as a plain ``.npy`` so
-    loaders can ``np.load(..., mmap_mode="r")`` them — pages stream in on
-    access instead of the whole archive inflating into every process.
-    """
-    arrays = flat_graphs_to_arrays(graphs)
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    names: dict[str, str] = {}
-    for key, value in arrays.items():
-        if key in _HEADER_KEYS:
-            continue
-        name = key.replace(":", "__") + ".npy"
-        np.save(directory / name, np.ascontiguousarray(value))
-        names[key] = name
-    meta = {
-        "format": int(arrays["format"][0]),
-        "num_graphs": int(arrays["num_graphs"][0]),
-        "fingerprint": str(arrays["fingerprint"][0]),
-        "arrays": names,
-    }
-    (directory / RAW_META_NAME).write_text(json.dumps(meta, indent=1), encoding="utf-8")
-
-
-def read_graph_shard_raw(path) -> list[FlatGraph]:
-    """Eagerly read a raw shard directory: the same checks and decoder as an ``.npz`` shard."""
-    return GraphShard(RawColumns(path), f"raw graph shard at {path}").graphs()
-
-
-class RawGraphShard(GraphShard):
-    """A raw shard directory, memory-mapped read-only and decoded on demand.
-
-    Only the graph-boundary columns are read up front; :meth:`graph` touches
-    one graph's pages.  The fingerprint is not verified — that would page in
-    the entire shard — but every graph handed out has passed
-    :meth:`FlatGraph.validate`; :func:`read_graph_shard_raw` verifies it.
-    """
-
-    def __init__(self, path) -> None:
-        super().__init__(RawColumns(path, mmap=True), f"raw graph shard at {path}", verify=False)
 
 
 class LazyGraphStore:

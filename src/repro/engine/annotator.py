@@ -34,8 +34,9 @@ from repro.checker.checker import CheckerMode
 from repro.core.filter import FilteredSuggestion
 from repro.core.pipeline import SymbolSuggestion, TypilusPipeline
 from repro.core.predictor import TypePrediction
-from repro.corpus.ingest import INTERPRETER_TAG, atomic_write_text
+from repro.corpus.ingest import INTERPRETER_TAG
 from repro.graph.nodes import SymbolKind
+from repro.utils.columns import atomic_write
 from repro.utils.timing import Stopwatch
 
 #: Version of annotation-cache entries: their layout and the protocol that
@@ -180,7 +181,7 @@ class AnnotationCache:
             "format": ANNOTATION_CACHE_VERSION,
             "suggestions": [suggestion_to_payload(suggestion) for suggestion in suggestions],
         }
-        atomic_write_text(self.path_for(source), json.dumps(payload, separators=(",", ":")))
+        atomic_write(self.path_for(source), json.dumps(payload, separators=(",", ":")))
 
 
 class ProjectAnnotator:

@@ -1,8 +1,8 @@
 """Saving and loading model parameters.
 
-Trained TypeSpaces and the models that produce them can be persisted to a
-single ``.npz`` file keyed by the dotted parameter names returned by
-:meth:`repro.nn.layers.Module.named_parameters`.
+Modules are persisted to one ``.npz`` archive of the program's column
+container (:mod:`repro.utils.columns`), keyed by the dotted parameter names
+returned by :meth:`repro.nn.layers.Module.named_parameters`.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Union
 import numpy as np
 
 from repro.nn.layers import Module
+from repro.utils.columns import read_columns, write_columns
 
 
 def state_dict(module: Module) -> dict[str, np.ndarray]:
@@ -48,22 +49,6 @@ def load_state_dict(module: Module, state: dict[str, np.ndarray], strict: bool =
     return missing
 
 
-def save(module: Module, path: Union[str, Path]) -> Path:
-    """Serialize a module's parameters to ``path`` (``.npz``)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **state_dict(module))
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load(module: Module, path: Union[str, Path], strict: bool = True) -> Module:
-    """Load parameters saved by :func:`save` into ``module`` and return it."""
-    with np.load(Path(path)) as archive:
-        state = {key: archive[key] for key in archive.files}
-    load_state_dict(module, state, strict=strict)
-    return module
-
-
 # -- multi-module archives ---------------------------------------------------------
 
 _NAMESPACE_SEPARATOR = "//"
@@ -74,7 +59,7 @@ def save_modules(path: Union[str, Path], **modules: Module) -> Path:
 
     Parameter keys are namespaced as ``"<module name>//<parameter name>"`` so
     an encoder and any loss heads can share a single file.  Used by pipeline
-    persistence.
+    persistence.  The archive is written atomically at exactly ``path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -82,8 +67,7 @@ def save_modules(path: Union[str, Path], **modules: Module) -> Path:
     for module_name, module in modules.items():
         for parameter_name, values in state_dict(module).items():
             combined[f"{module_name}{_NAMESPACE_SEPARATOR}{parameter_name}"] = values
-    np.savez(path, **combined)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    return write_columns(path, combined, raw=False)
 
 
 def load_modules(path: Union[str, Path], strict: bool = True, **modules: Module) -> dict[str, list[str]]:
@@ -91,10 +75,10 @@ def load_modules(path: Union[str, Path], strict: bool = True, **modules: Module)
 
     Returns the missing-parameter lists per module (see
     :func:`load_state_dict`).  Unknown module namespaces in the archive are an
-    error under ``strict``.
+    error under ``strict``; an unreadable archive raises
+    :class:`~repro.utils.columns.PayloadError`.
     """
-    with np.load(Path(path)) as archive:
-        state = {key: archive[key] for key in archive.files}
+    state = read_columns(path)
     grouped: dict[str, dict[str, np.ndarray]] = {}
     for key, values in state.items():
         module_name, _, parameter_name = key.partition(_NAMESPACE_SEPARATOR)

@@ -30,7 +30,7 @@ def saved_dir(dataset, tmp_path_factory):
 
 class TestSaveLayout:
     def test_manifest_sources_and_binary_shards_written(self, dataset, saved_dir):
-        from repro.corpus.serialize import read_graph_shard
+        from repro.corpus.serialize import GraphShard
 
         assert (saved_dir / "dataset.json").exists()
         assert (saved_dir / "sources.json").exists()
@@ -38,7 +38,7 @@ class TestSaveLayout:
         shards = sorted(saved_dir.glob("graphs-*.npz"))
         total_graphs = sum(split.num_graphs for split in dataset.splits.values())
         assert len(shards) == -(-total_graphs // 3)  # ceil division
-        stored = sum(len(read_graph_shard(shard)) for shard in shards)
+        stored = sum(len(GraphShard.read(shard).graphs()) for shard in shards)
         assert stored == total_graphs
 
     def test_shard_size_one_gives_one_graph_per_file(self, dataset, tmp_path):
@@ -66,18 +66,21 @@ class TestSaveLayout:
 
     def test_manifest_is_written_last(self, dataset, tmp_path, monkeypatch):
         """A save that fails before it completes leaves no manifest, so nothing loads it."""
-        write_text = Path.write_text
+        import os
 
-        def fail_on_sources(self, *args, **kwargs):
-            if self.name == "sources.json":
+        replace = os.replace
+
+        def fail_on_sources(source, target):
+            if Path(target).name == "sources.json":
                 raise OSError("disk full")
-            return write_text(self, *args, **kwargs)
+            return replace(source, target)
 
-        monkeypatch.setattr(Path, "write_text", fail_on_sources)
+        monkeypatch.setattr(os, "replace", fail_on_sources)
         with pytest.raises(OSError, match="disk full"):
             dataset.save(tmp_path / "interrupted")
         assert list((tmp_path / "interrupted").glob("graphs-*"))
         assert not (tmp_path / "interrupted" / "dataset.json").exists()
+        assert not list((tmp_path / "interrupted").glob(".tmp-*"))  # the failed write cleaned up
 
 
 class TestRoundTrip:

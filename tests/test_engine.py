@@ -526,6 +526,18 @@ class TestNoGradEmbedding:
             assert np.array_equal(pipeline.embedder.embed_symbols(graphs, targets), taped.data), family
 
 
+class TestSavedFingerprints:
+    @pytest.mark.parametrize("layout", ["npz", "raw"])
+    def test_every_family_reloads_to_its_fingerprint(self, family_pipelines, tmp_path, layout):
+        """Eager and (raw layout) mapped loads of each encoder family keep the pipeline fingerprint."""
+        for family, pipeline in family_pipelines.items():
+            pipeline.save(tmp_path / family, typespace_layout=layout)
+            for mmap in (False, True) if layout == "raw" else (False,):
+                loaded = TypilusPipeline.load(tmp_path / family, mmap_typespace=mmap)
+                assert loaded.type_space.is_memory_mapped == mmap, (family, layout)
+                assert loaded.fingerprint() == pipeline.fingerprint(), (family, layout, mmap)
+
+
 def _payload_list(report):
     return [
         (file_report.filename, [suggestion_to_payload(s) for s in file_report.suggestions])

@@ -16,13 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.corpus.serialize import (
+    GraphShard,
     PayloadError,
-    flat_graphs_from_arrays,
     flat_graphs_to_arrays,
     graph_from_payload,
     graph_to_payload,
-    read_graph_shard,
-    write_graph_shard,
 )
 from repro.graph import EdgeKind, FlatGraph, NodeKind, SymbolKind, build_graph, split_identifier
 from repro.graph.flatgraph import (
@@ -40,6 +38,7 @@ from repro.models.batching import (
     sequence_piece,
 )
 from repro.models.encoder_init import SubtokenNodeInitializer
+from repro.utils.columns import write_columns
 from repro.utils.rng import SeededRNG
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -310,7 +309,7 @@ class TestBinaryShards:
     def test_arrays_round_trip(self, graph, sample_source):
         other = build_graph("def helper(value):\n    return value\n", "helper.py")
         arrays = flat_graphs_to_arrays([graph, other])
-        restored = flat_graphs_from_arrays(arrays)
+        restored = GraphShard(arrays).graphs()
         assert len(restored) == 2
         for original, loaded in zip([graph, other], restored):
             assert graph_to_payload(loaded) == graph_to_payload(original)
@@ -318,8 +317,8 @@ class TestBinaryShards:
 
     def test_shard_file_round_trip(self, graph, tmp_path):
         shard = tmp_path / "graphs-00000.npz"
-        write_graph_shard(shard, [graph])
-        (loaded,) = read_graph_shard(shard)
+        write_columns(shard, flat_graphs_to_arrays([graph]), raw=False)
+        (loaded,) = GraphShard.read(shard).graphs()
         assert isinstance(loaded, FlatGraph)
         assert graph_to_payload(loaded) == graph_to_payload(graph)
 
@@ -327,32 +326,32 @@ class TestBinaryShards:
         """A graph decoded from plain payload lists persists like a built one."""
         decoded = graph_from_payload(graph_to_payload(graph))
         shard = tmp_path / "graphs-00000.npz"
-        write_graph_shard(shard, [decoded])
-        (loaded,) = read_graph_shard(shard)
+        write_columns(shard, flat_graphs_to_arrays([decoded]), raw=False)
+        (loaded,) = GraphShard.read(shard).graphs()
         assert graph_to_payload(loaded) == graph_to_payload(graph)
         assert flat_graphs_to_arrays([decoded])["fingerprint"] == flat_graphs_to_arrays([graph])["fingerprint"]
 
     def test_fingerprint_mismatch_raises(self, graph, tmp_path):
         shard = tmp_path / "graphs-00000.npz"
-        write_graph_shard(shard, [graph])
+        write_columns(shard, flat_graphs_to_arrays([graph]), raw=False)
         with np.load(shard, allow_pickle=False) as archive:
             arrays = {key: archive[key] for key in archive.files}
         arrays["nodes"] = arrays["nodes"] + 1
         with open(shard, "wb") as handle:
             np.savez(handle, **arrays)
         with pytest.raises(PayloadError, match="fingerprint"):
-            read_graph_shard(shard)
+            GraphShard.read(shard)
 
     def test_unknown_version_raises(self, graph):
         arrays = flat_graphs_to_arrays([graph])
         arrays["format"] = np.asarray([999], dtype=np.int64)
         with pytest.raises(PayloadError, match="version"):
-            flat_graphs_from_arrays(arrays)
+            GraphShard(arrays)
 
     def test_empty_graph_round_trips(self):
         empty = build_graph("", "empty.py")
         arrays = flat_graphs_to_arrays([empty])
-        (restored,) = flat_graphs_from_arrays(arrays)
+        (restored,) = GraphShard(arrays).graphs()
         assert restored.num_nodes == empty.num_nodes
         assert graph_to_payload(restored) == graph_to_payload(empty)
 

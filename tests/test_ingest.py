@@ -189,12 +189,9 @@ class TestGraphCache:
         assert report.cache_hits == len(corpus) - 1
         assert _payloads(recovered) == _payloads(clean)
         # The entry was rewritten and is valid again.
-        import numpy as np
+        from repro.corpus.serialize import GraphShard
 
-        from repro.corpus.serialize import flat_graphs_from_arrays
-
-        with np.load(victim, allow_pickle=False) as archive:
-            (flat,) = flat_graphs_from_arrays(archive)
+        (flat,) = GraphShard.read(victim).graphs()
         assert flat.num_nodes > 0
 
     def test_fingerprint_mismatch_is_a_miss(self, corpus, tmp_path):

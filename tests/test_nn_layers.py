@@ -7,7 +7,7 @@ from repro.nn.conv import CharCNNEncoder, Conv1D
 from repro.nn.layers import MLP, Dropout, Embedding, LayerNorm, Linear, Module, Sequential
 from repro.nn.optim import Adam
 from repro.nn.rnn import BiGRU, GRU, GRUCell
-from repro.nn.serialization import load, load_state_dict, save, state_dict
+from repro.nn.serialization import load_modules, load_state_dict, save_modules, state_dict
 from repro.nn.tensor import Tensor
 from repro.utils.rng import SeededRNG
 
@@ -163,11 +163,11 @@ class TestSerialization:
         model = MLP(4, 6, 2, rng)
         reference = model(Tensor(np.ones((1, 4)))).data.copy()
         path = tmp_path / "model.npz"
-        save(model, path)
+        save_modules(path, model=model)
 
         fresh = MLP(4, 6, 2, SeededRNG(99))
         assert not np.allclose(fresh(Tensor(np.ones((1, 4)))).data, reference)
-        load(fresh, path)
+        load_modules(path, model=fresh)
         assert np.allclose(fresh(Tensor(np.ones((1, 4)))).data, reference)
 
     def test_load_state_dict_shape_mismatch_raises(self, rng):

@@ -110,6 +110,33 @@ class TestWorkers:
         with pytest.raises(ValueError, match="workers"):
             Trainer(encoder, dataset, config=TrainingConfig(workers=0))
 
+    def test_live_thread_forks_nothing_and_trains_serially(self, dataset, monkeypatch):
+        """A forked worker would inherit the locks another thread holds, so the team does not start."""
+        import os
+        import threading
+
+        serial_losses, serial = _train(dataset, epochs=2)
+        real_fork = os.fork
+        forks: list = []
+
+        def counted_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            losses, trainer = _train(dataset, epochs=2, workers=2)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert forks == []
+        assert losses == serial_losses
+        for parallel, baseline in zip(_parameters(trainer), _parameters(serial)):
+            assert np.array_equal(parallel, baseline)
+
 
 def _count_calls(monkeypatch, owner, name) -> list:
     calls: list = []
@@ -231,7 +258,7 @@ class TestDecodeCacheByteBound:
         from repro.corpus import serialize
 
         manifest = json.loads((raw_dir / "dataset.json").read_text(encoding="utf-8"))
-        shards = [serialize.RawGraphShard(raw_dir / name) for name in manifest["graph_shards"]]
+        shards = [serialize.GraphShard.read(raw_dir / name, mmap=True) for name in manifest["graph_shards"]]
         return serialize.LazyGraphStore(shards, **kwargs)
 
     def test_flatgraph_nbytes_counts_decoded_payload(self, raw_dir):

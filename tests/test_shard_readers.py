@@ -13,15 +13,9 @@ import pytest
 
 from repro.corpus import DatasetConfig, SynthesisConfig, TypeAnnotationDataset
 from repro.corpus.ingest import ExtractedFile, GraphCache
-from repro.corpus.serialize import (
-    PayloadError,
-    graph_to_payload,
-    read_graph_shard,
-    read_graph_shard_raw,
-    write_graph_shard,
-    write_graph_shard_raw,
-)
+from repro.corpus.serialize import GraphShard, PayloadError, flat_graphs_to_arrays, graph_to_payload
 from repro.graph.builder import GraphBuilder
+from repro.utils.columns import write_columns
 
 SOURCE = "def scale(amount: int, factor: int) -> int:\n    total = amount * factor\n    return total\n"
 
@@ -62,14 +56,14 @@ def _all_payloads(loaded):
 
 class TestCraftedShardRejected:
     def test_npz_shard(self, tmp_path):
-        write_graph_shard(tmp_path / "graphs-00000.npz", [_crafted_graph()])
+        write_columns(tmp_path / "graphs-00000.npz", flat_graphs_to_arrays([_crafted_graph()]), raw=False)
         with pytest.raises(PayloadError, match="out of range"):
-            read_graph_shard(tmp_path / "graphs-00000.npz")
+            GraphShard.read(tmp_path / "graphs-00000.npz").graphs()
 
     def test_raw_shard_read_eagerly(self, tmp_path):
-        write_graph_shard_raw(tmp_path / "graphs-00000.raw", [_crafted_graph()])
+        write_columns(tmp_path / "graphs-00000.raw", flat_graphs_to_arrays([_crafted_graph()]), raw=True)
         with pytest.raises(PayloadError, match="out of range"):
-            read_graph_shard_raw(tmp_path / "graphs-00000.raw")
+            GraphShard.read(tmp_path / "graphs-00000.raw").graphs()
 
     @pytest.mark.parametrize("shard_format", ["binary", "raw"])
     def test_eager_dataset_load(self, dataset, tmp_path, shard_format):
@@ -97,7 +91,7 @@ class TestContainersAgree:
         shard = tmp_path / "raw" / "graphs-00000.raw"
         meta = json.loads((shard / "meta.json").read_text(encoding="utf-8"))
         with np.load(tmp_path / "npz" / "graphs-00000.npz", allow_pickle=False) as archive:
-            assert set(archive.files) == {"format", "num_graphs", "fingerprint", *meta["arrays"]}
+            assert set(archive.files) == {"format", "fingerprint", *meta["arrays"]}
             assert int(archive["format"][0]) == meta["format"]
             assert str(archive["fingerprint"][0]) == meta["fingerprint"]
             for key, name in meta["arrays"].items():

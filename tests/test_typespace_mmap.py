@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import TypeSpace, TypilusPipeline
+from repro.utils.columns import PayloadError
 
 
 def populated_space(n=300, dim=8, seed=0, **kwargs):
@@ -17,6 +18,19 @@ def populated_space(n=300, dim=8, seed=0, **kwargs):
         source=[f"file{position % 5}.py" for position in range(n)],
     )
     return space
+
+
+def _save_legacy_raw(space, directory, dtype=np.float64):
+    """``space`` in the raw layout written before the column container: pickled object arrays."""
+    directory.mkdir()
+    np.save(directory / "embeddings.npy", space.marker_matrix().astype(dtype))
+    np.savez(
+        directory / "markers.npz",
+        codes=space.marker_type_codes(),
+        vocabulary=np.asarray(space.type_vocabulary(), dtype=object),
+        sources=np.asarray(space.marker_sources(), dtype=object),
+        dim=np.asarray([space.dim]),
+    )
 
 
 class TestRawLayout:
@@ -31,10 +45,12 @@ class TestRawLayout:
 
     @pytest.mark.parametrize("mmap", [False, True])
     def test_float32_file_loads_as_a_float64_copy(self, tmp_path, mmap):
+        """A raw directory of an older version (``markers.npz``, no ``meta.json``) with a float32 matrix."""
         space = populated_space()
-        space.save(str(tmp_path / "ts"), layout="raw")
-        np.save(tmp_path / "ts" / "embeddings.npy", space.marker_matrix().astype(np.float32))
+        _save_legacy_raw(space, tmp_path / "ts", np.float32)
         restored = TypeSpace.load(str(tmp_path / "ts"), mmap=mmap)
+        assert restored.marker_type_names() == space.marker_type_names()
+        assert restored.marker_sources() == space.marker_sources()
         assert restored.marker_matrix().dtype == np.float64
         assert not restored.is_memory_mapped
         np.testing.assert_array_equal(restored.marker_matrix(), space.marker_matrix().astype(np.float32))
@@ -54,8 +70,11 @@ class TestRawLayout:
         space = populated_space()
         space.save(str(tmp_path / "ts"), layout="raw")
         np.save(tmp_path / "ts" / "embeddings.npy", np.zeros((2, 8)))
-        with pytest.raises(ValueError, match="is inconsistent"):
+        with pytest.raises(PayloadError, match="fingerprint"):
             TypeSpace.load(str(tmp_path / "ts"))
+        # A mapped load skips the fingerprint but still checks the shapes.
+        with pytest.raises(PayloadError, match="is inconsistent"):
+            TypeSpace.load(str(tmp_path / "ts"), mmap=True)
 
 
 class TestMmapSemantics:
@@ -196,7 +215,9 @@ class TestPipelineRawLayout:
 
     def test_raw_save_writes_directory_layout(self, raw_dir):
         assert (raw_dir / "typespace" / "embeddings.npy").exists()
-        assert (raw_dir / "typespace" / "markers.npz").exists()
+        meta = json.loads((raw_dir / "typespace" / "meta.json").read_text(encoding="utf-8"))
+        assert meta["arrays"]["embeddings"] == "embeddings.npy"
+        assert not (raw_dir / "typespace" / "markers.npz").exists()
         assert not (raw_dir / "typespace.npz").exists()
         manifest = json.loads((raw_dir / "pipeline.json").read_text(encoding="utf-8"))
         assert manifest["typespace_layout"] == "raw"

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.corpus import IngestConfig
 from repro.utils import usable_cores
+from repro.utils.cores import fork_context
 from repro.utils.rng import SeededRNG, temp_seed
 from repro.utils.text import camel_and_snake_split, normalise_whitespace, truncate
 from repro.utils.timing import Stopwatch, timed
@@ -130,3 +131,25 @@ class TestUsableCores:
         assert usable_cores() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert usable_cores() == 1
+
+
+class TestForkContext:
+    def test_fork_only_while_no_other_thread_runs(self):
+        import threading
+
+        assert fork_context().get_start_method() == "fork"
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert fork_context() is None
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert fork_context() is not None
+
+    def test_no_fork_where_the_platform_lacks_it(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert fork_context() is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.corpus.serialize import flat_graphs_from_arrays, flat_graphs_to_arrays, graph_from_payload, graph_to_payload
+from repro.corpus.serialize import GraphShard, flat_graphs_to_arrays, graph_from_payload, graph_to_payload
 from repro.graph import EdgeKind, FlatGraph, FlatGraphBuilder, NodeKind, build_graph, to_dot, write_dot
 from repro.graph.edges import ALL_EDGE_KINDS
 from repro.graph.flatgraph import NODE_KIND_ORDER
@@ -17,7 +17,7 @@ def graph() -> FlatGraph:
 
 def _shard_loaded(graph: FlatGraph) -> FlatGraph:
     """The graph as a binary shard hands it back: columns sliced from shard arrays."""
-    (loaded,) = flat_graphs_from_arrays(flat_graphs_to_arrays([graph]))
+    (loaded,) = GraphShard(flat_graphs_to_arrays([graph])).graphs()
     return loaded
 
 
