@@ -148,9 +148,10 @@ def _add_ingest_arguments(parser: argparse.ArgumentParser, annotates: bool = Fal
 
 def _add_index_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--index", choices=list(INDEX_KINDS), default=None,
-                        help="TypeSpace index: exact (brute-force oracle, default) or ivf "
-                             "(k-means cells + shortlist re-rank, the sub-linear serving "
-                             "tier); with --load-model the loaded pipeline is re-indexed")
+                        help="TypeSpace index: exact (the full scan's answers, skipping the "
+                             "cells it can rule out; default) or ivf (k-medians cells + "
+                             "shortlist re-rank, approximate); with --load-model the loaded "
+                             "pipeline is re-indexed")
     parser.add_argument("--nlist", type=int, default=None,
                         help="ivf only: number of k-means cells (default 64)")
     parser.add_argument("--nprobe", type=int, default=None,

@@ -3,39 +3,47 @@
 The paper uses Annoy, an approximate nearest-neighbour library, to keep kNN
 queries fast.  Two indexes are provided here with the same interface:
 
-* :class:`ExactL1Index` — brute-force search, exact, the default at our
-  corpus scale and the oracle the approximate index is verified against;
-* :class:`~repro.core.ivf.IVFIndex` — the sub-linear serving-tier index: a
-  seeded k-means coarse quantizer partitions the points into cells, queries
-  probe the ``nprobe`` nearest cells for a shortlist and the shortlist is
-  exactly re-ranked.  Built by :func:`build_index` with ``kind="ivf"``.
+* :class:`ExactL1Index` — exact search, the default.  Its answers are the
+  :func:`l1_top_k` full scan's, bit for bit, but it files the markers into
+  about √N cells and scores only the cells the triangle inequality cannot
+  rule out (:func:`_pruned_top_k`), falling back to the scan where the
+  bounds leave more than half of the (query, marker) pairs;
+* :class:`~repro.core.ivf.IVFIndex` — approximate: queries probe the
+  ``nprobe`` nearest cells for a shortlist, which is exactly re-ranked.
+  Built by :func:`build_index` with ``kind="ivf"``.
+
+Both build their cells the same way: seeded k-medians centres
+(:func:`kmeans_cells`) and one :class:`CellPartition` that files each row
+under its nearest centre (:func:`nearest_cells`).
 
 Both indexes are batch-first: the primitive operation is
 :meth:`query_batch_arrays`, which answers *all* queries with vectorized
 numpy and returns one :class:`BatchNeighbourResult` of array triples
 (indices, distances, counts).  The per-query :meth:`query` and the
-list-of-objects :meth:`query_batch` are thin views over that path.  Each
-query path (the exact scan, the IVF centroid probe and re-rank) is one
-:func:`l1_top_k` scan: row blocks whose queries × block distance tile stays
-under :data:`L1_CHUNK_ELEMENTS`, a running top-k per query, so memory does
-not grow with the marker count.  Neighbours are ordered by (distance, row):
-of equal distances the lower row comes first, whatever the tile size.
+list-of-objects :meth:`query_batch` are thin views over that path.  Every
+distance comes from one kernel, :func:`_l1_distance_block`, over tiles of
+about :data:`L1_CHUNK_ELEMENTS` distances; the full scan keeps a running
+top-k per query, so memory does not grow with the marker count.  Neighbours
+are ordered by (distance, row): of equal distances the lower row comes
+first, whatever the tile size or the cells.
 
 Both indexes are also **incrementally updatable**: :meth:`extend` appends
-new points without touching the existing ones — the exact index appends
-rows into amortised-growth storage, the IVF index assigns only the new
-points to its fixed cells — so a long-lived TypeSpace can grow marker by
-marker at a cost proportional to the extension, not to the whole index.
+new points without touching the existing ones and files them under the
+existing cells, so a long-lived TypeSpace can grow marker by marker at a
+cost proportional to the extension, not to the whole index.
 
 Points, queries and distances are float64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
+
+from repro.utils.rng import SeededRNG
 
 try:  # scipy's C implementation is ~6× faster; fall back to pure numpy without it
     from scipy.spatial.distance import cdist as _cdist
@@ -49,6 +57,20 @@ except ImportError:  # pragma: no cover - exercised only on scipy-less installs
 #: the time of a whole-matrix top-k (0.73–0.97× with two processes scanning at
 #: once).
 L1_CHUNK_ELEMENTS = 131_072
+
+#: Lloyd iterations of :func:`kmeans_cells` (converged assignments end it sooner).
+KMEANS_ITERATIONS = 8
+
+#: The exact index files its ``N`` markers into ``isqrt(N)`` cells, and only
+#: when that makes at least this many: a smaller map is scanned whole.  Below
+#: it the per-cell work costs more than the distances it skips (single-file
+#: batches of ~31 queries, 2 cores: 1,024 markers 1.70×, 2,025 markers 1.18×,
+#: 3,025 markers 0.84× the scan's time).
+MIN_CELLS = 50
+
+#: The exact index scans every marker when its bounds leave more than this
+#: share of a batch's (query, marker) pairs.
+MAX_SCANNED_SHARE = 0.5
 
 
 def l1_distance_matrix(
@@ -129,6 +151,203 @@ def l1_top_k(
     return (best_rows if subset is None else subset[best_rows]), best
 
 
+def nearest_cells(points: np.ndarray, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's L1-nearest centre (the lower one on ties) and its distance to it.
+
+    The one cell-assignment routine: the k-medians iterations, the IVF cells
+    and the exact index's partition all assign through it.  Points go in
+    blocks whose points × centres tile holds at most :data:`L1_CHUNK_ELEMENTS`
+    distances.
+    """
+    cells = np.empty(len(points), dtype=np.int64)
+    distances = np.empty(len(points))
+    block = max(1, L1_CHUNK_ELEMENTS // max(len(centres), 1))
+    for start in range(0, len(points), block):
+        tile = _l1_distance_block(points[start : start + block], centres)
+        nearest = np.argmin(tile, axis=1)
+        cells[start : start + block] = nearest
+        distances[start : start + block] = tile[np.arange(len(tile)), nearest]
+    return cells, distances
+
+
+def _cell_groups(cells: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(cell, positions)`` for every cell named in ``cells``, positions ascending."""
+    order = np.argsort(cells, kind="stable")
+    present, starts = np.unique(cells[order], return_index=True)
+    stops = np.append(starts[1:], len(order))
+    return [(int(cell), order[start:stop]) for cell, start, stop in zip(present, starts, stops)]
+
+
+def kmeans_cells(
+    points: np.ndarray,
+    nlist: int,
+    seed: int = 0,
+    iterations: int = KMEANS_ITERATIONS,
+    sample: Optional[int] = None,
+) -> np.ndarray:
+    """Deterministic seeded k-means under the L1 metric (pure numpy).
+
+    With ``sample`` set and exceeded, the centres train on that many
+    seeded-random rows of ``points``.  Centroids are initialised from
+    ``nlist`` distinct seeded-random rows; each Lloyd iteration assigns
+    points to their L1-nearest centroid (:func:`nearest_cells`) and
+    moves every non-empty cell's centroid to the component-wise **median**
+    of its members (the L1-optimal centre, making this k-medians).  Empty
+    cells keep their previous centroid.  Converged assignments end the loop
+    early.  Identical inputs and seed produce identical centroids on every
+    platform — the property the extend-≡-rebuild recall contract rests on.
+    """
+    if len(points) == 0:
+        raise ValueError("cannot train a coarse quantizer on zero points")
+    if sample is not None and len(points) > sample:
+        points = points[np.sort(SeededRNG(seed).np.choice(len(points), size=sample, replace=False))]
+    nlist = min(nlist, len(points))
+    rng = SeededRNG(seed)
+    chosen = np.sort(rng.np.choice(len(points), size=nlist, replace=False))
+    centroids = np.array(points[chosen], dtype=points.dtype)
+    assignment = np.full(len(points), -1, dtype=np.int64)
+    for _ in range(iterations):
+        next_assignment, _ = nearest_cells(points, centroids)
+        if np.array_equal(next_assignment, assignment):
+            break
+        assignment = next_assignment
+        for cell, members in _cell_groups(assignment):
+            centroids[cell] = np.median(points[members], axis=0)
+    return centroids
+
+
+class CellPartition:
+    """Rows filed under fixed centres: the cells both indexes search.
+
+    Every row belongs to the cell of its L1-nearest centre
+    (:func:`nearest_cells`).  A cell keeps its member rows in ascending
+    order, each member's distance to the centre (its *spread*) and the
+    largest spread, the cell's radius.  :meth:`add` files new rows without
+    moving the centres or the existing members.
+    """
+
+    def __init__(self, centres: np.ndarray) -> None:
+        self.centres = centres
+        self.members = [np.zeros(0, dtype=np.int64) for _ in range(len(centres))]
+        self.spreads = [np.zeros(0) for _ in range(len(centres))]
+        self.sizes = np.zeros(len(centres), dtype=np.int64)
+        self.radii = np.zeros(len(centres))
+
+    def add(self, points: np.ndarray, start: int) -> None:
+        """File ``points``, the rows numbered from ``start`` on, under their nearest centres."""
+        cells, spreads = nearest_cells(points, self.centres)
+        for cell, positions in _cell_groups(cells):
+            # New rows all exceed the existing members: appending keeps each cell ascending.
+            self.members[cell] = np.concatenate([self.members[cell], positions + start])
+            self.spreads[cell] = np.concatenate([self.spreads[cell], spreads[positions]])
+            self.sizes[cell] += len(positions)
+            self.radii[cell] = max(self.radii[cell], spreads[positions].max())
+
+
+def _rounding_slack(dim: int) -> float:
+    """Relative slack that covers the rounding of dim-term L1 sums in every bound.
+
+    A computed L1 distance of ``dim`` terms is within about ``dim`` units in
+    the last place of the exact one, whatever order the terms are summed in;
+    the triangle bounds add and subtract three such distances.  Cells and
+    members are ruled out only beyond this slack, so the bounds stay sound
+    for the computed distances the answers are made of.
+    """
+    return 4.0 * (dim + 2) * float(np.finfo(np.float64).eps)
+
+
+def _first_k(
+    owner: np.ndarray, distances: np.ndarray, rows: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each owner's first ``k`` candidates by (distance, row), sorted by (owner, distance, row)."""
+    order = np.lexsort((rows, distances, owner))
+    ranked = owner[order]
+    order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < k]
+    return owner[order], distances[order], rows[order]
+
+
+def _pruned_top_k(
+    queries: np.ndarray, points: np.ndarray, k: int, partition: CellPartition
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """:func:`l1_top_k`'s answer from the cells the triangle inequality cannot rule out.
+
+    Returns ``None`` when the bounds leave more than
+    :data:`MAX_SCANNED_SHARE` of the (query, point) pairs.  A cell with
+    centre ``c`` and radius ``r`` holds every member within
+    ``[d(q, c) − r, d(q, c) + r]`` of a query ``q``.  So each query's
+    ``k``-th neighbour distance is bounded from above by the exact distances
+    to the members of its nearest cell (when it has ``k``) and by the cells
+    whose ``d(q, c) + r`` reach ``k`` members; a cell, or a member whose
+    spread puts it below the bound's reach, that starts beyond the bound
+    (plus :func:`_rounding_slack`) cannot hold a neighbour.  Every distance
+    returned comes from :func:`_l1_distance_block` on the scanned rows, so
+    it equals the full scan's bit for bit, and candidates are ranked by
+    (distance, row) as the scan ranks them.
+    """
+    num_queries = len(queries)
+    everyone = np.arange(num_queries)
+    centre_distances = _l1_distance_block(queries, partition.centres)
+    radii, sizes = partition.radii, partition.sizes
+    slack = _rounding_slack(queries.shape[1])
+    nearest = np.argmin(centre_distances, axis=1)
+    # Exact bound: the k-th smallest distance to the nearest cell's members.
+    bound = np.empty(num_queries)
+    nearest_tiles = []
+    for cell, positions in _cell_groups(nearest):
+        rows = partition.members[cell]
+        tile = _l1_distance_block(queries[positions], points[rows])
+        nearest_tiles.append((positions, rows, tile))
+        if len(rows) >= k:
+            bound[positions] = np.partition(tile, k - 1, axis=1)[:, k - 1]
+    # Triangle bound where the nearest cell is short of k members: the cells
+    # with d(q, c) + r ≤ t hold all their members within t, and the least t
+    # whose cells hold k members bounds the k-th distance.
+    short = sizes[nearest] < k
+    if short.any():
+        reach = (centre_distances[short] + radii) * (1.0 + slack)
+        by_reach = np.argsort(reach, axis=1, kind="stable")
+        covering = np.argmax(np.cumsum(sizes[by_reach], axis=1) >= k, axis=1)
+        rows = np.arange(len(reach))
+        bound[short] = reach[rows, by_reach[rows, covering]]
+    # A member with spread s is at least d(q, c) − s from q: it can only be a
+    # neighbour if s reaches the floor d(q, c) − bound (less the slack).
+    floor = centre_distances - bound[:, None] - slack * (centre_distances + radii + bound[:, None])
+    open_cells = ~(floor > radii)  # NaN-safe: a comparison that fails never prunes
+    open_cells[everyone, nearest] = False  # scored above
+    if sizes[nearest].sum() + (open_cells @ sizes).sum() > MAX_SCANNED_SHARE * num_queries * len(points):
+        return None
+    owners, distances, found = [], [], []
+    held = 0
+
+    def collect(positions, rows, tile):
+        nonlocal held
+        hit_queries, hit_columns = (tile <= bound[positions, None]).nonzero()
+        owners.append(positions[hit_queries])
+        distances.append(tile[hit_queries, hit_columns])
+        found.append(rows[hit_columns])
+        held += len(hit_queries)
+        if held > L1_CHUNK_ELEMENTS + num_queries * k:  # many ties within the bounds: keep each query's first k
+            kept = _first_k(np.concatenate(owners), np.concatenate(distances), np.concatenate(found), k)
+            owners[:], distances[:], found[:] = [kept[0]], [kept[1]], [kept[2]]
+            held = len(kept[0])
+
+    for tile in nearest_tiles:
+        collect(*tile)
+    # Each open cell once, for the queries it is open to, over the members
+    # that reach the lowest of their floors.
+    lowest = np.where(open_cells, floor, np.inf).min(axis=0)
+    cells, positions = open_cells.T.nonzero()
+    for cell, pairs in _cell_groups(cells):
+        open_to, rows = positions[pairs], partition.members[cell]
+        if lowest[cell] > 0:
+            rows = rows[partition.spreads[cell] >= lowest[cell]]
+        collect(open_to, rows, _l1_distance_block(queries[open_to], points[rows]))
+    owner, distance, row = _first_k(np.concatenate(owners), np.concatenate(distances), np.concatenate(found), k)
+    if len(owner) != num_queries * k:  # unreachable while the bounds are sound; the scan is always right
+        return None
+    return row.reshape(num_queries, k), distance.reshape(num_queries, k)
+
+
 @dataclass
 class NeighbourResult:
     """Indices and distances of the ``k`` nearest markers for one query."""
@@ -197,16 +416,28 @@ class NearestNeighbourIndex(Protocol):
     def extend(self, points: np.ndarray) -> None:  # pragma: no cover - typing
         ...
 
+    def prepare(self) -> None:  # pragma: no cover - typing
+        ...
+
     def __len__(self) -> int:  # pragma: no cover - typing
         ...
 
 
 class ExactL1Index:
-    """Brute-force exact k-nearest-neighbour search under the L1 distance.
+    """Exact k-nearest-neighbour search under the L1 distance.
+
+    Answers are :func:`l1_top_k`'s, bit for bit.  On a map of at least
+    ``MIN_CELLS²`` finite rows the index files its rows into about √N cells
+    (a seeded :func:`kmeans_cells` partition, built on the first query or by
+    :meth:`prepare`) and scores only the cells the triangle inequality cannot
+    rule out (:func:`_pruned_top_k`); it scans every row when the bounds
+    leave more than :data:`MAX_SCANNED_SHARE` of the pairs, or when a query
+    or a row is not finite.
 
     Rows live in amortised-growth storage: :meth:`extend` appends new points
-    in O(new rows) (amortised) instead of forcing callers to rebuild, which
-    is what makes marker-by-marker TypeSpace adaptation cheap.
+    in O(new rows) (amortised) and files them under the existing cells,
+    which is what makes marker-by-marker TypeSpace adaptation cheap; the
+    partition is rebuilt once the map has doubled since it was built.
     """
 
     def __init__(self, points: np.ndarray) -> None:
@@ -215,6 +446,8 @@ class ExactL1Index:
             raise ValueError("points must be a (num_points, dim) array")
         self._storage = points
         self._size = len(points)
+        self._partition: Optional[CellPartition] = None
+        self._partitioned_at = 0  # rows when the partition was last (re)built
 
     @property
     def points(self) -> np.ndarray:
@@ -240,7 +473,31 @@ class ExactL1Index:
             storage[: self._size] = self._storage[: self._size]
             self._storage = storage
         self._storage[self._size : needed] = points
+        if self._partition is not None:
+            if np.isfinite(points).all():
+                self._partition.add(points, self._size)
+            else:
+                self._partition = None
         self._size = needed
+
+    def prepare(self) -> None:
+        """Build the cell partition now instead of on the first query."""
+        self._cells()
+
+    def _cells(self) -> Optional[CellPartition]:
+        """The partition, (re)built when the map has doubled since the last build."""
+        if self._size >= 2 * self._partitioned_at:
+            self._partitioned_at = self._size
+            self._partition = None
+            points = self.points
+            cells = math.isqrt(len(points))
+            if cells >= MIN_CELLS and np.isfinite(points).all():
+                # Centres train on 1/KMEANS_ITERATIONS of the rows, so training
+                # costs about what filing every row under them does: N·√N·dim.
+                sample = max(cells, len(points) // KMEANS_ITERATIONS)
+                self._partition = CellPartition(kmeans_cells(points, cells, sample=sample))
+                self._partition.add(points, 0)
+        return self._partition
 
     def query(self, vector: np.ndarray, k: int) -> NeighbourResult:
         return self.query_batch_arrays(vector, k).row(0)
@@ -252,7 +509,20 @@ class ExactL1Index:
         vectors = _as_query_matrix(vectors)
         if self._size == 0:
             return _empty_batch(len(vectors))
-        indices, distances = l1_top_k(vectors, self.points, k)
+        k = min(k, self._size)
+        points, partition = self.points, self._cells()
+        if partition is None or k <= 0 or not np.isfinite(vectors).all():
+            indices, distances = l1_top_k(vectors, points, k)
+        else:
+            indices, distances = np.empty((len(vectors), k), dtype=np.int64), np.empty((len(vectors), k))
+            # Query blocks keep the queries × centres matrices within one tile.
+            block = max(1, L1_CHUNK_ELEMENTS // len(partition.centres))
+            for start in range(0, len(vectors), block):
+                chunk = vectors[start : start + block]
+                found = _pruned_top_k(chunk, points, k, partition)
+                indices[start : start + block], distances[start : start + block] = (
+                    found if found is not None else l1_top_k(chunk, points, k)
+                )
         counts = np.full(len(vectors), indices.shape[1], dtype=np.int64)
         return BatchNeighbourResult(indices, distances, counts)
 
@@ -268,7 +538,7 @@ def build_index(
 ) -> NearestNeighbourIndex:
     """Factory mirroring the paper's use of a spatial index over the TypeSpace.
 
-    ``kind`` selects the index: ``"exact"`` (brute-force L1 oracle, the
+    ``kind`` selects the index: ``"exact"`` (:class:`ExactL1Index`, the
     default) or ``"ivf"`` (:class:`~repro.core.ivf.IVFIndex`).  Extra keyword
     arguments are passed to the index constructor, which validates them; an
     unknown ``kind`` is rejected up front instead of silently falling back to

@@ -59,7 +59,7 @@ from repro.models.seq import SequenceEncoder
 from repro.nn import serialization
 from repro.types.lattice import TypeLattice
 from repro.types.normalize import is_informative
-from repro.utils.columns import atomic_write
+from repro.utils.columns import PayloadError, atomic_write, decoding, read_json
 from repro.utils.cores import usable_cores
 from repro.utils.rng import SeededRNG
 
@@ -590,7 +590,10 @@ class TypilusPipeline:
         spawning a fleet of workers against it (and to learn whether the
         typespace layout supports memory-mapping) at the cost of one small
         JSON read — no arrays are touched.  Raises the same errors
-        :meth:`load` would for a torn directory or an unsupported version.
+        :meth:`load` would for a torn directory or an unsupported version:
+        ``FileNotFoundError`` without a manifest, and
+        :class:`~repro.utils.columns.PayloadError` for a truncated or
+        garbled one.
         The returned dict adds ``mmap_capable`` next to the stored fields.
         """
         path = Path(path)
@@ -602,11 +605,12 @@ class TypilusPipeline:
                 "(save() writes it last, so this directory was never fully written)",
                 str(manifest_path),
             )
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        version = manifest.get("format_version")
-        if version != PIPELINE_FORMAT_VERSION:
-            raise ValueError(f"unsupported pipeline format version {version!r}")
-        manifest["mmap_capable"] = manifest.get("typespace_layout", "npz") == "raw"
+        manifest = read_json(manifest_path, "pipeline manifest")
+        with decoding(f"pipeline manifest at {manifest_path}"):
+            version = manifest.get("format_version")
+            if version != PIPELINE_FORMAT_VERSION:
+                raise PayloadError(f"unsupported pipeline format version {version!r}")
+            manifest["mmap_capable"] = manifest.get("typespace_layout", "npz") == "raw"
         return manifest
 
     @classmethod
@@ -633,38 +637,34 @@ class TypilusPipeline:
         # foreign) directory and an unsupported version fails before any
         # arrays are read.
         manifest = cls.peek_manifest(path)
-        encoder = _encoder_from_description(manifest["encoder"])
+        with decoding(f"pipeline manifest at {path}"):
+            encoder = _encoder_from_description(manifest["encoder"])
+            index = manifest.get("index")
+            # Older manifests may name the deleted LSH index: an "lsh" kind, or
+            # no "index" entry at all (only an "approximate_index" flag).  They
+            # load with the exact index over the same markers.
+            if not index or index["kind"] == "lsh":
+                index = {"kind": "exact", "params": {}}
+            index_kind, index_params = index["kind"], dict(index["params"])
+            layout = manifest.get("typespace_layout", "npz")
+            typespace_path = path / _TYPESPACE_NAMES[layout]
         serialization.load_modules(path / "encoder.npz", encoder=encoder)
         encoder.eval()
-        index = manifest.get("index")
-        # Older manifests may name the deleted LSH index: an "lsh" kind, or
-        # no "index" entry at all (only an "approximate_index" flag).  They
-        # load with the exact index over the same markers.
-        if not index or index["kind"] == "lsh":
-            index = {"kind": "exact", "params": {}}
-        index_kind, index_params = index["kind"], dict(index["params"])
-        layout = manifest.get("typespace_layout", "npz")
         if mmap_typespace and layout != "raw":
             raise ValueError(
                 "this pipeline was saved with the npz typespace layout, which cannot "
                 "be memory-mapped; re-save with typespace_layout='raw'"
             )
-        space = TypeSpace.load(
-            str(path / _TYPESPACE_NAMES[layout]),
-            index_kind=index_kind,
-            index_params=index_params,
-            mmap=layout == "raw" if mmap_typespace is None else mmap_typespace,
-        )
-        knn = manifest.get("knn", {})
-        pipeline = cls(
-            dataset,
-            encoder,
-            None,
-            space,
-            knn_k=int(knn.get("k", 10)),
-            knn_p=float(knn.get("p", 1.0)),
-        )
-        pipeline.predictor.epsilon = float(knn.get("epsilon", pipeline.predictor.epsilon))
+        with decoding(f"pipeline manifest at {path}"):  # the index and kNN parameters are the manifest's
+            space = TypeSpace.load(
+                str(typespace_path),
+                index_kind=index_kind,
+                index_params=index_params,
+                mmap=layout == "raw" if mmap_typespace is None else mmap_typespace,
+            )
+            knn = manifest.get("knn", {})
+            pipeline = cls(dataset, encoder, None, space, knn_k=int(knn.get("k", 10)), knn_p=float(knn.get("p", 1.0)))
+            pipeline.predictor.epsilon = float(knn.get("epsilon", pipeline.predictor.epsilon))
         return pipeline
 
 

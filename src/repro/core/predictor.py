@@ -70,12 +70,13 @@ class KNNTypePredictor:
         self.epsilon = epsilon
 
     def warm_up(self) -> None:
-        """Build the space's lazily built query state (index, vocabulary, name ranks) now.
+        """Build the space's lazily built query state (index and its cells, vocabulary, name ranks) now.
 
         Processes forked afterwards inherit it instead of each building its
-        own copy on their first query.
+        own copy on their first query, and a serving worker that calls it
+        before it takes requests spares its first request the build.
         """
-        self.space.index()
+        self.space.index().prepare()
         self.space.type_vocabulary()
         self.space.type_name_ranks()
 

@@ -48,6 +48,7 @@ from repro.core.knn import (
 from repro.utils.columns import (
     RAW_META_NAME,
     PayloadError,
+    decoding,
     fingerprint,
     pack_strings,
     read_columns,
@@ -344,6 +345,8 @@ class TypeSpace:
         columns = _columns(self.marker_matrix(), self.marker_type_names(), self._sources, self.dim)
         columns["fingerprint"] = np.asarray([fingerprint(columns)])
         write_columns(path, columns, raw=layout == "raw")
+        if layout == "raw":  # the pickled half of a map saved before the column container
+            (Path(path) / "markers.npz").unlink(missing_ok=True)
         return path
 
     @classmethod
@@ -372,7 +375,7 @@ class TypeSpace:
         if columns is None:
             columns = read_columns(source, mmap=mmap)
         where = f"TypeSpace at {source}"
-        try:
+        with decoding(where):
             version = int(columns["format"][0])
             if version != TYPESPACE_FORMAT_VERSION:
                 raise PayloadError(f"unsupported {where} version {version!r}")
@@ -391,10 +394,6 @@ class TypeSpace:
                 and (not len(codes) or 0 <= codes.min() <= codes.max() < len(vocabulary))
                 and (not source_codes or 0 <= min(source_codes) <= max(source_codes) < len(source_table))
             )
-        except PayloadError:
-            raise
-        except (KeyError, IndexError, TypeError, ValueError) as error:
-            raise PayloadError(f"malformed {where}: {error}") from error
         if not consistent:
             raise PayloadError(f"{where} is inconsistent: embeddings {embeddings.shape}, {len(codes)} type codes")
         space = cls(dim, index_kind=index_kind, index_params=index_params)

@@ -35,7 +35,7 @@ from repro.graph.slots import AnnotationRewriteError, SlotIndex, parse_annotatio
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.types.lattice import TypeLattice
 from repro.types.registry import TypeRegistry
-from repro.utils.columns import atomic_write, write_columns
+from repro.utils.columns import PayloadError, atomic_write, decoding, read_json, write_columns
 from repro.utils.rng import SeededRNG
 
 #: On-disk format of :meth:`TypeAnnotationDataset.save` directories.
@@ -341,35 +341,48 @@ class TypeAnnotationDataset:
         page in the whole corpus).  Directories written when datasets also
         persisted node features (``features.npz`` or ``features.raw``) load
         the same way; those files are not read.
+
+        A missing ``dataset.json`` raises ``FileNotFoundError``; a truncated
+        or garbled manifest, ``sources.json`` or shard raises
+        :class:`~repro.utils.columns.PayloadError`.
         """
         path = Path(path)
-        manifest = json.loads((path / "dataset.json").read_text(encoding="utf-8"))
-        version = manifest.get("format_version")
-        if version != DATASET_FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset format version {version!r}")
+        manifest = read_json(path / "dataset.json", "dataset manifest")
+        where = f"dataset manifest at {path}"
+        with decoding(where):
+            version = manifest.get("format_version")
+            if version != DATASET_FORMAT_VERSION:
+                raise PayloadError(f"unsupported dataset format version {version!r}")
+            shard_names = [str(name) for name in manifest["graph_shards"]]
+            missing = [name for name in shard_names if Path(name).name != name or not (path / name).exists()]
+            if missing:
+                raise PayloadError(f"{where} names shards that are not in the directory: {missing[:3]}")
 
         if mmap:
-            not_raw = [name for name in manifest["graph_shards"] if not name.endswith(".raw")]
+            not_raw = [name for name in shard_names if not name.endswith(".raw")]
             if not_raw:
                 raise ValueError(
                     "mmap=True requires raw shard directories; "
                     f"{not_raw[0]!r} is not (re-save with shard_format='raw')"
                 )
-            store = serialize.LazyGraphStore(
-                [serialize.GraphShard.read(path / name, mmap=True) for name in manifest["graph_shards"]]
-            )
+            shards = [serialize.GraphShard.read(path / name, mmap=True) for name in shard_names]
+            store = serialize.LazyGraphStore(shards)
             all_graphs = serialize.LazyView(store.graph, 0, len(store))
         else:
             all_graphs: list[FlatGraph] = []
-            for shard_name in manifest["graph_shards"]:
+            for shard_name in shard_names:
                 if shard_name.endswith(".json"):
-                    shard = json.loads((path / shard_name).read_text(encoding="utf-8"))
-                    all_graphs.extend(
-                        serialize.graph_from_payload(payload) for payload in shard["graphs"]
-                    )
+                    shard = read_json(path / shard_name, "graph shard")
+                    with decoding(f"graph shard at {path / shard_name}"):
+                        all_graphs.extend(serialize.graph_from_payload(payload) for payload in shard["graphs"])
                 else:
                     all_graphs.extend(serialize.GraphShard.read(path / shard_name).graphs())
+        with decoding(where):
+            return cls._from_manifest(manifest, all_graphs, path)
 
+    @classmethod
+    def _from_manifest(cls, manifest: dict, all_graphs, path: Path) -> "TypeAnnotationDataset":
+        """The dataset a decoded ``dataset.json`` describes over its loaded graphs."""
         splits: dict[str, DatasetSplit] = {}
         cursor = 0
         for split_name in ("train", "valid", "test"):
@@ -394,15 +407,15 @@ class TypeAnnotationDataset:
             ]
             splits[split_name] = split
         if cursor != len(all_graphs):
-            raise ValueError(
-                f"dataset directory holds {len(all_graphs)} graphs but splits claim {cursor}"
-            )
+            raise PayloadError(f"dataset directory holds {len(all_graphs)} graphs but splits claim {cursor}")
 
         config_payload = dict(manifest["config"])
         config_payload["split_fractions"] = tuple(config_payload["split_fractions"])
         config_payload.pop("max_deep_parameter_depth", None)  # a retired field older manifests carry
         sources_path = path / "sources.json"
-        sources = json.loads(sources_path.read_text(encoding="utf-8")) if sources_path.exists() else {}
+        sources = read_json(sources_path, "dataset sources") if sources_path.exists() else {}
+        if not isinstance(sources, dict) or not all(isinstance(text, str) for text in sources.values()):
+            raise PayloadError(f"{sources_path} must map file names to sources")
         return cls(
             splits["train"],
             splits["valid"],

@@ -65,7 +65,15 @@ from repro.graph.nodes import NodeKind, SymbolKind
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.types.lattice import TypeLattice
 from repro.types.registry import TypeRegistry
-from repro.utils.columns import PayloadError, fingerprint, pack_strings, read_columns, unpack_strings, verify_fingerprint
+from repro.utils.columns import (
+    PayloadError,
+    decoding,
+    fingerprint,
+    pack_strings,
+    read_columns,
+    unpack_strings,
+    verify_fingerprint,
+)
 
 #: Version of the graph payload layout; part of every cache key, so bumping
 #: it (or :data:`repro.corpus.ingest.EXTRACTOR_VERSION`) invalidates caches.
@@ -146,7 +154,7 @@ def graph_from_payload(payload: dict[str, Any], filename: Optional[str] = None) 
     Strings are interned in the graph builder's order (node texts, then each
     symbol's name, scope and annotation).
     """
-    try:
+    with decoding("graph payload"):
         if payload["version"] != GRAPH_PAYLOAD_VERSION:
             raise PayloadError(f"unsupported graph payload version {payload['version']!r}")
         nodes = _rows(payload["nodes"], 4, "nodes")
@@ -190,10 +198,6 @@ def graph_from_payload(payload: dict[str, Any], filename: Optional[str] = None) 
             occurrence_splits=occurrence_splits,
         )
         graph.validate()
-    except PayloadError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as error:
-        raise PayloadError(f"malformed graph payload: {error}") from error
     return graph
 
 
@@ -311,7 +315,7 @@ class GraphShard:
 
     def __init__(self, columns: Mapping[str, np.ndarray], where: str = "graph shard", verify: bool = True) -> None:
         self.where = where
-        try:
+        with decoding(where):
             version = int(columns["format"][0])
             if version != GRAPH_SHARD_FORMAT_VERSION:
                 raise PayloadError(f"unsupported {where} version {version!r}")
@@ -331,10 +335,6 @@ class GraphShard:
                 for kind in ALL_EDGE_KINDS
                 if f"edges:{kind.value}" in arrays
             ]
-        except PayloadError:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError) as error:
-            raise PayloadError(f"malformed {where}: {error}") from error
         expected = self.num_graphs + 1
         bounds = [self._strgraph, self._nodesplits, self._symsplits, *(splits for _, _, splits in self._edges)]
         if any(len(splits) != expected for splits in bounds) or len(self._metasplits) != 2 * expected - 1:

@@ -234,14 +234,25 @@ class WorkerPool:
             listener.settimeout(0.5)
             self._listener = listener
             self._control_path = control_path
+        launched: dict[int, subprocess.Popen] = {}
         try:
             for worker_id in range(self.num_workers):
                 self._stats[worker_id] = {"batches": 0, "adapts": 0, "restarts": 0}
-                handle = self._spawn(worker_id)
+                if self._local is None:
+                    # Every worker is launched before any greeting is awaited:
+                    # each loads its model and builds its index cells before it
+                    # greets, so those loads run side by side.
+                    launched[worker_id] = self._launch(worker_id)
+            for worker_id in range(self.num_workers):
+                handle = self._spawn(worker_id) if self._local is not None else self._greet(launched)
                 with self._lock:
                     self._workers.append(handle)
+            self._workers.sort(key=lambda handle: handle.worker_id)
+            for handle in self._workers:
                 self._idle.put(handle)
         except BaseException:
+            for process in launched.values():  # launched, never greeted
+                process.kill()
             self.close()
             raise
         return self
@@ -288,56 +299,69 @@ class WorkerPool:
         if self._local is not None:  # already loaded: it greets at once
             return self._greeted(_WorkerHandle(worker_id, local=self._local), self._local.hello(worker_id))
         with self._spawn_lock:
-            config_payload = _annotator_config_payload(self.annotator_config)
-            if config_payload["cache_dir"] is not None:
-                # Each worker gets a private incremental-cache subtree so two
-                # processes never race on the same cache files.
-                config_payload["cache_dir"] = str(
-                    Path(config_payload["cache_dir"]) / f"worker-{worker_id}"
-                )
-            config_payload["mmap_typespace"] = self._mmap_typespace
-            command = [
-                sys.executable,
-                "-m",
-                "repro.serve._workermain",
-                "--connect",
-                self._control_path,
-                "--worker-id",
-                str(worker_id),
-                "--model-dir",
-                str(self.model_dir),
-                "--config",
-                json.dumps(config_payload),
-            ]
-            env = dict(os.environ)
-            # Each worker gets its share of the usable cores for BLAS threads,
-            # so N workers do not each start one thread per core; a value the
-            # user set is kept.
-            for variable in BLAS_THREAD_VARIABLES:
-                env.setdefault(variable, str(max(1, usable_cores() // self.num_workers)))
-            # glibc hands free heap back to the OS once a few MB of it pile
-            # up, so every request's GNN forward page-faulted ~6MB of arrays
-            # back in; keeping up to 32MB free between requests avoids that.
-            env.setdefault("MALLOC_TRIM_THRESHOLD_", str(HEAP_TRIM_THRESHOLD))
-            # The subprocess must import `repro` even when the package is run
-            # from a source tree rather than installed.
-            package_root = str(Path(__file__).resolve().parents[2])
-            existing = env.get("PYTHONPATH", "")
-            if package_root not in existing.split(os.pathsep):
-                env["PYTHONPATH"] = (
-                    package_root + (os.pathsep + existing if existing else "")
-                )
-            process = subprocess.Popen(command, env=env)
-            connection = self._accept_from(process, worker_id)
+            launched = {worker_id: self._launch(worker_id)}
+            try:
+                return self._greet(launched)
+            finally:
+                for process in launched.values():  # never greeted
+                    process.kill()
+
+    def _launch(self, worker_id: int) -> subprocess.Popen:
+        """Start one worker process; it connects back and greets once its model is loaded."""
+        config_payload = _annotator_config_payload(self.annotator_config)
+        if config_payload["cache_dir"] is not None:
+            # Each worker gets a private incremental-cache subtree so two
+            # processes never race on the same cache files.
+            config_payload["cache_dir"] = str(
+                Path(config_payload["cache_dir"]) / f"worker-{worker_id}"
+            )
+        config_payload["mmap_typespace"] = self._mmap_typespace
+        command = [
+            sys.executable,
+            "-m",
+            "repro.serve._workermain",
+            "--connect",
+            self._control_path,
+            "--worker-id",
+            str(worker_id),
+            "--model-dir",
+            str(self.model_dir),
+            "--config",
+            json.dumps(config_payload),
+        ]
+        env = dict(os.environ)
+        # Each worker gets its share of the usable cores for BLAS threads,
+        # so N workers do not each start one thread per core; a value the
+        # user set is kept.
+        for variable in BLAS_THREAD_VARIABLES:
+            env.setdefault(variable, str(max(1, usable_cores() // self.num_workers)))
+        # glibc hands free heap back to the OS once a few MB of it pile
+        # up, so every request's GNN forward page-faulted ~6MB of arrays
+        # back in; keeping up to 32MB free between requests avoids that.
+        env.setdefault("MALLOC_TRIM_THRESHOLD_", str(HEAP_TRIM_THRESHOLD))
+        # The subprocess must import `repro` even when the package is run
+        # from a source tree rather than installed.
+        package_root = str(Path(__file__).resolve().parents[2])
+        existing = env.get("PYTHONPATH", "")
+        if package_root not in existing.split(os.pathsep):
+            env["PYTHONPATH"] = (
+                package_root + (os.pathsep + existing if existing else "")
+            )
+        return subprocess.Popen(command, env=env)
+
+    def _greet(self, launched: dict[int, subprocess.Popen]) -> _WorkerHandle:
+        """Accept the next greeting of a ``launched`` worker, which then leaves ``launched``."""
+        connection = self._accept_from(launched)
         try:
             hello = recv_frame(connection)
         except ProtocolError as error:
-            process.kill()
-            raise RuntimeError(f"worker {worker_id} sent a malformed greeting: {error}") from error
-        if hello is None or hello.get("op") != "hello":
-            process.kill()
-            raise RuntimeError(f"worker {worker_id} never greeted the pool")
-        handle = self._greeted(_WorkerHandle(worker_id, process, connection), hello)
+            connection.close()
+            raise RuntimeError(f"a worker sent a malformed greeting: {error}") from error
+        worker_id = hello.get("worker_id") if hello is not None and hello.get("op") == "hello" else None
+        if worker_id not in launched:
+            connection.close()
+            raise RuntimeError(f"workers {sorted(launched)} never greeted the pool")
+        handle = self._greeted(_WorkerHandle(worker_id, launched.pop(worker_id), connection), hello)
         try:
             self._replay_adapt_log(handle)
         except Exception:
@@ -345,22 +369,22 @@ class WorkerPool:
             raise
         return handle
 
-    def _accept_from(self, process: subprocess.Popen, worker_id: int) -> socket.socket:
+    def _accept_from(self, launched: dict[int, subprocess.Popen]) -> socket.socket:
         assert self._listener is not None
         deadline = time.monotonic() + SPAWN_TIMEOUT_SECONDS
         while True:
-            if process.poll() is not None:
-                raise RuntimeError(
-                    f"worker {worker_id} exited with code {process.returncode} before connecting"
-                )
+            for worker_id, process in launched.items():
+                if process.poll() is not None:
+                    raise RuntimeError(
+                        f"worker {worker_id} exited with code {process.returncode} before connecting"
+                    )
             try:
                 connection, _ = self._listener.accept()
                 return connection
             except socket.timeout:
                 if time.monotonic() >= deadline:
-                    process.kill()
                     raise RuntimeError(
-                        f"worker {worker_id} did not connect within {SPAWN_TIMEOUT_SECONDS:.0f}s"
+                        f"workers {sorted(launched)} did not connect within {SPAWN_TIMEOUT_SECONDS:.0f}s"
                     ) from None
             except OSError as error:
                 raise RuntimeError(f"worker control listener failed: {error}") from error
@@ -697,6 +721,7 @@ class AnnotationWorker:
         self.mmap_typespace = mmap_typespace
         self.annotator = ProjectAnnotator(pipeline, self.annotator_config)
         self._staged: Optional[TypilusPipeline] = None  # prepared, awaiting the reload commit
+        pipeline.predictor.warm_up()  # the index's cells, before the first request
 
     def hello(self, worker_id: int) -> dict:
         """The greeting that introduces this worker to its pool."""
@@ -752,6 +777,7 @@ class AnnotationWorker:
         if stage == "prepare":
             try:
                 self._staged = TypilusPipeline.load(str(model_dir), mmap_typespace=self.mmap_typespace)
+                self._staged.predictor.warm_up()
             except Exception as error:  # noqa: BLE001 - a bad model dir must not kill the worker
                 self._staged = None
                 return {"ok": False, "error": str(error), "error_kind": "reload"}

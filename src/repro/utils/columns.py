@@ -12,10 +12,12 @@ blob plus offsets, so nothing stored is a pickled object array.
 
 Every file is written through :func:`atomic_write` (a temporary file in the
 same directory, then ``os.replace``), so a save never truncates a file that
-another process has open or memory-mapped.  :func:`read_columns` is the one
-reader: any failure to decode a container — a truncated file, a bad zip, a
-missing column file, an unreadable ``meta.json`` — raises
-:class:`PayloadError`.
+another process has open or memory-mapped; a raw re-save then removes the
+column files the new ``meta.json`` no longer names.  :func:`read_columns`
+is the one reader: any failure to decode a container — a truncated file, a
+bad zip, a missing column file, an unreadable ``meta.json`` — raises
+:class:`PayloadError`, as do JSON manifests read through :func:`read_json`
+and malformed contents decoded under :func:`decoding`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import os
 import secrets
 from pathlib import Path
-from typing import BinaryIO, Callable, Mapping, Sequence, Union
+from typing import BinaryIO, Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -137,6 +139,12 @@ def write_columns(path: Union[str, Path], columns: Mapping[str, np.ndarray], raw
         files[key] = name
     meta["arrays"] = files
     atomic_write(path / RAW_META_NAME, json.dumps(meta, indent=1))
+    # Column files of an earlier save that the new meta.json does not name go
+    # now; another writer's temporary files are left to it.
+    named = set(files.values())
+    for stale in path.glob("*.npy"):
+        if stale.name not in named and not stale.name.startswith(".tmp-"):
+            stale.unlink(missing_ok=True)
     return path
 
 
@@ -170,6 +178,28 @@ def read_columns(path: Union[str, Path], mmap: bool = False) -> dict[str, np.nda
                 return {key: archive[key] for key in archive.files}
         except Exception as error:  # zipfile, zlib and numpy's header parser raise a dozen types
             raise PayloadError(f"unreadable column archive at {path}: {error}") from error
+
+
+@contextlib.contextmanager
+def decoding(what: str) -> Iterator[None]:
+    """Raise the errors of decoding a malformed ``what`` as :class:`PayloadError`."""
+    try:
+        yield
+    except PayloadError:
+        raise
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as error:
+        raise PayloadError(f"malformed {what}: {error}") from error
+
+
+def read_json(path: Union[str, Path], what: str):
+    """The JSON document ``what`` stored at ``path``.
+
+    A missing file raises ``FileNotFoundError``; bytes that are not UTF-8
+    JSON raise :class:`PayloadError`.
+    """
+    text = Path(path).read_bytes()
+    with decoding(f"{what} at {path}"):
+        return json.loads(text.decode("utf-8"))
 
 
 def _header_column(value) -> np.ndarray:

@@ -13,6 +13,7 @@ Every array artifact — graph shards, graph-cache entries, the type map and
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,22 @@ class TestContainer:
             read_columns(tmp_path / "missing.npz")
         with pytest.raises(ValueError, match="cannot be memory-mapped"):
             read_columns(tmp_path / "bad.npz", mmap=True)
+
+    def test_raw_resave_drops_the_column_files_it_no_longer_names(self, tmp_path):
+        loop = "class Box:\n    def total(self, items):\n        for item in items:\n            yield item\n"
+        shard = tmp_path / "graphs-00000.raw"
+        write_columns(shard, flat_graphs_to_arrays([extract_file("loop.py", loop).graph]), raw=True)
+        before = {path.name for path in shard.iterdir()}
+        (shard / ".tmp-0123456789abcdef-values.npy").write_bytes(b"another writer's file")
+        small = [extract_file("one.py", "x = 1\n").graph]
+        write_columns(shard, flat_graphs_to_arrays(small), raw=True)
+        named = set(json.loads((shard / "meta.json").read_text(encoding="utf-8"))["arrays"].values())
+        after = {path.name for path in shard.iterdir()}
+        assert after == named | {"meta.json", ".tmp-0123456789abcdef-values.npy"}
+        assert any(name.startswith("edges__") for name in before - after)  # edge kinds `x = 1` lacks
+        assert [graph_to_payload(graph) for graph in GraphShard.read(shard).graphs()] == [
+            graph_to_payload(graph) for graph in small
+        ]
 
     def test_pickled_object_arrays_are_refused(self, tmp_path):
         np.savez(tmp_path / "objects.npz", names=np.asarray(["a", "b"], dtype=object))
@@ -323,6 +340,63 @@ class TestCorruptionIsTyped:
         assert loaded.fingerprint() == tiny_pipeline.fingerprint()
 
 
+class TestManifestErrorsAreTyped:
+    """A cut or flipped ``pipeline.json``, ``dataset.json`` or ``sources.json`` raises ``PayloadError``.
+
+    A flip that decodes to another valid manifest may load; only a missing
+    manifest raises ``FileNotFoundError``.
+    """
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        dataset = TypeAnnotationDataset.synthetic(
+            SynthesisConfig(num_files=6, seed=12, num_user_classes=3), DatasetConfig(rarity_threshold=3, seed=12)
+        )
+        pipeline = TypilusPipeline.fit(
+            dataset, EncoderConfig(family="names", hidden_dim=4, seed=12), LossKind.TYPILUS,
+            TrainingConfig(epochs=1, graphs_per_batch=4, seed=12),
+        )
+        root = tmp_path_factory.mktemp("manifests")
+        dataset.save(root / "data")
+        pipeline.save(root / "model")
+        return root
+
+    @staticmethod
+    def _mutated_copy(saved, tmp_path_factory, directory, name, mutation):
+        copy = tmp_path_factory.mktemp("mutated") / directory
+        shutil.copytree(saved / directory, copy)
+        (copy / name).write_bytes(_mutated((copy / name).read_bytes(), mutation))
+        return copy
+
+    @CORRUPTION
+    @given(mutation=MUTATIONS)
+    def test_pipeline_manifest(self, saved, tmp_path_factory, mutation):
+        model = self._mutated_copy(saved, tmp_path_factory, "model", "pipeline.json", mutation)
+        try:
+            TypilusPipeline.peek_manifest(model)
+            TypilusPipeline.load(model)
+        except PayloadError:
+            pass
+
+    @CORRUPTION
+    @given(name=st.sampled_from(["dataset.json", "sources.json"]), mutation=MUTATIONS)
+    def test_dataset_manifests(self, saved, tmp_path_factory, name, mutation):
+        data = self._mutated_copy(saved, tmp_path_factory, "data", name, mutation)
+        try:
+            TypeAnnotationDataset.load(data)
+        except PayloadError:
+            pass
+
+    def test_missing_manifests_are_not_found(self, saved, tmp_path):
+        for directory, name in (("model", "pipeline.json"), ("data", "dataset.json")):
+            shutil.copytree(saved / directory, tmp_path / directory)
+            (tmp_path / directory / name).unlink()
+        with pytest.raises(FileNotFoundError):
+            TypilusPipeline.load(tmp_path / "model")
+        with pytest.raises(FileNotFoundError):
+            TypeAnnotationDataset.load(tmp_path / "data")
+
+
 class TestLegacyModels:
     """Model directories written before the column container, in both type-map layouts.
 
@@ -340,6 +414,15 @@ class TestLegacyModels:
         assert len(loaded.type_space) == record["markers"]
         assert loaded.fingerprint() == record["fingerprint"]
         assert loaded.type_space.is_memory_mapped == (layout == "raw" and mmap is None)
+
+    def test_raw_fixture_resaved_in_place_keeps_only_the_named_files(self, tmp_path):
+        record = json.loads((FIXTURES / "legacy_model" / "fingerprint.json").read_text(encoding="utf-8"))
+        model = tmp_path / "model"
+        shutil.copytree(FIXTURES / "legacy_model" / "raw", model)
+        TypilusPipeline.load(model, mmap_typespace=False).save(model, typespace_layout="raw")
+        meta = json.loads((model / "typespace" / "meta.json").read_text(encoding="utf-8"))
+        assert {path.name for path in (model / "typespace").iterdir()} == {"meta.json", *meta["arrays"].values()}
+        assert TypilusPipeline.load(model).fingerprint() == record["fingerprint"]
 
     @pytest.mark.parametrize("layout", ["npz", "raw"])
     def test_resaved_fixture_keeps_its_fingerprint(self, tmp_path, layout):

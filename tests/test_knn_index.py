@@ -328,6 +328,173 @@ class TestTopKScan:
         assert indices.shape == distances.shape == (0, 5)
 
 
+@st.composite
+def index_cases(draw):
+    """Clustered, uniform and integer-grid maps at scales 1e-6 to 1e6, ``k`` up to past ``N``.
+
+    Grid maps hold many duplicate rows and equal distances; a map may end in
+    a row far from the rest; queries sit near markers, on the grid, or far
+    from everything.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    dim = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["clustered", "uniform", "grid"]))
+    if shape == "grid":
+        points = rng.integers(-2, 3, size=(size, dim)).astype(np.float64)
+    elif shape == "uniform":
+        points = rng.uniform(-1.0, 1.0, size=(size, dim))
+    else:
+        centres = rng.normal(scale=4.0, size=(draw(st.integers(1, 5)), dim))
+        points = centres[rng.integers(len(centres), size=size)] + rng.normal(scale=0.05, size=(size, dim))
+    if draw(st.booleans(), label="far row"):  # last, so an extension files it far from every centre
+        points = np.concatenate([points, np.full((1, dim), 25.0)])
+    size = len(points)
+    num_queries = draw(st.integers(1, 8))
+    queries = np.concatenate([
+        points[rng.integers(size, size=num_queries)] + rng.normal(scale=0.02, size=(num_queries, dim)),
+        rng.integers(-2, 3, size=(2, dim)).astype(np.float64),
+        np.full((1, dim), 40.0),
+    ])
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    return points * scale, queries * scale, draw(st.integers(1, size + 3))
+
+
+class TestPrunedExactIndex:
+    """The cell-pruned exact index answers as the full scan does, bit for bit."""
+
+    @staticmethod
+    def _clustered(size, seed, dim=16):
+        rng = np.random.default_rng(seed)
+        centres = rng.normal(scale=4.0, size=(48, dim))
+        return centres[rng.integers(48, size=size)] + rng.normal(scale=0.3, size=(size, dim))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=index_cases(), data=st.data())
+    def test_equals_brute_force(self, case, data):
+        points, queries, k = case
+        # Small maps get several cells; the scan fallback and the tile budget
+        # are drawn, so the bounds, the query blocks and the tie compaction all run.
+        patches = {"MIN_CELLS": 1}
+        if data.draw(st.booleans(), label="never fall back"):
+            patches["MAX_SCANNED_SHARE"] = 1.0
+        patches["L1_CHUNK_ELEMENTS"] = data.draw(st.sampled_from([1, 7, 64, 131_072]), label="tile budget")
+        grown = data.draw(st.integers(1, len(points)), label="rows before extend")
+        with mock.patch.multiple(knn_module, **patches):
+            index = ExactL1Index(points[:grown])
+            index.query_batch_arrays(queries[:1], k)  # builds the partition that extend then fills
+            step = max(1, (len(points) - grown) // 2)
+            for start in range(grown, len(points), step):
+                index.extend(points[start : start + step])
+            result = index.query_batch_arrays(queries, k)
+        expected_rows, expected_distances = brute_force_top_k(queries, points, min(k, len(points)))
+        np.testing.assert_array_equal(result.indices, expected_rows)
+        np.testing.assert_array_equal(result.distances, expected_distances)
+
+    def test_clustered_map_is_pruned_not_scanned(self, monkeypatch):
+        points = self._clustered(4_000, seed=1)
+        queries = self._clustered(40, seed=2)
+        expected = l1_top_k(queries, points, 10)
+        scanned = {"pairs": 0}
+        real_block = knn_module._l1_distance_block
+
+        def counting_block(block_queries, block_points):
+            scanned["pairs"] += len(block_queries) * len(block_points)
+            return real_block(block_queries, block_points)
+
+        index = ExactL1Index(points)
+        index.prepare()
+        monkeypatch.setattr(knn_module, "_l1_distance_block", counting_block)
+        monkeypatch.setattr(knn_module, "l1_top_k", mock.Mock(side_effect=AssertionError("fell back")))
+        result = index.query_batch_arrays(queries, 10)
+        np.testing.assert_array_equal(result.indices, expected[0])
+        np.testing.assert_array_equal(result.distances, expected[1])
+        assert scanned["pairs"] < 0.25 * len(queries) * len(points)
+
+    def test_unclustered_map_falls_back_to_the_scan(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        points, queries = rng.normal(size=(2_500, 32)), rng.normal(size=(33, 32))
+        index = ExactL1Index(points)
+        index.prepare()
+        scan = mock.Mock(side_effect=l1_top_k)
+        monkeypatch.setattr(knn_module, "l1_top_k", scan)
+        result = index.query_batch_arrays(queries, 10)
+        assert scan.call_count == 1
+        np.testing.assert_array_equal(result.distances, l1_top_k(queries, points, 10)[1])
+
+    def test_cells_follow_the_map_size(self):
+        smallest = knn_module.MIN_CELLS**2
+        assert ExactL1Index(self._clustered(smallest - 1, seed=4))._cells() is None  # too few cells: scanned
+        index = ExactL1Index(self._clustered(smallest, seed=4))
+        partition = index._cells()
+        assert len(partition.centres) == knn_module.MIN_CELLS
+        assert sorted(np.concatenate(partition.members).tolist()) == list(range(smallest))
+        for members in partition.members:
+            assert np.all(np.diff(members) > 0)
+
+    def test_extend_files_rows_and_rebuilds_once_doubled(self, monkeypatch):
+        monkeypatch.setattr(knn_module, "MIN_CELLS", 8)
+        points = self._clustered(800, seed=5)
+        index = ExactL1Index(points[:300])
+        first = index._cells()
+        far = np.full((1, points.shape[1]), 1e4)  # beyond every radius
+        index.extend(far)
+        assert index._cells() is first and first.radii.max() > 1e4
+        index.extend(points[300:598])
+        assert index._cells() is first and first.sizes.sum() == 599  # one row short of doubling
+        index.extend(points[598:])
+        assert index._cells() is not first and index._cells().sizes.sum() == 801
+        everything = np.concatenate([points[:300], far, points[300:]])
+        queries = np.concatenate([self._clustered(20, seed=6), far + 1.0])
+        result = index.query_batch_arrays(queries, 7)
+        expected = l1_top_k(queries, everything, 7)
+        np.testing.assert_array_equal(result.indices, expected[0])
+        np.testing.assert_array_equal(result.distances, expected[1])
+
+    def test_memory_mapped_points_stay_shared(self, tmp_path):
+        np.save(tmp_path / "points.npy", self._clustered(3_000, seed=7))
+        mapped = np.load(tmp_path / "points.npy", mmap_mode="r")
+        index = ExactL1Index(mapped)
+        index.prepare()
+        assert np.shares_memory(index.points, mapped)
+        queries = self._clustered(30, seed=8)
+        result = index.query_batch_arrays(queries, 10)
+        expected = l1_top_k(queries, np.asarray(mapped), 10)
+        np.testing.assert_array_equal(result.indices, expected[0])
+        np.testing.assert_array_equal(result.distances, expected[1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["queries", "markers", "extension"])
+    def test_non_finite_inputs_get_the_scan_answer(self, value, where, monkeypatch):
+        monkeypatch.setattr(knn_module, "MIN_CELLS", 8)
+        points, queries = self._clustered(900, seed=9), self._clustered(12, seed=10)
+        if where == "queries":
+            queries[3, 2] = value
+        elif where == "markers":
+            points[17, 0] = value
+        index = ExactL1Index(points[:600])
+        index.prepare()
+        if where == "extension":
+            points[700, 5] = value
+        index.extend(points[600:])
+        result = index.query_batch_arrays(queries, 10)
+        expected = l1_top_k(queries, points, 10)
+        np.testing.assert_array_equal(result.indices, expected[0])
+        np.testing.assert_array_equal(result.distances, expected[1])
+
+    def test_one_row_and_k_past_the_map(self):
+        with mock.patch.object(knn_module, "MIN_CELLS", 1):
+            one = ExactL1Index(np.array([[2.0, -1.0]]))
+            result = one.query_batch_arrays(np.zeros((3, 2)), 5)
+        assert result.indices.tolist() == [[0]] * 3
+        assert result.distances.tolist() == [[3.0]] * 3
+        points = self._clustered(100, seed=11)
+        result = ExactL1Index(points).query_batch_arrays(points[:4], 250)
+        expected = l1_top_k(points[:4], points, 250)
+        np.testing.assert_array_equal(result.indices, expected[0])
+        np.testing.assert_array_equal(result.distances, expected[1])
+
+
 class TestBuildIndexKinds:
     def test_unknown_kind_rejected_with_valid_kinds_listed(self):
         points = np.zeros((4, 3))

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.core.knn as knn_module
 from repro.core import TypilusPipeline
 from repro.engine import AnnotatorConfig
 from repro.serve import (
@@ -363,6 +364,16 @@ class TestWorkersAnnotateInProcess:
         assert WorkerPool.in_process(trained_pipeline, AnnotatorConfig(jobs=4))._local.annotator.config.jobs == 1
 
 
+class TestWorkersBuildIndexCells:
+    def test_cells_are_built_before_the_first_request_and_at_reload_prepare(self, raw_model_dir, monkeypatch):
+        monkeypatch.setattr(knn_module, "MIN_CELLS", 1)  # the tiny test map gets cells too
+        pipeline = TypilusPipeline.load(raw_model_dir)
+        worker = AnnotationWorker(pipeline, AnnotatorConfig(use_type_checker=False))
+        assert pipeline.type_space.index()._partition is not None
+        assert worker.handle({"op": "reload", "stage": "prepare", "model_dir": str(raw_model_dir)})["ok"]
+        assert worker._staged.type_space.index()._partition is not None
+
+
 class TestBlasThreadBudget:
     def test_spawned_workers_split_the_usable_cores(self, raw_model_dir, monkeypatch):
         for variable in BLAS_THREAD_VARIABLES:
@@ -479,3 +490,40 @@ class TestFleetConstruction:
     def test_pool_rejects_zero_workers(self, raw_model_dir):
         with pytest.raises(ValueError, match="at least one"):
             WorkerPool(raw_model_dir, 0)
+
+    def test_workers_are_all_launched_before_any_greeting(self, raw_model_dir, monkeypatch):
+        """Each worker loads its model and builds its index cells before it greets: the loads overlap."""
+        steps = []
+        real_launch, real_greet = WorkerPool._launch, WorkerPool._greet
+
+        def launch(pool, worker_id):
+            steps.append(f"launch {worker_id}")
+            return real_launch(pool, worker_id)
+
+        def greet(pool, launched):
+            handle = real_greet(pool, launched)
+            steps.append("greet")
+            return handle
+
+        monkeypatch.setattr(WorkerPool, "_launch", launch)
+        monkeypatch.setattr(WorkerPool, "_greet", greet)
+        pool = WorkerPool(raw_model_dir, 2, annotator_config=AnnotatorConfig(use_type_checker=False)).start()
+        try:
+            assert steps == ["launch 0", "launch 1", "greet", "greet"]
+            assert [handle.worker_id for handle in pool._workers] == [0, 1]
+            assert all(handle.info["markers"] == handle.request({"op": "ping"})["markers"] for handle in pool._workers)
+        finally:
+            pool.close()
+
+    def test_a_worker_that_dies_while_loading_fails_the_start_and_leaves_no_process(self, raw_model_dir, tmp_path):
+        broken = tmp_path / "model"
+        shutil.copytree(raw_model_dir, broken)
+        (broken / "encoder.npz").write_bytes(b"not an archive")
+        launched = []
+        pool = WorkerPool(broken, 2)
+        real_launch = pool._launch
+        pool._launch = lambda worker_id: launched.append(real_launch(worker_id)) or launched[-1]
+        with pytest.raises(RuntimeError, match="exited with code"):
+            pool.start()
+        for process in launched:
+            assert process.wait(timeout=30) is not None
