@@ -11,7 +11,8 @@ and measures
 
 * **serial latency** — one request at a time, per-request round trip;
 * **concurrent wall time** — the same requests fired from parallel client
-  threads, which the daemon's batching window coalesces.
+  threads: those that queue up behind the busy worker are coalesced into
+  one micro-batch.
 
 Parity (daemon answers == one-shot :class:`ProjectAnnotator` answers,
 suggestion for suggestion) is asserted unconditionally; the
@@ -111,7 +112,6 @@ def test_serve_latency(benchmark, serving_pipeline, request_payloads, bench_chec
         serving_pipeline,
         socket_path,
         annotator_config=annotator_config,
-        serve_config=ServeConfig(batch_window_seconds=0.1),
     ).start()
     client = AnnotationClient(socket_path)
     try:
@@ -197,11 +197,7 @@ def test_serve_overload_axis(benchmark, serving_pipeline, request_payloads, benc
         serving_pipeline,
         socket_path,
         annotator_config=AnnotatorConfig(use_type_checker=False),
-        serve_config=ServeConfig(
-            batch_window_seconds=0.01,
-            max_batch_requests=2,
-            max_queue_depth=OVERLOAD_CAPACITY,
-        ),
+        serve_config=ServeConfig(max_batch_requests=2, max_queue_depth=OVERLOAD_CAPACITY),
         fault_injector=injector,
     ).start()
     client = AnnotationClient(socket_path)
@@ -332,7 +328,7 @@ def _run_fleet_cell(model_dir, workers, concurrency, payloads):
     server = AnnotationServer(
         None,
         socket_path,
-        serve_config=ServeConfig(batch_window_seconds=0.01, max_batch_requests=2),
+        serve_config=ServeConfig(max_batch_requests=2),
         worker_pool=pool,
     )
     try:

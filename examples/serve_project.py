@@ -8,10 +8,10 @@ whole story in one process:
 2. start :class:`repro.serve.AnnotationServer` on a Unix socket — the
    daemon a deployment would run via ``python -m repro.cli serve``;
 3. fire **concurrent** annotation requests from several client threads;
-   the daemon coalesces whatever arrives within its batching window into
-   one micro-batch through the engine's batched suggestion path, so the
-   clients share a single embedding pass (the printed stats show how many
-   requests were merged);
+   the first starts at once, and the ones that queue up while the worker is
+   busy are coalesced into one micro-batch through the engine's batched
+   suggestion path, so those clients share a single embedding pass (the
+   printed stats show how many requests were merged);
 4. adapt the type map *while the daemon is running*: an ``adapt`` request
    with examples of a new type extends the columnar TypeSpace and its
    index in place — no rebuild, no restart, no retraining (Sec. 4.2's
@@ -68,7 +68,6 @@ def main() -> None:
             served,
             socket_path,
             annotator_config=AnnotatorConfig(use_type_checker=False),
-            serve_config=ServeConfig(batch_window_seconds=0.1),
         ).start()
         print(f"daemon listening on {socket_path}")
 
@@ -136,9 +135,7 @@ def main() -> None:
             TypilusPipeline.load(model_dir),
             overload_socket,
             annotator_config=AnnotatorConfig(use_type_checker=False),
-            serve_config=ServeConfig(
-                batch_window_seconds=0.3, max_batch_requests=1, max_queue_depth=2
-            ),
+            serve_config=ServeConfig(max_batch_requests=1, max_queue_depth=2),
         ).start()
         try:
             AnnotationClient(overload_socket).wait_until_ready()

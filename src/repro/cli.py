@@ -286,10 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "never re-parsed (each fleet worker keeps its own subtree)")
     serve.add_argument("--confidence", type=float, default=0.0, help="minimum prediction confidence")
     serve.add_argument("--no-type-checker", action="store_true", help="skip checker filtering of candidates")
-    serve.add_argument("--batch-window-ms", type=float, default=10.0,
-                       help="how long the daemon waits to coalesce concurrent requests")
     serve.add_argument("--max-batch", type=int, default=32,
-                       help="maximum requests merged into one micro-batch")
+                       help="maximum requests a free worker takes from the queue as one merged "
+                            "micro-batch; requests merge only while every worker is busy")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="admission bound: requests queued or in flight beyond this are shed "
                             "immediately with an 'overloaded' error and a retry_after_seconds hint")
@@ -579,7 +578,6 @@ def command_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
     )
     serve_config_kwargs = dict(
-        batch_window_seconds=args.batch_window_ms / 1000.0,
         max_batch_requests=args.max_batch,
         max_queue_depth=args.max_queue,
         default_timeout_seconds=args.request_timeout,

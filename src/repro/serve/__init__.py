@@ -3,10 +3,11 @@
 Where :mod:`repro.engine` annotates one project per process,
 :mod:`repro.serve` keeps a trained pipeline resident:
 :class:`AnnotationServer` loads it once, listens on a local Unix socket and
-coalesces concurrent annotation requests into micro-batches through the
-engine's batched suggestion path (identical answers, shared embedding
-passes), while the incrementally-extendable TypeSpace lets ``adapt``
-requests grow the open type vocabulary between batches without a rebuild.
+coalesces the annotation requests that queue up behind busy workers into
+micro-batches through the engine's batched suggestion path (identical
+answers, shared embedding passes), while the incrementally-extendable
+TypeSpace lets ``adapt`` requests grow the open type vocabulary between
+batches without a rebuild.
 
 The failure modes are engineered, not accidental: bounded admission with
 ``overloaded`` sheds and ``retry_after_seconds`` hints, per-request

@@ -10,15 +10,18 @@ model load.  Design points:
   given pipeline, or N worker processes that each memory-map the same saved
   model (batches run concurrently across cores, the marker matrix occupies
   physical memory once).  Every operation below runs the same code in both.
-* **Micro-batching.**  Every ``annotate`` request lands on one queue; once a
-  worker is free, a single batcher thread drains whatever arrived within a
-  small window (or up to ``max_batch_requests``) and a dispatcher thread
-  runs the *union* of their files — each filename namespaced by its request
-  — as one :meth:`~repro.engine.annotator.ProjectAnnotator.annotate_sources`
-  call on that worker.  Concurrent clients therefore share one embedding
-  pass and one vectorized kNN query, and because the merged batch runs the
-  exact same code path as a one-shot annotation, coalescing cannot change
-  any answer.
+* **Micro-batching.**  Every ``annotate`` request lands on one queue; the
+  moment a worker is free, a single batcher thread takes every request
+  already queued (up to ``max_batch_requests``, without waiting for more)
+  and a dispatcher thread runs the *union* of their files — each filename
+  namespaced by its request — as one
+  :meth:`~repro.engine.annotator.ProjectAnnotator.annotate_sources` call on
+  that worker.  A request that finds a worker idle therefore starts alone at
+  once, and requests merge only while every worker is busy: then they share
+  one embedding pass and one vectorized kNN query.  Because the merged batch
+  runs the exact same code path as a one-shot annotation, coalescing cannot
+  change any answer.  ``stats`` counts each request's wait from admission to
+  the start of its micro-batch in fixed log2 buckets (``queue_wait_ms``).
 * **Engineered failure modes.**  Admission is bounded: past
   ``max_queue_depth`` pending requests the daemon sheds load immediately
   with an ``overloaded`` error carrying a ``retry_after_seconds`` hint,
@@ -62,6 +65,7 @@ import queue
 import socket
 import threading
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -81,13 +85,20 @@ _NAMESPACE = "\x00"
 #: Lifecycle states reported by the ``ping`` op.
 LIFECYCLE_STATES = ("ready", "reloading", "draining", "overloaded")
 
+#: Upper bounds (ms) of the queue-wait buckets, 0.125 ms to 4,096 ms; one
+#: more bucket counts the longer waits.  The bounds are fixed, so the counts
+#: of two daemons add up bucket by bucket.
+QUEUE_WAIT_BOUNDS_MS = tuple(0.125 * 2**power for power in range(16))
+
 
 @dataclass
 class ServeConfig:
-    """Micro-batching and admission-control knobs of the daemon."""
+    """Batch-size and admission-control knobs of the daemon.
 
-    #: How long the batcher waits for more requests after the first one.
-    batch_window_seconds: float = 0.01
+    A free worker takes every annotate request already queued and starts at
+    once, so requests merge only while every worker is busy.
+    """
+
     #: Hard cap on requests coalesced into one annotation pass.
     max_batch_requests: int = 32
     #: Admission bound: annotate/adapt requests queued or in flight beyond
@@ -117,7 +128,10 @@ class ServeStats:
     requests is five errors, not one); ``shed_requests`` and
     ``expired_requests`` have dedicated counters and are *not* double
     counted as errors, since shedding and deadline expiry are engineered
-    degradation, not processing failure.
+    degradation, not processing failure.  ``queue_wait_counts`` holds one
+    count per :data:`QUEUE_WAIT_BOUNDS_MS` bucket (and one past the last) of
+    the wait from admission to micro-batch start of every annotate request
+    that reached a worker.
     """
 
     requests: int = 0
@@ -133,8 +147,9 @@ class ServeStats:
     reloads: int = 0
     failed_reloads: int = 0
     batcher_restarts: int = 0
+    queue_wait_counts: list[int] = field(default_factory=lambda: [0] * (len(QUEUE_WAIT_BOUNDS_MS) + 1))
 
-    def summary(self) -> dict[str, int]:
+    def summary(self) -> dict:
         return {
             "requests": self.requests,
             "annotate_requests": self.annotate_requests,
@@ -149,6 +164,10 @@ class ServeStats:
             "reloads": self.reloads,
             "failed_reloads": self.failed_reloads,
             "batcher_restarts": self.batcher_restarts,
+            # Keyed by each bucket's upper bound in ms; float() reads every key.
+            "queue_wait_ms": dict(
+                zip([*(f"{bound:g}" for bound in QUEUE_WAIT_BOUNDS_MS), "inf"], self.queue_wait_counts)
+            ),
         }
 
 
@@ -159,6 +178,7 @@ class _Pending:
         self.done = threading.Event()
         self.result: Optional[dict] = None
         self.deadline = deadline  # absolute time.monotonic(), or None
+        self.admitted = 0.0  # time.monotonic() when it was admitted and queued
 
     def fail(self, message: str, kind: str = "error", **extra) -> None:
         self.result = {"ok": False, "error": message, "error_kind": kind, **extra}
@@ -494,16 +514,15 @@ class AnnotationServer:
     def _retry_after_hint(self, depth: int) -> float:
         """How long a shed client should wait before retrying.
 
-        Estimates the time to drain the current queue: batches ahead of a
-        fresh request times the observed per-batch wall time (EWMA), floored
-        by the batching window so a cold daemon still hints something useful.
+        Estimates the time to drain the current queue: the batches ahead of
+        a fresh request, run one per worker at a time, times the observed
+        per-batch wall time (EWMA; 50 ms before any batch has finished).
         """
         with self._stats_lock:
-            per_batch = self._batch_seconds
-        if per_batch is None:
-            per_batch = max(self.config.batch_window_seconds, 0.05)
+            per_batch = self._batch_seconds or 0.05
         batches_ahead = max(1, math.ceil(depth / self.config.max_batch_requests))
-        return round(min(30.0, max(0.05, batches_ahead * per_batch)), 3)
+        rounds = math.ceil(batches_ahead / self.pool.num_workers)
+        return round(min(30.0, max(0.05, rounds * per_batch)), 3)
 
     def _admit_and_wait(self, pending: _Pending) -> dict:
         if self._stop.is_set():
@@ -520,8 +539,12 @@ class AnnotationServer:
                     "retry_after_seconds": self._retry_after_hint(depth),
                 }
             self._admitted += 1
-        try:
+            # Admitted means queued: ``queue_depth`` never counts a request
+            # the batcher cannot take yet.  The queue is unbounded, so the
+            # put never blocks under the lock.
+            pending.admitted = time.monotonic()
             self._queue.put(pending)
+        try:
             return self._await(pending)
         finally:
             with self._admission_lock:
@@ -706,20 +729,19 @@ class AnnotationServer:
                 self._slots.release(held)
 
     def _collect_batch(self, first: _PendingAnnotate) -> _BatchPlanState:
-        """Drain compatible requests for one micro-batch.
+        """Take the annotate requests already queued behind ``first``.
 
-        An ``adapt`` or ``reload`` ends the drain (it must observe the
-        queue order: annotations enqueued before it run first, ones after it
-        see the new state), as does the shutdown sentinel.
+        The batcher holds a free worker's slot, so it waits for nothing: the
+        batch is ``first`` plus whatever queued up while every worker was
+        busy, up to ``max_batch_requests``.  An ``adapt`` or ``reload`` ends
+        the drain (it must observe the queue order: annotations enqueued
+        before it run first, ones after it see the new state), as does the
+        shutdown sentinel.
         """
         state = _BatchPlanState(batch=[first])
-        deadline = time.monotonic() + self.config.batch_window_seconds
         while len(state.batch) < self.config.max_batch_requests:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is None:
@@ -747,6 +769,7 @@ class AnnotationServer:
         return live
 
     def _run_annotate_batch(self, batch: list[_PendingAnnotate]) -> None:
+        dispatched = time.monotonic()
         self.faults.fire("slow_batch", {"batch_size": len(batch)})
         live = self._drop_expired(batch)
         if not live:
@@ -756,6 +779,10 @@ class AnnotationServer:
             largest_batch=len(live),
             coalesced_requests=len(live) if len(live) > 1 else 0,
         )
+        with self._stats_lock:
+            waits = self.stats.queue_wait_counts
+            for pending in live:
+                waits[bisect_left(QUEUE_WAIT_BOUNDS_MS, 1000.0 * (dispatched - pending.admitted))] += 1
         started = time.monotonic()
         self._annotate_isolating(live)
         elapsed = time.monotonic() - started

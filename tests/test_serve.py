@@ -9,7 +9,7 @@ import socket
 import struct
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -20,6 +20,7 @@ from repro.engine import AnnotatorConfig, ProjectAnnotator
 from repro.serve import (
     AnnotationClient,
     AnnotationServer,
+    FaultInjector,
     ProtocolError,
     ServeConfig,
     ServeError,
@@ -70,25 +71,28 @@ def model_dir(trained_pipeline, tmp_path_factory):
 
 
 @contextmanager
-def _running_server(model_dir, annotator_config=None, serve_config=None):
+def _running_server(model_dir, annotator_config=None, serve_config=None, fault_injector=None):
     # A short socket path of our own: pytest tmp paths can overflow the
     # ~107-byte AF_UNIX limit.
     workdir = tempfile.mkdtemp(prefix="typilus-serve-")
     socket_path = os.path.join(workdir, "daemon.sock")
     pipeline = TypilusPipeline.load(model_dir)
+    injector = fault_injector or FaultInjector()
     server = AnnotationServer(
         pipeline,
         socket_path,
         annotator_config=annotator_config or AnnotatorConfig(use_type_checker=False),
-        serve_config=serve_config or ServeConfig(batch_window_seconds=0.2),
+        serve_config=serve_config,
+        fault_injector=injector,
     ).start()
     client = AnnotationClient(socket_path)
     client.wait_until_ready(timeout=10.0)
     try:
         yield SimpleNamespace(
-            server=server, client=client, pipeline=pipeline, socket_path=socket_path
+            server=server, client=client, pipeline=pipeline, socket_path=socket_path, faults=injector
         )
     finally:
+        injector.reset()
         server.close()
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -97,6 +101,70 @@ def _running_server(model_dir, annotator_config=None, serve_config=None):
 def served(model_dir):
     with _running_server(model_dir) as handle:
         yield handle
+
+
+def _in_thread(fn, *args):
+    """Run ``fn`` in a thread; returns a handle whose .result() joins it."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as error:  # noqa: BLE001 - tests inspect every outcome
+            box["error"] = error
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def result(timeout=30.0):
+        thread.join(timeout=timeout)
+        assert not thread.is_alive(), f"{fn.__name__} hung"
+        if "error" in box:
+            raise box["error"]
+        return box["value"]
+
+    return SimpleNamespace(result=result, thread=thread)
+
+
+def _wait_until(predicate, timeout=10.0, message="condition"):
+    """Bounded poll on an observable condition (no fixed sleeps)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"timed out waiting for {message}")
+        time.sleep(0.005)
+
+
+@contextmanager
+def _gated_server(model_dir, serve_config=None):
+    """A daemon whose first micro-batch waits at the ``slow_batch`` gate."""
+    gate = threading.Event()
+    injector = FaultInjector().arm("slow_batch", times=1, gate=gate)
+    with _running_server(model_dir, serve_config=serve_config, fault_injector=injector) as handle:
+        handle.gate = gate
+        try:
+            yield handle
+        finally:
+            gate.set()
+
+
+def _queued_behind_a_pinned_batch(served, per_request):
+    """Answer ``per_request``, every request queued behind one busy worker.
+
+    A sacrificial request's batch holds the only worker at the gate until
+    every request below has been admitted (queued), so opening the gate lets
+    the batcher take them all at once.
+    """
+    sacrificial = _in_thread(served.client.annotate_sources, {"warmup.py": FILE_A})
+    assert served.faults.wait_for("slow_batch"), "the batcher never reached the gate"
+    handles = [_in_thread(served.client.annotate_sources, sources) for sources in per_request]
+    _wait_until(
+        lambda: served.client.ping()["queue_depth"] >= len(per_request) + 1,
+        message="every request to be admitted",
+    )
+    served.gate.set()
+    assert sacrificial.result().num_files == 1
+    return [handle.result() for handle in handles]
 
 
 class TestServingParity:
@@ -136,7 +204,7 @@ class TestServingParity:
 
 
 class TestMicroBatching:
-    def test_concurrent_requests_coalesce_and_stay_correct(self, served):
+    def test_concurrent_requests_coalesce_and_stay_correct(self, model_dir):
         per_request = [
             {"a.py": FILE_A},
             {"b.py": FILE_B},
@@ -144,42 +212,58 @@ class TestMicroBatching:
             {"a2.py": FILE_A, "b2.py": FILE_B},
             {"c2.py": FILE_C},
         ]
-        with ThreadPoolExecutor(max_workers=len(per_request)) as pool:
-            reports = list(pool.map(served.client.annotate_sources, per_request))
+        with _gated_server(model_dir) as served:
+            reports = _queued_behind_a_pinned_batch(served, per_request)
+            stats = served.client.stats()
         annotator = ProjectAnnotator(served.pipeline, AnnotatorConfig(use_type_checker=False))
         for sources, report in zip(per_request, reports):
             assert _report_keys(report) == _report_keys(annotator.annotate_sources(sources))
-        stats = served.client.stats()
-        assert stats["annotate_requests"] == len(per_request)
-        assert stats["largest_batch"] >= 2  # coalescing actually happened
-        assert stats["micro_batches"] < len(per_request)
+        assert stats["annotate_requests"] == len(per_request) + 1  # and the sacrificial one
+        assert stats["largest_batch"] == len(per_request)  # coalescing actually happened
+        assert stats["micro_batches"] == 2
 
-    def test_same_filename_different_content_across_requests(self, served):
+    def test_same_filename_different_content_across_requests(self, model_dir):
         """Request namespacing: identical filenames must not collide in a batch."""
-        results = {}
-
-        def annotate(tag, source):
-            results[tag] = served.client.annotate_sources({"mod.py": source})
-
-        threads = [
-            threading.Thread(target=annotate, args=("a", FILE_A)),
-            threading.Thread(target=annotate, args=("b", FILE_B)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        with _gated_server(model_dir) as served:
+            results = _queued_behind_a_pinned_batch(served, [{"mod.py": FILE_A}, {"mod.py": FILE_B}])
+            assert served.client.stats()["largest_batch"] == 2  # the two shared one merged call
         annotator = ProjectAnnotator(served.pipeline, AnnotatorConfig(use_type_checker=False))
-        assert _report_keys(results["a"]) == _report_keys(annotator.annotate_sources({"mod.py": FILE_A}))
-        assert _report_keys(results["b"]) == _report_keys(annotator.annotate_sources({"mod.py": FILE_B}))
+        assert _report_keys(results[0]) == _report_keys(annotator.annotate_sources({"mod.py": FILE_A}))
+        assert _report_keys(results[1]) == _report_keys(annotator.annotate_sources({"mod.py": FILE_B}))
 
     def test_batch_cap_respected(self, model_dir):
-        config = ServeConfig(batch_window_seconds=0.5, max_batch_requests=2)
-        with _running_server(model_dir, serve_config=config) as served:
-            per_request = [{f"f{i}.py": FILE_A} for i in range(4)]
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                list(pool.map(served.client.annotate_sources, per_request))
-            assert served.client.stats()["largest_batch"] <= 2
+        with _gated_server(model_dir, ServeConfig(max_batch_requests=2)) as served:
+            _queued_behind_a_pinned_batch(served, [{f"f{i}.py": FILE_A} for i in range(4)])
+            stats = served.client.stats()
+        assert stats["largest_batch"] == 2
+        assert stats["micro_batches"] == 3  # the sacrificial batch, then two of two
+
+    def test_a_request_to_an_idle_worker_starts_alone_at_once(self, model_dir):
+        """A lone request reaches the idle worker in a thread hand-off."""
+        with _running_server(model_dir) as served:
+            for position in range(8):
+                assert served.client.annotate_sources({f"f{position}.py": FILE_A}).num_files == 1
+            stats = served.client.stats()
+        assert stats["micro_batches"] == 8 and stats["largest_batch"] == 1
+        waits = stats["queue_wait_ms"]
+        assert sum(waits.values()) == 8
+        # Waiting 10 ms for company would put all eight above the 8 ms bucket.
+        assert sum(count for bound, count in waits.items() if float(bound) <= 4) >= 6, waits
+
+    def test_queue_wait_counts_a_request_held_behind_a_busy_worker(self, model_dir):
+        with _gated_server(model_dir) as served:
+            pinned = _in_thread(served.client.annotate_sources, {"a.py": FILE_A})
+            assert served.faults.wait_for("slow_batch")
+            held = _in_thread(served.client.annotate_sources, {"b.py": FILE_B})
+            _wait_until(lambda: served.client.ping()["queue_depth"] >= 2, message="admission")
+            time.sleep(0.06)  # hold the queued request for at least 50 ms
+            served.gate.set()
+            assert pinned.result().num_files == 1 and held.result().num_files == 1
+            stats = served.client.stats()
+        waits = stats["queue_wait_ms"]
+        assert list(waits) == [f"{0.125 * 2**power:g}" for power in range(16)] + ["inf"]
+        assert sum(waits.values()) == stats["annotate_requests"] - stats["expired_requests"] == 2
+        assert sum(count for bound, count in waits.items() if float(bound) >= 32) >= 1, waits
 
 
 class TestServingAdaptation:

@@ -12,13 +12,9 @@ deterministic: no real crashes, no timing-dependent outcomes.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
+import sys
 import threading
-import time
-from contextlib import contextmanager
-from types import SimpleNamespace
+from collections import Counter
 
 import pytest
 
@@ -32,8 +28,9 @@ from repro.serve import (
     RetryPolicy,
     ServeConfig,
     ServeError,
+    WorkerPool,
 )
-from test_serve import FILE_A, FILE_B, FILE_C, _report_keys
+from test_serve import FILE_A, FILE_B, FILE_C, _in_thread, _report_keys, _running_server, _wait_until
 
 POISON_FILE = "poison.py"
 
@@ -60,71 +57,10 @@ def grown_model_dir(model_dir, tmp_path_factory):
     return path
 
 
-@contextmanager
-def _running_server(model_dir, serve_config=None, injector=None):
-    workdir = tempfile.mkdtemp(prefix="typilus-chaos-")
-    socket_path = os.path.join(workdir, "daemon.sock")
-    pipeline = TypilusPipeline.load(model_dir)
-    injector = injector or FaultInjector()
-    server = AnnotationServer(
-        pipeline,
-        socket_path,
-        annotator_config=AnnotatorConfig(use_type_checker=False),
-        serve_config=serve_config or ServeConfig(batch_window_seconds=0.05),
-        fault_injector=injector,
-    ).start()
-    client = AnnotationClient(socket_path)
-    client.wait_until_ready(timeout=10.0)
-    try:
-        yield SimpleNamespace(
-            server=server,
-            client=client,
-            pipeline=pipeline,
-            socket_path=socket_path,
-            faults=injector,
-        )
-    finally:
-        injector.reset()
-        server.close()
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
-def _in_thread(fn, *args):
-    """Run ``fn`` in a thread; returns a handle whose .result() joins it."""
-    box = {}
-
-    def run():
-        try:
-            box["value"] = fn(*args)
-        except BaseException as error:  # noqa: BLE001 - tests inspect every outcome
-            box["error"] = error
-
-    thread = threading.Thread(target=run)
-    thread.start()
-
-    def result(timeout=30.0):
-        thread.join(timeout=timeout)
-        assert not thread.is_alive(), f"{fn.__name__} hung"
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
-
-    return SimpleNamespace(result=result, thread=thread)
-
-
-def _wait_until(predicate, timeout=10.0, message="condition"):
-    """Bounded poll on an observable condition (no fixed sleeps)."""
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() >= deadline:
-            raise AssertionError(f"timed out waiting for {message}")
-        time.sleep(0.005)
-
-
 class TestBatcherCrash:
     def test_crash_fails_fast_and_daemon_keeps_serving(self, model_dir):
         injector = FaultInjector().arm("batcher", error="thread killed by test")
-        with _running_server(model_dir, injector=injector) as served:
+        with _running_server(model_dir, fault_injector=injector) as served:
             with pytest.raises(ServeError, match="batcher crashed") as excinfo:
                 served.client.annotate_sources({"a.py": FILE_A})
             assert excinfo.value.kind == "crashed"
@@ -138,8 +74,8 @@ class TestBatcherCrash:
     def test_queued_requests_behind_a_crash_fail_fast_too(self, model_dir):
         gate = threading.Event()
         injector = FaultInjector().arm("slow_batch", gate=gate)
-        config = ServeConfig(batch_window_seconds=0.01, max_batch_requests=1)
-        with _running_server(model_dir, serve_config=config, injector=injector) as served:
+        config = ServeConfig(max_batch_requests=1)
+        with _running_server(model_dir, serve_config=config, fault_injector=injector) as served:
             pinned = _in_thread(served.client.annotate_sources, {"a.py": FILE_A})
             assert served.faults.wait_for("slow_batch"), "batcher never reached the gate"
             # arm the crash, then queue a request behind the pinned batch
@@ -158,11 +94,9 @@ class TestBatcherCrash:
 
 class TestOverload:
     def _pinned_server(self, model_dir, gate, max_queue_depth=2):
-        config = ServeConfig(
-            batch_window_seconds=0.01, max_batch_requests=1, max_queue_depth=max_queue_depth
-        )
+        config = ServeConfig(max_batch_requests=1, max_queue_depth=max_queue_depth)
         injector = FaultInjector().arm("slow_batch", times=None, gate=gate)
-        return _running_server(model_dir, serve_config=config, injector=injector)
+        return _running_server(model_dir, serve_config=config, fault_injector=injector)
 
     def test_admission_sheds_past_capacity_with_retry_hint(self, model_dir):
         gate = threading.Event()
@@ -212,7 +146,7 @@ class TestOverload:
 
     def test_retry_policy_never_retries_annotation_errors(self, model_dir):
         injector = FaultInjector().arm("annotator", times=1, error="bad request payload")
-        with _running_server(model_dir, injector=injector) as served:
+        with _running_server(model_dir, fault_injector=injector) as served:
             client = AnnotationClient(served.socket_path, retry_policy=RetryPolicy(max_attempts=5))
             # the fault is armed for ONE fire: a (wrong) retry would succeed,
             # so the raise itself proves the client did not retry
@@ -220,6 +154,63 @@ class TestOverload:
                 client.annotate_sources({"a.py": FILE_A})
             assert excinfo.value.kind == "annotation"
             assert served.faults.fired("annotator") == 1
+
+    def test_retry_hint_counts_the_workers(self, model_dir, tmp_path):
+        """Two workers drain the batches ahead twice as fast as one."""
+
+        def hint(num_workers, depth):
+            server = AnnotationServer(
+                None,
+                tmp_path / "never-started.sock",
+                serve_config=ServeConfig(max_batch_requests=1),
+                worker_pool=WorkerPool(model_dir, num_workers),
+            )
+            server._batch_seconds = 0.5  # the EWMA of finished batches
+            return server._retry_after_hint(depth)
+
+        assert hint(1, 8) == 4.0
+        assert hint(2, 8) == 2.0
+        assert hint(2, 1) == hint(1, 1) == 0.5  # one batch ahead still waits one batch
+
+    def test_every_request_under_contention_is_answered_or_shed(self, model_dir):
+        """Admission is enqueue: with more client threads than cores and the
+        interpreter switching threads 500x as often as by default, every
+        request ends ``ok`` or ``overloaded``, the counters reconcile and
+        nothing stays admitted."""
+        outcomes: list[str] = []
+        lock = threading.Lock()
+
+        def send_five(position: int) -> None:
+            client = AnnotationClient(served.socket_path)
+            for request in range(5):
+                try:
+                    client.annotate_sources({f"c{position}_{request}.py": FILE_A})
+                    kind = "ok"
+                except ServeError as error:
+                    kind = error.kind
+                except Exception as error:  # noqa: BLE001 - every outcome is recorded
+                    kind = type(error).__name__
+                with lock:
+                    outcomes.append(kind)
+
+        with _running_server(model_dir, serve_config=ServeConfig(max_queue_depth=4)) as served:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                clients = [_in_thread(send_five, position) for position in range(16)]
+                for handle in clients:
+                    handle.result(timeout=120.0)
+            finally:
+                sys.setswitchinterval(interval)
+            stats = served.client.stats()
+            depth = served.client.ping()["queue_depth"]
+        kinds = Counter(outcomes)
+        assert sum(kinds.values()) == 80 and set(kinds) <= {"ok", "overloaded"}, kinds
+        assert stats["annotate_requests"] == 80
+        assert stats["shed_requests"] == kinds["overloaded"]
+        assert stats["errors"] == stats["expired_requests"] == 0
+        assert sum(stats["queue_wait_ms"].values()) == kinds["ok"]
+        assert depth == 0
 
     def test_retry_backoff_sequence_is_deterministic(self):
         policy = RetryPolicy(max_attempts=5, base_delay_seconds=0.1, seed=42)
@@ -244,8 +235,8 @@ class TestPoisonIsolation:
             error="poison payload",
             match=lambda context: POISON_FILE in context.get("filenames", ()),
         )
-        config = ServeConfig(batch_window_seconds=0.2, max_batch_requests=32)
-        with _running_server(model_dir, serve_config=config, injector=injector) as served:
+        config = ServeConfig(max_batch_requests=32)
+        with _running_server(model_dir, serve_config=config, fault_injector=injector) as served:
             # pin the batcher on a sacrificial request so the next four
             # requests deterministically coalesce into one micro-batch
             sacrificial = _in_thread(served.client.annotate_sources, {"warmup.py": FILE_A})
@@ -280,7 +271,7 @@ class TestHotReload:
     def test_reload_swaps_atomically_between_batches(self, model_dir, grown_model_dir):
         gate = threading.Event()
         injector = FaultInjector().arm("slow_batch", times=1, gate=gate)
-        with _running_server(model_dir, injector=injector) as served:
+        with _running_server(model_dir, fault_injector=injector) as served:
             old_markers = served.client.ping()["markers"]
             in_flight = _in_thread(served.client.annotate_sources, {"a.py": FILE_A})
             assert served.faults.wait_for("slow_batch")
@@ -310,7 +301,7 @@ class TestHotReload:
 
     def test_failed_reload_keeps_the_old_pipeline_serving(self, model_dir, grown_model_dir):
         injector = FaultInjector().arm("reload", error="disk went away")
-        with _running_server(model_dir, injector=injector) as served:
+        with _running_server(model_dir, fault_injector=injector) as served:
             before = served.client.ping()["markers"]
             with pytest.raises(ServeError, match="reload failed") as excinfo:
                 served.client.reload(grown_model_dir)
@@ -352,8 +343,8 @@ class TestDeadlinesUnderLoad:
     def test_expired_request_behind_a_slow_batch_is_dropped_unprocessed(self, model_dir):
         gate = threading.Event()
         injector = FaultInjector().arm("slow_batch", times=1, gate=gate)
-        config = ServeConfig(batch_window_seconds=0.01, max_batch_requests=1)
-        with _running_server(model_dir, serve_config=config, injector=injector) as served:
+        config = ServeConfig(max_batch_requests=1)
+        with _running_server(model_dir, serve_config=config, fault_injector=injector) as served:
             pinned = _in_thread(served.client.annotate_sources, {"a.py": FILE_A})
             assert served.faults.wait_for("slow_batch")
             doomed = _in_thread(
@@ -369,3 +360,4 @@ class TestDeadlinesUnderLoad:
             stats = served.client.stats()
             assert stats["expired_requests"] == 1
             assert stats["micro_batches"] == 1  # no embedding pass for the expired request
+            assert sum(stats["queue_wait_ms"].values()) == 1  # only the pinned one reached a worker

@@ -11,6 +11,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,7 +26,6 @@ from repro.serve import (
     AnnotationClient,
     AnnotationServer,
     FaultInjector,
-    ServeConfig,
     ServeError,
     WorkerPool,
     format_address,
@@ -44,6 +44,7 @@ from repro.serve.workers import (
     describe_pipeline,
 )
 from repro.utils import usable_cores
+from test_serve import _in_thread
 
 FILE_A = "def scale_amount(amount, factor):\n    return amount * factor\n"
 FILE_B = (
@@ -68,7 +69,7 @@ def raw_model_dir(trained_pipeline, tmp_path_factory):
 
 
 @contextmanager
-def _running_fleet(model_dir, num_workers=2, fault_injector=None, serve_config=None, tcp=True):
+def _running_fleet(model_dir, num_workers=2, fault_injector=None, server_faults=None, tcp=True):
     workdir = tempfile.mkdtemp(prefix="typilus-fleet-")
     socket_path = os.path.join(workdir, "daemon.sock")
     pool = WorkerPool(
@@ -80,9 +81,9 @@ def _running_fleet(model_dir, num_workers=2, fault_injector=None, serve_config=N
     server = AnnotationServer(
         None,
         socket_path,
-        serve_config=serve_config or ServeConfig(batch_window_seconds=0.01),
         tcp_address="127.0.0.1:0" if tcp else None,
         worker_pool=pool,
+        fault_injector=server_faults,
     ).start()
     client = AnnotationClient(socket_path)
     client.wait_until_ready(timeout=60.0)
@@ -104,7 +105,6 @@ def _running_daemon(model_dir):
         TypilusPipeline.load(model_dir),
         socket_path,
         annotator_config=AnnotatorConfig(use_type_checker=False),
-        serve_config=ServeConfig(batch_window_seconds=0.01),
     ).start()
     client = AnnotationClient(socket_path)
     client.wait_until_ready(timeout=30.0)
@@ -164,7 +164,6 @@ class TestFleetParity:
             TypilusPipeline.load(raw_model_dir),
             single_socket,
             annotator_config=AnnotatorConfig(use_type_checker=False),
-            serve_config=ServeConfig(batch_window_seconds=0.01),
         ).start()
         try:
             AnnotationClient(single_socket).wait_until_ready(timeout=30.0)
@@ -285,6 +284,27 @@ class TestOneContract:
         assert row["alive"] is True
         assert row["batches"] == single_stats["micro_batches"] == 1
         assert single_stats["worker_restarts"] == 0
+
+
+class TestDispatchOnFree:
+    def test_a_request_starts_on_the_idle_worker_while_the_other_is_pinned(self, raw_model_dir):
+        """A request never waits for, or merges behind, a busy worker while
+        another is idle: it runs alone on the free one and is answered first."""
+        gate = threading.Event()
+        faults = FaultInjector().arm("slow_batch", times=1, gate=gate)
+        with _running_fleet(raw_model_dir, server_faults=faults, tcp=False) as fleet:
+            try:
+                pinned = _in_thread(fleet.client.annotate_sources, {"a.py": FILE_A})
+                assert faults.wait_for("slow_batch"), "the first batch never reached the gate"
+                assert fleet.client.annotate_sources({"b.py": FILE_B}).num_files == 1
+                assert pinned.thread.is_alive()  # answered while the first is still pinned
+            finally:
+                gate.set()
+            assert pinned.result().num_files == 1
+            stats = fleet.client.stats()
+        assert stats["micro_batches"] == 2
+        assert stats["largest_batch"] == 1
+        assert sum(stats["queue_wait_ms"].values()) == 2
 
 
 class TestWorkerCrashes:
