@@ -1,16 +1,15 @@
 """Figure 6: sweep of k and p in the kNN prediction rule (Eq. 5).
 
 Alongside the paper's k/p sweep, this module benchmarks the marker-count
-scale axis: the cell-pruned exact index and the IVF index against the
-``l1_top_k`` full scan on growing synthetic type maps, asserting the exact
-index's identical answers and IVF's recall floor (always) and IVF's
-sub-linear speedup (outside ``--quick``).
+scale axis: the cell-pruned exact index against the ``l1_top_k`` full scan
+on growing synthetic type maps, asserting the exact index's identical
+answers on every map.
 """
 
 import numpy as np
 from _bench_utils import run_once
 
-from repro.core import ExactL1Index, IVFIndex
+from repro.core import ExactL1Index
 from repro.core.knn import l1_top_k
 from repro.evaluation import format_figure6, run_figure6, summarise_heatmap
 from repro.utils.timing import Stopwatch
@@ -62,17 +61,14 @@ def _time(fn) -> float:
     return stopwatch.sections["run"]
 
 
-def test_fig6_index_scale_axis(benchmark, quick, bench_check, bench_record):
-    """The exact index and IVF against the ``l1_top_k`` full scan on growing marker counts.
+def test_fig6_index_scale_axis(benchmark, quick, bench_record):
+    """The exact index against the ``l1_top_k`` full scan on growing marker counts.
 
     Hard assertions at every scale, quick mode included, because they are
-    correctness properties of the indexes, not hardware claims: the exact
+    correctness properties of the index, not hardware claims: the exact
     index returns the scan's rows and distances bit for bit, on the
-    clustered maps and on an unclustered one, and IVF's recall@k against the
-    scan stays ≥ 0.95.  The ≥5× speedup of IVF over the scan at the top
-    scale — the brute force the gate was written against — is
-    hardware-dependent and goes through ``bench_check``; the exact index's
-    speedup is recorded.
+    clustered maps and on an unclustered one.  Its speedup over the scan is
+    hardware-dependent, so it is recorded, not asserted.
     """
     scales = [10_000] if quick else [10_000, 50_000, 200_000]
 
@@ -94,53 +90,25 @@ def test_fig6_index_scale_axis(benchmark, quick, bench_check, bench_record):
             where = f"{shape} map of {scale} markers"
             assert np.array_equal(answer.indices, oracle_rows), f"exact index rows differ from the scan on the {where}"
             assert np.array_equal(answer.distances, oracle_distances), f"exact index distances differ on the {where}"
-            row = {"shape": shape, "scale": scale, "scan_seconds": scan_seconds, "exact_seconds": exact_seconds}
-            if shape == "clustered":
-                ivf = IVFIndex(markers, nlist=max(128, scale // 500), nprobe=16, seed=0)
-                ivf.query_batch_arrays(queries[:8], K)
-                row["ivf_seconds"] = _time(lambda: ivf.query_batch_arrays(queries, K))
-                approximate = ivf.query_batch_arrays(queries, K)
-                hits = sum(
-                    len(set(approximate.indices[position]) & set(oracle_rows[position]))
-                    for position in range(NUM_QUERIES)
-                )
-                row["recall_at_k"] = hits / (NUM_QUERIES * K)
-            rows.append(row)
+            rows.append({"shape": shape, "scale": scale, "scan_seconds": scan_seconds, "exact_seconds": exact_seconds})
         return rows
 
     rows = run_once(benchmark, measure)
     print()
     for row in rows:
-        line = (
+        print(
             f"{row['shape']:>9} {row['scale']:>7}: scan {row['scan_seconds']*1e3:8.1f} ms  "
             f"exact {row['exact_seconds']*1e3:7.1f} ms ({row['scan_seconds'] / row['exact_seconds']:4.1f}x)"
         )
-        if "ivf_seconds" in row:
-            line += (
-                f"  ivf {row['ivf_seconds']*1e3:7.1f} ms ({row['scan_seconds'] / row['ivf_seconds']:4.1f}x)  "
-                f"recall@{K} {row['recall_at_k']:.3f}"
-            )
-        print(line)
 
     clustered = [row for row in rows if row["shape"] == "clustered"]
     uniform = next(row for row in rows if row["shape"] == "uniform")
-    top = clustered[-1]
-    speedup_top_scale = top["scan_seconds"] / max(top["ivf_seconds"], 1e-12)
     bench_record(
         scales=[row["scale"] for row in clustered],
         scan_seconds=[row["scan_seconds"] for row in clustered],
         exact_seconds=[row["exact_seconds"] for row in clustered],
-        ivf_seconds=[row["ivf_seconds"] for row in clustered],
-        recall_at_k=[row["recall_at_k"] for row in clustered],
         exact_speedup=[row["scan_seconds"] / max(row["exact_seconds"], 1e-12) for row in clustered],
-        speedup_top_scale=speedup_top_scale,
         uniform_scale=uniform["scale"],
         uniform_scan_seconds=uniform["scan_seconds"],
         uniform_exact_seconds=uniform["exact_seconds"],
-    )
-    for row in clustered:  # the recall floor is a correctness gate, even in --quick
-        assert row["recall_at_k"] >= 0.95, f"recall floor broken at scale {row['scale']}: {row}"
-    bench_check(
-        speedup_top_scale >= 5.0,
-        f"IVF not sub-linear enough: {speedup_top_scale:.1f}x over the full scan at {top['scale']} markers",
     )

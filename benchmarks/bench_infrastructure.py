@@ -8,7 +8,7 @@ the original system).
 
 import numpy as np
 
-from repro.core import ExactL1Index, IVFIndex
+from repro.core import ExactL1Index
 from repro.corpus import CorpusSynthesizer, SynthesisConfig
 from repro.graph import GraphBuilder
 
@@ -31,18 +31,6 @@ def test_exact_knn_query_speed(benchmark, bench_record):
     index = ExactL1Index(rng.normal(size=(2000, 32)))
     queries = rng.normal(size=(50, 32))
 
-    results = benchmark(lambda: index.query_batch(queries, k=10))
+    results = benchmark(lambda: index.query_batch_arrays(queries, k=10))
     bench_record(queries=len(queries), k=10, points=2000)
-    assert len(results) == 50 and len(results[0].indices) == 10
-
-
-def test_approximate_knn_query_speed(benchmark, bench_record):
-    rng = np.random.default_rng(0)
-    points = rng.normal(size=(2000, 32))
-    index = IVFIndex(points, nlist=32, nprobe=4, seed=3)
-    queries = rng.normal(size=(50, 32))
-
-    results = benchmark(lambda: index.query_batch(queries, k=10))
-    bench_record(queries=len(queries), k=10, points=2000, nlist=32, nprobe=4)
-    assert len(results) == 50
-    assert all(len(result.indices) == 10 for result in results)
+    assert results.indices.shape == (50, 10)

@@ -51,19 +51,23 @@ class OptionalTypeChecker:
     # -- public API --------------------------------------------------------------------
 
     def check_source(self, source: str, filename: str = "<string>") -> CheckResult:
-        """Type check a source string, returning every diagnostic found."""
+        """Type check a source string, returning every diagnostic found.
+
+        A file that does not parse, or that nests deeper than the parser or
+        the checker can recurse, yields one ``ANNOTATION_UNPARSABLE`` error.
+        """
         try:
             tree = ast.parse(source)
+            context = self.module_context(tree)
+            errors = [error for _, _, node, class_name in iter_units(tree)
+                      for error in self.check_unit(node, context, class_name)]
         except SyntaxError as error:
-            return CheckResult(
-                errors=[
-                    TypeCheckError(ErrorCode.ANNOTATION_UNPARSABLE, f"syntax error: {error.msg}", error.lineno or -1)
-                ]
-            )
-        context = self.module_context(tree)
-        errors = [error for _, _, node, class_name in iter_units(tree)
-                  for error in self.check_unit(node, context, class_name)]
-        return CheckResult(errors=errors)
+            message, lineno = f"syntax error: {error.msg}", error.lineno or -1
+        except RecursionError:
+            message, lineno = "nested too deeply to check", -1
+        else:
+            return CheckResult(errors=errors)
+        return CheckResult(errors=[TypeCheckError(ErrorCode.ANNOTATION_UNPARSABLE, message, lineno)])
 
     def infer_annotations(self, source: str) -> dict[tuple[str, str, str], str]:
         """Best-effort inference of missing annotations (the pytype role).

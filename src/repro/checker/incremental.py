@@ -125,12 +125,14 @@ class CheckedModule:
     def __init__(self, source: str, mode: CheckerMode = CheckerMode.STRICT) -> None:
         self.source = source
         self.checker = OptionalTypeChecker(mode=mode)
-        self.tree: Optional[ast.Module] = None
         try:
-            self.tree = ast.parse(source)
-        except SyntaxError:
+            self.tree: Optional[ast.Module] = ast.parse(source)
+            self._check()
+        except (SyntaxError, RecursionError):  # check_source's ANNOTATION_UNPARSABLE error
+            self.tree = None
             self.result = self.checker.check_source(source)
-            return
+
+    def _check(self) -> None:
         self.context: ModuleContext = self.checker.module_context(self.tree)
         self._slots = SlotIndex(self.tree)
         #: Index of the last top-level statement defining each context entry.

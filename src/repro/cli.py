@@ -51,11 +51,10 @@ Examples::
     python -m repro.cli train --dataset /tmp/dataset --epochs 8 --save-model /tmp/model
     python -m repro.cli ingest --corpus-dir /tmp/corpus --out /tmp/raw --shard-format raw
     OPENBLAS_NUM_THREADS=1 python -m repro.cli train --dataset /tmp/raw --mmap --workers 2 --prefetch-batches 4
-    python -m repro.cli train --dataset /tmp/dataset --save-model /tmp/model \\
-        --index ivf --nlist 256 --nprobe 8 --typespace-layout raw
+    python -m repro.cli train --dataset /tmp/dataset --save-model /tmp/model --typespace-layout raw
     python -m repro.cli suggest path/to/file.py --confidence 0.5
     python -m repro.cli annotate path/to/project --load-model /tmp/model --jobs 4 --cache-dir /tmp/cache
-    python -m repro.cli serve --load-model /tmp/model --socket /tmp/typilus.sock --index ivf
+    python -m repro.cli serve --load-model /tmp/model --socket /tmp/typilus.sock
     python -m repro.cli serve --load-model /tmp/model --workers 4 --tcp 127.0.0.1:8155
     python -m repro.cli annotate path/to/project --server /tmp/typilus.sock
     python -m repro.cli annotate path/to/project --server 127.0.0.1:8155
@@ -71,7 +70,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.checker import CheckerMode, OptionalTypeChecker
-from repro.core import INDEX_KINDS, EncoderConfig, LossKind, TrainingConfig, TypilusPipeline
+from repro.core import EncoderConfig, LossKind, TrainingConfig, TypilusPipeline
 from repro.core.pipeline import POOL_MIN_FILES
 from repro.corpus import (
     CorpusSynthesizer,
@@ -146,32 +145,6 @@ def _add_ingest_arguments(parser: argparse.ArgumentParser, annotates: bool = Fal
                         help="content-addressed extraction cache; unchanged files are never re-parsed")
 
 
-def _add_index_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--index", choices=list(INDEX_KINDS), default=None,
-                        help="TypeSpace index: exact (the full scan's answers, skipping the "
-                             "cells it can rule out; default) or ivf (k-medians cells + "
-                             "shortlist re-rank, approximate); with --load-model the loaded "
-                             "pipeline is re-indexed")
-    parser.add_argument("--nlist", type=int, default=None,
-                        help="ivf only: number of k-means cells (default 64)")
-    parser.add_argument("--nprobe", type=int, default=None,
-                        help="ivf only: cells probed per query (default 8)")
-
-
-def _index_settings(args: argparse.Namespace) -> tuple[Optional[str], dict]:
-    """The (index_kind, index_params) selected on the command line."""
-    kind: Optional[str] = getattr(args, "index", None)
-    params: dict = {}
-    for flag, name in [("--nlist", "nlist"), ("--nprobe", "nprobe")]:
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if kind != "ivf":
-            raise SystemExit(f"{flag} only applies to the IVF index; add --index ivf")
-        params[name] = value
-    return kind, params
-
-
 def _ingest_config(args: argparse.Namespace) -> IngestConfig:
     jobs: Optional[int] = getattr(args, "jobs", 1)
     if jobs == 0:
@@ -208,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_arguments(train)
     _add_training_arguments(train)
     _add_ingest_arguments(train)
-    _add_index_arguments(train)
     train.add_argument("--save-typespace", type=Path, default=None, help="write the TypeSpace to exactly this path, as an .npz archive")
     train.add_argument("--save-model", type=Path, default=None,
                        help="persist the trained pipeline (weights + TypeSpace) to this directory")
@@ -225,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_arguments(suggest)
     _add_training_arguments(suggest)
     _add_ingest_arguments(suggest, annotates=True)
-    _add_index_arguments(suggest)
     suggest.add_argument("files", nargs="+", type=Path, help="Python files to annotate")
     suggest.add_argument("--confidence", type=float, default=0.0, help="minimum prediction confidence")
     suggest.add_argument("--no-type-checker", action="store_true", help="skip checker filtering of candidates")
@@ -238,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_arguments(annotate)
     _add_training_arguments(annotate)
     _add_ingest_arguments(annotate, annotates=True)
-    _add_index_arguments(annotate)
     annotate.add_argument("directory", type=Path, help="project directory of .py files to annotate")
     annotate.add_argument("--load-model", type=Path, default=None,
                           help="serve a pipeline saved with --save-model instead of training")
@@ -268,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_corpus_arguments(serve)
     _add_training_arguments(serve, include_workers=False)
-    _add_index_arguments(serve)
     serve.add_argument("--socket", type=Path, default=None,
                        help="Unix socket path the daemon listens on")
     serve.add_argument("--tcp", default=None, metavar="HOST:PORT",
@@ -342,7 +311,6 @@ def _build_dataset(args: argparse.Namespace) -> TypeAnnotationDataset:
 
 
 def _fit_pipeline(args: argparse.Namespace, dataset: TypeAnnotationDataset) -> TypilusPipeline:
-    index_kind, index_params = _index_settings(args)
     return TypilusPipeline.fit(
         dataset,
         EncoderConfig(family=args.family, hidden_dim=args.hidden_dim, gnn_steps=args.gnn_steps),
@@ -354,8 +322,6 @@ def _fit_pipeline(args: argparse.Namespace, dataset: TypeAnnotationDataset) -> T
             workers=getattr(args, "workers", 1) or 1,
             prefetch_batches=getattr(args, "prefetch_batches", None),
         ),
-        index_kind=index_kind or "exact",
-        index_params=index_params,
         verbose=True,
     )
 
@@ -385,7 +351,6 @@ def _obtain_pipeline(args: argparse.Namespace) -> TypilusPipeline:
     """Load a saved pipeline when ``--load-model`` was given, else train one."""
     load_model: Optional[Path] = getattr(args, "load_model", None)
     if load_model is not None:
-        index_kind, index_params = _index_settings(args)
         try:
             pipeline = TypilusPipeline.load(load_model)
         except FileNotFoundError as error:
@@ -394,9 +359,6 @@ def _obtain_pipeline(args: argparse.Namespace) -> TypilusPipeline:
                 "create one with --save-model"
             ) from error
         print(f"loaded pipeline from {load_model} ({len(pipeline.type_space)} markers)")
-        if index_kind is not None:
-            pipeline.type_space.reindex(index_kind, **index_params)
-            print(f"re-indexed TypeSpace with the {index_kind} index")
         return pipeline
     dataset = _build_dataset(args)
     return _fit_pipeline(args, dataset)

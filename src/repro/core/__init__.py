@@ -2,15 +2,7 @@
 
 from repro.core.embedder import SymbolEmbedder
 from repro.core.filter import FilteredSuggestion, FilterRequest, TypeCheckedFilter
-from repro.core.ivf import IVFIndex
-from repro.core.knn import (
-    INDEX_KINDS,
-    BatchNeighbourResult,
-    ExactL1Index,
-    NeighbourResult,
-    build_index,
-    validate_index_params,
-)
+from repro.core.knn import BatchNeighbourResult, ExactL1Index
 from repro.core.losses import (
     UNKNOWN_TYPE,
     ClassificationHead,
@@ -74,11 +66,6 @@ __all__ = [
     "TypePrediction",
     "adapt_space_with_new_type",
     "ExactL1Index",
-    "IVFIndex",
-    "NeighbourResult",
-    "INDEX_KINDS",
-    "build_index",
-    "validate_index_params",
     "Trainer",
     "TrainingConfig",
     "TrainingResult",

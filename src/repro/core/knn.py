@@ -1,35 +1,27 @@
-"""Nearest-neighbour indexes over the TypeSpace (L1 distance).
+"""The exact nearest-neighbour index over the TypeSpace (L1 distance).
 
 The paper uses Annoy, an approximate nearest-neighbour library, to keep kNN
-queries fast.  Two indexes are provided here with the same interface:
+queries fast.  Here :class:`ExactL1Index` answers exactly: its answers are
+the :func:`l1_top_k` full scan's, bit for bit, but it files the markers into
+about √N cells — seeded k-medians centres (:func:`kmeans_cells`) and one
+:class:`CellPartition` that files each row under its nearest centre
+(:func:`nearest_cells`) — and scores only the cells the triangle inequality
+cannot rule out (:func:`_pruned_top_k`), falling back to the scan where the
+bounds leave more than half of the (query, marker) pairs.
 
-* :class:`ExactL1Index` — exact search, the default.  Its answers are the
-  :func:`l1_top_k` full scan's, bit for bit, but it files the markers into
-  about √N cells and scores only the cells the triangle inequality cannot
-  rule out (:func:`_pruned_top_k`), falling back to the scan where the
-  bounds leave more than half of the (query, marker) pairs;
-* :class:`~repro.core.ivf.IVFIndex` — approximate: queries probe the
-  ``nprobe`` nearest cells for a shortlist, which is exactly re-ranked.
-  Built by :func:`build_index` with ``kind="ivf"``.
+The index is batch-first: its one query method,
+:meth:`ExactL1Index.query_batch_arrays`, answers *all* queries with
+vectorized numpy and returns one :class:`BatchNeighbourResult` of array
+triples (indices, distances, counts).  Every distance comes from one kernel,
+:func:`_l1_distance_block`, over tiles of about :data:`L1_CHUNK_ELEMENTS`
+distances; the full scan keeps a running top-k per query, so memory does not
+grow with the marker count.  Neighbours are ordered by (distance, row): of
+equal distances the lower row comes first, whatever the tile size or the
+cells.
 
-Both build their cells the same way: seeded k-medians centres
-(:func:`kmeans_cells`) and one :class:`CellPartition` that files each row
-under its nearest centre (:func:`nearest_cells`).
-
-Both indexes are batch-first: the primitive operation is
-:meth:`query_batch_arrays`, which answers *all* queries with vectorized
-numpy and returns one :class:`BatchNeighbourResult` of array triples
-(indices, distances, counts).  The per-query :meth:`query` and the
-list-of-objects :meth:`query_batch` are thin views over that path.  Every
-distance comes from one kernel, :func:`_l1_distance_block`, over tiles of
-about :data:`L1_CHUNK_ELEMENTS` distances; the full scan keeps a running
-top-k per query, so memory does not grow with the marker count.  Neighbours
-are ordered by (distance, row): of equal distances the lower row comes
-first, whatever the tile size or the cells.
-
-Both indexes are also **incrementally updatable**: :meth:`extend` appends
-new points without touching the existing ones and files them under the
-existing cells, so a long-lived TypeSpace can grow marker by marker at a
+The index is also **incrementally updatable**: :meth:`ExactL1Index.extend`
+appends new points without touching the existing ones and files them under
+the existing cells, so a long-lived TypeSpace can grow marker by marker at a
 cost proportional to the extension, not to the whole index.
 
 Points, queries and distances are float64.
@@ -39,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
 
@@ -113,24 +105,21 @@ def _l1_distance_block(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return distances
 
 
-def l1_top_k(
-    queries: np.ndarray, points: np.ndarray, k: int, subset: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def l1_top_k(queries: np.ndarray, points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows and distances of the ``k`` L1-nearest points per query, by (distance, row).
 
-    Scans ``points`` (or only the ascending rows in ``subset``) in blocks whose
-    ``(queries × block)`` tile holds at most :data:`L1_CHUNK_ELEMENTS`
-    distances, merging each tile into a running top-k; neither a queries ×
-    points matrix nor a copy of all of ``points`` is built.
+    Scans ``points`` in blocks whose ``(queries × block)`` tile holds at most
+    :data:`L1_CHUNK_ELEMENTS` distances, merging each tile into a running
+    top-k; neither a queries × points matrix nor a copy of all of ``points``
+    is built.
     """
-    num_queries, total = len(queries), len(points) if subset is None else len(subset)
+    num_queries, total = len(queries), len(points)
     k = min(k, total)
     best_rows = np.zeros((num_queries, 0), dtype=np.int64)
     best = np.zeros((num_queries, 0))
     block_rows = max(1, L1_CHUNK_ELEMENTS // max(num_queries, 1))
     for start in range(0, total if k > 0 else 0, block_rows):
-        rows = slice(start, start + block_rows) if subset is None else subset[start : start + block_rows]
-        tile = _l1_distance_block(queries, points[rows])
+        tile = _l1_distance_block(queries, points[start : start + block_rows])
         width = tile.shape[1]
         # Only tile entries not above a threshold can enter the top-k: the
         # current k-th best once ``best`` is full, else the tile's own k-th
@@ -148,14 +137,14 @@ def l1_top_k(
         firsts = np.searchsorted(owner[order], np.arange(num_queries))
         picks = order[firsts[:, None] + np.arange(min(k, best.shape[1] + width))]
         best, best_rows = distances[picks], row_numbers[picks]
-    return (best_rows if subset is None else subset[best_rows]), best
+    return best_rows, best
 
 
 def nearest_cells(points: np.ndarray, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each point's L1-nearest centre (the lower one on ties) and its distance to it.
 
-    The one cell-assignment routine: the k-medians iterations, the IVF cells
-    and the exact index's partition all assign through it.  Points go in
+    The one cell-assignment routine: the k-medians iterations and the exact
+    index's partition both assign through it.  Points go in
     blocks whose points × centres tile holds at most :data:`L1_CHUNK_ELEMENTS`
     distances.
     """
@@ -180,7 +169,7 @@ def _cell_groups(cells: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 def kmeans_cells(
     points: np.ndarray,
-    nlist: int,
+    num_cells: int,
     seed: int = 0,
     iterations: int = KMEANS_ITERATIONS,
     sample: Optional[int] = None,
@@ -189,21 +178,21 @@ def kmeans_cells(
 
     With ``sample`` set and exceeded, the centres train on that many
     seeded-random rows of ``points``.  Centroids are initialised from
-    ``nlist`` distinct seeded-random rows; each Lloyd iteration assigns
+    ``num_cells`` distinct seeded-random rows; each Lloyd iteration assigns
     points to their L1-nearest centroid (:func:`nearest_cells`) and
     moves every non-empty cell's centroid to the component-wise **median**
     of its members (the L1-optimal centre, making this k-medians).  Empty
     cells keep their previous centroid.  Converged assignments end the loop
     early.  Identical inputs and seed produce identical centroids on every
-    platform — the property the extend-≡-rebuild recall contract rests on.
+    platform.
     """
     if len(points) == 0:
-        raise ValueError("cannot train a coarse quantizer on zero points")
+        raise ValueError("cannot place cells on zero points")
     if sample is not None and len(points) > sample:
         points = points[np.sort(SeededRNG(seed).np.choice(len(points), size=sample, replace=False))]
-    nlist = min(nlist, len(points))
+    num_cells = min(num_cells, len(points))
     rng = SeededRNG(seed)
-    chosen = np.sort(rng.np.choice(len(points), size=nlist, replace=False))
+    chosen = np.sort(rng.np.choice(len(points), size=num_cells, replace=False))
     centroids = np.array(points[chosen], dtype=points.dtype)
     assignment = np.full(len(points), -1, dtype=np.int64)
     for _ in range(iterations):
@@ -217,7 +206,7 @@ def kmeans_cells(
 
 
 class CellPartition:
-    """Rows filed under fixed centres: the cells both indexes search.
+    """Rows filed under fixed centres: the cells the exact index searches.
 
     Every row belongs to the cell of its L1-nearest centre
     (:func:`nearest_cells`).  A cell keeps its member rows in ascending
@@ -349,14 +338,6 @@ def _pruned_top_k(
 
 
 @dataclass
-class NeighbourResult:
-    """Indices and distances of the ``k`` nearest markers for one query."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-
-@dataclass
 class BatchNeighbourResult:
     """Neighbours of a whole query batch as dense arrays.
 
@@ -372,16 +353,6 @@ class BatchNeighbourResult:
     indices: np.ndarray
     distances: np.ndarray
     counts: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def row(self, position: int) -> NeighbourResult:
-        count = int(self.counts[position])
-        return NeighbourResult(self.indices[position, :count], self.distances[position, :count])
-
-    def to_list(self) -> list[NeighbourResult]:
-        return [self.row(position) for position in range(len(self))]
 
 
 def _empty_batch(num_queries: int) -> BatchNeighbourResult:
@@ -399,28 +370,6 @@ def _as_query_matrix(vectors: np.ndarray) -> np.ndarray:
     if vectors.ndim != 2:
         raise ValueError("queries must be a vector or a (num_queries, dim) matrix")
     return vectors
-
-
-class NearestNeighbourIndex(Protocol):
-    """Interface shared by the exact and the IVF index."""
-
-    def query(self, vector: np.ndarray, k: int) -> NeighbourResult:  # pragma: no cover - typing
-        ...
-
-    def query_batch(self, vectors: np.ndarray, k: int) -> list[NeighbourResult]:  # pragma: no cover
-        ...
-
-    def query_batch_arrays(self, vectors: np.ndarray, k: int) -> BatchNeighbourResult:  # pragma: no cover
-        ...
-
-    def extend(self, points: np.ndarray) -> None:  # pragma: no cover - typing
-        ...
-
-    def prepare(self) -> None:  # pragma: no cover - typing
-        ...
-
-    def __len__(self) -> int:  # pragma: no cover - typing
-        ...
 
 
 class ExactL1Index:
@@ -499,12 +448,6 @@ class ExactL1Index:
                 self._partition.add(points, 0)
         return self._partition
 
-    def query(self, vector: np.ndarray, k: int) -> NeighbourResult:
-        return self.query_batch_arrays(vector, k).row(0)
-
-    def query_batch(self, vectors: np.ndarray, k: int) -> list[NeighbourResult]:
-        return self.query_batch_arrays(vectors, k).to_list()
-
     def query_batch_arrays(self, vectors: np.ndarray, k: int) -> BatchNeighbourResult:
         vectors = _as_query_matrix(vectors)
         if self._size == 0:
@@ -525,46 +468,3 @@ class ExactL1Index:
                 )
         counts = np.full(len(vectors), indices.shape[1], dtype=np.int64)
         return BatchNeighbourResult(indices, distances, counts)
-
-
-#: The index kinds :func:`build_index` can construct.
-INDEX_KINDS = ("exact", "ivf")
-
-
-def build_index(
-    points: np.ndarray,
-    kind: str = "exact",
-    **kwargs,
-) -> NearestNeighbourIndex:
-    """Factory mirroring the paper's use of a spatial index over the TypeSpace.
-
-    ``kind`` selects the index: ``"exact"`` (:class:`ExactL1Index`, the
-    default) or ``"ivf"`` (:class:`~repro.core.ivf.IVFIndex`).  Extra keyword
-    arguments are passed to the index constructor, which validates them; an
-    unknown ``kind`` is rejected up front instead of silently falling back to
-    the exact scan.
-    """
-    if kind == "exact":
-        if kwargs:
-            raise TypeError(
-                f"the exact index takes no parameters, got {sorted(kwargs)} "
-                "(did you mean kind='ivf'?)"
-            )
-        return ExactL1Index(points)
-    if kind == "ivf":
-        from repro.core.ivf import IVFIndex  # deferred: ivf imports this module
-
-        return IVFIndex(points, **kwargs)
-    raise ValueError(
-        f"unknown index kind {kind!r}: valid kinds are {', '.join(INDEX_KINDS)}"
-    )
-
-
-def validate_index_params(kind: str, dim: int, **kwargs) -> None:
-    """Validate an index kind + parameter set without building a real index.
-
-    Runs the same constructor-time checks the indexes apply (a dry build over
-    a zero-point set), so a misconfigured ``TypeSpace(index_kind=...)`` fails
-    at construction, not at the first query.
-    """
-    build_index(np.zeros((0, max(dim, 1))), kind=kind, **kwargs)

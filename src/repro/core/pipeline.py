@@ -319,21 +319,13 @@ class TypilusPipeline:
         training_config: Optional[TrainingConfig] = None,
         knn_k: int = 10,
         knn_p: float = 1.0,
-        index_kind: str = "exact",
-        index_params: Optional[dict] = None,
         verbose: bool = False,
     ) -> "TypilusPipeline":
-        """Train an encoder and build the TypeSpace in one call.
-
-        ``index_kind``/``index_params`` select the TypeSpace's spatial index
-        (``"exact"``, the default, or ``"ivf"``; validated up front) — e.g.
-        ``index_kind="ivf", index_params={"nlist": 256, "nprobe": 8}`` for the
-        sub-linear serving tier.
-        """
+        """Train an encoder and build the TypeSpace in one call."""
         encoder = build_encoder(dataset, encoder_config)
         trainer = Trainer(encoder, dataset, loss_kind=loss_kind, config=training_config)
         result = trainer.train(verbose=verbose)
-        space = trainer.build_type_space(index_kind=index_kind, index_params=index_params)
+        space = trainer.build_type_space()
         return cls(dataset, encoder, result, space, knn_k=knn_k, knn_p=knn_p)
 
     # -- split-level prediction --------------------------------------------------------------
@@ -514,11 +506,10 @@ class TypilusPipeline:
     def fingerprint(self) -> str:
         """Content hash of everything that determines this pipeline's answers.
 
-        Covers the encoder weights, the TypeSpace markers, the kNN settings
-        and the index kind and params (an approximate index can answer
-        differently from the exact one).  Two pipelines with equal
-        fingerprints produce identical suggestions for identical sources —
-        the invariant behind the engine's incremental re-annotation cache.
+        Covers the encoder weights, the TypeSpace markers and the kNN
+        settings.  Two pipelines with equal fingerprints produce identical
+        suggestions for identical sources — the invariant behind the engine's
+        incremental re-annotation cache.
         """
         digest = hashlib.sha256()
         for name, parameter in sorted(self.encoder.named_parameters()):
@@ -531,8 +522,8 @@ class TypilusPipeline:
         for type_name in self.type_space.marker_type_names():
             digest.update(type_name.encode("utf-8") + b"\x00")
         digest.update(f"{self.predictor.k}:{self.predictor.p}:{self.predictor.epsilon}".encode("utf-8"))
-        index = {"kind": self.type_space.index_kind, "params": self.type_space.index_params}
-        digest.update(json.dumps(index, sort_keys=True).encode("utf-8"))
+        # The index entry of older fingerprints, now a constant: hashing it keeps every recorded fingerprint valid.
+        digest.update(json.dumps({"kind": "exact", "params": {}}, sort_keys=True).encode("utf-8"))
         return digest.hexdigest()
 
     # -- persistence -----------------------------------------------------------------------
@@ -541,7 +532,7 @@ class TypilusPipeline:
         """Persist the trained pipeline to a directory.
 
         The directory holds ``pipeline.json`` (encoder architecture,
-        vocabularies, kNN settings and the index configuration),
+        vocabularies and kNN settings),
         ``encoder.npz`` (weights, via :mod:`repro.nn.serialization`) and the
         type map (:meth:`TypeSpace.save`) — as ``typespace.npz`` with the
         default ``typespace_layout="npz"``, or as a raw ``typespace/``
@@ -576,7 +567,6 @@ class TypilusPipeline:
             "format_version": PIPELINE_FORMAT_VERSION,
             "encoder": _describe_encoder(self.encoder),
             "knn": {"k": self.predictor.k, "p": self.predictor.p, "epsilon": self.predictor.epsilon},
-            "index": {"kind": self.type_space.index_kind, "params": self.type_space.index_params},
             "typespace_layout": typespace_layout,
         }
         atomic_write(path / "pipeline.json", json.dumps(manifest, indent=2))
@@ -627,9 +617,8 @@ class TypilusPipeline:
         pipeline saved with ``typespace_layout="raw"`` memory-maps its marker
         matrix by default (``mmap_typespace=None`` → mmap when the layout
         supports it); pass ``mmap_typespace=False`` to force an in-RAM copy.
-        The saved index kind/params are restored with the markers.  Older
-        manifests that name the deleted LSH index load with the exact index
-        over the same markers.
+        Manifests that name an index (exact, or the deleted LSH and IVF
+        indexes) load with the exact index over the same markers.
         """
         path = Path(path)
         # peek_manifest enforces the commit-marker invariant: save() writes
@@ -639,13 +628,6 @@ class TypilusPipeline:
         manifest = cls.peek_manifest(path)
         with decoding(f"pipeline manifest at {path}"):
             encoder = _encoder_from_description(manifest["encoder"])
-            index = manifest.get("index")
-            # Older manifests may name the deleted LSH index: an "lsh" kind, or
-            # no "index" entry at all (only an "approximate_index" flag).  They
-            # load with the exact index over the same markers.
-            if not index or index["kind"] == "lsh":
-                index = {"kind": "exact", "params": {}}
-            index_kind, index_params = index["kind"], dict(index["params"])
             layout = manifest.get("typespace_layout", "npz")
             typespace_path = path / _TYPESPACE_NAMES[layout]
         serialization.load_modules(path / "encoder.npz", encoder=encoder)
@@ -655,12 +637,9 @@ class TypilusPipeline:
                 "this pipeline was saved with the npz typespace layout, which cannot "
                 "be memory-mapped; re-save with typespace_layout='raw'"
             )
-        with decoding(f"pipeline manifest at {path}"):  # the index and kNN parameters are the manifest's
+        with decoding(f"pipeline manifest at {path}"):  # the kNN parameters are the manifest's
             space = TypeSpace.load(
-                str(typespace_path),
-                index_kind=index_kind,
-                index_params=index_params,
-                mmap=layout == "raw" if mmap_typespace is None else mmap_typespace,
+                str(typespace_path), mmap=layout == "raw" if mmap_typespace is None else mmap_typespace
             )
             knn = manifest.get("knn", {})
             pipeline = cls(dataset, encoder, None, space, knn_k=int(knn.get("k", 10)), knn_p=float(knn.get("p", 1.0)))

@@ -15,11 +15,8 @@ scatter-accumulate over ``(query, type)`` pairs — there is no per-query
 Python prediction loop.  :meth:`predict` is the single-query view of the
 same path.
 
-The neighbour search itself is delegated to the TypeSpace's configured
-index (exact scan or the IVF serving tier — see :mod:`repro.core.knn`
-and :mod:`repro.core.ivf`); the predictor's scoring is
-index-agnostic, so swapping ``index_kind`` trades recall for speed without
-touching the probability model.
+The neighbour search itself is delegated to the TypeSpace's exact index
+(:mod:`repro.core.knn`), whose answers equal the full L1 scan's.
 """
 
 from __future__ import annotations

@@ -453,23 +453,13 @@ class Trainer:
         """Embed every supervised symbol of a split (in dataset order)."""
         return SymbolEmbedder(self.encoder).embed_split(split, batch_graphs=batch_graphs)
 
-    def build_type_space(
-        self,
-        include_valid: bool = True,
-        index_kind: str = "exact",
-        index_params=None,
-    ) -> TypeSpace:
+    def build_type_space(self, include_valid: bool = True) -> TypeSpace:
         """Populate the type map from the train (and validation) annotations.
 
         This mirrors Sec. 7: "we built the type map over the training and the
-        validation sets".  ``index_kind``/``index_params`` select the spatial
-        index: ``"exact"`` (the default) or ``"ivf"``.
+        validation sets".
         """
-        space = TypeSpace(
-            self.encoder.output_dim,
-            index_kind=index_kind,
-            index_params=index_params,
-        )
+        space = TypeSpace(self.encoder.output_dim)
         train_embeddings, train_samples = self.embed_split(self.dataset.train)
         space.add_markers([s.annotation for s in train_samples], train_embeddings, source="train")
         if include_valid and self.dataset.valid.samples:

@@ -39,12 +39,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.knn import (
-    BatchNeighbourResult,
-    NearestNeighbourIndex,
-    build_index,
-    validate_index_params,
-)
+from repro.core.knn import BatchNeighbourResult, ExactL1Index
 from repro.utils.columns import (
     RAW_META_NAME,
     PayloadError,
@@ -112,25 +107,15 @@ class TypeSpace:
     #: The dtype of the markers, of the queries and of their distances.
     dtype = np.dtype(np.float64)
 
-    def __init__(
-        self,
-        dim: int,
-        index_kind: str = "exact",
-        index_params: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, dim: int) -> None:
         self.dim = dim
-        # ``index_kind`` ("exact" | "ivf") and its params are validated now,
-        # with the indexes' own constructor checks, not at the first query.
-        self.index_kind = index_kind
-        self.index_params = dict(index_params or {})
-        validate_index_params(self.index_kind, dim, **self.index_params)
         self._embeddings = np.empty((0, dim))  # growable row storage
         self._size = 0
         self._codes = np.empty(0, dtype=np.int64)  # growable, parallel to the rows
         self._sources: list[str] = []
         self._vocabulary: dict[str, int] = {}  # interned type name → code
         self._vocabulary_list: list[str] = []  # code → type name
-        self._index: Optional[NearestNeighbourIndex] = None
+        self._index: Optional[ExactL1Index] = None
         # Vocabulary-derived caches, rebuilt lazily only when a *new* type
         # name appears (O(num_types), independent of the marker count).
         self._vocabulary_tuple: Optional[tuple[str, ...]] = None
@@ -292,25 +277,11 @@ class TypeSpace:
             self._name_ranks = ranks
         return self._name_ranks
 
-    def index(self) -> NearestNeighbourIndex:
-        """The spatial index over the markers (built lazily, then extended)."""
+    def index(self) -> ExactL1Index:
+        """The exact kNN index over the markers (built lazily, then extended)."""
         if self._index is None:
-            self._index = build_index(
-                self.marker_matrix(), kind=self.index_kind, **self.index_params
-            )
+            self._index = ExactL1Index(self.marker_matrix())
         return self._index
-
-    def reindex(self, index_kind: str, **index_params) -> None:
-        """Switch the index kind/params; the new index builds lazily on the next query.
-
-        This is how a loaded serving pipeline swaps its exact scan for an IVF
-        index (``space.reindex("ivf", nlist=256, nprobe=8)``) without touching
-        the markers.  Parameters are validated immediately.
-        """
-        validate_index_params(index_kind, self.dim, **index_params)
-        self.index_kind = index_kind
-        self.index_params = dict(index_params)
-        self._index = None
 
     def nearest(self, embedding: np.ndarray, k: int) -> list[tuple[str, float]]:
         """The ``k`` nearest markers of ``embedding``: ``(type, L1 distance)``."""
@@ -350,13 +321,7 @@ class TypeSpace:
         return path
 
     @classmethod
-    def load(
-        cls,
-        path: str,
-        index_kind: str = "exact",
-        index_params: Optional[dict] = None,
-        mmap: bool = False,
-    ) -> "TypeSpace":
+    def load(cls, path: str, mmap: bool = False) -> "TypeSpace":
         """Restore a space saved with :meth:`save` (either layout) by adopting its columns.
 
         An eager load verifies the fingerprint.  With ``mmap=True`` (raw
@@ -396,7 +361,7 @@ class TypeSpace:
             )
         if not consistent:
             raise PayloadError(f"{where} is inconsistent: embeddings {embeddings.shape}, {len(codes)} type codes")
-        space = cls(dim, index_kind=index_kind, index_params=index_params)
+        space = cls(dim)
         for name in vocabulary:
             space._intern(name)
         # Adopt the arrays as-is: the (possibly memory-mapped, read-only)

@@ -500,7 +500,10 @@ class TypeAnnotationDataset:
 def _augment_item(item: tuple[str, str]) -> tuple[str, str]:
     """Pool-friendly wrapper: one (filename, source) pair → augmented pair."""
     name, source = item
-    return name, _augment_with_inferred_annotations(source)
+    try:
+        return name, _augment_with_inferred_annotations(source)
+    except RecursionError:  # nested too deeply to infer: left as is, and the graph builder fails it
+        return name, source
 
 
 def _augment_with_inferred_annotations(source: str) -> str:
@@ -540,7 +543,7 @@ def _class_edges_from_sources(files: dict[str, str]) -> list[tuple[str, str]]:
     for source in files.values():
         try:
             tree = ast.parse(source)
-        except SyntaxError:
+        except (SyntaxError, RecursionError):  # the builder fails the file too
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):

@@ -165,16 +165,17 @@ class GraphBuilder:
             # Token positions must match the erased text, so it is parsed again.
             erased = ast.unparse(tree)
             tree = ast.parse(erased)
+            arena = FlatGraphBuilder(filename=filename, source=erased)
+            state = _BuildState(graph=arena, annotations=annotations)
+            state.add_tokens(erased)
+            state.walk_module(tree)
+            state.run_dataflow()
+            state.add_subtoken_edges()
+            state.attach_annotations()
         except SyntaxError as error:
             raise GraphBuildError(f"cannot parse {filename}: {error}") from error
-
-        arena = FlatGraphBuilder(filename=filename, source=erased)
-        state = _BuildState(graph=arena, annotations=annotations)
-        state.add_tokens(erased)
-        state.walk_module(tree)
-        state.run_dataflow()
-        state.add_subtoken_edges()
-        state.attach_annotations()
+        except RecursionError as error:  # the parser and every AST walk recurse per nesting level
+            raise GraphBuildError(f"cannot parse {filename}: nested too deeply ({error})") from error
         graph = arena.finish()
         graph.validate()
 

@@ -40,7 +40,7 @@ _SIGN_BIT = 1 << 31
 
 
 class ProtocolError(RuntimeError):
-    """A malformed frame (bad length, truncated payload or invalid JSON)."""
+    """A malformed frame (bad length, truncated payload, invalid or undecodable JSON)."""
 
 
 #: Anything :func:`parse_address` understands: a Unix socket path, a
@@ -154,7 +154,9 @@ def recv_frame(sock: socket.socket, max_frame_bytes: int = MAX_FRAME_BYTES) -> O
         raise ProtocolError("connection closed between frame header and payload")
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and integers past the interpreter's
+        # digit limit; RecursionError, arrays or objects nested past the stack.
         raise ProtocolError(f"invalid frame payload: {error}") from error
     if not isinstance(payload, dict):
         raise ProtocolError(f"frame payload must be a JSON object, got {type(payload).__name__}")

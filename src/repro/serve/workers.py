@@ -72,7 +72,7 @@ CHECKOUT_TIMEOUT_SECONDS = 60.0
 
 #: The :func:`describe_pipeline` facts that hold fleet-wide; the pool caches
 #: them for ``ping`` (``mmap`` and ``marker_bytes`` are per worker).
-FLEET_FACTS = ("markers", "dim", "index_kind", "dtype")
+FLEET_FACTS = ("markers", "dim", "dtype")
 
 #: The thread-count variables of the BLAS/OpenMP runtimes NumPy may link.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -673,14 +673,13 @@ def describe_pipeline(pipeline) -> dict:
     """What ``ping`` reports about a loaded pipeline.
 
     The one description behind a worker's hello, its ``ping`` and its
-    reload-commit reply, so a pool that reloads a model with another index,
-    dimension or dtype reports what it now serves.
+    reload-commit reply, so a pool that reloads a model with another marker
+    count, dimension or dtype reports what it now serves.
     """
     space = pipeline.type_space
     return {
         "markers": len(space),
         "dim": space.dim,
-        "index_kind": space.index_kind,
         "dtype": str(space.dtype),
         "mmap": space.is_memory_mapped,
         "marker_bytes": space.marker_nbytes,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checker import (
+    CheckedModule,
     CheckerMode,
     ErrorCode,
     OptionalTypeChecker,
@@ -120,9 +121,14 @@ class TestWellTypedPrograms:
         assert check_source(source, CheckerMode.STRICT).ok
 
     def test_syntax_error_reported_not_raised(self):
-        result = check_source("def broken(:\n")
-        assert not result.ok
-        assert result.errors[0].code == ErrorCode.ANNOTATION_UNPARSABLE
+        # Nested past the stack: the checker recurses too deep at 600 terms, the parser at 3,000.
+        for source in ["def broken(:\n"] + ["x = " + "+".join(["1"] * terms) + "\n" for terms in (600, 3_000)]:
+            for mode in CheckerMode:
+                result = check_source(source, mode)
+                assert not result.ok
+                assert [error.code for error in result.errors] == [ErrorCode.ANNOTATION_UNPARSABLE]
+                assert CheckedModule(source, mode).result == result
+        assert check_source("x = " + "+".join(["1"] * 400) + "\n").ok
 
 
 class TestErrorDetection:
@@ -571,9 +577,10 @@ class TestIncrementalExactness:
         assert outcome.reason == "1 type error(s): operator"
 
     def test_unparsable_source_skips_instead_of_raising(self):
-        outcome = PredictionChecker(CheckerMode.STRICT).check_prediction(
-            "def broken(:\n", "module.broken", "x", SymbolKind.PARAMETER, "int")
-        assert outcome.skipped and not outcome.ok
+        for source in ["def broken(:\n", "def broken(x):\n    return " + "+".join(["x"] * 3_000) + "\n"]:
+            outcome = PredictionChecker(CheckerMode.STRICT).check_prediction(
+                source, "module.broken", "x", SymbolKind.PARAMETER, "int")
+            assert outcome.skipped and not outcome.ok
 
 
 @functools.lru_cache(maxsize=None)

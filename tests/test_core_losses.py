@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ClassificationHead,
     ExactL1Index,
-    IVFIndex,
     KNNTypePredictor,
     TypeSpace,
     TypilusLoss,
@@ -160,30 +158,17 @@ class TestKNNIndexes:
     def test_exact_index_finds_true_neighbours(self):
         points = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
         index = ExactL1Index(points)
-        result = index.query(np.array([0.9, 0.9]), k=2)
-        assert list(result.indices) == [1, 0]
-        assert result.distances[0] <= result.distances[1]
+        result = index.query_batch_arrays(np.array([0.9, 0.9]), k=2)
+        assert result.indices.tolist() == [[1, 0]]
+        assert result.distances[0, 0] <= result.distances[0, 1]
 
     def test_exact_index_k_larger_than_points(self):
         index = ExactL1Index(np.zeros((2, 3)))
-        assert len(index.query(np.zeros(3), k=10).indices) == 2
+        assert index.query_batch_arrays(np.zeros(3), k=10).indices.shape == (1, 2)
 
     def test_exact_index_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             ExactL1Index(np.zeros(3))
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 1000), n=st.integers(5, 40), k=st.integers(1, 5))
-    def test_property_approximate_index_falls_back_gracefully(self, seed, n, k):
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(n, 4))
-        query = rng.normal(size=4)
-        exact = ExactL1Index(points).query(query, k)
-        approximate = IVFIndex(points, nlist=4, nprobe=1, seed=seed).query(query, k)
-        # Never short: a shortlist below k falls back to the exact scan.
-        assert len(approximate.indices) == len(exact.indices)
-        # The i-th approximate neighbour can never be closer than the i-th exact one.
-        assert np.all(approximate.distances >= exact.distances - 1e-9)
 
 
 class TestTypeSpaceAndPredictor:

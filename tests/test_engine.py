@@ -108,11 +108,13 @@ class TestProjectAnnotator:
         assert checked > 100
 
     def test_unparsable_files_are_skipped_not_fatal(self, trained_pipeline):
-        sources = {"ok.py": UNANNOTATED_A, "broken.py": "def broken(:\n"}
+        # The builder recurses past the stack at 400 terms of ``1+1+…``, the parser at 3,000.
+        deep = {f"deep{terms}.py": "x = " + "+".join(["1"] * terms) + "\n" for terms in (400, 3_000)}
+        sources = {"ok.py": UNANNOTATED_A, "broken.py": "def broken(:\n", **deep}
         report = ProjectAnnotator(trained_pipeline, AnnotatorConfig(use_type_checker=False)).annotate_sources(
             sources
         )
-        assert report.skipped_files == ["broken.py"]
+        assert report.skipped_files == ["broken.py", "deep400.py", "deep3000.py"]
         assert [f.filename for f in report.files] == ["ok.py"]
 
     def test_report_metrics_and_throughput(self, trained_pipeline):
@@ -315,27 +317,8 @@ class TestIncrementalAnnotation:
             trained_pipeline.predictor.k = original_k
         assert report.reused_files == 0
 
-    def test_index_switch_invalidates_cache(self, trained_pipeline, tmp_path):
-        # An IVF index may answer differently from the exact one, so its
-        # fingerprint differs and answers cached under the exact index miss.
-        sources = {"a.py": UNANNOTATED_A, "b.py": UNANNOTATED_B}
-        config = AnnotatorConfig(use_type_checker=False, cache_dir=tmp_path)
-        annotator = ProjectAnnotator(trained_pipeline, config)
-        exact_fingerprint = trained_pipeline.fingerprint()
-        annotator.annotate_sources(sources)
-        try:
-            trained_pipeline.type_space.reindex("ivf", nlist=4, nprobe=1)
-            ivf_fingerprint = trained_pipeline.fingerprint()
-            warm = annotator.annotate_sources(sources)
-        finally:
-            trained_pipeline.type_space.reindex("exact")
-        assert ivf_fingerprint != exact_fingerprint
-        assert warm.reused_files == 0
-        assert trained_pipeline.fingerprint() == exact_fingerprint
-        assert annotator.annotate_sources(sources).reused_files == 2
-
     def test_parallel_jobs_produce_identical_report(self, family_pipelines, pooled_project, pool_spy, monkeypatch):
-        """The fork pool answers exactly as the serial path: every family, both indexes, checker on.
+        """The fork pool answers exactly as the serial path: every family, checker on.
 
         The default ``jobs`` runs with three usable cores, so it splits the
         project unevenly over three children, unlike ``jobs=2``.
@@ -346,19 +329,13 @@ class TestIncrementalAnnotation:
             return _payload_list(ProjectAnnotator(pipeline, AnnotatorConfig(**jobs)).annotate_sources(pooled_project))
 
         for family, pipeline in family_pipelines.items():
-            for index in ("exact", "ivf"):
-                if index == "ivf":
-                    pipeline.type_space.reindex("ivf", nlist=4, nprobe=2)
-                try:
-                    reports = [annotate(pipeline, 2, jobs=1), annotate(pipeline, 2, jobs=2), annotate(pipeline, 3)]
-                finally:
-                    pipeline.type_space.reindex("exact")
-                assert reports[1] == reports[0], (family, index)
-                assert reports[2] == reports[0], (family, index)
-                assert len(reports[0]) == len(pooled_project)
-                assert sum(1 for _, payloads in reports[0] for payload in payloads if payload["filtered"]) > 100
-                assert pool_spy[-3:] == [0, 2, 3], (family, index)
-                assert multiprocessing.active_children() == []
+            reports = [annotate(pipeline, 2, jobs=1), annotate(pipeline, 2, jobs=2), annotate(pipeline, 3)]
+            assert reports[1] == reports[0], family
+            assert reports[2] == reports[0], family
+            assert len(reports[0]) == len(pooled_project)
+            assert sum(1 for _, payloads in reports[0] for payload in payloads if payload["filtered"]) > 100
+            assert pool_spy[-3:] == [0, 2, 3], family
+            assert multiprocessing.active_children() == []
 
     def test_fingerprint_stable_and_sensitive(self, trained_pipeline):
         assert trained_pipeline.fingerprint() == trained_pipeline.fingerprint()

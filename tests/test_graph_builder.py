@@ -259,6 +259,9 @@ class TestErrorsAndExport:
     def test_unparsable_source_raises_graph_build_error(self):
         with pytest.raises(GraphBuildError):
             build_graph("def broken(:\n")
+        for terms in (400, 3_000):  # nested past the stack: the walk recurses too deep at 400, the parser at 3,000
+            with pytest.raises(GraphBuildError, match="cannot parse"):
+                build_graph("x = " + "+".join(["1"] * terms) + "\n")
 
     def test_build_file_reads_from_disk(self, tmp_path, sample_source):
         path = tmp_path / "module.py"

@@ -19,6 +19,7 @@ from repro.corpus import (
     ingest_sources,
     parallel_map,
 )
+from repro.corpus.dataset import DatasetConfig
 from repro.corpus.serialize import graph_to_payload
 from repro.corpus.synthesis import CorpusSynthesizer, SynthesisConfig
 from repro.graph.builder import GraphBuildError
@@ -87,10 +88,17 @@ class TestParallelEqualsSerial:
     def test_unparsable_files_skipped_in_both_modes(self, corpus):
         files = dict(corpus)
         files["zz_broken.py"] = "def broken(:\n"
+        # Nested past the stack: the builder recurses too deep at 400 terms, the parser at 3,000.
+        files.update({f"zz_deep{terms}.py": "x = " + "+".join(["1"] * terms) + "\n" for terms in (400, 3_000)})
+        failed = ["zz_broken.py", "zz_deep3000.py", "zz_deep400.py"]
         serial, serial_report = ingest_sources(files, IngestConfig(jobs=1))
         parallel, parallel_report = ingest_sources(files, IngestConfig(jobs=3))
-        assert serial_report.failed_files == parallel_report.failed_files == ["zz_broken.py"]
+        assert serial_report.failed_files == parallel_report.failed_files == failed
         assert [e.filename for e in serial] == [e.filename for e in parallel] == sorted(corpus)
+        augmented = TypeAnnotationDataset.from_sources(
+            files, config=DatasetConfig(augment_with_inference=True), ingest=IngestConfig(jobs=1)
+        )
+        assert augmented.ingest_report.failed_files == failed
 
     def test_parallel_map_preserves_order(self):
         items = list(range(20))

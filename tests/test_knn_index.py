@@ -7,17 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.knn as knn_module
-from repro.core import (
-    INDEX_KINDS,
-    ExactL1Index,
-    IVFIndex,
-    KNNTypePredictor,
-    TypeSpace,
-    adapt_space_with_new_type,
-    build_index,
-    validate_index_params,
-)
-from repro.core.knn import l1_distance_matrix, l1_top_k
+from repro.core import ExactL1Index, TypeSpace, adapt_space_with_new_type
+from repro.core.knn import kmeans_cells, l1_distance_matrix, l1_top_k
 
 
 def brute_force_top_k(queries, points, k):
@@ -59,22 +50,14 @@ class TestBatchQueries:
         assert batch.distances.shape == (17, 5)
         assert list(batch.counts) == [5] * 17
         for row, query in enumerate(queries):
-            single = index.query(query, k=5)
-            assert list(single.indices) == list(batch.indices[row])
-            assert np.allclose(single.distances, batch.distances[row])
+            single = index.query_batch_arrays(query, k=5)
+            assert single.indices.tolist() == [batch.indices[row].tolist()]
+            assert single.distances.tolist() == [batch.distances[row].tolist()]
 
     def test_exact_batch_distances_sorted(self):
         index = ExactL1Index(self._points())
         batch = index.query_batch_arrays(np.random.default_rng(9).normal(size=(8, 6)), k=7)
         assert np.all(np.diff(batch.distances, axis=1) >= 0)
-
-    def test_exact_query_batch_list_view_agrees_with_arrays(self):
-        index = ExactL1Index(self._points())
-        queries = np.random.default_rng(5).normal(size=(6, 6))
-        as_list = index.query_batch(queries, k=4)
-        as_arrays = index.query_batch_arrays(queries, k=4)
-        for row, result in enumerate(as_list):
-            assert list(result.indices) == list(as_arrays.indices[row])
 
     def test_empty_exact_index_returns_empty_rows(self):
         index = ExactL1Index(np.zeros((0, 4)))
@@ -108,14 +91,6 @@ class TestAdaptationWithBuiltIndex:
         top_type, _ = after.row(0)[0]
         assert top_type == "torch.Tensor"
 
-    def test_predictor_sees_adapted_space_with_approximate_index(self):
-        space = TypeSpace(dim=3, index_kind="ivf", index_params={"nlist": 2, "nprobe": 1})
-        space.add_markers(["int"] * 6, np.zeros((6, 3)), source="train")
-        predictor = KNNTypePredictor(space, k=3, p=2.0)
-        assert isinstance(space.index(), IVFIndex)  # build the IVF index, then extend it
-        adapt_space_with_new_type(space, "bytes", [np.full(3, 9.0)])
-        assert predictor.predict(np.full(3, 9.0)).top_type == "bytes"
-
 
 class TestIncrementalExtension:
     """extend() must answer queries identically to a from-scratch build."""
@@ -144,13 +119,13 @@ class TestIncrementalExtension:
 
     def test_extend_after_queries_serves_new_points(self):
         points = self._points(n=40, dim=4)
-        index = IVFIndex(points, nlist=4, nprobe=1, seed=3)
+        index = ExactL1Index(points)
         far = np.full((1, 4), 50.0)
-        assert index.query(far[0], 1).distances[0] > 100  # nothing near yet
+        assert index.query_batch_arrays(far, 1).distances[0, 0] > 100  # nothing near yet
         index.extend(far)
-        result = index.query(far[0], 1)
-        assert result.indices[0] == 40
-        assert result.distances[0] == 0.0
+        result = index.query_batch_arrays(far, 1)
+        assert result.indices.tolist() == [[40]]
+        assert result.distances.tolist() == [[0.0]]
 
 
 class TestDtypeAwareStorage:
@@ -161,49 +136,31 @@ class TestDtypeAwareStorage:
         assert index.points.dtype == np.float64
 
 
-class TestIVFEdgeCases:
-    def test_k_larger_than_index_clamps_to_size(self):
-        points = np.random.default_rng(40).normal(size=(7, 3))
-        index = IVFIndex(points, nlist=2, nprobe=1, seed=1)
-        batch = index.query_batch_arrays(np.zeros((2, 3)), k=50)
-        assert batch.indices.shape == (2, 7)
-        assert list(batch.counts) == [7, 7]
-        for row in range(2):
-            assert sorted(batch.indices[row].tolist()) == list(range(7))
-
-    def test_duplicate_points_all_reachable(self):
-        points = np.tile(np.array([[1.0, 2.0, 3.0]]), (6, 1))
-        index = IVFIndex(points, nlist=4, nprobe=1, seed=2)
-        result = index.query(np.array([1.0, 2.0, 3.0]), k=6)
-        assert sorted(result.indices.tolist()) == list(range(6))
-        assert np.allclose(result.distances, 0.0)
-
-
 class TestBulkBuildRegression:
     """Bulk loads must (re)build or extend the index once — never per marker."""
 
-    def _counting_build_index(self, monkeypatch):
+    def _counting_index_builds(self, monkeypatch):
         import repro.core.typespace as typespace_module
-        from repro.core.knn import build_index as real_build_index
 
         calls = {"builds": 0}
 
-        def counting(*args, **kwargs):
-            calls["builds"] += 1
-            return real_build_index(*args, **kwargs)
+        class CountingIndex(ExactL1Index):
+            def __init__(self, points):
+                calls["builds"] += 1
+                super().__init__(points)
 
-        monkeypatch.setattr(typespace_module, "build_index", counting)
+        monkeypatch.setattr(typespace_module, "ExactL1Index", CountingIndex)
         return calls
 
     def test_bulk_add_then_query_builds_once(self, monkeypatch):
-        calls = self._counting_build_index(monkeypatch)
+        calls = self._counting_index_builds(monkeypatch)
         space = TypeSpace(dim=4)
         space.add_markers([f"t{i % 5}" for i in range(60)], np.random.default_rng(1).normal(size=(60, 4)))
         space.nearest_batch(np.zeros((3, 4)), k=3)
         assert calls["builds"] == 1
 
     def test_bulk_add_on_built_index_extends_instead_of_rebuilding(self, monkeypatch):
-        calls = self._counting_build_index(monkeypatch)
+        calls = self._counting_index_builds(monkeypatch)
         space = TypeSpace(dim=4)
         space.add_markers(["int"] * 10, np.zeros((10, 4)))
         space.index()
@@ -226,7 +183,7 @@ class TestBulkBuildRegression:
         space.add_markers(["int", "str", "int"], np.arange(9.0).reshape(3, 3), source="train")
         path = str(tmp_path / "space.npz")
         space.save(path)
-        calls = self._counting_build_index(monkeypatch)
+        calls = self._counting_index_builds(monkeypatch)
         restored = TypeSpace.load(path)
         restored.nearest_batch(np.zeros((2, 3)), k=2)
         assert calls["builds"] == 1
@@ -234,7 +191,7 @@ class TestBulkBuildRegression:
         assert restored.marker_sources() == ["train", "train", "train"]
 
     def test_per_marker_adds_extend_existing_index(self, monkeypatch):
-        calls = self._counting_build_index(monkeypatch)
+        calls = self._counting_index_builds(monkeypatch)
         space = TypeSpace(dim=2)
         for position in range(12):
             space.add_marker(f"t{position % 3}", np.full(2, float(position)))
@@ -294,21 +251,15 @@ class TestTopKScan:
     """``l1_top_k`` walks the markers in tiles and ranks by (distance, row)."""
 
     @settings(max_examples=400, deadline=None)
-    @given(case=scan_cases(), data=st.data())
-    def test_scan_equals_brute_force_reference(self, case, data):
+    @given(case=scan_cases())
+    def test_scan_equals_brute_force_reference(self, case):
         queries, points, k, budget = case
-        rows = np.arange(len(points))
-        if data.draw(st.booleans(), label="subset"):  # the IVF re-rank scans a subset of rows
-            rows = np.array(sorted(data.draw(st.sets(st.integers(0, len(points) - 1), min_size=1))))
         with mock.patch.object(knn_module, "L1_CHUNK_ELEMENTS", budget):
-            indices, distances = l1_top_k(queries, points, k, subset=rows)
-        expected_positions, expected_distances = brute_force_top_k(queries, points[rows], k)
+            indices, distances = l1_top_k(queries, points, k)
+        expected_rows, expected_distances = brute_force_top_k(queries, points, k)
         assert distances.dtype == points.dtype
-        np.testing.assert_array_equal(indices, rows[expected_positions])
+        np.testing.assert_array_equal(indices, expected_rows)
         np.testing.assert_array_equal(distances, expected_distances)
-        if len(rows) == len(points):
-            with mock.patch.object(knn_module, "L1_CHUNK_ELEMENTS", budget):
-                np.testing.assert_array_equal(l1_top_k(queries, points, k)[0], expected_positions)
 
     def test_duplicate_markers_rank_lower_row_first(self, monkeypatch):
         points = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
@@ -317,8 +268,6 @@ class TestTopKScan:
             result = ExactL1Index(points).query_batch_arrays(np.zeros((1, 2)), k=4)
             assert result.indices.tolist() == [[1, 3, 4, 0]]
             assert result.distances.tolist() == [[0.0, 0.0, 0.0, 1.0]]
-            probe_all = IVFIndex(points, nlist=2, nprobe=2).query_batch_arrays(np.zeros((1, 2)), k=4)
-            assert probe_all.indices.tolist() == [[1, 3, 4, 0]]
 
     def test_k_zero_and_no_queries_give_empty_rows(self):
         points = np.random.default_rng(15).normal(size=(40, 3))
@@ -495,26 +444,19 @@ class TestPrunedExactIndex:
         np.testing.assert_array_equal(result.distances, expected[1])
 
 
-class TestBuildIndexKinds:
-    def test_unknown_kind_rejected_with_valid_kinds_listed(self):
-        points = np.zeros((4, 3))
-        for kind in ("annoy", "lsh"):  # the random-projection index is gone
-            with pytest.raises(ValueError, match=rf"unknown index kind '{kind}'.*valid kinds are exact, ivf$"):
-                build_index(points, kind=kind)
+class TestKMeansCells:
+    def test_deterministic_for_fixed_seed(self):
+        points = TestPrunedExactIndex._clustered(400, seed=0, dim=8)
+        np.testing.assert_array_equal(kmeans_cells(points, 10, seed=7), kmeans_cells(points, 10, seed=7))
 
-    def test_exact_kind_rejects_stray_parameters(self):
-        with pytest.raises(TypeError, match="exact index takes no parameters"):
-            build_index(np.zeros((4, 3)), kind="exact", nlist=8)
+    def test_different_seeds_differ(self):
+        points = TestPrunedExactIndex._clustered(400, seed=0, dim=8)
+        assert not np.array_equal(kmeans_cells(points, 10, seed=1), kmeans_cells(points, 10, seed=2))
 
-    def test_kind_dispatch(self):
-        points = np.random.default_rng(1).normal(size=(30, 4))
-        assert isinstance(build_index(points, kind="exact"), ExactL1Index)
-        assert isinstance(build_index(points, kind="ivf", nlist=4, nprobe=2), IVFIndex)
-        assert isinstance(build_index(points), ExactL1Index)
-        assert INDEX_KINDS == ("exact", "ivf")
+    def test_cell_count_clamped_to_point_count(self):
+        points = TestPrunedExactIndex._clustered(5, seed=3, dim=4)
+        assert len(kmeans_cells(points, 64, seed=0)) == 5
 
-    def test_validate_index_params_catches_bad_params_without_points(self):
-        with pytest.raises(ValueError, match="nprobe .* cannot exceed nlist"):
-            validate_index_params("ivf", dim=8, nlist=4, nprobe=9)
-        with pytest.raises(ValueError, match="unknown index kind"):
-            validate_index_params("faiss", dim=8)
+    def test_zero_points_rejected(self):
+        with pytest.raises(ValueError, match="zero points"):
+            kmeans_cells(np.zeros((0, 4)), 4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import TypilusPipeline
+from repro.core import ExactL1Index, TypilusPipeline
 from repro.nn import serialization
 from repro.nn.layers import MLP
 from repro.utils.rng import SeededRNG
@@ -75,8 +75,9 @@ class TestPipelineRoundTrip:
         [
             {"approximate_index": True},
             {"index": {"kind": "lsh", "params": {"num_bits": 8, "probe_radius": 1, "seed": 0}}},
+            {"index": {"kind": "ivf", "params": {"nlist": 4, "nprobe": 2}}},
         ],
-        ids=["approximate-flag-without-index", "lsh-kind"],
+        ids=["approximate-flag-without-index", "lsh-kind", "ivf-kind"],
     )
     def test_legacy_lsh_manifest_loads_with_exact_index(self, trained_pipeline, saved_dir, tmp_path, legacy_index):
         legacy = tmp_path / "legacy"
@@ -84,12 +85,10 @@ class TestPipelineRoundTrip:
         for name in ("encoder.npz", "typespace.npz"):
             (legacy / name).write_bytes((saved_dir / name).read_bytes())
         manifest = json.loads((saved_dir / "pipeline.json").read_text(encoding="utf-8"))
-        del manifest["index"]
         manifest.update(legacy_index)
         (legacy / "pipeline.json").write_text(json.dumps(manifest), encoding="utf-8")
         loaded = TypilusPipeline.load(legacy)
-        assert loaded.type_space.index_kind == "exact"
-        assert loaded.type_space.index_params == {}
+        assert isinstance(loaded.type_space.index(), ExactL1Index)
         assert loaded.fingerprint() == TypilusPipeline.load(saved_dir).fingerprint()
 
 

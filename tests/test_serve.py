@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import TypilusPipeline
 from repro.engine import AnnotatorConfig, ProjectAnnotator
@@ -27,6 +28,7 @@ from repro.serve import (
     recv_frame,
     send_frame,
 )
+from repro.serve.protocol import MAX_FRAME_BYTES
 
 FILE_A = "def scale_amount(amount, factor):\n    return amount * factor\n"
 FILE_B = (
@@ -37,6 +39,25 @@ FILE_B = (
     "    return ','.join(names)\n"
 )
 FILE_C = "def format_label(label):\n    return label.strip()\n"
+
+
+_frame_bodies = st.one_of(
+    st.binary(max_size=64),
+    st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=3).map(
+        lambda payload: json.dumps(payload).encode("utf-8")
+    ),
+    st.integers(1, 3_000).map(lambda depth: b"[" * depth),
+    st.integers(1, 3_000).map(lambda depth: b'{"a":' * depth),
+    st.integers(4_000, 6_000).map(lambda digits: b'{"op": ' + b"1" * digits + b"}"),
+)
+
+#: Pieces of a byte stream a peer might send: raw bytes, a bare length prefix
+#: claiming any size, or a body framed with its true length.
+_stream_parts = st.one_of(
+    st.binary(max_size=32),
+    st.integers(0, 2**32 - 1).map(lambda length: struct.pack(">I", length)),
+    _frame_bodies.map(lambda body: struct.pack(">I", len(body)) + body),
+)
 
 
 def _suggestion_key(suggestion):
@@ -340,13 +361,44 @@ class TestLifecycleAndProtocol:
         assert served.client.ping()["ok"]  # daemon still alive
 
     def test_malformed_frame_gets_error_response(self, served):
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as connection:
-            connection.connect(served.socket_path)
-            body = b"this is not json"
-            connection.sendall(struct.pack(">I", len(body)) + body)
-            response = recv_frame(connection)
-        assert response is not None and response["ok"] is False
+        bodies = [
+            b"this is not json",
+            b"[" * 100_000,  # nested past the interpreter's recursion limit
+            b'{"op": ' + b"1" * 5_000 + b"}",  # past the 4,300-digit limit of int conversion
+        ]
+        for body in bodies:
+            errors = served.client.stats()["errors"]
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as connection:
+                connection.connect(served.socket_path)
+                connection.sendall(struct.pack(">I", len(body)) + body)
+                response = recv_frame(connection)
+            assert response is not None and response["ok"] is False, body[:16]
+            assert response["error_kind"] == "protocol", response
+            assert served.client.stats()["errors"] == errors + 1
         assert served.client.ping()["ok"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(_stream_parts, max_size=6), data=st.data(), cap=st.sampled_from([64, 4096, MAX_FRAME_BYTES]))
+    def test_any_byte_stream_gives_frames_eof_or_protocol_error(self, parts, data, cap):
+        """Whatever a peer sends, recv_frame returns a dict or None, or raises ProtocolError."""
+        stream = b"".join(parts)
+        if data.draw(st.booleans(), label="truncated"):
+            stream = stream[: data.draw(st.integers(0, len(stream)), label="at")]
+        left, right = socket.socketpair()
+        try:
+            left.sendall(stream)  # at most ~90 KB: fits the socket buffer, so nothing blocks
+            left.close()
+            for _ in range(len(stream) + 1):  # every frame takes at least its 4-byte header
+                try:
+                    frame = recv_frame(right, max_frame_bytes=cap)
+                except ProtocolError:
+                    break
+                if frame is None:
+                    break
+                assert isinstance(frame, dict)
+        finally:
+            left.close()
+            right.close()
 
     def test_bad_sources_payload_rejected(self, served):
         with pytest.raises(ServeError, match="sources"):

@@ -245,16 +245,19 @@ class TestFleetBroadcasts:
             assert fleet.client.annotate_sources({"a.py": FILE_A}).num_files == 1
 
     def test_ping_describes_the_reloaded_model(self, raw_model_dir, tmp_path_factory):
-        ivf_dir = tmp_path_factory.mktemp("fleet-ivf") / "model"
-        ivf = TypilusPipeline.load(raw_model_dir)
-        ivf.type_space.reindex("ivf", nlist=4, nprobe=1)
-        ivf.save(ivf_dir, typespace_layout="raw")
-        expected = describe_pipeline(TypilusPipeline.load(ivf_dir))
+        adapted_dir = tmp_path_factory.mktemp("fleet-adapted") / "model"
+        adapted = TypilusPipeline.load(raw_model_dir)
+        added = adapted.adapt_with_sources(
+            "PingedKind",
+            {"p.py": "def p(x: PingedKind) -> PingedKind:\n    return x\n"},
+        )
+        assert added >= 1
+        adapted.save(adapted_dir, typespace_layout="raw")
+        expected = describe_pipeline(TypilusPipeline.load(adapted_dir))
         with _running_fleet(raw_model_dir, tcp=False) as fleet:
-            assert fleet.client.ping()["index_kind"] == "exact"
-            fleet.client.reload(ivf_dir)
+            assert fleet.client.ping()["markers"] == expected["markers"] - added
+            fleet.client.reload(adapted_dir)
             info = fleet.client.ping()
-            assert info["index_kind"] == "ivf"
             assert {key: info[key] for key in FLEET_FACTS} == {key: expected[key] for key in FLEET_FACTS}
 
     def test_failed_reload_keeps_old_pipeline_serving(self, raw_model_dir):

@@ -221,7 +221,7 @@ class TestPipelineRawLayout:
         assert not (raw_dir / "typespace.npz").exists()
         manifest = json.loads((raw_dir / "pipeline.json").read_text(encoding="utf-8"))
         assert manifest["typespace_layout"] == "raw"
-        assert manifest["index"] == {"kind": "exact", "params": {}}
+        assert "index" not in manifest
 
     def test_raw_load_memory_maps_by_default(self, raw_dir):
         loaded = TypilusPipeline.load(raw_dir)
@@ -242,17 +242,3 @@ class TestPipelineRawLayout:
     def test_unknown_layout_rejected(self, trained_pipeline, tmp_path):
         with pytest.raises(ValueError, match="unknown typespace layout"):
             trained_pipeline.save(tmp_path / "model", typespace_layout="hdf5")
-
-    def test_index_kind_round_trips_through_manifest(self, trained_pipeline, tmp_path):
-        trained_pipeline.type_space.reindex("ivf", nlist=4, nprobe=2)
-        try:
-            path = tmp_path / "ivf-model"
-            trained_pipeline.save(path, typespace_layout="raw")
-            manifest = json.loads((path / "pipeline.json").read_text(encoding="utf-8"))
-            assert manifest["index"] == {"kind": "ivf", "params": {"nlist": 4, "nprobe": 2}}
-            loaded = TypilusPipeline.load(path)
-            assert loaded.type_space.index_kind == "ivf"
-            assert loaded.type_space.index_params == {"nlist": 4, "nprobe": 2}
-        finally:
-            # trained_pipeline is session-scoped: restore the default index
-            trained_pipeline.type_space.reindex("exact")
