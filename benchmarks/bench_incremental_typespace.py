@@ -152,4 +152,3 @@ def test_extended_space_byte_identical_to_rebuilt(marker_data):
     assert one.type_vocabulary == other.type_vocabulary
     assert one.type_codes.tobytes() == other.type_codes.tobytes()
     assert one.distances.tobytes() == other.distances.tobytes()
-    assert one.counts.tobytes() == other.counts.tobytes()

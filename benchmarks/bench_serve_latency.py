@@ -2,9 +2,8 @@
 
 The serving claim of the refactor is twofold: a long-lived daemon answers
 annotation requests without ever reloading the model, and **concurrent**
-requests are coalesced into micro-batches that share one embedding pass
-through the engine's batched suggestion path — without changing a single
-answer.
+requests are coalesced into micro-batches that share one call of the
+engine's suggestion path — without changing a single answer.
 
 This benchmark trains a small pipeline once, serves it over a Unix socket
 and measures

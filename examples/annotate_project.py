@@ -9,7 +9,8 @@ the project-scale engine:
 2. restore it with ``TypilusPipeline.load`` — no re-training — exactly as a
    deployed annotation service would;
 3. hand the whole stripped project to :class:`repro.engine.ProjectAnnotator`,
-   which embeds and scores every file's symbols in one batched pass;
+   which annotates every file — its own forward pass, kNN, checker filter —
+   in one call;
 4. accept suggestions highest-confidence first, inserting each accepted
    annotation into the source (the checker filter has already vetoed
    candidates that introduce type errors).

@@ -16,16 +16,18 @@ Seven subcommands cover the library's main workflows without writing Python:
     (``--save-dataset``).
 ``suggest``
     Train (or load a saved pipeline with ``--load-model``) and print
-    checker-filtered type suggestions for one or more Python files.
+    checker-filtered type suggestions for one or more Python files; files
+    that do not parse are listed as skipped.
 ``annotate``
     Run the batched project annotation engine over a whole directory:
     suggestions, disagreement findings and throughput in one pass.  Combine
     with ``--load-model`` to serve a previously trained pipeline without
     re-training, ``--save-model`` to persist the freshly trained one, and
     ``--cache-dir`` for incremental re-annotation (unchanged files are served
-    from the cache).  Graph building, kNN and the checker filter run file by
-    file on every usable core (``--jobs N`` caps the processes, ``--jobs 1``
-    is serial); the GNN forward pass is one batch in the main process.  With
+    from the cache).  Each file is annotated start to finish — graph
+    build, its own GNN forward pass, kNN and the checker filter — on every
+    usable core (``--jobs N`` caps the processes, ``--jobs 1`` is serial),
+    with one BLAS thread per forked process.  With
     ``--server`` the project is annotated by a running daemon instead of a
     locally loaded model; ``--report-json`` writes the full report to a file.
 ``serve``
@@ -133,11 +135,12 @@ def _add_training_arguments(parser: argparse.ArgumentParser, include_workers: bo
 def _add_ingest_arguments(parser: argparse.ArgumentParser, annotates: bool = False) -> None:
     if annotates:
         parser.add_argument("--jobs", type=int, default=None,
-                            help="cap on the processes that build graphs, run kNN and filter candidates "
-                                 "with the checker, file by file (default: one per usable core; 1 = "
-                                 f"serial; projects of fewer than {POOL_MIN_FILES} files never fork); the "
-                                 "batched GNN forward pass always runs in the main process.  Without "
-                                 "--load-model it also caps graph extraction for training")
+                            help="cap on the processes that annotate files, each file start to finish: graph "
+                                 "build, its own GNN forward pass, kNN and the checker filter (default: "
+                                 "one per usable core; 1 = serial; projects of fewer than "
+                                 f"{POOL_MIN_FILES} files never fork).  Each forked process runs BLAS on "
+                                 "one thread.  Without --load-model it also caps graph extraction for "
+                                 "training")
     else:
         parser.add_argument("--jobs", type=int, default=1,
                             help="worker processes for graph extraction (0 = one per usable core)")
@@ -204,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve a pipeline saved with --save-model instead of training")
 
     annotate = subparsers.add_parser(
-        "annotate", help="annotate a whole project directory in one batched pass"
+        "annotate", help="annotate a whole project directory in one pass"
     )
     _add_corpus_arguments(annotate)
     _add_training_arguments(annotate)
@@ -399,6 +402,7 @@ def command_suggest(args: argparse.Namespace) -> int:
         sources,
         use_type_checker=not args.no_type_checker,
         confidence_threshold=args.confidence,
+        skip_unparsable=True,
         jobs=_ingest_config(args).jobs,
         graph_cache=args.cache_dir,
     )
@@ -409,6 +413,10 @@ def command_suggest(args: argparse.Namespace) -> int:
             for s in suggestions
         ]
         print(render_table(["scope", "symbol", "kind", "existing", "suggested", "confidence"], rows))
+    skipped = [filename for filename in sources if filename not in suggestions_by_file]
+    if skipped:
+        print()
+        print(render_table(["skipped file", "reason"], [[filename, "unparsable"] for filename in skipped]))
     return 0
 
 

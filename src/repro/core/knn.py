@@ -12,7 +12,7 @@ bounds leave more than half of the (query, marker) pairs.
 The index is batch-first: its one query method,
 :meth:`ExactL1Index.query_batch_arrays`, answers *all* queries with
 vectorized numpy and returns one :class:`BatchNeighbourResult` of array
-triples (indices, distances, counts).  Every distance comes from one kernel,
+pairs (indices, distances).  Every distance comes from one kernel,
 :func:`_l1_distance_block`, over tiles of about :data:`L1_CHUNK_ELEMENTS`
 distances; the full scan keeps a running top-k per query, so memory does not
 grow with the marker count.  Neighbours are ordered by (distance, row): of
@@ -346,20 +346,17 @@ class BatchNeighbourResult:
     distance per row.  Every column of every row is a valid neighbour:
     non-empty indexes answer with exactly ``min(k, len(index))`` columns, and
     an empty index answers with zero-width ``(num_queries, 0)`` arrays —
-    there is no padding.  ``counts`` is that per-row column count (``0`` only
-    for empty indexes).
+    there is no padding.
     """
 
     indices: np.ndarray
     distances: np.ndarray
-    counts: np.ndarray
 
 
 def _empty_batch(num_queries: int) -> BatchNeighbourResult:
     return BatchNeighbourResult(
         indices=np.zeros((num_queries, 0), dtype=np.int64),
         distances=np.zeros((num_queries, 0)),
-        counts=np.zeros(num_queries, dtype=np.int64),
     )
 
 
@@ -466,5 +463,4 @@ class ExactL1Index:
                 indices[start : start + block], distances[start : start + block] = (
                     found if found is not None else l1_top_k(chunk, points, k)
                 )
-        counts = np.full(len(vectors), indices.shape[1], dtype=np.int64)
-        return BatchNeighbourResult(indices, distances, counts)
+        return BatchNeighbourResult(indices, distances)

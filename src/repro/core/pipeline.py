@@ -8,10 +8,11 @@ kNN predictor, and exposes the workflow of Fig. 1:
 * :meth:`predict_split` / :meth:`evaluate_split` — score a held-out split
   against the ground-truth annotations;
 * :meth:`suggest_for_sources` — the developer-facing path: take a set of
-  (partially annotated) Python files, embed all their symbols in one batched
-  pass, predict candidate types for every symbol at once and filter them
-  through the optional type checker (:meth:`suggest_for_source` is the
-  single-file view of the same path);
+  (partially annotated) Python files and annotate each one start to finish —
+  build its graph, embed its symbols, predict candidate types by kNN and
+  filter them through the optional type checker — on a fork pool for large
+  sets (:meth:`suggest_for_source` is the single-file view of the same
+  path);
 * :meth:`save` / :meth:`load` — persist a trained pipeline (encoder weights,
   vocabularies, TypeSpace markers and kNN settings) so it can serve
   suggestions without re-training.
@@ -23,11 +24,9 @@ import errno
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from repro.corpus.ingest import GraphCache, cached_extract, fork_pool
 from repro.graph.builder import GraphBuildError, GraphBuilder
 from repro.graph.edges import EdgeKind
 from repro.graph.flatgraph import FlatGraph
-from repro.graph.nodes import SymbolInfo
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.models.base import SymbolEncoder
 from repro.models.encoder_init import (
@@ -187,42 +185,36 @@ class _SuggestRun:
     """One :meth:`TypilusPipeline.suggest_for_sources` call's per-file work.
 
     Pool children inherit it through ``fork`` (see :func:`_adopt_run`), so
-    tasks carry only file positions, symbols and embedding rows; the
+    tasks carry only file positions and return only suggestions; the
     pipeline, the sources and the checker are never pickled.
     """
 
     filenames: list[str]
     sources: list[str]
     graph_cache: Optional[GraphCache]
+    embedder: SymbolEmbedder
     predictor: KNNTypePredictor
     checker_filter: Optional[TypeCheckedFilter]
     confidence_threshold: float
+    include_annotated: bool
 
-    def graph(self, position: int) -> Union[FlatGraph, GraphBuildError]:
-        """Phase 1: one file's graph, or the error that stopped its build."""
-        extracted = cached_extract(self.graph_cache, self.filenames[position], self.sources[position])
-        return extracted if isinstance(extracted, GraphBuildError) else extracted.graph
+    def annotate(self, position: int) -> Union[list[SymbolSuggestion], GraphBuildError]:
+        """One file start to finish: its graph, its own forward pass, kNN, then the checker filter.
 
-    def suggest(
-        self, chunk: tuple[list[int], list[list[SymbolInfo]], np.ndarray]
-    ) -> list[list[SymbolSuggestion]]:
-        """Phase 2: kNN over a chunk of files' embeddings, then each file's checker filter."""
-        positions, symbols_per_file, embeddings = chunk
-        predictions = self.predictor.predict_batch(embeddings)
-        results: list[list[SymbolSuggestion]] = []
-        cursor = 0
-        for position, symbols in zip(positions, symbols_per_file):
-            file_predictions = predictions[cursor : cursor + len(symbols)]
-            cursor += len(symbols)
-            results.append(self._file_suggestions(self.sources[position], symbols, file_predictions))
-        return results
-
-    def _file_suggestions(
-        self, source: str, symbols: list[SymbolInfo], predictions: list[TypePrediction]
-    ) -> list[SymbolSuggestion]:
+        The forward pass embeds this file alone, so its answers never depend
+        on which other files share the call.  Returns the error that stopped
+        the graph build instead of raising it.
+        """
+        source = self.sources[position]
+        extracted = cached_extract(self.graph_cache, self.filenames[position], source)
+        if isinstance(extracted, GraphBuildError):
+            return extracted
+        graph = extracted.graph
+        symbols = [symbol for symbol in graph.symbols if self.include_annotated or symbol.annotation is None]
+        embeddings = self.embedder.embed_symbols([graph], [[symbol.node_index for symbol in symbols]])
         kept = [
             (symbol, prediction)
-            for symbol, prediction in zip(symbols, predictions)
+            for symbol, prediction in zip(symbols, self.predictor.predict_batch(embeddings))
             if prediction.confidence >= self.confidence_threshold
         ]
         filtered_by_position: dict[int, FilteredSuggestion] = {}
@@ -254,12 +246,6 @@ class _SuggestRun:
             for position, (symbol, prediction) in enumerate(kept)
         ]
 
-    def map(self, pool: Optional[ProcessPoolExecutor], method: str, items: Iterable, chunksize: int = 1) -> list:
-        """``self.<method>(item)`` for every item, in order: on the pool's children, or here without one."""
-        if pool is None:
-            return [getattr(self, method)(item) for item in items]
-        return list(pool.map(partial(_run_in_child, method), items, chunksize=chunksize))
-
 
 #: The call a pool child works for, inherited through ``fork`` and set once
 #: per child by the pool's initializer; never set in the calling process.
@@ -271,14 +257,14 @@ def _adopt_run(run: _SuggestRun) -> None:
     _child_run = run
 
 
-def _run_in_child(method: str, item):
-    return getattr(_child_run, method)(item)
+def _annotate_in_child(position: int) -> Union[list[SymbolSuggestion], GraphBuildError]:
+    return _child_run.annotate(position)
 
 
 def _pool_workers(jobs: Optional[int], files: int) -> int:
-    """Processes for a call's per-file phases; 1 means no pool.
+    """Processes for a call's files; 1 means no pool.
 
-    Never more than the phases' tasks: a child without one would only pay
+    Never more than the call's tasks: a child without one would only pay
     for its fork.
     """
     if files < POOL_MIN_FILES:
@@ -365,28 +351,27 @@ class TypilusPipeline:
         jobs: Optional[int] = None,
         graph_cache: Optional[Union[str, Path]] = None,
     ) -> dict[str, list[SymbolSuggestion]]:
-        """Suggest types for every symbol of a whole set of files in one pass.
+        """Suggest types for every symbol of a whole set of files.
 
-        Each file is turned into its graph (through the content-addressed
-        :class:`~repro.corpus.ingest.GraphCache` in the ``graph_cache``
-        directory, when given); all files' symbols are then embedded together
-        in one batched forward pass; finally each file's symbols are scored
-        by kNN and their candidates filtered by the checker, each candidate
-        checked at its own symbol against one parsed and checked module.
-        Files that fail to parse raise
-        :class:`~repro.graph.builder.GraphBuildError` unless
-        ``skip_unparsable`` is set, in which case they are omitted from the
-        result.
+        Each file is annotated start to finish on its own: its graph is built
+        (through the content-addressed :class:`~repro.corpus.ingest.GraphCache`
+        in the ``graph_cache`` directory, when given), its symbols are
+        embedded in a forward pass of their own, scored by kNN and their
+        candidates filtered by the checker, each candidate checked at its own
+        symbol against one parsed and checked module.  A file's suggestions
+        therefore never depend on the other files of the call.  Files that
+        fail to parse raise :class:`~repro.graph.builder.GraphBuildError`
+        unless ``skip_unparsable`` is set, in which case they are omitted
+        from the result.
 
-        The two per-file phases run on a ``fork`` pool opened for this call,
-        sized to the usable cores, capped by ``jobs`` (``None``: no cap; ``1``:
-        serial) and by the number of tasks of :data:`POOL_CHUNK_FILES` files.
-        Fewer than :data:`POOL_MIN_FILES` files, one usable core, or a host
-        that refuses the pool (see :func:`~repro.corpus.ingest.fork_pool`)
-        run the same per-file functions in this process instead.  The forward pass,
-        the only stage that calls BLAS, always runs in this process: forked
-        children inherit its BLAS thread count and would oversubscribe the
-        cores.  Suggestions are identical either way.
+        The files run on a ``fork`` pool opened for this call, in tasks of
+        :data:`POOL_CHUNK_FILES` files, sized to the usable cores and capped
+        by ``jobs`` (``None``: no cap; ``1``: serial) and by the number of
+        tasks.  Each child runs its forward passes on one BLAS thread (see
+        :func:`~repro.corpus.ingest.fork_pool`).  Fewer than
+        :data:`POOL_MIN_FILES` files, one usable core, or a host that
+        refuses the pool run the same per-file function in this process
+        instead.  Suggestions are identical either way.
 
         Returns a dict mapping each (parsed) filename to its suggestions, in
         the order of ``sources``.
@@ -395,48 +380,31 @@ class TypilusPipeline:
             filenames=list(sources),
             sources=list(sources.values()),
             graph_cache=GraphCache(graph_cache) if graph_cache is not None else None,
+            embedder=self.embedder,
             predictor=self.predictor,
             checker_filter=TypeCheckedFilter(mode=checker_mode, confidence_threshold=confidence_threshold)
             if use_type_checker
             else None,
             confidence_threshold=confidence_threshold,
+            include_annotated=include_annotated,
         )
         # Children inherit the index and its caches instead of each building them.
         self.predictor.warm_up()
-        with fork_pool(_pool_workers(jobs, len(run.filenames)), _adopt_run, (run,)) as pool:
-            built: list[tuple[int, FlatGraph]] = []
-            graphs = run.map(pool, "graph", range(len(run.filenames)), chunksize=POOL_CHUNK_FILES)
-            for position, graph in enumerate(graphs):
-                if isinstance(graph, GraphBuildError):
+        positions = range(len(run.filenames))
+        results: dict[str, list[SymbolSuggestion]] = {}
+        with fork_pool(_pool_workers(jobs, len(positions)), _adopt_run, (run,)) as pool:
+            outcomes = (
+                map(run.annotate, positions)
+                if pool is None
+                else pool.map(_annotate_in_child, positions, chunksize=POOL_CHUNK_FILES)
+            )
+            for filename, outcome in zip(run.filenames, outcomes):
+                if isinstance(outcome, GraphBuildError):
                     if skip_unparsable:
                         continue
-                    raise graph
-                built.append((position, graph))
-            symbols_per_file = [
-                [symbol for symbol in graph.symbols if include_annotated or symbol.annotation is None]
-                for _, graph in built
-            ]
-            embeddings = self.embedder.embed_symbols(
-                [graph for _, graph in built],
-                [[symbol.node_index for symbol in symbols] for symbols in symbols_per_file],
-            )
-            chunk_files = POOL_CHUNK_FILES if pool is not None else max(1, len(built))
-            chunks: list[tuple[list[int], list[list[SymbolInfo]], np.ndarray]] = []
-            cursor = 0
-            for first in range(0, len(built), chunk_files):
-                chunk_symbols = symbols_per_file[first : first + chunk_files]
-                count = sum(len(symbols) for symbols in chunk_symbols)
-                positions = [position for position, _ in built[first : first + chunk_files]]
-                chunks.append((positions, chunk_symbols, embeddings[cursor : cursor + count]))
-                cursor += count
-            suggestions = [
-                file_suggestions
-                for chunk_suggestions in run.map(pool, "suggest", chunks)
-                for file_suggestions in chunk_suggestions
-            ]
-        return {
-            run.filenames[position]: file_suggestions for (position, _), file_suggestions in zip(built, suggestions)
-        }
+                    raise outcome
+                results[filename] = outcome
+        return results
 
     def suggest_for_source(
         self,

@@ -70,25 +70,22 @@ class TypeNeighbourBatch:
     """The ``k`` nearest markers of a query batch, as dense arrays.
 
     ``type_codes`` is ``(num_queries, k)`` int64 indexing into
-    ``type_vocabulary``, ``distances`` the matching L1 distances and
-    ``counts`` the per-row column count.  As with
+    ``type_vocabulary`` and ``distances`` the matching L1 distances.  As with
     :class:`~repro.core.knn.BatchNeighbourResult` there is no padding: an
     empty space yields zero-width arrays, otherwise every column is valid.
     """
 
     type_codes: np.ndarray
     distances: np.ndarray
-    counts: np.ndarray
     type_vocabulary: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.type_codes)
 
     def row(self, position: int) -> list[tuple[str, float]]:
-        count = int(self.counts[position])
         return [
             (self.type_vocabulary[int(code)], float(distance))
-            for code, distance in zip(self.type_codes[position, :count], self.distances[position, :count])
+            for code, distance in zip(self.type_codes[position], self.distances[position])
         ]
 
 
@@ -293,7 +290,6 @@ class TypeSpace:
         return TypeNeighbourBatch(
             type_codes=self.marker_type_codes()[result.indices],
             distances=result.distances,
-            counts=result.counts,
             type_vocabulary=self.type_vocabulary(),
         )
 

@@ -29,7 +29,7 @@ import hashlib
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -43,7 +43,7 @@ from repro.graph.flatgraph import FlatGraph
 from repro.graph.nodes import SymbolInfo
 from repro.types.normalize import is_informative
 from repro.utils.columns import PayloadError, read_columns, write_columns
-from repro.utils.cores import fork_context, usable_cores
+from repro.utils.cores import fork_context, limited_blas_threads, usable_cores
 from repro.utils.timing import Stopwatch
 
 T = TypeVar("T")
@@ -260,12 +260,19 @@ def fork_pool(
     the OS refuses the pool's semaphores or its forks (sandboxes commonly
     do).  Every worker is forked on entry, so the children inherit this
     process as it is then, and ``initializer(*initargs)`` runs in each child
-    without pickling its arguments.  On exit the workers are joined.
+    without pickling its arguments.  Each child gets one OpenBLAS thread
+    (:func:`~repro.utils.cores.limited_blas_threads`, set here before the
+    forks): ``workers`` children with a thread per core each would
+    oversubscribe the cores.  On exit, tasks not yet started are dropped
+    (a caller that leaves early, say on the first error, does not wait for
+    them), the workers are joined and this process's BLAS thread count is
+    restored.
     """
     context = fork_context() if workers > 1 else None
-    pool: Optional[ProcessPoolExecutor] = None
-    try:
+    with ExitStack() as stack:
+        pool: Optional[ProcessPoolExecutor] = None
         if context is not None:
+            stack.enter_context(limited_blas_threads(1))
             children_before = set(multiprocessing.active_children())
             try:
                 # The queues' semaphores are made here: without a working
@@ -273,6 +280,7 @@ def fork_pool(
                 pool = ProcessPoolExecutor(
                     max_workers=workers, mp_context=context, initializer=initializer, initargs=initargs
                 )
+                stack.callback(pool.shutdown, cancel_futures=True)
                 pool.submit(int).result()  # a fork pool starts all its workers with its first task
             except (OSError, ImportError):
                 # A fork refused after others succeeded leaves those children
@@ -281,13 +289,9 @@ def fork_pool(
                 for child in set(multiprocessing.active_children()) - children_before:
                     child.terminate()
                     child.join()
-                if pool is not None:
-                    pool.shutdown()
+                stack.close()  # the serial fallback runs with this process's BLAS threads
                 pool = None
         yield pool
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def parallel_map(function: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:

@@ -2,24 +2,24 @@
 
 This module implements the engine behind ``repro.cli annotate``.  Where
 :meth:`TypilusPipeline.suggest_for_source` answers for one file,
-:class:`ProjectAnnotator` answers for a whole project: it gathers every
-file's symbols, routes them through the pipeline's batched suggestion path
-(one embedding pass over all files, vectorized kNN prediction, each file's
-candidates checked symbol by symbol against one parsed and checked module)
-and assembles a :class:`ProjectReport`
-with per-file suggestions, Sec.-7-style disagreement findings and
-throughput numbers.
+:class:`ProjectAnnotator` answers for a whole project: it routes every file
+through the pipeline's suggestion path (each file's graph, its own forward
+pass, vectorized kNN over its symbols, its candidates checked symbol by
+symbol against one parsed and checked module) and assembles a
+:class:`ProjectReport` with per-file suggestions, Sec.-7-style disagreement
+findings and throughput numbers.
 
 Annotation is also **incremental**: with a ``cache_dir`` configured, every
 file's finished suggestion list is persisted under a key derived from the
 pipeline's :meth:`~repro.core.pipeline.TypilusPipeline.fingerprint`, the
-annotator's settings and the source text.  Re-annotating a project after an
-edit re-embeds only the changed files; everything else is served from disk
-(``ProjectReport.reused_files`` counts them).  The files that do need work
-are annotated on one ``fork`` pool per call, sized to the usable cores and
-capped by ``jobs``: graph building, kNN and the checker filter run per file
-in the pool's children, and the batched forward pass runs in this process
-(see :meth:`~repro.core.pipeline.TypilusPipeline.suggest_for_sources`).
+annotator's settings and the source text.  That key is sound because a
+file's answers depend on nothing else: no other file shares its forward
+pass.  Re-annotating a project after an edit re-embeds only the changed
+files; everything else is served from disk (``ProjectReport.reused_files``
+counts them).  The files that do need work are annotated on one ``fork``
+pool per call, sized to the usable cores and capped by ``jobs``: each child
+runs whole files, graph build to checker filter, with one BLAS thread (see
+:meth:`~repro.core.pipeline.TypilusPipeline.suggest_for_sources`).
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ from repro.utils.timing import Stopwatch
 #: Version of annotation-cache entries: their layout and the protocol that
 #: produced them.  v2: exact per-symbol checker filter; rejections name the
 #: error codes they introduced.  v3: graphs with one token per f-string on
-#: every Python.
-ANNOTATION_CACHE_VERSION = 3
+#: every Python.  v4: each file embedded in a forward pass of its own (v3
+#: sequence- and path-family entries could depend on the files batched with
+#: them).
+ANNOTATION_CACHE_VERSION = 4
 
 
 @dataclass
@@ -91,7 +93,7 @@ class FileReport:
 
 @dataclass
 class ProjectReport:
-    """The outcome of annotating a whole project in one batched pass."""
+    """The outcome of annotating a whole project in one pass."""
 
     files: list[FileReport] = field(default_factory=list)
     skipped_files: list[str] = field(default_factory=list)
@@ -185,7 +187,7 @@ class AnnotationCache:
 
 
 class ProjectAnnotator:
-    """Annotates whole projects with a trained pipeline, batch-first.
+    """Annotates whole projects with a trained pipeline, file by file on every usable core.
 
     The annotator never retrains: it consumes any pipeline — freshly fitted
     or restored with :meth:`TypilusPipeline.load` — and serves suggestions

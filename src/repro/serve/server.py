@@ -18,9 +18,9 @@ model load.  Design points:
   :meth:`~repro.engine.annotator.ProjectAnnotator.annotate_sources` call on
   that worker.  A request that finds a worker idle therefore starts alone at
   once, and requests merge only while every worker is busy: then they share
-  one embedding pass and one vectorized kNN query.  Because the merged batch
-  runs the exact same code path as a one-shot annotation, coalescing cannot
-  change any answer.  ``stats`` counts each request's wait from admission to
+  one engine call.  Because the merged batch runs the exact same code path
+  as a one-shot annotation, which embeds every file in a forward pass of its
+  own, coalescing cannot change any answer.  ``stats`` counts each request's wait from admission to
   the start of its micro-batch in fixed log2 buckets (``queue_wait_ms``).
 * **Engineered failure modes.**  Admission is bounded: past
   ``max_queue_depth`` pending requests the daemon sheds load immediately

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import EncoderConfig, LossKind, TrainingConfig, TypilusPipeline
 from repro.corpus import DatasetConfig, SynthesisConfig, TypeAnnotationDataset
+from repro.utils import cores
 from repro.utils.rng import SeededRNG
 
 
@@ -55,6 +56,21 @@ def summarise(counts: Dict[str, int]) -> str:
 @pytest.fixture(scope="session")
 def rng() -> SeededRNG:
     return SeededRNG(123)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The loaded OpenBLAS runs on two threads for the test (skipped where none is loaded)."""
+    controls = cores._openblas_controls()
+    if controls is None:
+        pytest.skip("no OpenBLAS thread control is loaded")
+    get, set_threads = controls
+    before = get()
+    set_threads(2)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 @pytest.fixture(scope="session")

@@ -89,6 +89,21 @@ class TestTrainAndSuggestCommands:
         output = capsys.readouterr().out
         assert "scale_price" in output and "suggested" in output
 
+    def test_suggest_lists_unparsable_files_as_skipped(self, tmp_path, capsys):
+        target = tmp_path / "snippet.py"
+        target.write_text("def scale_price(price, factor):\n    return price * factor\n")
+        broken = tmp_path / "broken.py"
+        broken.write_text("def broken(:\n")
+        exit_code = main([
+            "suggest", str(target), str(broken), "--num-files", "10", "--epochs", "1", "--hidden-dim", "16",
+            "--gnn-steps", "1", "--family", "names", "--no-type-checker",
+        ])
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert f"=== {target} ===" in output and "scale_price" in output
+        assert f"=== {broken} ===" not in output
+        assert any(line.split() == [str(broken), "unparsable"] for line in output.splitlines()), output
+
     def test_train_on_directory_corpus(self, tmp_path, capsys):
         corpus_dir = tmp_path / "proj"
         corpus_dir.mkdir()

@@ -15,7 +15,7 @@ import pytest
 from repro.core import EncoderConfig, TrainingConfig, TypeCheckedFilter, TypilusPipeline
 from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import POOL_CHUNK_FILES, POOL_MIN_FILES
-from repro.corpus import CorpusSynthesizer, SynthesisConfig
+from repro.corpus import CorpusSynthesizer, DatasetConfig, SynthesisConfig, TypeAnnotationDataset
 from repro.engine import AnnotatorConfig, FileReport, ProjectAnnotator, ProjectReport, suggestion_to_payload
 from repro.corpus import IngestConfig, ingest_sources
 from repro.corpus import ingest as ingest_module
@@ -24,6 +24,7 @@ from repro.engine.annotator import ANNOTATION_CACHE_VERSION
 from repro.graph.builder import GraphBuilder
 from repro.graph.nodes import SymbolKind
 from repro.nn import Tensor, no_grad
+from repro.utils import cores
 
 UNANNOTATED_A = (
     "def scale_amount(amount, factor):\n"
@@ -286,7 +287,7 @@ class TestIncrementalAnnotation:
         payload["format"] = 1  # what version 1 wrote, under version 1's key
         old_key = hashlib.sha256(f"1:{cache.context_key}\x00{UNANNOTATED_A}".encode("utf-8")).hexdigest()
         (current.parent / f"{old_key}.json").write_text(json.dumps(payload), encoding="utf-8")
-        assert ANNOTATION_CACHE_VERSION == 3
+        assert ANNOTATION_CACHE_VERSION == 4
         assert cache.load(UNANNOTATED_A) is None
         current.write_text(json.dumps(payload), encoding="utf-8")  # and under the current key
         assert cache.load(UNANNOTATED_A) is None
@@ -473,6 +474,69 @@ class TestAnnotatePool:
         rebuilt = ProjectAnnotator(trained_pipeline, config).annotate_sources(pooled_project)
         assert rebuilt.reused_files == 0
         assert _payload_list(rebuilt) == _payload_list(cold)
+
+
+class TestContextFreeAnswers:
+    def test_each_file_answers_as_when_annotated_alone(self):
+        """A file's suggestions do not depend on the files annotated with it, in any family.
+
+        The annotation cache keys an entry by the fingerprint and the file's
+        own source, so nothing else may change the answer: batching the
+        project's files into one forward pass once changed the sequence and
+        path families' suggestions for some of them.
+        """
+        dataset = TypeAnnotationDataset.synthetic(SynthesisConfig(num_files=24, seed=3), DatasetConfig(seed=3))
+        files = CorpusSynthesizer(SynthesisConfig(num_files=12, seed=43, num_user_classes=8)).generate()
+        project = {file.filename: file.source for file in files}
+        assert len(project) == 13
+        for family in ("graph", "sequence", "path", "names"):
+            pipeline = TypilusPipeline.fit(
+                dataset,
+                EncoderConfig(family=family, hidden_dim=16, seed=3),
+                training_config=TrainingConfig(epochs=1, seed=3),
+            )
+            annotator = ProjectAnnotator(pipeline, AnnotatorConfig(use_type_checker=False))
+            together = dict(_payload_list(annotator.annotate_sources(project)))
+            assert list(together) == list(project), family
+            for filename, source in project.items():
+                [(_, alone)] = _payload_list(annotator.annotate_sources({filename: source}))
+                assert alone == together[filename], (family, filename)
+
+
+class TestBlasBudget:
+    """Forked annotate and ingest children run BLAS on one thread; the calling process keeps its count."""
+
+    def test_annotate_pool_children_see_one_thread(self, trained_pipeline, pooled_project, pool_spy,
+                                                   two_blas_threads, monkeypatch):
+        monkeypatch.setattr(pipeline_module._SuggestRun, "annotate", _blas_threads_of_file)
+        pooled = trained_pipeline.suggest_for_sources(pooled_project, jobs=2)
+        assert pool_spy == [2]
+        assert pooled == {filename: [1] for filename in pooled_project}
+        assert cores.blas_thread_count() == 2
+        serial = trained_pipeline.suggest_for_sources(pooled_project, jobs=1)
+        assert pool_spy == [2, 0]
+        assert serial == {filename: [2] for filename in pooled_project}
+
+    def test_training_after_an_ingest_pool_keeps_its_fingerprint(self, pooled_project, two_blas_threads):
+        # At hidden size 32 this model trains to another fingerprint on one BLAS thread than on two.
+        def fingerprint(jobs):
+            dataset = TypeAnnotationDataset.from_sources(pooled_project, ingest=IngestConfig(jobs=jobs))
+            assert dataset.ingest_report.used_process_pool == (jobs > 1)
+            pipeline = TypilusPipeline.fit(
+                dataset,
+                EncoderConfig(family="graph", hidden_dim=32, gnn_steps=2, seed=7),
+                training_config=TrainingConfig(epochs=1, seed=7),
+            )
+            return pipeline.fingerprint()
+
+        serial = fingerprint(1)
+        assert fingerprint(2) == serial
+        assert cores.blas_thread_count() == 2
+
+
+def _blas_threads_of_file(run, position):
+    """Stands in for ``_SuggestRun.annotate``: the BLAS thread count the file was annotated with."""
+    return [cores.blas_thread_count()]
 
 
 class TestNoGradEmbedding:

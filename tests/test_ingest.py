@@ -5,6 +5,7 @@ import gc
 import multiprocessing
 import os
 import sys
+import time
 import warnings
 
 import pytest
@@ -139,6 +140,15 @@ class TestParallelEqualsSerial:
             child.terminate()
             child.join()
         assert leftovers == []
+
+
+    def test_leaving_the_pool_early_drops_unstarted_tasks(self):
+        """A caller that stops at its first error does not wait for the rest of its tasks."""
+        with pytest.raises(RuntimeError), ingest_module.fork_pool(2) as pool:
+            futures = [pool.submit(time.sleep, 0.2) for _ in range(20)]
+            raise RuntimeError("the first result was an error")
+        assert sum(future.cancelled() for future in futures) >= 10
+        assert multiprocessing.active_children() == []
 
 
 class TestGraphCache:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.corpus import IngestConfig
-from repro.utils import usable_cores
-from repro.utils.cores import fork_context
+from repro.corpus.ingest import fork_pool
+from repro.utils import cores, usable_cores
+from repro.utils.cores import blas_thread_count, fork_context, limited_blas_threads
 from repro.utils.rng import SeededRNG, temp_seed
 from repro.utils.text import camel_and_snake_split, normalise_whitespace, truncate
 from repro.utils.timing import Stopwatch, timed
@@ -153,3 +154,35 @@ class TestForkContext:
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert fork_context() is None
+
+
+class TestBlasThreads:
+    def test_limit_holds_inside_and_is_restored(self, two_blas_threads):
+        with limited_blas_threads(1):
+            assert blas_thread_count() == 1
+        assert blas_thread_count() == 2
+        with pytest.raises(RuntimeError), limited_blas_threads(1):
+            raise RuntimeError("the body failed")
+        assert blas_thread_count() == 2
+
+    def test_fork_pool_children_run_one_thread(self, two_blas_threads):
+        with fork_pool(2) as pool:
+            assert pool is not None
+            assert {pool.submit(blas_thread_count).result() for _ in range(4)} == {1}
+        assert blas_thread_count() == 2
+
+    def test_serial_fallback_keeps_the_count(self, two_blas_threads, monkeypatch):
+        def refuse_fork():
+            raise PermissionError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        with fork_pool(2) as pool:
+            assert pool is None
+            assert blas_thread_count() == 2
+        assert blas_thread_count() == 2
+
+    def test_nothing_happens_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(cores, "_openblas_controls", lambda: None)
+        assert blas_thread_count() is None
+        with limited_blas_threads(1):
+            pass
